@@ -27,11 +27,12 @@ race:
 # Focused race pass over the concurrent packages (the goroutine runtime, the
 # wire layer's sockets and chaos proxy, the observability instruments they
 # publish to, the hierarchical monitor the sharded substrate's cores share,
-# and the harness's parallel sweep, which must equal a sequential sweep
-# bit-for-bit).
+# the harness's parallel sweep, which must equal a sequential sweep
+# bit-for-bit, and the live driver: RunLive and the client loop it shares
+# with gbnode, which block on the runtime's phase-change wait).
 test-race:
 	$(GO) test -race ./internal/runtime/... ./internal/wire/... ./internal/obs/... ./internal/hme/...
-	$(GO) test -race -run ParMap ./internal/harness/
+	$(GO) test -race -run 'ParMap|RunLive|LiveClient' ./internal/harness/
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded
 # chaos schedule; fails unless it converges with zero post-convergence

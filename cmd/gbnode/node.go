@@ -10,7 +10,6 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/harness"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/runtime"
-	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wire"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
@@ -164,60 +163,19 @@ func (nd *Node) WriteSnapshot(w io.Writer) error {
 	return nd.obs.Registry().WriteJSON(w)
 }
 
-// clientLoop is the built-in workload: think, request the CS, eat,
-// release — the same client contract the harness drivers follow. All
-// draws come from the workload package (one tick = harness.LiveTick),
-// derived from the same seed+100 stream family the gbload drivers use,
-// so a gbnode fleet and a gbload loopback run with the same seed see the
-// same per-id traffic shape.
+// clientLoop is the built-in workload: harness.RunLiveClient, the same
+// loop the gbload drivers run. All draws come from the workload package
+// (one tick = harness.LiveTick), derived from the same seed+100 stream
+// family the gbload drivers use, so a gbnode fleet and a gbload loopback
+// run with the same seed see the same per-id traffic shape.
 func (nd *Node) clientLoop() {
 	defer nd.wg.Done()
-	id := nd.cfg.ID
 	spec := nd.uniformSpec()
 	if nd.cfg.Workload != nil {
 		spec = *nd.cfg.Workload
 	}
-	client := workload.NewGen(spec, nd.cfg.Seed+100, nd.cfg.N).Client(id)
-	open := client.Open()
-	next := time.Now()
-	for {
-		think := time.Duration(client.NextThink()) * harness.LiveTick
-		if open {
-			// Open loop: arrivals follow the drawn schedule regardless of
-			// how long the previous CS cycle took.
-			next = next.Add(think)
-			think = time.Until(next)
-		}
-		if !sleepOrStop(nd.stop, think) {
-			return
-		}
-		// Each attempt targets the shard the workload draws (always 0 in
-		// unsharded clusters, consuming no randomness there).
-		shard := client.NextResource(nd.cfg.Shards)
-		switch nd.cluster.PhaseShard(shard, id) {
-		case tme.Eating:
-			// A corrupted process can find itself eating without having
-			// asked; the client contract is bounded eating, so release.
-			nd.cluster.ReleaseShard(shard, id)
-			continue
-		case tme.Thinking:
-		case tme.Hungry:
-			continue // a request is already in flight
-		default:
-			continue // invalid phase (corruption): skip the cycle
-		}
-		nd.cluster.RequestShard(shard, id)
-		for nd.cluster.PhaseShard(shard, id) != tme.Eating {
-			if !sleepOrStop(nd.stop, 200*time.Microsecond) {
-				return
-			}
-		}
-		if !sleepOrStop(nd.stop, time.Duration(client.NextHold())*harness.LiveTick) {
-			nd.cluster.ReleaseShard(shard, id)
-			return
-		}
-		nd.cluster.ReleaseShard(shard, id)
-	}
+	client := workload.NewGen(spec, nd.cfg.Seed+100, nd.cfg.N).Client(nd.cfg.ID)
+	harness.RunLiveClient(nd.stop, nd.cluster, nd.cfg.ID, client, nil)
 }
 
 // uniformSpec maps the legacy -think/-eat flags onto workload ticks: a
@@ -236,21 +194,6 @@ func (nd *Node) uniformSpec() workload.Spec {
 		hold = 1
 	}
 	return workload.UniformSpec(minThink, maxThink, hold)
-}
-
-// sleepOrStop waits d or until stop closes; false means stopped.
-func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-stop:
-		return false
-	}
 }
 
 // newFlagSet returns a flag set that reports errors instead of exiting,

@@ -31,6 +31,7 @@ func TestClusterPublishesObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := collectEntries(c)
 	c.Start()
 	for i := 0; i < 3; i++ {
 		c.Request(i)
@@ -38,7 +39,7 @@ func TestClusterPublishesObs(t *testing.T) {
 	served := map[int]bool{}
 	deadline := time.Now().Add(20 * time.Second)
 	for len(served) < 3 && time.Now().Before(deadline) {
-		for _, e := range c.Entries() {
+		for _, e := range log.all() {
 			if !served[e.ID] {
 				served[e.ID] = true
 				c.Release(e.ID)
@@ -52,7 +53,7 @@ func TestClusterPublishesObs(t *testing.T) {
 	}
 
 	snap := o.Reg.Snapshot()
-	if got, want := snap.Counter("runtime_entries_total"), int64(len(c.Entries())); got != want {
+	if got, want := snap.Counter("runtime_entries_total"), int64(len(log.all())); got != want {
 		t.Errorf("runtime_entries_total = %d, want %d", got, want)
 	}
 	if snap.Counter("runtime_msgs_sent_total") == 0 {
@@ -82,14 +83,12 @@ func TestClusterNilObsSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := collectEntries(c)
 	c.Start()
 	c.Request(0)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.Entries()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	entered := waitFor(t, 5*time.Second, func() bool { return len(log.all()) > 0 })
 	c.Stop()
-	if len(c.Entries()) == 0 {
+	if !entered {
 		t.Fatal("no entry without obs")
 	}
 }

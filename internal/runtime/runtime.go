@@ -101,7 +101,7 @@ type Cluster struct {
 	ins       rtInstruments
 
 	mu      sync.Mutex
-	entries []Entry     //gblint:guardedby mu
+	seq     int         //gblint:guardedby mu
 	onEntry func(Entry) //gblint:guardedby mu
 
 	stop chan struct{}
@@ -153,6 +153,27 @@ type proc struct {
 	node  tme.Node //gblint:guardedby mu
 	wrap  wrapper.Level2
 	inbox *mailbox[tme.Message]
+	// phaseMoved holds one token while a move of node's phase may be unseen
+	// (capacity 1: a token says "look again", not how often). Sent to only
+	// under mu, by notePhase, so the phase a token announces is readable by
+	// the time the token is; received from lock-free by
+	// AwaitPhaseChangeShard, hence no guardedby annotation.
+	phaseMoved chan struct{}
+}
+
+// notePhase posts the phase-change token when the node has left the phase
+// before, which the caller read on taking mu. Every section that can write
+// node ends with it.
+//
+//gblint:guardedby mu
+func (p *proc) notePhase(before tme.Phase) {
+	if p.node.Phase() == before {
+		return
+	}
+	select {
+	case p.phaseMoved <- struct{}{}:
+	default:
+	}
 }
 
 // NewCluster builds a cluster; it does not start any goroutine.
@@ -185,7 +206,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if !local[i] {
 				continue
 			}
-			p := &proc{id: i, shard: s, node: cfg.NewNode(i, cfg.N), inbox: newMailbox[tme.Message]()}
+			p := &proc{
+				id: i, shard: s, node: cfg.NewNode(i, cfg.N),
+				inbox: newMailbox[tme.Message](), phaseMoved: make(chan struct{}, 1),
+			}
 			if cfg.NewWrapper != nil {
 				// Instrumentation is per process id; shard instances of one
 				// process share its wrapper gauges, which sum naturally.
@@ -203,7 +227,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 // OnEntry installs a callback invoked (from the entering process's event
 // loop) at every CS entry. Install before Start; installing later is safe
-// but entries already recorded are not replayed.
+// but earlier entries are not replayed (the cluster keeps no entry log, so
+// a long-lived process has flat memory).
 func (c *Cluster) OnEntry(f func(Entry)) {
 	c.mu.Lock()
 	c.onEntry = f
@@ -276,6 +301,7 @@ func (c *Cluster) eventLoop(p *proc) {
 					break
 				}
 				p.mu.Lock()
+				before := p.node.Phase()
 				out := p.node.Deliver(m)
 				if c.cfg.Level1 != nil {
 					if repaired, _ := c.cfg.Level1.CheckRepair(p.node); repaired {
@@ -283,6 +309,7 @@ func (c *Cluster) eventLoop(p *proc) {
 					}
 				}
 				entered, more := p.node.Step()
+				p.notePhase(before)
 				p.mu.Unlock()
 				c.ins.delivered.Inc()
 				c.route(p.shard, append(out, more...))
@@ -292,6 +319,7 @@ func (c *Cluster) eventLoop(p *proc) {
 			}
 		case now := <-tick:
 			p.mu.Lock()
+			before := p.node.Phase()
 			if c.cfg.Level1 != nil {
 				if repaired, _ := c.cfg.Level1.CheckRepair(p.node); repaired {
 					c.ins.repairs.Inc()
@@ -299,6 +327,7 @@ func (c *Cluster) eventLoop(p *proc) {
 			}
 			msgs := p.wrap.Fire(now.UnixNano(), p.node)
 			entered, more := p.node.Step()
+			p.notePhase(before)
 			p.mu.Unlock()
 			c.route(p.shard, append(msgs, more...))
 			if entered {
@@ -324,8 +353,8 @@ func (c *Cluster) route(shard int, msgs []tme.Message) {
 
 func (c *Cluster) recordEntry(shard, id int) {
 	c.mu.Lock()
-	e := Entry{ID: id, Seq: len(c.entries), Shard: shard, At: time.Now()} //gblint:ignore determinism entry timestamps under the goroutine runtime are wall-clock by definition
-	c.entries = append(c.entries, e)
+	e := Entry{ID: id, Seq: c.seq, Shard: shard, At: time.Now()} //gblint:ignore determinism entry timestamps under the goroutine runtime are wall-clock by definition
+	c.seq++
 	cb := c.onEntry
 	c.mu.Unlock()
 	c.ins.entries.Inc()
@@ -336,15 +365,6 @@ func (c *Cluster) recordEntry(shard, id int) {
 	if cb != nil {
 		cb(e)
 	}
-}
-
-// Entries returns a copy of the entries recorded so far.
-func (c *Cluster) Entries() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, len(c.entries))
-	copy(out, c.entries)
-	return out
 }
 
 // procAt resolves a (shard, id) pair to its local proc, nil when either
@@ -367,8 +387,10 @@ func (c *Cluster) RequestShard(shard, id int) {
 		return
 	}
 	p.mu.Lock()
+	before := p.node.Phase()
 	out := p.node.RequestCS()
 	entered, more := p.node.Step()
+	p.notePhase(before)
 	p.mu.Unlock()
 	c.route(shard, append(out, more...))
 	if entered {
@@ -387,7 +409,9 @@ func (c *Cluster) ReleaseShard(shard, id int) {
 		return
 	}
 	p.mu.Lock()
+	before := p.node.Phase()
 	out := p.node.ReleaseCS()
+	p.notePhase(before)
 	p.mu.Unlock()
 	c.route(shard, out)
 }
@@ -405,6 +429,38 @@ func (c *Cluster) PhaseShard(shard, id int) tme.Phase {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.node.Phase()
+}
+
+// AwaitPhaseChangeShard blocks until process id's phase on the given shard
+// differs from from, and returns the phase it found. It returns false, with
+// the phase last read, when stop closes or the cluster stops first, and
+// (0, false) at once when id is not hosted locally. The phase is re-read
+// under the process's lock after every wake-up, so a token left over from
+// an earlier move costs one extra look and a move is never missed. No
+// timer, no goroutine, no allocation. One waiter per (shard, id): two
+// would take each other's tokens.
+//
+//gblint:hotpath
+func (c *Cluster) AwaitPhaseChangeShard(stop <-chan struct{}, shard, id int, from tme.Phase) (tme.Phase, bool) {
+	p := c.procAt(shard, id)
+	if p == nil {
+		return 0, false
+	}
+	for {
+		p.mu.Lock()
+		ph := p.node.Phase()
+		p.mu.Unlock()
+		if ph != from {
+			return ph, true
+		}
+		select {
+		case <-p.phaseMoved:
+		case <-stop:
+			return ph, false
+		case <-c.stop:
+			return ph, false
+		}
+	}
 }
 
 // Snapshot returns process id's spec-level state on shard 0 (zero value
@@ -436,7 +492,9 @@ func (c *Cluster) CorruptShard(shard, id int, corr tme.Corruption) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if node, ok := p.node.(tme.Corruptible); ok {
+		before := p.node.Phase()
 		node.Corrupt(corr)
+		p.notePhase(before)
 	}
 }
 

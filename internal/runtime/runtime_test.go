@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,6 +77,30 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// entryLog collects a cluster's entries through OnEntry; the cluster
+// itself keeps only a counter.
+type entryLog struct {
+	mu      sync.Mutex
+	entries []Entry
+}
+
+// collectEntries installs the log as c's entry callback. Call before Start.
+func collectEntries(c *Cluster) *entryLog {
+	l := &entryLog{}
+	c.OnEntry(func(e Entry) {
+		l.mu.Lock()
+		l.entries = append(l.entries, e)
+		l.mu.Unlock()
+	})
+	return l
+}
+
+func (l *entryLog) all() []Entry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]Entry(nil), l.entries...)
+}
+
 func TestClusterSoloRound(t *testing.T) {
 	c, err := NewCluster(Config{
 		N:       3,
@@ -84,14 +110,15 @@ func TestClusterSoloRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := collectEntries(c)
 	c.Start()
 	defer c.Stop()
 	c.Request(0)
-	if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Eating }) {
+	if !waitFor(t, 5*time.Second, func() bool { return len(log.all()) == 1 }) {
 		t.Fatal("node 0 never entered")
 	}
-	if got := c.Entries(); len(got) != 1 || got[0].ID != 0 {
-		t.Fatalf("entries = %v", got)
+	if got := log.all(); got[0].ID != 0 || got[0].Seq != 0 || c.Phase(0) != tme.Eating {
+		t.Fatalf("entries = %v, phase = %v", got, c.Phase(0))
 	}
 	c.Release(0)
 	if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Thinking }) {
@@ -115,6 +142,7 @@ func TestClusterMutualExclusionUnderContention(t *testing.T) {
 	defer c.Stop()
 
 	const rounds = 3
+	seen := 0
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < n; i++ {
 			c.Request(i)
@@ -122,6 +150,10 @@ func TestClusterMutualExclusionUnderContention(t *testing.T) {
 		for i := 0; i < n; i++ {
 			select {
 			case e := <-entryCh:
+				if e.Seq != seen {
+					t.Fatalf("round %d: entry Seq = %d, want %d", round, e.Seq, seen)
+				}
+				seen++
 				// Exactly one eater at a time: the entrant must be the
 				// only eating process right now.
 				eating := 0
@@ -139,8 +171,10 @@ func TestClusterMutualExclusionUnderContention(t *testing.T) {
 			}
 		}
 	}
-	if got := len(c.Entries()); got != rounds*n {
-		t.Errorf("total entries = %d, want %d", got, rounds*n)
+	select {
+	case e := <-entryCh:
+		t.Errorf("entry %+v beyond the %d requested", e, rounds*n)
+	default:
 	}
 }
 
@@ -160,6 +194,7 @@ func TestClusterWrapperRecoversFromLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := collectEntries(c)
 	c.Start()
 	defer c.Stop()
 	for i := 0; i < 3; i++ {
@@ -169,7 +204,7 @@ func TestClusterWrapperRecoversFromLoss(t *testing.T) {
 	served := map[int]bool{}
 	deadline := time.Now().Add(20 * time.Second)
 	for len(served) < 3 && time.Now().Before(deadline) {
-		for _, e := range c.Entries() {
+		for _, e := range log.all() {
 			if !served[e.ID] {
 				served[e.ID] = true
 				c.Release(e.ID)
@@ -313,6 +348,7 @@ func TestClusterSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := collectEntries(c)
 	c.Start()
 	defer c.Stop()
 
@@ -328,9 +364,9 @@ func TestClusterSoak(t *testing.T) {
 			// Periodic transient corruption.
 			c.Corrupt(round%n, tme.Corruption{Phase: tme.Thinking})
 		}
-		start := len(c.Entries())
+		start := len(log.all())
 		for time.Now().Before(deadline) {
-			entries := c.Entries()
+			entries := log.all()
 			if len(entries) > start {
 				for _, e := range entries[start:] {
 					c.Release(e.ID)
@@ -395,13 +431,17 @@ func TestOnEntryInstallDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Whichever callback is installed at the time counts the entry.
+	var entries atomic.Int64
+	count := func(Entry) { entries.Add(1) }
+	c.OnEntry(count)
 	c.Start()
 	defer c.Stop()
 	installed := make(chan struct{})
 	go func() {
 		defer close(installed)
 		for i := 0; i < 100; i++ {
-			c.OnEntry(func(Entry) {})
+			c.OnEntry(count)
 		}
 	}()
 	for round := 0; round < 5; round++ {
@@ -415,7 +455,7 @@ func TestOnEntryInstallDuringRun(t *testing.T) {
 		}
 	}
 	<-installed
-	if got := len(c.Entries()); got != 5 {
+	if got := entries.Load(); got != 5 {
 		t.Fatalf("entries = %d, want 5", got)
 	}
 }
@@ -433,6 +473,7 @@ func TestClusterShardsAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := collectEntries(c)
 	c.Start()
 	defer c.Stop()
 
@@ -462,7 +503,7 @@ func TestClusterShardsAreIndependent(t *testing.T) {
 	c.ReleaseShard(1, 1)
 
 	byShard := map[int]int{}
-	for _, e := range c.Entries() {
+	for _, e := range log.all() {
 		byShard[e.Shard]++
 	}
 	if byShard[0] != 1 || byShard[1] != 2 {
