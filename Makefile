@@ -28,11 +28,12 @@ race:
 # wire layer's sockets and chaos proxy, the observability instruments they
 # publish to, the hierarchical monitor the sharded substrate's cores share,
 # the harness's parallel sweep, which must equal a sequential sweep
-# bit-for-bit, and the live driver: RunLive and the client loop it shares
-# with gbnode, which block on the runtime's phase-change wait).
+# bit-for-bit, and the live driver: RunLive, the workload.Driver adapter it
+# shares with gbnode, which blocks on the runtime's phase-change wait, and
+# the cross-substrate fault-row test of that Driver).
 test-race:
 	$(GO) test -race ./internal/runtime/... ./internal/wire/... ./internal/obs/... ./internal/hme/...
-	$(GO) test -race -run 'ParMap|RunLive|LiveClient' ./internal/harness/
+	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded
 # chaos schedule; fails unless it converges with zero post-convergence
@@ -45,9 +46,9 @@ soak:
 	$(GO) run -race ./cmd/gbload -n 5 -duration 10s -seed 1 -workload bursty -scenario gray-burst -check
 	$(GO) run -race ./cmd/gbload -n 8 -shards 4 -duration 10s -seed 1 -check
 
-# E18 sim-to-real parity gate: one seeded workload on the tick simulator AND
-# a TCP-loopback live cluster, diffed against each other and the analytical
-# twin's prediction. Fails on semantic divergence (entry/request counts
+# E18 sim-to-real parity gate: seeded workloads (think-dominated and
+# contended) on the tick simulator AND a TCP-loopback live cluster, diffed
+# against each other and the analytical twin's prediction. Fails on semantic divergence (entry/request counts
 # beyond ±20%, any safety violation, non-convergence).
 parity:
 	$(GO) run ./cmd/experiments -only E18 -check

@@ -245,30 +245,41 @@ func (in *Injector) nonEmptyChannel(s Surface) (channel.Endpoint, bool) {
 	return candidates[in.rng.Intn(len(candidates))], true
 }
 
-func (in *Injector) loss(s Surface) {
-	ep, ok := in.nonEmptyChannel(s)
+// victim picks a uniformly random in-flight message: a non-empty channel
+// and an index into its queue. On a live surface the queue can drain
+// between the two looks; then there is nothing to hit (ok=false).
+func (in *Injector) victim(s Surface) (ep channel.Endpoint, i int, ok bool) {
+	ep, ok = in.nonEmptyChannel(s)
 	if !ok {
-		return
+		return ep, 0, false
 	}
-	s.FaultDrop(ep, in.rng.Intn(s.QueueLen(ep)))
+	n := s.QueueLen(ep)
+	if n == 0 {
+		return ep, 0, false
+	}
+	return ep, in.rng.Intn(n), true
+}
+
+func (in *Injector) loss(s Surface) {
+	if ep, i, ok := in.victim(s); ok {
+		s.FaultDrop(ep, i)
+	}
 }
 
 func (in *Injector) dup(s Surface) {
-	ep, ok := in.nonEmptyChannel(s)
+	ep, i, ok := in.victim(s)
 	if !ok {
 		return
 	}
-	i := in.rng.Intn(s.QueueLen(ep))
 	// The copy needs its own delivery opportunity.
 	s.FaultDuplicate(ep, i, 1+in.rng.Int63n(5))
 }
 
 func (in *Injector) corrupt(s Surface) {
-	ep, ok := in.nonEmptyChannel(s)
+	ep, i, ok := in.victim(s)
 	if !ok {
 		return
 	}
-	i := in.rng.Intn(s.QueueLen(ep))
 	ts, typed := s.(tmeSurface)
 	if !typed {
 		s.FaultCorrupt(ep, i, in.rng)

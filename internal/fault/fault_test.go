@@ -3,6 +3,7 @@ package fault
 import (
 	"testing"
 
+	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/tme"
@@ -88,6 +89,31 @@ func TestMessageFaultsOnEmptyNetworkAreNoops(t *testing.T) {
 	// Nothing to assert beyond not panicking and channels staying empty.
 	if s.Net().TotalQueued() != 0 {
 		t.Error("faults materialized messages from nothing")
+	}
+}
+
+// drainingSurface is a live-style surface: its one queue empties between
+// the injector's look for a non-empty channel and its pick of an index.
+type drainingSurface struct {
+	*sim.Sim
+	looks int
+}
+
+func (d *drainingSurface) QueueLen(channel.Endpoint) int {
+	d.looks++
+	if d.looks%2 == 1 {
+		return 1
+	}
+	return 0
+}
+
+// On a live surface the queue can drain under the injector; the message
+// faults then hit nothing instead of asking the rng for an index below 0.
+func TestMessageFaultsSurviveADrainingQueue(t *testing.T) {
+	d := &drainingSurface{Sim: raSim(2, false)}
+	in := NewInjector(9, Mix{}, Options{})
+	for _, k := range []Kind{MessageLoss, MessageDup, MessageCorrupt} {
+		in.Apply(d, k)
 	}
 }
 

@@ -85,8 +85,8 @@ type RunConfig struct {
 	// FaultTimes/FaultsPerBurst/Mix still apply on top if set.
 	DeadlockFault bool
 	// Workload, when non-nil, shapes the client traffic (a workload.Gen or
-	// a recorded workload.Schedule for replay). Nil keeps the historical
-	// built-in uniform closed loop, bit-for-bit.
+	// a recorded workload.Schedule for replay). Nil keeps the simulator's
+	// built-in uniform closed loop (think 5..20, hold 3).
 	Workload workload.Source
 	// Scenario, when non-nil, compiles to this run's fault plan, overriding
 	// FaultTimes/FaultsPerBurst/Mix and the link-delay bounds — the same
@@ -193,7 +193,7 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 	}
 	if cfg.Workload != nil {
 		src := cfg.Workload
-		simCfg.NewClient = func(id int) sim.ClientStream { return src.Client(id) }
+		simCfg.NewClient = src.Client
 	}
 	if cfg.Scenario != nil {
 		plan := scenario.CompileSim(*cfg.Scenario, cfg.FaultSeed, cfg.Horizon)
@@ -225,14 +225,15 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 	s := sim.New(simCfg)
 
 	var mon *lspec.Monitors
+	var observe sim.Observer
 	if cfg.Monitor {
 		mon = lspec.New(cfg.N)
 		mon.Instrument(o)
+		observe = mon.AsObserver()
 		if cfg.MonitorFullSnapshot {
-			s.SetObserver(mon.AsFullSnapshotObserver())
-		} else {
-			s.SetObserver(mon.AsObserver())
+			observe = mon.AsFullSnapshotObserver()
 		}
+		s.SetObserver(observe)
 	}
 
 	if cfg.DeadlockFault {
@@ -252,6 +253,13 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 	}
 
 	s.Run(cfg.Horizon)
+	if observe != nil {
+		// Monitors sample per event, and a deadlocked unwrapped system has
+		// no events left (nothing polls): look once more at the horizon, so
+		// a violation that persists to the end is dated there and not at the
+		// last event.
+		observe(s)
+	}
 
 	// Every measurement below is read back from the telemetry: the injector
 	// stamped the fault window, the sim stamped entries/messages/requests,

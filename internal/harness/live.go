@@ -304,10 +304,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		i := i
 		clusters[i].OnEntry(func(e runtime.Entry) {
 			at := e.At.UnixNano()
-			var lat int64 = -1
-			if r := reqAt[e.Shard][i].Load(); r > 0 {
-				lat = at - r
-			}
+			lat := takeLatency(&reqAt[e.Shard][i], at)
 			latTicks := int64(-1)
 			if lat >= 0 {
 				latTicks = lat / int64(LiveTick)
@@ -501,6 +498,16 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	return res, nil
 }
 
+// takeLatency consumes a request stamp: the time from the stamped request
+// to an entry at at, or -1 for an entry with no request of ours behind it
+// (a perturb fault forged Hungry), which has no latency to record.
+func takeLatency(stamp *atomic.Int64, at int64) int64 {
+	if r := stamp.Swap(0); r > 0 {
+		return at - r
+	}
+	return -1
+}
+
 func offsetMS(t, start int64) int64 {
 	if t < 0 {
 		return -1
@@ -537,67 +544,36 @@ func liveSleep(stop <-chan struct{}, d time.Duration) bool {
 	}
 }
 
-// RunLiveClient is the live substrate's one client loop: RunLive runs one
-// per process and cmd/gbnode runs one for the process it hosts. It drives
-// process id of cl through think, request, eat, release until stop closes
-// or cl stops, reading every gap, hold time and target shard from draws
-// (ticks are LiveTick each). Closed-loop clients gap release-to-request;
-// open-loop clients keep an arrival clock that runs independently of
-// service, so a backlog of arrivals drains back-to-back once the client
-// frees up. onRequest, when non-nil, is called just before each request is
-// issued. The loop never polls for its entry: the cluster's event loop
-// tells it (runtime.Cluster.AwaitPhaseChangeShard).
+// RunLiveClient is the live substrate's client: workload.Driver, the same
+// state machine the simulator steps, carried by a blocking goroutine.
+// RunLive runs one per process and cmd/gbnode runs one for the process it
+// hosts. It drives process id of cl until stop closes or cl stops, reading
+// every gap, hold time and target shard from draws (ticks are LiveTick
+// each). onRequest, when non-nil, is called just before each request is
+// issued. Its two waits are liveSleep for the Driver's deadlines and
+// runtime.Cluster.AwaitPhaseChangeShard for leaving Hungry: the cluster's
+// event loop tells it that it eats, nothing polls.
 func RunLiveClient(stop <-chan struct{}, cl *runtime.Cluster, id int, draws workload.Client, onRequest func(shard int)) {
-	shards := cl.Shards()
-	open := draws.Open()
-	nextArrival := liveNowNS()
-	for {
-		var wait time.Duration
-		if open {
-			nextArrival += draws.NextThink() * int64(LiveTick)
-			wait = time.Duration(nextArrival - liveNowNS())
-		} else {
-			wait = time.Duration(draws.NextThink()) * LiveTick
-		}
-		if !liveSleep(stop, wait) {
-			return
-		}
-		// The workload's resource draw picks this attempt's shard
-		// (Zipf-skewed when the spec says so; always 0 unsharded).
-		shard := draws.NextResource(shards)
-		switch cl.PhaseShard(shard, id) {
-		case tme.Eating:
-			// State corruption can forge the eating phase without a
-			// matching request; the client's contract is to eat for a
-			// bounded time, so release and move on.
-			cl.ReleaseShard(shard, id)
-			continue
-		case tme.Thinking:
-		case tme.Hungry:
-			continue // a request is already in flight
-		default:
-			continue // invalid phase (corruption): skip the cycle
-		}
-		if onRequest != nil {
-			onRequest(shard)
-		}
-		cl.RequestShard(shard, id)
-		// Wait to leave Hungry, not to reach Eating: corruption can wipe a
-		// hungry process back to Thinking, and this loop is the only thing
-		// that would ever request for it again.
-		ph, ok := cl.AwaitPhaseChangeShard(stop, shard, id, tme.Hungry)
-		if !ok {
-			return
-		}
-		if ph != tme.Eating {
-			continue // the request was lost to a fault: think, then ask again
-		}
-		ok = liveSleep(stop, time.Duration(draws.NextHold())*LiveTick)
-		cl.ReleaseShard(shard, id)
-		if !ok {
-			return
+	d := workload.NewDriver(draws, cl.Shards(), 0, int64(LiveTick), liveNowNS())
+	for running := true; running; {
+		now := liveNowNS()
+		switch d.Step(now, cl.PhaseShard(d.Shard(), id)) {
+		case workload.ActSleep, workload.ActIdle:
+			running = liveSleep(stop, time.Duration(d.Wake()-now))
+		case workload.ActAwait:
+			_, running = cl.AwaitPhaseChangeShard(stop, d.Shard(), id, tme.Hungry)
+		case workload.ActRequest:
+			if onRequest != nil {
+				onRequest(d.Shard())
+			}
+			cl.RequestShard(d.Shard(), id)
+		case workload.ActRelease:
+			cl.ReleaseShard(d.Shard(), id)
+		case workload.ActPark:
+			running = false
 		}
 	}
+	cl.ReleaseShard(d.Shard(), id) // stopped mid-meal: leave nothing eating behind
 }
 
 // LiveCluster is experiment E15: the wrapped and unwrapped cluster on real

@@ -118,6 +118,37 @@ func TestLiveClientReleasesForgedEating(t *testing.T) {
 	<-done
 }
 
+// An entry that no request of ours is behind (a perturb fault forged
+// Hungry and the wrapper saw it served) records no latency: the stamp of
+// the previous, served request was taken when that request entered.
+func TestRunLiveForgedEntryRecordsNoLatency(t *testing.T) {
+	var stamp atomic.Int64
+	latencies := make(chan int64, 16)
+	cl := clientCluster(t, func(e runtime.Entry) {
+		if e.ID == 0 {
+			latencies <- takeLatency(&stamp, e.At.UnixNano())
+		}
+	})
+	cl.Release(1)
+
+	stamp.Store(liveNowNS())
+	cl.Request(0)
+	if lat := <-latencies; lat < 0 {
+		t.Fatalf("requested entry recorded latency %d, want >= 0", lat)
+	}
+	cl.Release(0)
+
+	cl.Corrupt(0, tme.Corruption{Phase: tme.Hungry})
+	select {
+	case lat := <-latencies:
+		if lat != -1 {
+			t.Fatalf("forged entry recorded latency %d since the previous request, want -1", lat)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forged request was never served")
+	}
+}
+
 // The loop returns from its wait when the caller stops it and when the
 // cluster under it stops.
 func TestLiveClientStops(t *testing.T) {

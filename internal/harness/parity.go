@@ -8,14 +8,13 @@
 // aggressively: a change that shifts *semantics* (not timings) on one
 // substrate breaks the build.
 //
-// The parity workload is deliberately think-dominated. The substrates'
-// client loops differ mechanically — the sim client polls (a request rides
-// the first think tick that finds the process thinking), the live driver
-// blocks on entry — so their cycles only coincide when request latency and
-// hold are small against the think draw. There the cycle is the think time
-// on every substrate, counts become substrate-invariant, and the gate can
-// afford tight tolerances. Safety metrics carry zero tolerance
-// unconditionally: a clean run must be clean everywhere.
+// The three share one client: workload.Driver runs the Client Spec on both
+// substrates (think starts at release everywhere) and the twin models that
+// cycle, so the gate holds on a contended workload as well as on a
+// think-dominated one, at the same tolerances. Link delay is the same 1 to
+// 5 ticks on all three: the simulator's and the twin's default, and the
+// live chaos band. Safety metrics carry zero tolerance unconditionally: a
+// clean run must be clean everywhere.
 package harness
 
 import (
@@ -40,9 +39,8 @@ type ParityConfig struct {
 	// Horizon is the run length in ticks; the live run lasts
 	// Horizon×LiveTick (default 1500).
 	Horizon int64
-	// Spec shapes the traffic on both substrates. Default: the parity
-	// workload — think uniform [25,45], hold 1, think-dominated so the
-	// substrates' cycle semantics coincide (see the package comment).
+	// Spec shapes the traffic on both substrates. Default: think uniform
+	// on {40..70}, hold 1 (think-dominated at the default N).
 	Spec *workload.Spec
 }
 
@@ -75,10 +73,10 @@ type ParityResult struct {
 }
 
 // Parity tolerances: counts get a relative band wide enough for the
-// substrates' residual timing differences (the live blocking driver pays
-// request latency per cycle that the polling sim client absorbs); safety
-// and convergence metrics get zero — a fault-free run must be violation-
-// free and convergence-free on every substrate, exactly.
+// substrates' residual timing differences (real sockets and timers against
+// virtual ticks); safety and convergence metrics get zero — a fault-free
+// run must be violation-free and convergence-free on every substrate,
+// exactly.
 const (
 	parityCountTol = 0.20
 	parityExactTol = 0.0
@@ -109,16 +107,13 @@ func RunParity(cfg ParityConfig) (ParityResult, error) {
 		MaxRequests: 1 << 20,
 	})
 
-	// The chaos band is tighter than the live default: the blocking live
-	// driver pays the request round trip once per cycle (the polling sim
-	// client absorbs it inside a think draw), so parity keeps that round
-	// trip small against the think time to stay inside the count tolerance.
+	// The chaos band is the simulator's default link delay, tick for tick.
 	liveRes, err := RunLive(LiveConfig{
 		N: cfg.N, Seed: cfg.Seed,
 		Duration:      time.Duration(cfg.Horizon) * LiveTick,
 		Delta:         time.Duration(cfg.Delta) * LiveTick,
-		ChaosMinDelay: 500 * time.Microsecond,
-		ChaosMaxDelay: 1500 * time.Microsecond,
+		ChaosMinDelay: 1 * LiveTick,
+		ChaosMaxDelay: 5 * LiveTick,
 		Workload:      &spec,
 	})
 	if err != nil {
@@ -191,48 +186,71 @@ func twinParitySnapshot(p twin.Prediction) *obs.Snapshot {
 	return s
 }
 
+// parityRow is one E18 workload.
+type parityRow struct {
+	name string
+	cfg  ParityConfig
+}
+
+// parityRows are the workloads E18 gates: the think-dominated default, and
+// a contended one (utilization about a half at n=5) where a client that
+// started its think anywhere but at release would be off by tens of percent.
+func parityRows(scale Scale) []parityRow {
+	horizon := int64(2000)
+	if scale == Full {
+		horizon = 4000
+	}
+	contended := workload.UniformSpec(10, 30, 1)
+	return []parityRow{
+		{"think-dominated", ParityConfig{Seed: 11, Horizon: horizon}},
+		{"contended", ParityConfig{N: 5, Seed: 11, Horizon: horizon, Spec: &contended}},
+	}
+}
+
 // ParityGate runs E18 at the given scale and renders the gate table. The
 // boolean is the gate verdict: false means some pair of substrates (or a
-// substrate and the twin) diverged beyond tolerance.
+// substrate and the twin) diverged beyond tolerance on some workload.
 func ParityGate(scale Scale) (*Table, bool) {
-	cfg := ParityConfig{Seed: 11}
-	if scale == Full {
-		cfg.Horizon = 4000
-	}
-	res, err := RunParity(cfg)
-	cfg = cfg.withDefaults()
+	rows := parityRows(scale)
+	first := rows[0].cfg.withDefaults()
 	t := &Table{
-		Title: fmt.Sprintf("E18: sim-to-real parity gate, n=%d, δ=%d, horizon=%d ticks (live: %s)",
-			cfg.N, cfg.Delta, cfg.Horizon, time.Duration(cfg.Horizon)*LiveTick),
-		Header: []string{"pair", "metric", "a", "b", "rel %", "tol %", "verdict"},
+		Title: fmt.Sprintf("E18: sim-to-real parity gate, δ=%d, horizon=%d ticks (live: %s)",
+			first.Delta, first.Horizon, time.Duration(first.Horizon)*LiveTick),
+		Header: []string{"workload", "pair", "metric", "a", "b", "rel %", "tol %", "verdict"},
 	}
-	if err != nil {
-		t.AddRow("live", "error: "+err.Error(), "-", "-", "-", "-", "-")
-		return t, false
-	}
-	for _, pair := range []struct {
-		name  string
-		diffs []obs.MetricDiff
-	}{
-		{"sim vs live", res.SimVsLive},
-		{"sim vs twin", res.SimVsTwin},
-		{"live vs twin", res.LiveVsTwin},
-	} {
-		for _, d := range pair.diffs {
-			verdict := "ok"
-			if !d.Within {
-				verdict = "DIVERGED"
+	ok := true
+	for _, row := range rows {
+		name := fmt.Sprintf("%s n=%d", row.name, row.cfg.withDefaults().N)
+		res, err := RunParity(row.cfg)
+		if err != nil {
+			t.AddRow(name, "live", "error: "+err.Error(), "-", "-", "-", "-", "-")
+			return t, false
+		}
+		ok = ok && res.OK
+		for _, pair := range []struct {
+			name  string
+			diffs []obs.MetricDiff
+		}{
+			{"sim vs live", res.SimVsLive},
+			{"sim vs twin", res.SimVsTwin},
+			{"live vs twin", res.LiveVsTwin},
+		} {
+			for _, d := range pair.diffs {
+				verdict := "ok"
+				if !d.Within {
+					verdict = "DIVERGED"
+				}
+				t.AddRow(name, pair.name, d.Name,
+					fmt.Sprint(d.A), fmt.Sprint(d.B),
+					fmt.Sprintf("%.1f", 100*d.Rel), fmt.Sprintf("%.1f", 100*d.Tol),
+					verdict)
 			}
-			t.AddRow(pair.name, d.Name,
-				fmt.Sprint(d.A), fmt.Sprint(d.B),
-				fmt.Sprintf("%.1f", 100*d.Rel), fmt.Sprintf("%.1f", 100*d.Tol),
-				verdict)
 		}
 	}
 	t.Notes = append(t.Notes,
-		"one seeded think-dominated workload on sim (virtual ticks) and live TCP loopback (1 tick = 1ms), plus the twin's closed-form prediction",
+		"each seeded workload runs on sim (virtual ticks) and live TCP loopback (1 tick = 1ms) under the same client (workload.Driver) and the same 1 to 5 tick link delay, beside the twin's closed-form prediction",
 		"counts gate at ±20%; ME1 samples, violations, and convergence ticks gate exactly — a clean run must be clean on every substrate",
-		fmt.Sprintf("gate verdict: ok=%v", res.OK),
+		fmt.Sprintf("gate verdict: ok=%v", ok),
 	)
-	return t, res.OK
+	return t, ok
 }

@@ -89,26 +89,28 @@ func TestParityEvalNegative(t *testing.T) {
 	})
 }
 
-// TestRunParity is the E18 positive gate: the same seeded workload on sim
-// and loopback live cluster, plus the twin, all within tolerance. It boots
-// a real TCP cluster for over a second, so -short skips it.
+// TestRunParity is the E18 positive gate: each seeded workload on sim and
+// loopback live cluster, plus the twin, all within tolerance. It boots real
+// TCP clusters for seconds, so -short skips it.
 func TestRunParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live loopback cluster run; skipped under -short")
 	}
-	res, err := RunParity(ParityConfig{Seed: 11})
-	if err != nil {
-		t.Fatalf("RunParity: %v", err)
-	}
-	report := "sim vs live:\n" + obs.FormatDiffs(res.SimVsLive) +
-		"sim vs twin:\n" + obs.FormatDiffs(res.SimVsTwin) +
-		"live vs twin:\n" + obs.FormatDiffs(res.LiveVsTwin)
-	if !res.OK {
-		t.Fatalf("parity gate diverged:\n%s", report)
-	}
-	if res.Sim.Entries == 0 || res.Live.Entries == 0 {
-		t.Fatalf("degenerate parity run (sim=%d live=%d entries):\n%s",
-			res.Sim.Entries, res.Live.Entries, report)
+	for _, row := range parityRows(Quick) {
+		res, err := RunParity(row.cfg)
+		if err != nil {
+			t.Fatalf("%s: RunParity: %v", row.name, err)
+		}
+		report := "sim vs live:\n" + obs.FormatDiffs(res.SimVsLive) +
+			"sim vs twin:\n" + obs.FormatDiffs(res.SimVsTwin) +
+			"live vs twin:\n" + obs.FormatDiffs(res.LiveVsTwin)
+		if !res.OK {
+			t.Fatalf("%s: parity gate diverged:\n%s", row.name, report)
+		}
+		if res.Sim.Entries == 0 || res.Live.Entries == 0 {
+			t.Fatalf("%s: degenerate parity run (sim=%d live=%d entries):\n%s",
+				row.name, res.Sim.Entries, res.Live.Entries, report)
+		}
 	}
 }
 
@@ -119,7 +121,7 @@ func TestParityGateTable(t *testing.T) {
 	}
 	tbl, ok := ParityGate(Quick)
 	out := tbl.String()
-	if !strings.Contains(out, "parity_entries") || !strings.Contains(out, "sim vs live") {
+	if !strings.Contains(out, "parity_entries") || !strings.Contains(out, "sim vs live") || !strings.Contains(out, "contended") {
 		t.Errorf("gate table missing rows:\n%s", out)
 	}
 	if !ok && !strings.Contains(out, "DIVERGED") {

@@ -20,10 +20,7 @@ type ShardedRunConfig struct {
 	// Algo and N pick the per-shard protocol and process count.
 	Algo Algo
 	N    int
-	// Shards is the number of independent critical sections. Shards ≤ 1
-	// delegates to the legacy single-CS Run — N node-attached clients
-	// (Clients is ignored), MaxLoops mapped onto MaxRequests — so an
-	// unsharded run stays byte-identical to earlier releases.
+	// Shards is the number of independent critical sections (default 1).
 	Shards int
 	// Clients is the number of logical client loops (default N), each
 	// drawing its target shard from the workload's skew stream.
@@ -123,9 +120,6 @@ func (r ShardedRunResult) MetricsJSON() []byte {
 // RunSharded executes one sharded run and returns its measurements.
 func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return runShardedLegacy(cfg)
-	}
 	spec := cfg.Workload
 	if spec == nil {
 		d := workload.DefaultSpec()
@@ -149,7 +143,7 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 		Level1:     wrapper.PhaseGuard{},
 		MaxLoops:   cfg.MaxLoops,
 		CrossEvery: cfg.CrossEvery,
-		NewClient:  func(c int) sim.ShardClient { return src.Client(c) },
+		NewClient:  src.Client,
 		Obs:        coord,
 		NewShardObs: func(s int) *obs.Obs {
 			shardObs[s] = obs.New(obs.Options{})
@@ -204,47 +198,6 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 	res.OrderViolations = res.Obs.Counter("hme_order_violations_total")
 	res.AuditViolations = res.Obs.Counter("hme_audit_violations_total")
 	return res
-}
-
-// runShardedLegacy is the Shards ≤ 1 path: the exact single-CS Run of
-// earlier releases, its result reshaped. Keeping the degenerate case on the
-// old code path is what makes `-shards 1` byte-identical by construction.
-func runShardedLegacy(cfg ShardedRunConfig) ShardedRunResult {
-	var src workload.Source
-	if cfg.Workload != nil {
-		src = workload.NewGen(*cfg.Workload, cfg.Seed+100, cfg.N)
-	}
-	o := obs.New(obs.Options{})
-	r := RunObserved(RunConfig{
-		Algo: cfg.Algo, N: cfg.N,
-		Seed: cfg.Seed, FaultSeed: cfg.FaultSeed,
-		Delta:          cfg.Delta,
-		FaultTimes:     cfg.FaultTimes,
-		FaultsPerBurst: cfg.FaultsPerBurst,
-		Mix:            cfg.Mix,
-		Workload:       src,
-		Horizon:        cfg.Horizon,
-		MaxRequests:    cfg.MaxLoops,
-	}, o)
-	res := ShardedRunResult{
-		Entries:         r.Entries,
-		EntriesByShard:  []int{r.Entries},
-		Loops:           r.Entries,
-		ShardsConverged: boolToInt(r.EntriesAfterFault > 0 || o.Convergence().LastFault() < 0),
-		Obs:             r.Obs,
-		ShardObs:        []*obs.Snapshot{r.Obs},
-	}
-	if len(cfg.FaultTimes) > 0 && cfg.FaultsPerBurst > 0 {
-		res.FaultsApplied = len(cfg.FaultTimes) * cfg.FaultsPerBurst
-	}
-	return res
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ShardScale is experiment E17: the hierarchical sharded system at scale —

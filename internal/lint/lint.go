@@ -186,7 +186,7 @@ func DefaultConfig() *Config {
 				"internal/wrapper", "internal/spec", "internal/lspec",
 				"internal/sim", "internal/runtime", "internal/harness",
 				"internal/fault", "internal/wire", "internal/scenario", "internal/channel",
-			}, Reason: "workload generation is substrate-blind seeded draw streams: engine/obs at most, so every substrate replays the same schedule"},
+			}, Reason: "workload owns the seeded draw streams and the one client (Driver) that consumes them, both substrate-blind: engine/obs/tme at most, so every substrate replays the same schedule under the same client decisions"},
 			{Scope: "internal/scenario", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
 				"internal/wrapper", "internal/spec", "internal/lspec",

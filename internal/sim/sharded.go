@@ -31,17 +31,9 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/hme"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
-
-// ShardClient is one logical client's workload draw stream in a sharded
-// run: think/hold gaps plus the shard-skew draw. workload.Client satisfies
-// it structurally (the simulator stays a leaf, as with ClientStream).
-type ShardClient interface {
-	ClientStream
-	// NextResource draws the target shard for the next request, in [0, n).
-	NextResource(n int) int
-}
 
 // ShardedConfig parameterizes a sharded simulation. Shards, N, NewNode,
 // and NewClient are required.
@@ -68,7 +60,7 @@ type ShardedConfig struct {
 	// MinDelay/MaxDelay bound per-message delay, as in Config.
 	MinDelay, MaxDelay int64
 	// NewClient constructs logical client c's draw stream (required).
-	NewClient func(client int) ShardClient
+	NewClient func(client int) workload.Client
 	// MaxLoops caps completed request/hold/release loops per client
 	// (0 = unlimited, run to the horizon).
 	MaxLoops int
@@ -107,16 +99,18 @@ func (c *ShardedConfig) withDefaults() ShardedConfig {
 	return out
 }
 
-// dormantStream parks the built-in per-node client loop of a shard Sim far
-// beyond any horizon: the coordinator owns all workload decisions, the
-// shard instance only runs the protocol.
+// dormantStream parks the per-node client of a shard Sim far beyond any
+// horizon: the coordinator owns all workload decisions (every node is
+// under SetManualRelease), the shard instance only runs the protocol.
 type dormantStream struct{}
 
 const dormantTick = int64(1) << 61
 
-func (dormantStream) NextThink() int64 { return dormantTick }
-func (dormantStream) NextHold() int64  { return 1 } // never consulted: all releases are manual
-func (dormantStream) Open() bool       { return false }
+func (dormantStream) NextThink() int64     { return dormantTick }
+func (dormantStream) NextHold() int64      { return 1 }
+func (dormantStream) NextResource(int) int { return 0 }
+func (dormantStream) Open() bool           { return false }
+func (dormantStream) Cohort() string       { return "dormant" }
 
 // hookRec is one harvested shard event, buffered shard-locally during the
 // parallel window and drained serially at the barrier.
@@ -171,7 +165,7 @@ type Sharded struct {
 	group   *engine.Group
 	monitor *hme.Monitor
 	fair    *obs.Fairness
-	clients []ShardClient
+	clients []workload.Client
 	cst     []clientState
 	slots   [][]nodeSlot // [shard][node]
 	bufs    [][]hookRec  // per-shard harvest buffers
@@ -193,7 +187,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		cfg:     c,
 		sims:    make([]*Sim, c.Shards),
 		monitor: hme.NewMonitor(registryOf(c.Obs)),
-		clients: make([]ShardClient, c.Clients),
+		clients: make([]workload.Client, c.Clients),
 		cst:     make([]clientState, c.Clients),
 		slots:   make([][]nodeSlot, c.Shards),
 		bufs:    make([][]hookRec, c.Shards),
@@ -222,7 +216,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			MinDelay:     c.MinDelay,
 			MaxDelay:     c.MaxDelay,
 			Workload:     true,
-			NewClient:    func(int) ClientStream { return dormantStream{} },
+			NewClient:    func(int) workload.Client { return dormantStream{} },
 			Obs:          shardObs,
 		})
 		sim.SetEntryHook(func(node int, t int64) {

@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
-// testShardClient is a deterministic ShardClient: fixed think/hold gaps
+// testShardClient is a deterministic draw stream: fixed think/hold gaps
 // and a cycled resource-draw sequence.
 type testShardClient struct {
 	think, hold int64
@@ -18,6 +19,7 @@ type testShardClient struct {
 func (c *testShardClient) NextThink() int64 { return c.think }
 func (c *testShardClient) NextHold() int64  { return c.hold }
 func (c *testShardClient) Open() bool       { return false }
+func (c *testShardClient) Cohort() string   { return "test" }
 func (c *testShardClient) NextResource(n int) int {
 	r := c.seq[c.i%len(c.seq)] % n
 	c.i++
@@ -36,7 +38,7 @@ func shardedCfg(seed int64) ShardedConfig {
 			return wrapper.NewTimed(200)
 		},
 		WrapperEvery: 50,
-		NewClient: func(c int) ShardClient {
+		NewClient: func(c int) workload.Client {
 			return &testShardClient{think: 10, hold: 3, seq: []int{c, c + 1, c + 2}}
 		},
 		Obs:         obs.New(obs.Options{}),
@@ -95,7 +97,7 @@ func TestShardedIsDeterministic(t *testing.T) {
 func TestShardedResourceDrawsTargetShards(t *testing.T) {
 	cfg := shardedCfg(7)
 	// Every client draws shard 2 only: all traffic must land there.
-	cfg.NewClient = func(c int) ShardClient {
+	cfg.NewClient = func(c int) workload.Client {
 		return &testShardClient{think: 10, hold: 3, seq: []int{2}}
 	}
 	sh := NewSharded(cfg)

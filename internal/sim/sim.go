@@ -27,6 +27,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
@@ -52,22 +53,22 @@ type Config struct {
 	// MinDelay and MaxDelay bound per-message transmission delay in
 	// virtual ticks. Defaults: 1 and 5.
 	MinDelay, MaxDelay int64
-	// Workload, when true, runs a closed-loop client at every process:
-	// think, request, eat, release, repeat.
+	// Workload, when true, runs a client (a workload.Driver) at every
+	// process: think, request, eat, release, repeat.
 	Workload bool
-	// ThinkMin/ThinkMax bound think time. Defaults: 5 and 20.
+	// ThinkMin/ThinkMax bound the built-in client's think time, drawn
+	// uniformly from the run's master stream. Defaults: 5 and 20.
 	ThinkMin, ThinkMax int64
-	// EatTime is how long a process eats before releasing. Default 3.
+	// EatTime is how long the built-in client eats before releasing.
+	// Default 3.
 	EatTime int64
 	// NewClient, when non-nil (and Workload is on), replaces the built-in
-	// uniform client at each process with the returned draw stream —
-	// internal/workload plugs in here. The default nil keeps the master-rng
-	// draw path bit-for-bit identical to the historical behavior, which the
-	// golden metrics tests pin. Open-loop streams (Open() true) arrive
-	// independently of service: arrivals that find the client busy queue
-	// and drain on release.
-	NewClient func(id int) ClientStream
-	// MaxRequests caps requests issued per process (0 = unlimited).
+	// uniform draws at each process with the returned stream (a
+	// workload.Gen or a replayed workload.Schedule).
+	NewClient func(id int) workload.Client
+	// MaxRequests caps requests each client issues (0 = unlimited). A
+	// client whose budget is spent parks, so bounded workloads drain the
+	// event queue and Run can return before its horizon.
 	MaxRequests int
 	// Obs, when non-nil, receives metrics and trace events for the run.
 	// The nil default costs only no-op calls on nil instruments.
@@ -95,20 +96,6 @@ func (c *Config) withDefaults() Config {
 		out.EatTime = 3
 	}
 	return out
-}
-
-// ClientStream is one client's workload draw stream, defined here (rather
-// than importing internal/workload) so the simulator stays a leaf the
-// workload layer can build on. workload.Client satisfies it structurally.
-// All values are in virtual ticks.
-type ClientStream interface {
-	// NextThink returns the next gap: release-to-request think time for a
-	// closed-loop client, arrival-to-arrival gap for an open-loop one.
-	NextThink() int64
-	// NextHold returns the next CS hold (eat) time.
-	NextHold() int64
-	// Open reports whether the stream is an open-loop arrival source.
-	Open() bool
 }
 
 // Entry records one CS entry.
@@ -185,7 +172,7 @@ func (g *GlobalState) NumEating() int {
 type Observer func(s *Sim)
 
 // The typed event kinds of the TME hot path. Every recurring occurrence
-// (delivery, client tick, wrapper tick, release) is a plain engine record
+// (delivery, client timer, wrapper tick, release) is a plain engine record
 // dispatched by a switch; only the rare path — At, used by fault injectors
 // and tests — carries a closure (engine.KindFunc).
 //
@@ -193,8 +180,8 @@ type Observer func(s *Sim)
 const (
 	// evDeliver pops the head of channel a→b into node b.
 	evDeliver uint8 = iota + 1
-	// evClientTick runs the closed-loop client at node a.
-	evClientTick
+	// evClientTimer is node a's client deadline (think or hold) falling due.
+	evClientTimer
 	// evWrapperTick fires node a's level-2 wrapper.
 	evWrapperTick
 	// evRequest performs the client "Request CS" action at node a.
@@ -212,12 +199,9 @@ type Sim struct {
 	nodes    []tme.Node
 	wrappers []wrapper.Level2
 	net      *channel.Net[tme.Message]
-	requests []int          // requests issued per node
-	relPend  []bool         // release scheduled and not yet performed, per node
-	clients  []ClientStream // per-process draw streams; nil without NewClient
-	pending  []int          // open-loop arrivals queued while the client was busy
-	lastReq  []int64        // time of each client's outstanding request (-1 = none)
-	manual   []bool         // nodes whose releases an external coordinator owns
+	drivers  []workload.Driver // one client per node; nil without Workload
+	lastReq  []int64           // time of each node's outstanding request (-1 = none)
+	manual   []bool            // nodes whose client an external coordinator replaces
 	metrics  Metrics
 	observer Observer
 	ins      instruments
@@ -316,8 +300,6 @@ func New(cfg Config) *Sim {
 		rng:       core.RNG(),
 		nodes:     make([]tme.Node, c.N),
 		net:       mesh.Net(),
-		requests:  make([]int, c.N),
-		relPend:   make([]bool, c.N),
 		manual:    make([]bool, c.N),
 		verGlobal: 1,
 		verNodes:  make([]uint64, c.N),
@@ -341,19 +323,16 @@ func New(cfg Config) *Sim {
 		}
 	}
 	if c.Workload {
-		if c.NewClient != nil {
-			s.clients = make([]ClientStream, c.N)
-			s.pending = make([]int, c.N)
-			for i := range s.clients {
-				s.clients[i] = c.NewClient(i)
-			}
-		}
 		s.lastReq = make([]int64, c.N)
-		for i := range s.lastReq {
+		s.drivers = make([]workload.Driver, c.N)
+		for i := range s.drivers {
 			s.lastReq[i] = -1
-		}
-		for i := 0; i < c.N; i++ {
-			s.core.Schedule(s.thinkTimeAt(i), evClientTick, int32(i), 0)
+			var draws workload.Client = uniformClient{s}
+			if c.NewClient != nil {
+				draws = c.NewClient(i)
+			}
+			s.drivers[i] = workload.NewDriver(draws, 1, c.MaxRequests, 1, 0)
+			s.look(i) // arms the first think
 		}
 	}
 	return s
@@ -373,11 +352,10 @@ func (s *Sim) SetEntryHook(fn func(node int, t int64)) { s.onEntry = fn }
 // as SetEntryHook.
 func (s *Sim) SetReleaseHook(fn func(node int, t int64)) { s.onRelease = fn }
 
-// SetManualRelease transfers ownership of node i's releases to an external
-// coordinator: while set, a CS entry does not auto-schedule the workload
-// release, so the node holds its shard until ReleaseAt. The hierarchical
-// (cross-shard) path uses this to keep earlier shards of a lock set held
-// while later ones are acquired.
+// SetManualRelease hands node i to an external coordinator: while set, the
+// node's own client stands down, so nothing requests for it and it holds
+// its shard until ReleaseAt. The hierarchical (cross-shard) path uses this
+// to keep earlier shards of a lock set held while later ones are acquired.
 func (s *Sim) SetManualRelease(i int, on bool) { s.manual[i] = on }
 
 // RequestAt schedules node i's "Request CS" action at absolute virtual
@@ -442,32 +420,6 @@ func (s *Sim) dirtyNet() { s.verNet++ }
 // injection, tests) may have mutated any node or channel behind the
 // simulator's back.
 func (s *Sim) dirtyAll() { s.verGlobal++ }
-
-func (s *Sim) thinkTime() int64 {
-	return s.cfg.ThinkMin + s.rng.Int63n(s.cfg.ThinkMax-s.cfg.ThinkMin+1)
-}
-
-// thinkTimeAt draws node i's next think/arrival gap: from its workload
-// stream when one is installed, otherwise from the master rng exactly as
-// the historical default did.
-//
-//gblint:hotpath
-func (s *Sim) thinkTimeAt(i int) int64 {
-	if s.clients != nil && s.clients[i] != nil {
-		return s.clients[i].NextThink()
-	}
-	return s.thinkTime()
-}
-
-// holdTimeAt draws node i's next CS hold (eat) time.
-//
-//gblint:hotpath
-func (s *Sim) holdTimeAt(i int) int64 {
-	if s.clients != nil && s.clients[i] != nil {
-		return s.clients[i].NextHold()
-	}
-	return s.cfg.EatTime
-}
 
 // At schedules fn at absolute virtual time t (clamped to now for past
 // times). Fault injectors and tests use it to place faults precisely. This
@@ -566,18 +518,14 @@ func (s *Sim) afterEventAt(i int) {
 		if s.onEntry != nil {
 			s.onEntry(i, now)
 		}
-		if s.cfg.Workload && !s.relPend[i] && !s.manual[i] {
-			s.relPend[i] = true
-			s.core.Schedule(s.holdTimeAt(i), evRelease, int32(i), 0)
-		}
 	}
 }
 
 // runLevel1 executes the level-1 wrapper on node i, if configured. It is
 // driven from every occasion the process "runs" — deliveries, client
-// actions, and the periodic ticks — because a corrupted process that
-// receives no messages still must repair itself (the level-1 wrapper is a
-// local program, not a message handler).
+// actions and deadlines, and the wrapper ticks — because a corrupted
+// process that receives no messages still must repair itself (the level-1
+// wrapper is a local program, not a message handler).
 //
 //gblint:hotpath
 func (s *Sim) runLevel1(i int) {
@@ -590,57 +538,49 @@ func (s *Sim) runLevel1(i int) {
 	}
 }
 
-// clientTick drives one process's closed-loop client: request when thinking,
-// audit a missing release when eating (a fault may have moved the phase
-// without the client noticing — CS Spec obliges the client to keep eating
-// transient from any state), wait when hungry. The loop parks — stops
-// rescheduling itself — once the request budget is spent and the process is
-// back to thinking, so bounded workloads drain the event queue and Run can
-// terminate before its horizon.
+// uniformClient is the built-in client's draw stream: think uniform on
+// [ThinkMin, ThinkMax] from the run's master stream, hold EatTime.
+type uniformClient struct{ s *Sim }
+
+func (u uniformClient) NextThink() int64 {
+	c := &u.s.cfg
+	return c.ThinkMin + u.s.rng.Int63n(c.ThinkMax-c.ThinkMin+1)
+}
+func (u uniformClient) NextHold() int64      { return u.s.cfg.EatTime }
+func (uniformClient) NextResource(n int) int { return 0 }
+func (uniformClient) Open() bool             { return false }
+func (uniformClient) Cohort() string         { return "uniform" }
+
+// look steps node i's client until it has nothing more to do now. The
+// simulator has no blocking wait, so the client's "await" is a look after
+// every event that can write the node: a delivery, a wrapper tick with its
+// level-1 repair, a request, a release, a fault closure, and the client's
+// own deadlines.
 //
 //gblint:hotpath
-func (s *Sim) clientTick(i int) {
-	s.runLevel1(i)
-	budgetLeft := s.cfg.MaxRequests == 0 || s.requests[i] < s.cfg.MaxRequests
-	if s.clients != nil && s.clients[i] != nil && s.clients[i].Open() {
-		// Open loop: every tick is an arrival, independent of service.
-		// Arrivals that find the client busy queue in pending and drain on
-		// release. The same parking rule applies once the budget is spent.
-		if !budgetLeft {
-			return
-		}
-		switch s.nodes[i].Phase() {
-		case tme.Thinking:
-			s.doRequest(i)
-		case tme.Eating:
-			if !s.relPend[i] && !s.manual[i] {
-				s.release(i) // audit: a fault moved the phase mid-meal
-			}
-			s.pending[i]++
-		case tme.Hungry:
-			s.pending[i]++ // waiting on the algorithm: the arrival queues
-		default:
-			s.pending[i]++ // invalid phase (corruption): the arrival queues
-		}
-		s.core.Schedule(s.thinkTimeAt(i), evClientTick, int32(i), 0)
+func (s *Sim) look(i int) {
+	if s.drivers == nil || s.manual[i] {
 		return
 	}
-	switch s.nodes[i].Phase() {
-	case tme.Thinking:
-		if !budgetLeft {
-			return // park: the client's work is done
-		}
-		s.doRequest(i)
-	case tme.Eating:
-		if !s.relPend[i] && !s.manual[i] {
+	d := &s.drivers[i]
+	for {
+		now := s.core.Now()
+		switch d.Step(now, s.nodes[i].Phase()) {
+		case workload.ActRequest:
+			s.doRequest(i)
+		case workload.ActRelease:
 			s.release(i)
+		case workload.ActSleep:
+			after := d.Wake() - now
+			if after < 0 {
+				after = 0 // an open-loop arrival that fell due while the client was busy
+			}
+			s.core.Schedule(after, evClientTimer, int32(i), 0)
+			return
+		case workload.ActIdle, workload.ActAwait, workload.ActPark:
+			return
 		}
-	case tme.Hungry:
-		// Waiting on the algorithm: nothing for the client to do.
-	default:
-		// Invalid phase (level-1 wrapper territory): nothing to do.
 	}
-	s.core.Schedule(s.thinkTimeAt(i), evClientTick, int32(i), 0)
 }
 
 // doRequest performs the client "Request CS" action at node i if thinking.
@@ -651,7 +591,6 @@ func (s *Sim) doRequest(i int) {
 		return
 	}
 	s.dirtyNode(i)
-	s.requests[i]++
 	s.metrics.Requests++
 	s.ins.requests.Inc()
 	if s.lastReq != nil {
@@ -665,7 +604,6 @@ func (s *Sim) doRequest(i int) {
 //
 //gblint:hotpath
 func (s *Sim) release(i int) {
-	s.relPend[i] = false
 	if s.onRelease != nil {
 		s.onRelease(i, s.core.Now())
 	}
@@ -677,15 +615,6 @@ func (s *Sim) release(i int) {
 	s.ins.releases.Inc()
 	s.send(s.nodes[i].ReleaseCS(), false)
 	s.afterEventAt(i)
-	if s.pending != nil && s.pending[i] > 0 {
-		// Drain one queued open-loop arrival now that the client is free.
-		if s.cfg.MaxRequests == 0 || s.requests[i] < s.cfg.MaxRequests {
-			s.pending[i]--
-			s.core.Schedule(1, evRequest, int32(i), 0)
-		} else {
-			s.pending[i] = 0 // budget spent: queued arrivals will never be served
-		}
-	}
 }
 
 // Request asks node i to request the CS now (manual workload control for
@@ -705,26 +634,35 @@ func (s *Sim) wrapperTick(i int) {
 	s.core.Schedule(s.cfg.WrapperEvery, evWrapperTick, int32(i), 0)
 }
 
-// dispatch executes one engine event record.
+// dispatch executes one engine event record, then lets the client of every
+// node the event could have written look at it.
 //
 //gblint:hotpath
 func (s *Sim) dispatch(ev *engine.Event) {
 	switch ev.Kind {
 	case evDeliver:
 		s.deliver(channel.Endpoint{Src: int(ev.A), Dst: int(ev.B)})
-	case evClientTick:
-		s.clientTick(int(ev.A))
+		s.look(int(ev.B))
+	case evClientTimer:
+		s.runLevel1(int(ev.A))
+		s.look(int(ev.A))
 	case evWrapperTick:
 		s.wrapperTick(int(ev.A))
+		s.look(int(ev.A))
 	case evRequest:
 		s.doRequest(int(ev.A))
+		s.look(int(ev.A))
 	case evRelease:
 		s.release(int(ev.A))
+		s.look(int(ev.A))
 	default:
 		ev.Call()
 		// The closure may have mutated any node or channel (fault
 		// injection does exactly that), so cached snapshots are stale.
 		s.dirtyAll()
+		for i := range s.nodes {
+			s.look(i)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
@@ -358,15 +359,17 @@ func TestScheduleDeliveryOnEmptyChannelIsNoop(t *testing.T) {
 	}
 }
 
-// fixedStream is a deterministic ClientStream for hook tests.
+// fixedStream is a deterministic draw stream for hook tests.
 type fixedStream struct {
 	think, hold int64
 	open        bool
 }
 
-func (f *fixedStream) NextThink() int64 { return f.think }
-func (f *fixedStream) NextHold() int64  { return f.hold }
-func (f *fixedStream) Open() bool       { return f.open }
+func (f *fixedStream) NextThink() int64     { return f.think }
+func (f *fixedStream) NextHold() int64      { return f.hold }
+func (f *fixedStream) NextResource(int) int { return 0 }
+func (f *fixedStream) Open() bool           { return f.open }
+func (f *fixedStream) Cohort() string       { return "fixed" }
 
 // The NewClient hook replaces the built-in uniform draws: a closed-loop
 // stream with fixed think/hold drives the run, and its hold time is
@@ -375,7 +378,7 @@ func TestNewClientHookDrivesDraws(t *testing.T) {
 	s := New(Config{
 		N: 3, Seed: 1, NewNode: raFactory, Workload: true,
 		MaxRequests: 5, EatTime: 1,
-		NewClient: func(id int) ClientStream {
+		NewClient: func(id int) workload.Client {
 			return &fixedStream{think: 7, hold: 4}
 		},
 	})
@@ -402,15 +405,16 @@ func TestNewClientHookDrivesDraws(t *testing.T) {
 }
 
 // An open-loop stream issues arrivals on its own clock: arrivals landing
-// while the client is hungry or eating queue in pending and drain on
-// release, so the request budget is still spent in full.
+// while the client is hungry or eating fall due on that clock and are
+// served back to back on release, so the request budget is still spent in
+// full.
 func TestOpenLoopArrivalsQueueAndDrain(t *testing.T) {
 	s := New(Config{
 		N: 3, Seed: 1, NewNode: raFactory, Workload: true,
 		MaxRequests: 6,
 		// Arrivals every 2 ticks against 5-tick meals: most arrivals find
 		// the client busy and must queue.
-		NewClient: func(id int) ClientStream {
+		NewClient: func(id int) workload.Client {
 			return &fixedStream{think: 2, hold: 5, open: true}
 		},
 	})
@@ -424,11 +428,10 @@ func TestOpenLoopArrivalsQueueAndDrain(t *testing.T) {
 	}
 }
 
-// Without NewClient the historical uniform path runs bit-for-bit: the hook
-// being nil must not change anything (the golden metrics tests pin the
-// exact bytes; this is the cheap in-package guard).
+// Without NewClient the built-in uniform client (think drawn from the
+// master stream, hold EatTime) drives the run, deterministically.
 func TestNilNewClientKeepsLegacyPath(t *testing.T) {
-	run := func(hook func(int) ClientStream) (int, int) {
+	run := func(hook func(int) workload.Client) (int, int) {
 		s := New(Config{N: 4, Seed: 11, NewNode: raFactory, Workload: true,
 			MaxRequests: 8, NewClient: hook})
 		s.Run(5000)
@@ -437,6 +440,6 @@ func TestNilNewClientKeepsLegacyPath(t *testing.T) {
 	e1, p1 := run(nil)
 	e2, p2 := run(nil)
 	if e1 != e2 || p1 != p2 {
-		t.Fatalf("legacy path nondeterministic: (%d,%d) vs (%d,%d)", e1, p1, e2, p2)
+		t.Fatalf("built-in client nondeterministic: (%d,%d) vs (%d,%d)", e1, p1, e2, p2)
 	}
 }

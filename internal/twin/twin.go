@@ -8,12 +8,9 @@
 //
 // The model mirrors the substrates' mechanics piece by piece:
 //
-//   - Clients are polling loops: a client tick fires every think draw and
-//     issues a request only when it finds the process Thinking, so the
-//     entry cycle is a renewal first passage — the expected first partial
-//     sum of think draws exceeding the request→release time (solved
-//     exactly on the integer grid for uniform draws, memorylessly for
-//     open-loop mean-gap workloads).
+//   - Clients are workload.Driver loops: think starts at release, so the
+//     entry cycle is think + request→entry wait + hold, with no renewal
+//     residual between a release and the next request.
 //
 //   - The critical section is one FCFS station per shard whose service
 //     time is the hold plus one link delay (the release→grant handoff).
@@ -64,7 +61,7 @@ const (
 // simulator (1 tick = 1 virtual tick) and the live cluster (1 tick = 1 ms,
 // harness.LiveTick) alike.
 type Params struct {
-	// N is the number of processes; each runs one polling client.
+	// N is the number of processes; each runs one client.
 	N int
 	// Shards is the number of independent critical sections (default 1).
 	// Clients spread uniformly: contention is per shard.
@@ -83,9 +80,8 @@ type Params struct {
 	// integers (defaults 5 and 20, the sim's client). Ignored when
 	// ThinkMean is set.
 	ThinkMin, ThinkMax int64
-	// ThinkMean, when > 0, models an open-loop (memoryless) gap stream
-	// with this mean instead of the uniform closed loop: at sub-saturation
-	// load the two agree on throughput.
+	// ThinkMean, when > 0, is the mean think (or open-loop arrival) gap of
+	// any other shape: only the mean enters the model.
 	ThinkMean float64
 	// HoldMean is the mean CS hold time in ticks (default 3, the sim's
 	// EatTime).
@@ -174,31 +170,18 @@ func Predict(p Params) Prediction {
 	// remainder an exponential server would show.
 	cv2 := uniformVar(p.MinDelay, p.MaxDelay) / (service * service)
 	uncontended := eMaxRoundTrip(p.N-1, p.MinDelay, p.MaxDelay)
-	fp := newFirstPassage(p)
-
-	// Fixed point between the queueing model and the polling cycle: the
-	// station's wait lengthens the request→release window, which moves the
-	// client's next request to a later think tick, which sets the think
-	// stage the queueing model sees. Damped iteration converges in a few
-	// dozen rounds everywhere on the sane parameter space.
-	inService := p.HoldMean + uncontended
-	cycle := fp.expect(inService)
-	var wq, queue float64
-	for i := 0; i < 64; i++ {
-		think := cycle - inService
-		if think < 0 {
-			think = 0
-		}
-		resp, q := mva(clients, service, think, cv2)
-		wq = resp - service
-		if wq < 0 {
-			wq = 0
-		}
-		queue = q
-		next := p.HoldMean + uncontended + wq
-		inService += 0.5 * (next - inService)
-		cycle += 0.5 * (fp.expect(inService) - cycle)
+	think := p.ThinkMean
+	if think <= 0 {
+		think = float64(p.ThinkMin+p.ThinkMax) / 2
 	}
+
+	// The client is away from the station for its think draw plus the part
+	// of the request round trip that is not the hand-off hop; the station's
+	// response covers the rest of the cycle.
+	away := think + uncontended - dMean
+	resp, queue := mva(clients, service, away, cv2)
+	wq := resp - service
+	cycle := away + resp
 
 	xClient := 1 / cycle
 	pred := Prediction{
@@ -282,6 +265,11 @@ func mva(clients, s, z float64, cv2 float64) (resp, queue float64) {
 		r := s*(1+q) - util*s*(1-cv2)/2
 		if r < s {
 			r = s
+		}
+		// The correction must not let k customers cycle faster than the
+		// station serves: x = k/(z+r) ≤ 1/s.
+		if sat := float64(k)*s - z; r < sat {
+			r = sat
 		}
 		x = float64(k) / (z + r)
 		q = x * r
@@ -372,63 +360,6 @@ func eMaxRoundTrip(m int, lo, hi int64) float64 {
 	return e
 }
 
-// firstPassage answers the polling question: client ticks recur with iid
-// think gaps, a request is issued at the first tick after the
-// request→release window closes — what is the expected time of that tick?
-type firstPassage struct {
-	mean float64
-	// h[x] is the expected first partial sum of uniform integer draws
-	// strictly exceeding x; nil for the memoryless (open-loop) model.
-	h        []float64
-	lo, span int64
-}
-
-// fpTable bounds the exact first-passage grid; far beyond any sane
-// request→release window, and past it the asymptotic form is exact enough.
-const fpTable = 1 << 14
-
-func newFirstPassage(p Params) *firstPassage {
-	if p.ThinkMean > 0 {
-		return &firstPassage{mean: p.ThinkMean}
-	}
-	lo, hi := p.ThinkMin, p.ThinkMax
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	span := hi - lo + 1
-	f := &firstPassage{mean: float64(lo+hi) / 2, lo: lo, span: span}
-	f.h = make([]float64, fpTable)
-	prob := 1 / float64(span)
-	for x := int64(0); x < fpTable; x++ {
-		v := f.mean // every draw's own contribution
-		for t := lo; t <= hi && t <= x; t++ {
-			v += prob * f.h[x-t]
-		}
-		f.h[x] = v
-	}
-	return f
-}
-
-// expect returns the expected first tick-sum strictly exceeding x.
-func (f *firstPassage) expect(x float64) float64 {
-	if x <= 0 {
-		return f.mean
-	}
-	if f.h == nil {
-		return x + f.mean // memoryless gaps: the residual is a full mean
-	}
-	i := int64(x)
-	if i < fpTable {
-		return f.h[i]
-	}
-	// Asymptotic renewal form: overshoot E[T²]/(2E[T]) past the window.
-	varT := uniformVar(f.lo, f.lo+f.span-1)
-	return x + (varT+f.mean*f.mean)/(2*f.mean)
-}
-
 // SpecMeans derives the think/hold means the model needs from a workload
 // spec, weighting cohorts by their client share. Open-loop shapes
 // contribute their mean inter-arrival gap; heavy-tailed holds use their
@@ -451,28 +382,9 @@ func SpecMeans(spec workload.Spec) (thinkMean, holdMean float64) {
 	return thinkMean / total, holdMean / total
 }
 
-// SpecParams fills the workload-shaped fields of a Params from a spec: the
-// exact uniform bounds when every cohort is one closed uniform loop (the
-// first-passage grid is exact there), the memoryless mean otherwise.
+// SpecParams fills the workload-shaped fields of a Params from a spec.
 func SpecParams(p Params, spec workload.Spec) Params {
-	if len(spec.Cohorts) == 0 {
-		spec = workload.DefaultSpec()
-	}
-	uniform := true
-	for _, c := range spec.Cohorts {
-		if c.Arrival.Kind != workload.ClosedUniform && c.Arrival.Kind != 0 {
-			uniform = false
-		}
-	}
-	think, hold := SpecMeans(spec)
-	p.HoldMean = hold
-	if uniform && len(spec.Cohorts) == 1 {
-		p.ThinkMin = spec.Cohorts[0].Arrival.ThinkMin
-		p.ThinkMax = spec.Cohorts[0].Arrival.ThinkMax
-		p.ThinkMean = 0
-	} else {
-		p.ThinkMean = think
-	}
+	p.ThinkMean, p.HoldMean = SpecMeans(spec)
 	return p
 }
 

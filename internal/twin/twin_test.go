@@ -56,35 +56,24 @@ func TestEMaxUniform(t *testing.T) {
 	}
 }
 
-// TestFirstPassage checks the renewal DP that models the polling client.
-func TestFirstPassage(t *testing.T) {
-	fp := newFirstPassage(Params{ThinkMin: 5, ThinkMax: 20}.withDefaults())
-	// A window shorter than the minimum draw is cleared by the first tick.
-	if got := fp.expect(3); got != 12.5 {
-		t.Errorf("expect(3) = %v, want the single-draw mean 12.5", got)
-	}
-	// Longer windows never take less time, and always exceed the window.
-	prev := 0.0
-	for _, x := range []float64{0, 4, 10, 30, 100, 500} {
-		got := fp.expect(x)
-		if got < prev {
-			t.Errorf("expect(%v) = %v, decreasing (prev %v)", x, got, prev)
+// TestCycleIsThinkWaitHold pins the client model: think starts at release,
+// so one entry cycle is the think draw, the request→entry wait and the
+// hold, whatever the think distribution's shape.
+func TestCycleIsThinkWaitHold(t *testing.T) {
+	for _, p := range []Params{
+		{N: 5, Delta: 25, ThinkMin: 5, ThinkMax: 20},
+		{N: 8, Delta: 10, ThinkMin: 30, ThinkMax: 60, HoldMean: 1},
+		{N: 3, Delta: 25, ThinkMean: 40},
+	} {
+		pr := Predict(p)
+		think := p.ThinkMean
+		if think == 0 {
+			think = float64(p.ThinkMin+p.ThinkMax) / 2
 		}
-		if got <= x {
-			t.Errorf("expect(%v) = %v, must exceed the window", x, got)
+		cycle := think + pr.WaitTicks + p.withDefaults().HoldMean
+		if got := float64(p.N) / pr.EntryRate; math.Abs(got-cycle) > 1e-9 {
+			t.Errorf("%+v: cycle = %v, want think+wait+hold = %v", p, got, cycle)
 		}
-		prev = got
-	}
-	// Deep in the table the overshoot settles near the renewal asymptote
-	// E[T]/1 + E[T^2]/(2E[T]) − ... : expect(x) − x ∈ (mean/2, mean].
-	over := fp.expect(5000) - 5000
-	if over <= 6 || over > 13 {
-		t.Errorf("asymptotic overshoot = %v, want within (6, 13]", over)
-	}
-	// Memoryless model: the residual is exactly one mean.
-	open := newFirstPassage(Params{ThinkMean: 40}.withDefaults())
-	if got := open.expect(17); got != 57 {
-		t.Errorf("memoryless expect(17) = %v, want 57", got)
 	}
 }
 
@@ -212,11 +201,11 @@ func TestSpecMeans(t *testing.T) {
 	}
 }
 
-// TestSpecParams checks the exact-uniform vs memoryless dispatch.
+// TestSpecParams checks that a spec reaches the model through its means.
 func TestSpecParams(t *testing.T) {
 	p := SpecParams(Params{N: 4}, workload.UniformSpec(15, 35, 2))
-	if p.ThinkMin != 15 || p.ThinkMax != 35 || p.ThinkMean != 0 {
-		t.Errorf("uniform spec params = %+v, want exact bounds", p)
+	if p.ThinkMean != 25 {
+		t.Errorf("uniform spec ThinkMean = %v, want 25", p.ThinkMean)
 	}
 	if p.HoldMean != 2 {
 		t.Errorf("hold mean = %v, want 2", p.HoldMean)

@@ -2,7 +2,9 @@
 // declarative Spec — named client cohorts, each with an arrival shape and a
 // hold-time distribution — into per-client draw streams that every
 // execution substrate (the virtual-time simulator, the goroutine runtime,
-// and the live TCP cluster) consumes through one code path.
+// and the live TCP cluster) consumes through one code path. That path is
+// Driver, the one client: the Client Spec as a pure state machine over a
+// draw stream, which the substrates step and obey.
 //
 // The paper's experiments (and the speculation literature they connect to:
 // Dubois & Guerraoui's common-case figure of merit) are judged *under
