@@ -10,11 +10,12 @@ all: build test test-race
 build:
 	$(GO) build ./...
 
-# Static analysis: go vet plus the repo's own analyzer (layering,
-# determinism, hot-path allocation, obs discipline, guardedby/atomic
-# discipline, kind-switch exhaustiveness, and spawn lifecycle — see
-# DESIGN.md "Static guarantees").
+# Static analysis: gofmt (any file it lists fails), go vet, and the repo's
+# own analyzer (layering, determinism, hot-path allocation, obs discipline,
+# guardedby/atomic discipline, kind-switch exhaustiveness, and spawn
+# lifecycle — see DESIGN.md "Static guarantees").
 lint:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/gblint ./...
 

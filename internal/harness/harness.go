@@ -99,11 +99,6 @@ type RunConfig struct {
 	// Monitor enables the Lspec/TME monitors (costs an incremental
 	// snapshot per event). Message-economy experiments can turn it off.
 	Monitor bool
-	// MonitorFullSnapshot forces the reference full-rebuild snapshot path
-	// instead of incremental dirty-tracking. Slower; it exists for the
-	// monitor parity tests, which prove both paths produce identical
-	// measurements.
-	MonitorFullSnapshot bool
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -230,9 +225,6 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 		mon = lspec.New(cfg.N)
 		mon.Instrument(o)
 		observe = mon.AsObserver()
-		if cfg.MonitorFullSnapshot {
-			observe = mon.AsFullSnapshotObserver()
-		}
 		s.SetObserver(observe)
 	}
 

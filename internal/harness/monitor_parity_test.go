@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -44,11 +45,11 @@ func monitoredRun(cfg RunConfig, full bool) (*lspec.Monitors, RunResult, []byte)
 
 	mon := lspec.New(cfg.N)
 	mon.Instrument(o)
+	observe := mon.AsObserver()
 	if full {
-		s.SetObserver(mon.AsFullSnapshotObserver())
-	} else {
-		s.SetObserver(mon.AsObserver())
+		observe = mon.AsFullSnapshotObserver()
 	}
+	s.SetObserver(observe)
 
 	if cfg.DeadlockFault {
 		const reqAt = 10
@@ -65,6 +66,7 @@ func monitoredRun(cfg RunConfig, full bool) (*lspec.Monitors, RunResult, []byte)
 	}
 
 	s.Run(cfg.Horizon)
+	observe(s) // RunObserved's extra look at the horizon
 
 	conv := o.Convergence()
 	snap := o.Registry().Snapshot()
@@ -176,17 +178,21 @@ func TestMonitorParityConfigs(t *testing.T) {
 }
 
 // TestMonitorParityRandomSeeds sweeps randomized seeds and fault schedules
-// through both observer paths. The generator itself is seeded, so the sweep
-// is reproducible; it exists to catch dirty-tracking bugs that only a fault
-// pattern nobody hand-picked would expose.
+// through both observer paths, alternating the two protocols, with every
+// third run unwrapped (its violations persist through quiescence) and half
+// the runs on a mix that is mostly state perturbation (the fault class that
+// writes nodes behind the event loop). The generator itself is seeded, so
+// the sweep is reproducible; it exists to catch dirty-tracking bugs that
+// only a fault pattern nobody hand-picked would expose. A simulator mutation
+// site that forgets dirtyNode shows up here as a missing verdict.
 func TestMonitorParityRandomSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized sweep skipped in -short mode")
 	}
 	rng := rand.New(rand.NewSource(20010701)) // DSN 2001
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		cfg := RunConfig{
-			Algo:      RA,
+			Algo:      []Algo{RA, Lamport}[i%2],
 			N:         3 + rng.Intn(3),
 			Seed:      rng.Int63n(1 << 20),
 			FaultSeed: rng.Int63n(1 << 20),
@@ -203,6 +209,9 @@ func TestMonitorParityRandomSeeds(t *testing.T) {
 		if i%3 == 2 {
 			cfg.Delta = NoWrapper
 		}
-		assertMonitorParity(t, cfg.Algo.String(), cfg)
+		if i%4 >= 2 {
+			cfg.Mix = fault.Mix{Loss: 1, Corrupt: 1, State: 6}
+		}
+		assertMonitorParity(t, fmt.Sprintf("%d-%s", i, cfg.Algo), cfg)
 	}
 }

@@ -221,11 +221,11 @@ func ShardScale(scale Scale) *Table {
 	cfg := ShardedRunConfig{
 		Algo: RA, N: n, Shards: shards, Clients: clients,
 		Seed: 17, FaultSeed: 23,
-		Delta:      delta,
-		CrossEvery: 5,
-		MaxLoops:   loops,
-		Horizon:    horizon,
-		FaultTimes: []int64{500, 1500},
+		Delta:          delta,
+		CrossEvery:     5,
+		MaxLoops:       loops,
+		Horizon:        horizon,
+		FaultTimes:     []int64{500, 1500},
 		FaultsPerBurst: 4,
 	}
 	res := RunSharded(cfg)

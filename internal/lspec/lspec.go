@@ -40,9 +40,18 @@ func (t TimedViolation) String() string {
 // Monitors checks a full simulation run against Lspec and TME_Spec.
 // Construct with New, feed every snapshot to Observe (typically from a
 // sim.Observer), and read the verdicts at the end.
+//
+// Lspec is a local specification and the monitors are as local as it is:
+// every clause that reads the variables of one process j is registered with
+// the suite as scoped to j and is re-evaluated only on observations in which
+// j changed. Structural Spec, ME1 and invariant I read several processes and
+// are re-evaluated whenever any process changed.
 type Monitors struct {
 	n     int
 	suite *spec.Suite[sim.GlobalState]
+	// everyone marks every process changed: what Observe, which is told
+	// nothing about its snapshot, passes for the change set.
+	everyone []bool
 	// me2 tracks h.j ↦ e.j per process (liveness: open obligations at the
 	// end of a run are starvation).
 	me2 []*spec.LeadsToMonitor[sim.GlobalState]
@@ -121,8 +130,14 @@ func sanitize(s string) string {
 
 // New returns monitors for an n-process system.
 func New(n int) *Monitors {
-	m := &Monitors{n: n, suite: spec.NewSuite[sim.GlobalState]()}
+	m := &Monitors{n: n, suite: spec.NewSuite[sim.GlobalState](), everyone: make([]bool, n)}
+	for j := range m.everyone {
+		m.everyone[j] = true
+	}
 
+	// The three clauses that read more than one process come first and
+	// stay unscoped.
+	//
 	// Structural Spec: every phase is exactly one of {t,h,e}.
 	m.suite.Add(spec.NewInvariant("structural", func(g sim.GlobalState) bool {
 		for _, s := range g.Nodes {
@@ -146,7 +161,7 @@ func New(n int) *Monitors {
 	// trick below; here as a stable-difference check).
 	for j := 0; j < n; j++ {
 		j := j
-		m.suite.Add(&monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j})
+		m.suite.AddScoped(&monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j}, j)
 	}
 
 	// Flow Spec: t unless h, h unless e, e unless t — per process.
@@ -155,28 +170,28 @@ func New(n int) *Monitors {
 		phaseIs := func(p tme.Phase) spec.Predicate[sim.GlobalState] {
 			return func(g sim.GlobalState) bool { return g.Nodes[j].Phase == p }
 		}
-		m.suite.Add(spec.NewUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)))
-		m.suite.Add(spec.NewUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)))
-		m.suite.Add(spec.NewUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)))
+		m.suite.AddScoped(spec.NewUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)), j)
+		m.suite.AddScoped(spec.NewUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)), j)
+		m.suite.AddScoped(spec.NewUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)), j)
 	}
 
 	// Request Spec (safety half): while hungry, REQ_j is unchanged.
 	for j := 0; j < n; j++ {
 		j := j
-		m.suite.Add(&stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j})
+		m.suite.AddScoped(&stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j}, j)
 	}
 
 	// CS Release Spec: while thinking, REQ_j equals ts.j.
 	for j := 0; j < n; j++ {
 		j := j
-		m.suite.Add(spec.NewInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j),
+		m.suite.AddScoped(spec.NewInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j),
 			func(g sim.GlobalState) bool {
-				s := g.Nodes[j]
+				s := &g.Nodes[j]
 				if s.Phase != tme.Thinking || !s.HasTS {
 					return true
 				}
 				return s.REQ == s.TS
-			}))
+			}), j)
 	}
 
 	// CS Spec (liveness): e.j ↦ ¬e.j.
@@ -185,7 +200,7 @@ func New(n int) *Monitors {
 		lt := spec.NewLeadsToNot(fmt.Sprintf("cs-transient.%d", j),
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
 		m.csTransient = append(m.csTransient, lt)
-		m.suite.Add(lt)
+		m.suite.AddScoped(lt, j)
 	}
 
 	// ME2 (liveness): h.j ↦ e.j.
@@ -195,7 +210,7 @@ func New(n int) *Monitors {
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Hungry },
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
 		m.me2 = append(m.me2, lt)
-		m.suite.Add(lt)
+		m.suite.AddScoped(lt, j)
 	}
 
 	// Reply Spec (liveness): received(j.REQ_k) ∧ j.REQ_k lt REQ_j — a
@@ -213,7 +228,7 @@ func New(n int) *Monitors {
 			}
 			lt := spec.NewLeadsToNot(fmt.Sprintf("reply.%d.%d", j, k), p)
 			m.replyPending = append(m.replyPending, lt)
-			m.suite.Add(lt)
+			m.suite.AddScoped(lt, j)
 		}
 	}
 
@@ -240,23 +255,37 @@ func InvariantI(g sim.GlobalState) bool {
 // Observe feeds the next snapshot to all monitors.
 //
 //gblint:hotpath
-func (m *Monitors) Observe(g sim.GlobalState) {
+func (m *Monitors) Observe(g sim.GlobalState) { m.observe(g, m.everyone) }
+
+// observe feeds the next snapshot, which differs from the previous one at
+// most in the processes j with changed[j] set, to the monitors that can
+// tell the difference. An entry is a phase change, so the FCFS check and
+// the phases it keeps need a look only when some process changed.
+//
+//gblint:hotpath
+func (m *Monitors) observe(g sim.GlobalState, changed []bool) {
 	before := len(m.suite.Violations())
-	m.suite.Observe(g)
+	m.suite.ObserveChanged(g, changed)
 	for _, v := range m.suite.Violations()[before:] {
 		tv := TimedViolation{Time: g.Time, V: v}
 		m.violations = append(m.violations, tv)
 		m.record(tv)
 	}
-	m.checkFCFS(g)
-	if cap(m.prevPhases) < len(g.Nodes) {
-		m.prevPhases = make([]tme.Phase, len(g.Nodes))
+	some := false
+	for _, c := range changed {
+		some = some || c
 	}
-	m.prevPhases = m.prevPhases[:len(g.Nodes)]
-	for i := range g.Nodes {
-		m.prevPhases[i] = g.Nodes[i].Phase
+	if some {
+		m.checkFCFS(g)
+		if cap(m.prevPhases) < len(g.Nodes) {
+			m.prevPhases = make([]tme.Phase, len(g.Nodes))
+		}
+		m.prevPhases = m.prevPhases[:len(g.Nodes)]
+		for i := range g.Nodes {
+			m.prevPhases[i] = g.Nodes[i].Phase
+		}
+		m.havePrev = true
 	}
-	m.havePrev = true
 	m.obs++
 }
 
@@ -295,65 +324,68 @@ func (m *Monitors) checkFCFS(g sim.GlobalState) {
 	}
 }
 
-// AsObserver adapts the monitors to a sim.Observer. To keep monitoring
+// cadence is the rule for which events are observed. To keep monitoring
 // affordable on long runs, snapshots are taken only after events that
 // changed an activity counter (deliveries, client actions, sends) and at
 // most once per virtual-time instant otherwise: repeated closed-guard
 // wrapper ticks within one instant cannot have changed any node. State
 // corruption between activity events is observed at the next observed
-// event; violation times shift by at most one event.
+// event; violation times shift by at most one event. The rule defines the
+// observation stream, hence every violation's Index.
+type cadence struct {
+	activity int
+	time     int64
+}
+
+// due reports whether the event just processed is observed.
 //
-// Snapshots are maintained incrementally: the simulator's dirty tracking
-// tells the observer which processes changed and whether any channel was
-// touched, so each observation re-reads only the changed parts instead of
-// rebuilding the whole GlobalState. The observation stream is identical to
-// AsFullSnapshotObserver's (proven by the monitor parity tests); only the
-// per-event work differs.
+//gblint:hotpath
+func (c *cadence) due(s *sim.Sim) bool {
+	mt := s.Metrics()
+	activity := mt.Delivered + mt.Requests + mt.Releases +
+		mt.ProgramMsgs + mt.WrapperMsgs + len(mt.Entries)
+	if activity == c.activity && s.Now() == c.time {
+		return false
+	}
+	c.activity, c.time = activity, s.Now()
+	return true
+}
+
+// AsObserver adapts the monitors to a sim.Observer (see cadence for which
+// events it looks at).
+//
+// The snapshot is maintained incrementally, in one buffer (no monitor keeps
+// a snapshot past its Observe): the simulator's dirty tracking says which
+// processes changed since the last observation, only those are re-read, and
+// only the monitors that read them are re-evaluated. An observation in
+// which nothing changed and no monitor is failing costs a version compare
+// per process. The verdicts are identical to AsFullSnapshotObserver's
+// (proven by the monitor parity tests); only the per-event work differs.
 func (m *Monitors) AsObserver() sim.Observer {
-	lastActivity := -1
-	lastTime := int64(-1)
-	// Two rotating snapshot buffers: every monitor retains at most the
-	// immediately previous state, so a buffer is never overwritten while
-	// a monitor still reads it. Each buffer carries its own versions, so
-	// delta updates account for everything that changed since *that*
-	// buffer was last synchronized (two observations ago).
-	var bufs [2]sim.GlobalState
-	var vers [2]sim.SnapVersions
-	cur := 0
+	c := cadence{activity: -1, time: -1}
+	var g sim.GlobalState
+	var ver sim.SnapVersions
 	return func(s *sim.Sim) {
-		mt := s.Metrics()
-		activity := mt.Delivered + mt.Requests + mt.Releases +
-			mt.ProgramMsgs + mt.WrapperMsgs + len(mt.Entries)
-		if activity == lastActivity && s.Now() == lastTime {
-			return
+		if c.due(s) {
+			changed := s.SnapshotDeltaInto(&g, &ver)
+			m.observe(g, changed)
 		}
-		lastActivity, lastTime = activity, s.Now()
-		s.SnapshotDeltaInto(&bufs[cur], &vers[cur])
-		m.Observe(bufs[cur])
-		cur = 1 - cur
 	}
 }
 
 // AsFullSnapshotObserver is the reference observer: identical observation
 // cadence to AsObserver, but every snapshot is rebuilt from scratch with
-// SnapshotInto. It exists so the parity tests can prove the incremental
-// path equivalent; production callers want AsObserver.
+// SnapshotInto and every monitor is evaluated on every observation. It
+// exists so the parity tests can prove the incremental path equivalent;
+// production callers want AsObserver.
 func (m *Monitors) AsFullSnapshotObserver() sim.Observer {
-	lastActivity := -1
-	lastTime := int64(-1)
-	var bufs [2]sim.GlobalState
-	cur := 0
+	c := cadence{activity: -1, time: -1}
+	var g sim.GlobalState
 	return func(s *sim.Sim) {
-		mt := s.Metrics()
-		activity := mt.Delivered + mt.Requests + mt.Releases +
-			mt.ProgramMsgs + mt.WrapperMsgs + len(mt.Entries)
-		if activity == lastActivity && s.Now() == lastTime {
-			return
+		if c.due(s) {
+			s.SnapshotInto(&g)
+			m.Observe(g)
 		}
-		lastActivity, lastTime = activity, s.Now()
-		s.SnapshotInto(&bufs[cur])
-		m.Observe(bufs[cur])
-		cur = 1 - cur
 	}
 }
 
@@ -411,6 +443,7 @@ func (m *Monitors) LastViolationTime() int64 {
 // StarvedProcesses returns the ids whose ME2 obligation (h.j ↦ e.j) is
 // still open — hungry at the end of the run with no subsequent entry.
 func (m *Monitors) StarvedProcesses() []int {
+	m.suite.CatchUp()
 	var out []int
 	for j, lt := range m.me2 {
 		if lt.Pending() > 0 {
@@ -423,6 +456,7 @@ func (m *Monitors) StarvedProcesses() []int {
 // StuckEaters returns the ids whose CS Spec obligation (e.j ↦ ¬e.j) is
 // still open at the end of the run.
 func (m *Monitors) StuckEaters() []int {
+	m.suite.CatchUp()
 	var out []int
 	for j, lt := range m.csTransient {
 		if lt.Pending() > 0 {
@@ -434,6 +468,7 @@ func (m *Monitors) StuckEaters() []int {
 
 // OpenReplyObligations counts Reply Spec obligations still pending.
 func (m *Monitors) OpenReplyObligations() int {
+	m.suite.CatchUp()
 	total := 0
 	for _, lt := range m.replyPending {
 		if lt.Pending() > 0 {
@@ -466,6 +501,7 @@ type monotoneTS struct {
 
 func (mt *monotoneTS) Name() string { return mt.name }
 func (mt *monotoneTS) Pending() int { return 0 }
+func (mt *monotoneTS) Repeat(int)   {} // the same ts again is no regression
 
 //gblint:hotpath
 func (mt *monotoneTS) Observe(g sim.GlobalState) *spec.Violation {
@@ -496,6 +532,7 @@ type stableREQ struct {
 
 func (sr *stableREQ) Name() string { return sr.name }
 func (sr *stableREQ) Pending() int { return 0 }
+func (sr *stableREQ) Repeat(int)   {} // the same REQ again is no change
 
 //gblint:hotpath
 func (sr *stableREQ) Observe(g sim.GlobalState) *spec.Violation {

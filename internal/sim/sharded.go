@@ -135,21 +135,21 @@ type parked struct {
 
 // nodeSlot is the coordinator's bookkeeping for one (shard, node) pair.
 type nodeSlot struct {
-	occ      int   // client being served, -1 when free
-	entered  bool  // the occupant's CS entry has been harvested
-	reqAt    int64 // when the occupant's request was issued (for retries)
-	qh, qt   *parked
-	qlen     int
+	occ     int   // client being served, -1 when free
+	entered bool  // the occupant's CS entry has been harvested
+	reqAt   int64 // when the occupant's request was issued (for retries)
+	qh, qt  *parked
+	qlen    int
 }
 
 // clientState tracks one logical client loop.
 type clientState struct {
-	acq       *hme.Acq // in-flight acquisition; nil between loops
-	arriveAt  int64    // arrival time of the current loop (latency baseline)
-	relLeft   int      // shard releases outstanding before the loop completes
-	recorded  bool     // fairness entry recorded for this loop
-	loops     int      // completed loops
-	done      bool
+	acq      *hme.Acq // in-flight acquisition; nil between loops
+	arriveAt int64    // arrival time of the current loop (latency baseline)
+	relLeft  int      // shard releases outstanding before the loop completes
+	recorded bool     // fairness entry recorded for this loop
+	loops    int      // completed loops
+	done     bool
 }
 
 // arrival is one heap element: client's next arrival time.

@@ -14,8 +14,8 @@
 // The hot path is allocation-free in steady state: scheduled occurrences
 // are typed engine event records (no closure per event) interpreted by the
 // dispatch switch, and observers can keep snapshots current with
-// SnapshotDeltaInto, which reobserves only the processes and channels that
-// changed since the observer last looked.
+// SnapshotDeltaInto, which reobserves only the processes that changed since
+// the observer last looked and says which they were.
 package sim
 
 import (
@@ -138,7 +138,9 @@ type GlobalState struct {
 	// Nodes holds one SpecState per process, indexed by id.
 	Nodes []tme.SpecState
 	// InFlight holds all queued messages, in deterministic endpoint
-	// order, head first per channel.
+	// order, head first per channel. Snapshot and SnapshotInto fill it;
+	// SnapshotDeltaInto, the per-event observer path, leaves it empty (no
+	// monitor reads the channels).
 	InFlight []tme.Message
 }
 
@@ -213,13 +215,13 @@ type Sim struct {
 	onRelease func(node int, t int64)
 
 	// Dirty tracking for incremental snapshots: a version counter per
-	// node, one for the whole network, and a global generation bumped
-	// whenever an At-closure ran (closures may mutate anything, so they
-	// invalidate everything). Together these are a compressed delta log:
-	// an observer holding SnapVersions can tell exactly which processes
-	// and whether any channel changed since it last synchronized.
+	// node and a global generation bumped whenever an At-closure ran
+	// (closures may mutate anything, so they invalidate everything).
+	// Together these are a compressed delta log: an observer holding
+	// SnapVersions can tell exactly which processes changed since it last
+	// synchronized. Spec monitors are skipped on the strength of it, so a
+	// site that writes a node without marking it loses verdicts.
 	verGlobal uint64
-	verNet    uint64
 	verNodes  []uint64
 }
 
@@ -413,9 +415,6 @@ func (s *Sim) Stop() { s.core.Stop() }
 // dirtyNode marks process i's spec-visible state as possibly changed.
 func (s *Sim) dirtyNode(i int) { s.verNodes[i]++ }
 
-// dirtyNet marks the channel contents as possibly changed.
-func (s *Sim) dirtyNet() { s.verNet++ }
-
 // dirtyAll invalidates every cached snapshot: an At-closure (fault
 // injection, tests) may have mutated any node or channel behind the
 // simulator's back.
@@ -440,7 +439,6 @@ func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 			continue
 		}
 		s.mesh.Send(m.From, m.To, m)
-		s.dirtyNet()
 		slot := kindSlot(m.Kind)
 		s.metrics.kindCounts[slot]++
 		s.ins.byKind[slot].Inc()
@@ -476,7 +474,6 @@ func (s *Sim) deliver(ep channel.Endpoint) {
 		s.ins.lost.Inc()
 		return // lost to a fault; the delivery opportunity passes
 	}
-	s.dirtyNet()
 	s.dirtyNode(ep.Dst)
 	s.metrics.Delivered++
 	s.ins.delivered.Inc()
@@ -712,13 +709,6 @@ func (s *Sim) SnapshotInto(g *GlobalState) {
 	for i, nd := range s.nodes {
 		tme.SnapshotInto(nd, &g.Nodes[i])
 	}
-	s.snapshotInFlight(g)
-}
-
-// snapshotInFlight rebuilds g.InFlight from the live channels.
-//
-//gblint:hotpath
-func (s *Sim) snapshotInFlight(g *GlobalState) {
 	g.InFlight = g.InFlight[:0]
 	for _, ep := range s.endpoints() {
 		q := s.net.Chan(ep.Src, ep.Dst)
@@ -732,21 +722,23 @@ func (s *Sim) snapshotInFlight(g *GlobalState) {
 // reflects, for SnapshotDeltaInto. The zero value means "never
 // synchronized" and forces a full rebuild on first use.
 type SnapVersions struct {
-	global uint64
-	net    uint64
-	nodes  []uint64
+	global  uint64
+	nodes   []uint64
+	changed []bool
 }
 
 // SnapshotDeltaInto brings g — a buffer previously filled through v — up to
 // the current global state, re-snapshotting only the processes whose state
-// changed and rebuilding InFlight only if some channel was touched since
-// v's last synchronization. After an At-closure ran (fault injection),
-// everything is conservatively treated as changed. The result is
-// byte-identical to SnapshotInto; only the work is smaller.
+// changed since v's last synchronization, and returns which those were:
+// changed[i] is set iff g.Nodes[i] was re-read (the slice belongs to v and
+// is overwritten by the next call). After an At-closure ran (fault
+// injection), everything is conservatively treated as changed. Time and
+// Nodes equal what SnapshotInto produces; InFlight is left empty.
 //
 //gblint:hotpath
-func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) {
+func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) (changed []bool) {
 	g.Time = s.core.Now()
+	g.InFlight = g.InFlight[:0]
 	n := s.cfg.N
 	full := v.global != s.verGlobal || len(v.nodes) != n
 	if cap(g.Nodes) < n {
@@ -755,19 +747,18 @@ func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) {
 	g.Nodes = g.Nodes[:n]
 	if cap(v.nodes) < n {
 		v.nodes = make([]uint64, n)
+		v.changed = make([]bool, n)
 	}
-	v.nodes = v.nodes[:n]
+	v.nodes, v.changed = v.nodes[:n], v.changed[:n]
 	for i, nd := range s.nodes {
-		if full || v.nodes[i] != s.verNodes[i] {
+		v.changed[i] = full || v.nodes[i] != s.verNodes[i]
+		if v.changed[i] {
 			tme.SnapshotInto(nd, &g.Nodes[i])
 			v.nodes[i] = s.verNodes[i]
 		}
 	}
-	if full || v.net != s.verNet {
-		s.snapshotInFlight(g)
-		v.net = s.verNet
-	}
 	v.global = s.verGlobal
+	return v.changed
 }
 
 // endpoints caches the deterministic endpoint order.

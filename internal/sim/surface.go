@@ -9,9 +9,10 @@ import (
 
 // This file implements engine.Surface (and the richer TME-aware extension
 // the fault injector type-asserts for), so that one substrate-agnostic
-// injector drives faults into the TME model. The generic Fault* methods
-// keep incremental snapshots honest by bumping the dirty counters the
-// same way the simulator's own mutations do.
+// injector drives faults into the TME model. FaultPerturb marks the process
+// it writes dirty, the same way the simulator's own mutations do, so
+// incremental snapshots and the monitors scoped by them stay honest; channel
+// contents are not part of those snapshots.
 
 // Channels enumerates the mesh's channels in deterministic order.
 func (s *Sim) Channels() []channel.Endpoint { return s.endpoints() }
@@ -28,11 +29,7 @@ func (s *Sim) QueueLen(ep channel.Endpoint) int {
 // FaultDrop removes the i-th in-flight message on ep.
 func (s *Sim) FaultDrop(ep channel.Endpoint, i int) bool {
 	q := s.net.Chan(ep.Src, ep.Dst)
-	if q == nil || !q.Drop(i) {
-		return false
-	}
-	s.dirtyNet()
-	return true
+	return q != nil && q.Drop(i)
 }
 
 // FaultDuplicate duplicates the i-th in-flight message on ep and gives the
@@ -42,7 +39,6 @@ func (s *Sim) FaultDuplicate(ep channel.Endpoint, i int, redeliver int64) bool {
 	if q == nil || !q.Duplicate(i) {
 		return false
 	}
-	s.dirtyNet()
 	s.ScheduleDelivery(ep, redeliver)
 	return true
 }
@@ -79,7 +75,6 @@ func (s *Sim) FaultFlush(ep channel.Endpoint) bool {
 		return false
 	}
 	q.Clear()
-	s.dirtyNet()
 	return true
 }
 
@@ -87,11 +82,7 @@ func (s *Sim) FaultFlush(ep channel.Endpoint) bool {
 // TME-typed corruption hook behind the generic fault surface.
 func (s *Sim) MutateInFlight(ep channel.Endpoint, i int, f func(*tme.Message)) bool {
 	q := s.net.Chan(ep.Src, ep.Dst)
-	if q == nil || !q.Mutate(i, f) {
-		return false
-	}
-	s.dirtyNet()
-	return true
+	return q != nil && q.Mutate(i, f)
 }
 
 // CorruptibleNode returns process id's corruption hook, or nil when the
