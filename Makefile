@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzAcceptForward -fuzztime=15s ./internal/ring/
 	$(GO) test -run=Fuzz -fuzz=FuzzParseSystem -fuzztime=15s ./cmd/gbcheck/
 	$(GO) test -run=Fuzz -fuzz=FuzzEventHeap -fuzztime=15s ./internal/engine/
+	$(GO) test -run=Fuzz -fuzz=FuzzEventQueue -fuzztime=15s ./internal/engine/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeFrame -fuzztime=15s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadSchedule -fuzztime=15s ./internal/workload/
 

@@ -28,7 +28,7 @@ func benchEngineDispatch(b *testing.B) {
 			c.Stop()
 			return
 		}
-		// Vary the delay so the heap actually reorders instead of acting
+		// Vary the delay so the queue actually reorders instead of acting
 		// as a FIFO, using only the event's own operands (no rng draw on
 		// the measured path).
 		c.Schedule(1+int64(e.A%7), kindPing, e.A+1, e.B)

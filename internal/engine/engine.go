@@ -6,9 +6,15 @@
 // The engine owns exactly the machinery the paper's experiments need to be
 // reproducible and comparable across protocols:
 //
-//   - the virtual clock and the typed-event heap ordered by (time, seq),
+//   - the virtual clock and the typed-event queue ordered by (time, seq),
 //     with plain event records dispatched by the substrate's handler and a
-//     closure escape hatch (At) for fault injectors and tests;
+//     closure escape hatch (At) for fault injectors and tests. The queue is
+//     a 64-tick timing wheel in front of a binary heap (queue.go): link
+//     delays and think times are bounded, so nearly every event is due
+//     within the window and costs O(1) to push and pop, while deadlines
+//     further out overflow to the heap. Pop merges the two levels on
+//     (time, seq), so the order is exactly a single heap's: that order is
+//     the simulator's daemon, and no run may differ by one event;
 //   - the master seeded RNG plus derived per-purpose streams (Stream), so
 //     every run is a pure function of one seed;
 //   - the delay-sampled FIFO link mesh (Mesh) over internal/channel;
@@ -50,7 +56,7 @@ type Event struct {
 // incremental snapshots must conservatively invalidate them afterwards.
 func (e *Event) Call() { e.act() }
 
-// Core is the deterministic event loop: virtual clock, event heap, and the
+// Core is the deterministic event loop: virtual clock, event queue, and the
 // seeded random source. Construct with New, install the substrate's
 // dispatch with SetHandler, then Schedule/At and Run.
 type Core struct {
@@ -58,7 +64,7 @@ type Core struct {
 	rng     *rand.Rand
 	now     int64
 	seq     uint64
-	queue   eventHeap
+	queue   eventQueue
 	stopped bool
 
 	// handler interprets every popped event (including KindFunc ones, so
@@ -155,14 +161,8 @@ func (c *Core) At(t int64, fn func()) {
 //gblint:hotpath
 func (c *Core) Run(horizon int64) int64 {
 	var n int64
-	for !c.stopped {
-		ev, ok := c.queue.peek()
-		if !ok || ev.Time > horizon {
-			break
-		}
-		c.queue.pop()
-		c.now = ev.Time
-		c.cur = ev
+	for !c.stopped && c.queue.popDue(horizon, &c.cur) {
+		c.now = c.cur.Time
 		if c.handler != nil {
 			c.handler(&c.cur)
 		} else if c.cur.Kind == KindFunc {

@@ -2,9 +2,10 @@
 // deterministic merge barriers.
 //
 // A sharded substrate gives every shard its own Core — its own virtual
-// clock, event heap, and seeded streams — so the shards are independent
-// pure functions of their seeds. Between barriers the cores run
-// concurrently (one goroutine each); at a barrier every core has reached
+// clock, event queue, and seeded streams — so the shards are independent
+// pure functions of their seeds. Between barriers the cores with work in
+// the window run concurrently (the caller and up to GOMAXPROCS-1 helper
+// goroutines share them); at a barrier every core has reached
 // the same virtual time, and the coordinator may inspect all shards,
 // exchange cross-shard work, and schedule the next window. Determinism is
 // preserved because nothing is shared during a window: each core touches
@@ -12,13 +13,23 @@
 // canonical shard order.
 package engine
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Group coordinates a set of shard cores advancing in lockstep windows.
 // The zero value is unusable; construct with NewGroup.
 type Group struct {
 	cores []*Core
 	wg    sync.WaitGroup
+
+	// Per-barrier scratch: the cores with work in the window, the index of
+	// the next unclaimed one, and the window's event count.
+	busy   []*Core
+	next   atomic.Int64
+	events atomic.Int64
 }
 
 // NewGroup returns a group over the given shard cores. The slice is
@@ -42,40 +53,57 @@ func (g *Group) LowWater() (int64, bool) {
 	return low, ok
 }
 
-// RunBarrier advances every core to the given horizon in parallel and
-// blocks until all have arrived — the merge barrier. It returns the total
-// events processed across shards. Shard cores must not share mutable state
-// with each other or the caller during the window (this is the group's
-// whole contract); the sanctioned goroutine spawn here is the shard-core
-// analogue of the harness's ParMap.
+// RunBarrier advances every core to the given horizon and blocks until all
+// have arrived: the merge barrier. It returns the total events processed
+// across shards. Cores with an event due by the horizon run in parallel;
+// the others only need their clocks moved, which the caller does inline.
+// The caller also takes a share of the busy cores, so a window spawns at
+// most min(busy, GOMAXPROCS)-1 goroutines and none when one core or fewer
+// has work. Which goroutine runs a core changes nothing it computes: shard
+// cores must not share mutable state with each other or the caller during
+// the window (this is the group's whole contract); the sanctioned goroutine
+// spawn here is the shard-core analogue of the harness's ParMap.
 func (g *Group) RunBarrier(horizon int64) int64 {
-	if len(g.cores) == 1 {
-		return g.cores[0].Run(horizon) // no goroutine churn for S=1
+	g.busy = g.busy[:0]
+	for _, c := range g.cores {
+		if t, ok := c.NextEventTime(); ok && t <= horizon && !c.stopped {
+			g.busy = append(g.busy, c)
+		} else {
+			c.Run(horizon) // nothing due: moves the clock to the horizon
+		}
 	}
-	counts := make([]int64, len(g.cores))
-	g.wg.Add(len(g.cores))
-	for i, c := range g.cores {
-		go func(i int, c *Core) {
+	g.next.Store(0)
+	g.events.Store(0)
+	for h := min(len(g.busy), runtime.GOMAXPROCS(0)) - 1; h > 0; h-- {
+		g.wg.Add(1)
+		go func() {
 			defer g.wg.Done()
-			counts[i] = c.Run(horizon)
-		}(i, c)
+			g.runBusy(horizon)
+		}()
 	}
+	g.runBusy(horizon)
 	g.wg.Wait()
+	return g.events.Load()
+}
+
+// runBusy claims busy cores one at a time and runs each to the horizon
+// until none is left unclaimed.
+func (g *Group) runBusy(horizon int64) {
 	var n int64
-	for _, v := range counts {
-		n += v
+	for {
+		i := int(g.next.Add(1)) - 1
+		if i >= len(g.busy) {
+			break
+		}
+		n += g.busy[i].Run(horizon)
 	}
-	return n
+	g.events.Add(n)
 }
 
 // NextEventTime returns the time of the earliest scheduled event and false
 // when the queue is empty. It does not pop or advance the clock.
 func (c *Core) NextEventTime() (int64, bool) {
-	ev, ok := c.queue.peek()
-	if !ok {
-		return 0, false
-	}
-	return ev.Time, true
+	return c.queue.minTime()
 }
 
 // Pool is a free list for the coordinator-side records that shuttle work

@@ -1,15 +1,20 @@
 package engine
 
-// eventHeap is a binary min-heap ordered by (time, seq).
+// eventHeap is a binary min-heap ordered by (time, seq): the overflow level
+// of eventQueue, and the reference its differential tests compare against.
 type eventHeap struct {
 	items []Event
 }
 
-func (h *eventHeap) less(i, j int) bool {
-	if h.items[i].Time != h.items[j].Time {
-		return h.items[i].Time < h.items[j].Time
+func (h *eventHeap) less(i, j int) bool { return h.items[i].before(&h.items[j]) }
+
+// before is the queue order: earlier time first, schedule order (seq)
+// within a tick.
+func (e *Event) before(o *Event) bool {
+	if e.Time != o.Time {
+		return e.Time < o.Time
 	}
-	return h.items[i].Seq < h.items[j].Seq
+	return e.Seq < o.Seq
 }
 
 //gblint:hotpath
@@ -24,13 +29,6 @@ func (h *eventHeap) push(e Event) {
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
 		i = parent
 	}
-}
-
-func (h *eventHeap) peek() (Event, bool) {
-	if len(h.items) == 0 {
-		return Event{}, false
-	}
-	return h.items[0], true
 }
 
 //gblint:hotpath

@@ -7,7 +7,10 @@ import "github.com/graybox-stabilization/graybox/internal/channel"
 // that every enqueued message gets exactly one delivery opportunity, a
 // typed event of the substrate's deliverKind carrying the endpoint in
 // (A, B). Delays are drawn from the core's master RNG, so transmission
-// timing is part of the run's single seeded stream.
+// timing is part of the run's single seeded stream. They are bounded by
+// max, and that bound is what the core's event queue is built on: with max
+// under the wheel's 64 ticks (every substrate uses 1 to 5) a delivery is
+// pushed and popped in O(1) and never reaches the overflow heap.
 type Mesh[M any] struct {
 	core        *Core
 	net         *channel.Net[M]

@@ -43,6 +43,8 @@ type Node struct {
 	// heard[k] is the latest timestamp received from k in a reply or
 	// release message; it realizes j.REQ_k when k has nothing queued.
 	heard []ltime.Timestamp
+	// reply backs Deliver's immediate reply; see tme.Node.Deliver.
+	reply [1]tme.Message
 }
 
 var (
@@ -176,8 +178,10 @@ func (nd *Node) ReleaseCS() []tme.Message {
 	return msgs
 }
 
-// Deliver handles one incoming message. Unknown kinds and out-of-range
-// senders (message-corruption artifacts) are dropped.
+// Deliver handles one incoming message. The result is valid until the next
+// Deliver on this node (tme.Node's contract): the immediate reply to a
+// request is written into the node's own one-message buffer. Unknown kinds
+// and out-of-range senders (message-corruption artifacts) are dropped.
 func (nd *Node) Deliver(m tme.Message) []tme.Message {
 	k := m.From
 	if k < 0 || k >= nd.n || k == nd.id {
@@ -204,7 +208,8 @@ func (nd *Node) receiveRequest(k int, ts ltime.Timestamp) []tme.Message {
 	if nd.phase == tme.Thinking {
 		nd.req = nd.clock.Now()
 	}
-	return []tme.Message{{Kind: tme.Reply, TS: nd.clock.Now(), From: nd.id, To: k}}
+	nd.reply[0] = tme.Message{Kind: tme.Reply, TS: nd.clock.Now(), From: nd.id, To: k}
+	return nd.reply[:]
 }
 
 // receiveReply grants k if the reply postdates our request (stale replies

@@ -25,6 +25,7 @@ type Node struct {
 	req      ltime.Timestamp
 	local    []ltime.Timestamp // j.REQ_k
 	received []bool            // received(j.REQ_k): k's request pending a reply
+	reply    [1]tme.Message    // backs Deliver's immediate reply; see tme.Node.Deliver
 }
 
 var (
@@ -132,9 +133,12 @@ func (nd *Node) ReleaseCS() []tme.Message {
 	return msgs
 }
 
-// Deliver handles one incoming message and returns the responses to send.
-// Unknown kinds and out-of-range senders are dropped (they can only arise
-// from message-corruption faults).
+// Deliver handles one incoming message and returns the responses to send,
+// valid until the next Deliver on this node (tme.Node's contract): an
+// immediate reply is written into the node's own one-message buffer, which
+// is what keeps the receive path allocation-free. Unknown kinds and
+// out-of-range senders are dropped (they can only arise from
+// message-corruption faults).
 //
 //gblint:hotpath
 func (nd *Node) Deliver(m tme.Message) []tme.Message {
@@ -158,6 +162,8 @@ func (nd *Node) Deliver(m tme.Message) []tme.Message {
 }
 
 // receiveRequest is the paper's receive-request action.
+//
+//gblint:hotpath
 func (nd *Node) receiveRequest(k int, ts ltime.Timestamp) []tme.Message {
 	nd.clock.Observe(ts)
 	nd.received[k] = true
@@ -170,7 +176,8 @@ func (nd *Node) receiveRequest(k int, ts ltime.Timestamp) []tme.Message {
 	if nd.local[k].Less(nd.req) {
 		// k's request is earlier: reply now, discharging the obligation.
 		nd.received[k] = false
-		return []tme.Message{{Kind: tme.Reply, TS: nd.req, From: nd.id, To: k}}
+		nd.reply[0] = tme.Message{Kind: tme.Reply, TS: nd.req, From: nd.id, To: k}
+		return nd.reply[:]
 	}
 	// Our request is earlier (or we are eating): defer; k stays in the
 	// deferred set until Release CS.

@@ -299,3 +299,57 @@ func TestDroppedRequestsDeadlockWithoutWrapper(t *testing.T) {
 		t.Error("processes should be stuck hungry")
 	}
 }
+
+// TestDeliverResultValidUntilNextDeliver states tme.Node.Deliver's aliasing
+// contract as this package uses it: the immediate reply lives in the node's
+// own buffer, so it survives every other call on the node but not the next
+// Deliver. A caller that needs it longer copies the message out.
+func TestDeliverResultValidUntilNextDeliver(t *testing.T) {
+	nodes := newCluster(3)
+	r1 := nodes[1].RequestCS()
+	r2 := nodes[2].RequestCS()
+
+	first := nodes[0].Deliver(r1[0])
+	if len(first) != 1 || first[0].Kind != tme.Reply || first[0].To != 1 {
+		t.Fatalf("reply to 1 = %v", first)
+	}
+	kept := first[0]
+
+	// Valid across everything that is not a Deliver on this node, and the
+	// other calls' results are the caller's own: they never share the buffer.
+	own := nodes[0].RequestCS()
+	nodes[0].Step()
+	nodes[1].Deliver(own[0])
+	if first[0] != kept {
+		t.Fatalf("reply changed before the next Deliver: %v, was %v", first[0], kept)
+	}
+
+	second := nodes[0].Deliver(r2[0])
+	if len(second) != 1 || second[0].To != 2 {
+		t.Fatalf("reply to 2 = %v", second)
+	}
+	if first[0] != second[0] {
+		t.Fatalf("first result = %v after the next Deliver; it is documented to be overwritten by %v", first[0], second[0])
+	}
+	if kept.To != 1 || kept.Kind != tme.Reply {
+		t.Fatalf("copied reply = %v", kept)
+	}
+	if own[0].Kind != tme.Request || own[1].Kind != tme.Request {
+		t.Fatalf("RequestCS result was overwritten by Deliver: %v", own)
+	}
+}
+
+// TestImmediateReplyAllocatesNothing pins what the contract buys: receiving
+// a request and replying at once is allocation-free.
+func TestImmediateReplyAllocatesNothing(t *testing.T) {
+	nodes := newCluster(2)
+	req := nodes[0].RequestCS()[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		if out := nodes[1].Deliver(req); len(out) != 1 {
+			t.Fatalf("no immediate reply: %v", out)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("immediately-replied Deliver allocates %.1f, want 0", allocs)
+	}
+}

@@ -539,7 +539,7 @@ func (sh *Sharded) String() string {
 
 // Arrival heap: a plain binary min-heap ordered by (at, client) — the
 // coordinator's only scheduling structure, kept dependency-free like the
-// engine's event heap.
+// engine's overflow heap.
 
 func (sh *Sharded) pushArrival(a arrival) {
 	sh.heap = append(sh.heap, a)

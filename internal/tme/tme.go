@@ -139,7 +139,13 @@ type Node interface {
 	// unless the process is eating. It returns the messages to send.
 	ReleaseCS() []Message
 	// Deliver handles one incoming message and returns the messages to
-	// send in response.
+	// send in response. The result is valid only until the next Deliver on
+	// this node: an implementation may return a view of a buffer it owns
+	// and overwrite it then, so that replying allocates nothing. A caller
+	// sends (or copies) the messages before it delivers again. RequestCS,
+	// ReleaseCS and Step results are the caller's to keep: on the live
+	// cluster a client goroutine is still routing one while the process's
+	// event loop delivers.
 	Deliver(m Message) []Message
 	// Step attempts one internal action (CS entry). entered reports
 	// whether the process transitioned hungry→eating.
