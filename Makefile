@@ -27,11 +27,12 @@ race:
 
 # Focused race pass over the concurrent packages (the goroutine runtime, the
 # wire layer's sockets and chaos proxy, the observability instruments they
-# publish to, the hierarchical monitor the sharded substrate's cores share,
-# the harness's parallel sweep, which must equal a sequential sweep
-# bit-for-bit, and the live driver: RunLive, the workload.Driver adapter it
-# shares with gbnode, which blocks on the runtime's phase-change wait, and
-# the cross-substrate fault-row test of that Driver).
+# publish to, the hierarchical monitor, whose mutex is for substrates that
+# run clients on their own goroutines (the sharded simulator is one
+# goroutine), the harness's parallel sweep, which must equal a sequential
+# sweep bit-for-bit, and the live driver: RunLive, the workload.Driver
+# adapter it shares with gbnode, which blocks on the runtime's phase-change
+# wait, and the cross-substrate fault-row test of that Driver).
 test-race:
 	$(GO) test -race ./internal/runtime/... ./internal/wire/... ./internal/obs/... ./internal/hme/...
 	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/

@@ -11,89 +11,130 @@ import "fmt"
 // FIFO is a first-in first-out queue of messages between one ordered pair of
 // processes. The zero value is an empty, usable queue.
 //
+// The head message is held inline: a simulated channel nearly always
+// carries zero or one message, and with the head in the struct that case
+// touches the queue's own memory only and never allocates. Messages behind
+// the head wait in rest, which is reached only when a second message is
+// queued (a fault duplicated one, or a sender outran the link delay).
+//
 // FIFO is not safe for concurrent use; the owning scheduler serializes
 // access.
 type FIFO[T any] struct {
-	items []T
+	n     int // queued messages; first is live when n > 0
+	first T   // message 0
+	rest  []T // messages 1..n-1: len(rest) == n-1 when n > 0, else 0
 }
 
 // Len returns the number of queued messages.
-func (q *FIFO[T]) Len() int { return len(q.items) }
+func (q *FIFO[T]) Len() int { return q.n }
 
 // Empty reports whether the queue holds no messages.
-func (q *FIFO[T]) Empty() bool { return len(q.items) == 0 }
+func (q *FIFO[T]) Empty() bool { return q.n == 0 }
 
 // Send enqueues m at the tail.
+//
+//gblint:hotpath
 func (q *FIFO[T]) Send(m T) {
-	q.items = append(q.items, m)
+	if q.n == 0 {
+		q.first = m
+	} else {
+		q.rest = append(q.rest, m)
+	}
+	q.n++
 }
 
 // Recv dequeues the head message. ok is false when the queue is empty.
+//
+//gblint:hotpath
 func (q *FIFO[T]) Recv() (m T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return m, false
 	}
-	m = q.items[0]
-	// Shift rather than re-slice so the backing array does not pin
-	// delivered messages.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	m = q.first
+	q.n--
+	if q.n > 0 {
+		q.first = q.rest[0]
+		copy(q.rest, q.rest[1:])
+		q.rest = q.rest[:q.n-1]
+	}
 	return m, true
 }
 
 // Peek returns the head message without removing it.
 func (q *FIFO[T]) Peek() (m T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return m, false
 	}
-	return q.items[0], true
+	return q.first, true
+}
+
+// slot returns the place of the i-th queued message. It panics if i is out
+// of range: the inline head is index 0 of a non-empty queue only, and every
+// other index is left to rest's bounds check.
+func (q *FIFO[T]) slot(i int) *T {
+	if i == 0 && q.n > 0 {
+		return &q.first
+	}
+	return &q.rest[i-1]
 }
 
 // At returns the i-th queued message (0 = head). It panics if i is out of
 // range; callers index only within [0, Len()).
-func (q *FIFO[T]) At(i int) T { return q.items[i] }
+func (q *FIFO[T]) At(i int) T { return *q.slot(i) }
 
 // Drop removes the i-th queued message, modelling message loss.
 // It returns false if i is out of range.
 func (q *FIFO[T]) Drop(i int) bool {
-	if i < 0 || i >= len(q.items) {
+	if i < 0 || i >= q.n {
 		return false
 	}
-	q.items = append(q.items[:i], q.items[i+1:]...)
+	if i == 0 {
+		q.Recv()
+		return true
+	}
+	q.rest = append(q.rest[:i-1], q.rest[i:]...)
+	q.n--
 	return true
 }
 
 // Duplicate inserts a copy of the i-th queued message immediately after it,
 // modelling message duplication. It returns false if i is out of range.
 func (q *FIFO[T]) Duplicate(i int) bool {
-	if i < 0 || i >= len(q.items) {
+	if i < 0 || i >= q.n {
 		return false
 	}
-	q.items = append(q.items, *new(T))
-	copy(q.items[i+2:], q.items[i+1:])
-	q.items[i+1] = q.items[i]
+	m := *q.slot(i)
+	// The copy becomes message i+1, which is rest[i].
+	q.rest = append(q.rest, m)
+	copy(q.rest[i+1:], q.rest[i:])
+	q.rest[i] = m
+	q.n++
 	return true
 }
 
 // Mutate applies f to the i-th queued message in place, modelling message
 // corruption. It returns false if i is out of range.
 func (q *FIFO[T]) Mutate(i int, f func(*T)) bool {
-	if i < 0 || i >= len(q.items) {
+	if i < 0 || i >= q.n {
 		return false
 	}
-	f(&q.items[i])
+	f(q.slot(i))
 	return true
 }
 
 // Clear discards every queued message (channel flush / improper init).
 func (q *FIFO[T]) Clear() {
-	q.items = q.items[:0]
+	q.n = 0
+	q.rest = q.rest[:0]
 }
 
 // Snapshot returns a copy of the queued messages, head first.
 func (q *FIFO[T]) Snapshot() []T {
-	out := make([]T, len(q.items))
-	copy(out, q.items)
+	out := make([]T, q.n)
+	if q.n > 0 {
+		out[0] = q.first
+		copy(out[1:], q.rest)
+	}
 	return out
 }
 

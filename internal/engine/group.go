@@ -1,35 +1,26 @@
-// Shard groups: S independent cores advancing in parallel between
+// Shard groups: S independent cores advanced in lockstep windows between
 // deterministic merge barriers.
 //
 // A sharded substrate gives every shard its own Core — its own virtual
 // clock, event queue, and seeded streams — so the shards are independent
-// pure functions of their seeds. Between barriers the cores with work in
-// the window run concurrently (the caller and up to GOMAXPROCS-1 helper
-// goroutines share them); at a barrier every core has reached
-// the same virtual time, and the coordinator may inspect all shards,
-// exchange cross-shard work, and schedule the next window. Determinism is
-// preserved because nothing is shared during a window: each core touches
-// only its own state, and the coordinator's merge step runs serially in
-// canonical shard order.
+// pure functions of their seeds. Inside a window each core touches only
+// its own state; at a barrier every core has reached the same virtual
+// time, and the coordinator may inspect all shards, exchange cross-shard
+// work, and schedule the next window.
+//
+// A window runs on the caller's goroutine, one core after another in shard
+// order. The independence would allow running them concurrently, and an
+// earlier Group did; it was measured away. On the sharded benchmark
+// workload (100 nodes, 8 shards) a window holds about 400 events and its
+// busiest shard 54.2% of them, so two perfect workers could at best reach
+// 60.7% of serial time, and neither a goroutine per window nor persistent
+// spinning helpers got under the plain loop (DESIGN.md §5.2).
 package engine
-
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
 
 // Group coordinates a set of shard cores advancing in lockstep windows.
 // The zero value is unusable; construct with NewGroup.
 type Group struct {
 	cores []*Core
-	wg    sync.WaitGroup
-
-	// Per-barrier scratch: the cores with work in the window, the index of
-	// the next unclaimed one, and the window's event count.
-	busy   []*Core
-	next   atomic.Int64
-	events atomic.Int64
 }
 
 // NewGroup returns a group over the given shard cores. The slice is
@@ -53,51 +44,18 @@ func (g *Group) LowWater() (int64, bool) {
 	return low, ok
 }
 
-// RunBarrier advances every core to the given horizon and blocks until all
-// have arrived: the merge barrier. It returns the total events processed
-// across shards. Cores with an event due by the horizon run in parallel;
-// the others only need their clocks moved, which the caller does inline.
-// The caller also takes a share of the busy cores, so a window spawns at
-// most min(busy, GOMAXPROCS)-1 goroutines and none when one core or fewer
-// has work. Which goroutine runs a core changes nothing it computes: shard
-// cores must not share mutable state with each other or the caller during
-// the window (this is the group's whole contract); the sanctioned goroutine
-// spawn here is the shard-core analogue of the harness's ParMap.
+// RunBarrier advances every core to the given horizon, in shard order on
+// the caller's goroutine, and returns the total events processed across
+// shards: the merge barrier. A core with nothing due only has its clock
+// moved. Shard cores must not share mutable state with each other during
+// the window (the group's whole contract), so the order they run in
+// changes nothing any of them computes.
 func (g *Group) RunBarrier(horizon int64) int64 {
-	g.busy = g.busy[:0]
-	for _, c := range g.cores {
-		if t, ok := c.NextEventTime(); ok && t <= horizon && !c.stopped {
-			g.busy = append(g.busy, c)
-		} else {
-			c.Run(horizon) // nothing due: moves the clock to the horizon
-		}
-	}
-	g.next.Store(0)
-	g.events.Store(0)
-	for h := min(len(g.busy), runtime.GOMAXPROCS(0)) - 1; h > 0; h-- {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.runBusy(horizon)
-		}()
-	}
-	g.runBusy(horizon)
-	g.wg.Wait()
-	return g.events.Load()
-}
-
-// runBusy claims busy cores one at a time and runs each to the horizon
-// until none is left unclaimed.
-func (g *Group) runBusy(horizon int64) {
 	var n int64
-	for {
-		i := int(g.next.Add(1)) - 1
-		if i >= len(g.busy) {
-			break
-		}
-		n += g.busy[i].Run(horizon)
+	for _, c := range g.cores {
+		n += c.Run(horizon)
 	}
-	g.events.Add(n)
+	return n
 }
 
 // NextEventTime returns the time of the earliest scheduled event and false

@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestGroupBarrierMatchesSequential pins the group's determinism contract:
 // running S independent cores in parallel windows produces exactly the
@@ -89,5 +92,44 @@ func TestPoolRecycles(t *testing.T) {
 	}
 	if z := p.Get(); z == x {
 		t.Fatal("pool handed out the same record twice")
+	}
+}
+
+// A window runs on the caller: it allocates nothing and no goroutine exists
+// during it that did not exist before it.
+func TestRunBarrierStaysOnTheCaller(t *testing.T) {
+	const shards = 4
+	before := runtime.NumGoroutine()
+	during := before
+	cores := make([]*Core, shards)
+	for s := range cores {
+		c := New(int64(s + 1))
+		c.SetHandler(func(ev *Event) {
+			if n := runtime.NumGoroutine(); n > during {
+				during = n
+			}
+			c.Schedule(1+int64(ev.A)%5, ev.Kind, ev.A+1, 0)
+		})
+		for k := 0; k < 8; k++ {
+			c.Schedule(int64(k), 1, int32(k), 0)
+		}
+		cores[s] = c
+	}
+	g := NewGroup(cores)
+	horizon := int64(0)
+	window := func() {
+		horizon += 50
+		if g.RunBarrier(horizon) == 0 {
+			t.Fatal("the window processed no event")
+		}
+	}
+	for k := 0; k < 10; k++ {
+		window() // let the event queues reach their steady size
+	}
+	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+		t.Errorf("RunBarrier allocates %.1f times a window, want 0", allocs)
+	}
+	if during != before {
+		t.Errorf("%d goroutines during a window, %d before it", during, before)
 	}
 }

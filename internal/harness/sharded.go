@@ -1,6 +1,6 @@
 // Sharded-simulator harness: RunSharded drives sim.Sharded — S per-shard
-// RA/Lamport instances under their own W' wrappers, advanced in parallel
-// between merge barriers — and reads every measurement back from the
+// RA/Lamport instances under their own W' wrappers, advanced in lockstep
+// windows between merge barriers — and reads every measurement back from the
 // coordinator and per-shard obs snapshots. ShardScale is experiment E17.
 package harness
 

@@ -126,8 +126,8 @@ func (a *Acq) Grant(shard int) error {
 // client, enforces the ascending-order invariant grant by grant, and
 // publishes the hme_* instruments. All methods are no-ops on a nil
 // receiver, matching the obs discipline. Methods are safe for concurrent
-// use: the sharded substrate drives acquisitions from per-core goroutines,
-// so grants for different clients race into one monitor.
+// use, so clients that run on their own goroutines can share one monitor;
+// the sharded simulator's coordinator happens to call it from one.
 type Monitor struct {
 	mu   sync.Mutex
 	held map[int][]int //gblint:guardedby mu -- client → shards currently held, in grant order

@@ -207,10 +207,10 @@ func DefaultConfig() *Config {
 			"internal/engine", "internal/wire",
 			"internal/workload", "internal/scenario", "internal/hme",
 		},
-		// ParMap is the harness's deterministic parallel sweep; RunBarrier is
-		// the engine group's parallel shard window — both join before any
-		// result is observed, so the spawned goroutines cannot order-race.
-		DetGoAllowed:   []string{"ParMap", "RunBarrier"},
+		// ParMap is the harness's deterministic parallel sweep: it joins
+		// before any result is observed, so the spawned goroutines cannot
+		// order-race.
+		DetGoAllowed:   []string{"ParMap"},
 		DetTimeFuncs:   []string{"Now", "Since", "Until"},
 		DetRandAllowed: []string{"New", "NewSource", "NewZipf"},
 		OrderedSinks: []string{

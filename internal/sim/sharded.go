@@ -1,18 +1,23 @@
 // Sharded simulation: S independent single-shard TME instances — each its
 // own Sim with its own engine core, seed streams, W' wrappers, and obs —
-// advanced in parallel between deterministic merge barriers by an
-// engine.Group, under a serial coordinator that owns every workload
-// decision.
+// advanced in lockstep windows between deterministic merge barriers by an
+// engine.Group, under a coordinator that owns every workload decision.
+// Everything runs on the caller's goroutine: a window is the shard cores
+// run one after another in shard order (engine/group.go says why they are
+// not run concurrently).
 //
-// The split is what keeps parallelism deterministic. Inside a barrier
-// window the shard cores share nothing: protocol events, deliveries, and
-// W' ticks are all shard-local, and the entry/release hooks write only to
-// a per-shard harvest buffer. Everything cross-shard — admitting client
+// The split is what keeps the shards independent. Inside a barrier window
+// the shard cores share nothing: protocol events, deliveries, and W' ticks
+// are all shard-local, and the entry/release hooks write only to a
+// per-shard harvest buffer. Everything cross-shard — admitting client
 // arrivals, drawing think/hold/shard-skew values, moving hierarchical
 // acquisitions to their next shard, serving parked arrivals — happens
-// between windows, serially, in canonical shard order. A run is therefore
-// a pure function of the seed regardless of how the shard goroutines
-// interleave.
+// between windows, in canonical shard order. A run is therefore a pure
+// function of the seed, and of nothing the scheduler or GOMAXPROCS decides.
+//
+// The shard instances are advanced through their cores, never through
+// Sim.Run, so Sharded.Run publishes each shard's sim_* counters before it
+// returns (see the counter contract in sim.go).
 //
 // Clients are logical loops multiplexed onto home nodes (client c lives on
 // node c mod N of every shard), so a 100-node system can carry 10k+ client
@@ -66,7 +71,7 @@ type ShardedConfig struct {
 	MaxLoops int
 	// Window is the barrier window length in virtual ticks; default 64.
 	// Cross-shard handoffs and new arrivals are admitted at window
-	// granularity — the cost of running shards in parallel.
+	// granularity — the cost of giving every shard its own clock.
 	Window int64
 	// RetryAfter is how long an issued request may sit unanswered before
 	// the coordinator re-probes the node (re-request after a fault ate the
@@ -113,7 +118,7 @@ func (dormantStream) Open() bool           { return false }
 func (dormantStream) Cohort() string       { return "dormant" }
 
 // hookRec is one harvested shard event, buffered shard-locally during the
-// parallel window and drained serially at the barrier.
+// window and drained at the barrier.
 type hookRec struct {
 	op   uint8 // opEntry or opRelease
 	node int32
@@ -303,8 +308,7 @@ func (sh *Sharded) Run(horizon int64) int64 {
 		sh.skipAhead(horizon)
 	}
 	for _, s := range sh.sims {
-		s.ins.simTime.Set(s.core.Now())
-		s.ins.fair.Publish()
+		s.publish()
 	}
 	sh.fair.Publish()
 	return sh.events - start

@@ -16,6 +16,15 @@
 // dispatch switch, and observers can keep snapshots current with
 // SnapshotDeltaInto, which reobserves only the processes that changed since
 // the observer last looked and says which they were.
+//
+// Counter contract. The event loop counts messages, deliveries, requests,
+// releases and events in plain Metrics fields, and Sim.Metrics() is current
+// always. The obs counters that shadow them (sim_msgs_*,
+// sim_msgs_delivered_total, sim_requests_total, sim_releases_total,
+// sim_events_total), the sim_time gauge and the fairness gauges are
+// published, not live: they are current when Run (or Sharded.Run) returns
+// and inside an At closure, and stale in between, which is where only a
+// per-event Observer could look; an Observer reads Metrics.
 package sim
 
 import (
@@ -209,8 +218,8 @@ type Sim struct {
 	ins      instruments
 
 	// onEntry/onRelease are the sharded coordinator's harvest hooks. They
-	// fire inside the event loop, so in a parallel shard window they must
-	// write only shard-confined state (the coordinator's per-shard buffer).
+	// fire inside the event loop, mid-window, so they must write only
+	// shard-confined state (the coordinator's per-shard buffer).
 	onEntry   func(node int, t int64)
 	onRelease func(node int, t int64)
 
@@ -246,6 +255,7 @@ type instruments struct {
 	entryGap   *obs.Histogram // virtual ticks between consecutive CS entries
 	lastEntry  int64
 	haveEntry  bool
+	published  Metrics   // the counts publish last raised the counters to
 	kindDetail [4]string // static labels for trace events (no per-event alloc)
 }
 
@@ -345,7 +355,7 @@ func (s *Sim) SetObserver(o Observer) { s.observer = o }
 
 // SetEntryHook installs a callback fired on every CS entry (nil to
 // remove). The sharded coordinator harvests entries through it; during a
-// parallel shard window the hook must touch only shard-confined state.
+// shard window the hook must touch only shard-confined state.
 func (s *Sim) SetEntryHook(fn func(node int, t int64)) { s.onEntry = fn }
 
 // SetReleaseHook installs a callback fired on every release event —
@@ -441,13 +451,10 @@ func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 		s.mesh.Send(m.From, m.To, m)
 		slot := kindSlot(m.Kind)
 		s.metrics.kindCounts[slot]++
-		s.ins.byKind[slot].Inc()
 		if fromWrapper {
 			s.metrics.WrapperMsgs++
-			s.ins.wrapMsgs.Inc()
 		} else {
 			s.metrics.ProgramMsgs++
-			s.ins.progMsgs.Inc()
 		}
 		s.ins.trace.Emit(obs.Event{
 			Time: s.core.Now(), Kind: obs.EvSend, A: m.From, B: m.To,
@@ -476,7 +483,6 @@ func (s *Sim) deliver(ep channel.Endpoint) {
 	}
 	s.dirtyNode(ep.Dst)
 	s.metrics.Delivered++
-	s.ins.delivered.Inc()
 	s.ins.trace.Emit(obs.Event{Time: s.core.Now(), Kind: obs.EvDeliver, A: ep.Src, B: ep.Dst})
 	out := s.nodes[ep.Dst].Deliver(m)
 	s.send(out, false)
@@ -589,7 +595,6 @@ func (s *Sim) doRequest(i int) {
 	}
 	s.dirtyNode(i)
 	s.metrics.Requests++
-	s.ins.requests.Inc()
 	if s.lastReq != nil {
 		s.lastReq[i] = s.core.Now()
 	}
@@ -609,7 +614,6 @@ func (s *Sim) release(i int) {
 	}
 	s.dirtyNode(i)
 	s.metrics.Releases++
-	s.ins.releases.Inc()
 	s.send(s.nodes[i].ReleaseCS(), false)
 	s.afterEventAt(i)
 }
@@ -653,6 +657,7 @@ func (s *Sim) dispatch(ev *engine.Event) {
 		s.release(int(ev.A))
 		s.look(int(ev.A))
 	default:
+		s.publish() // the closure is user code and may read the counters
 		ev.Call()
 		// The closure may have mutated any node or channel (fault
 		// injection does exactly that), so cached snapshots are stale.
@@ -668,7 +673,6 @@ func (s *Sim) dispatch(ev *engine.Event) {
 //gblint:hotpath
 func (s *Sim) afterEvent() {
 	s.metrics.Events++
-	s.ins.events.Inc()
 	if s.observer != nil {
 		s.observer(s)
 	}
@@ -683,9 +687,35 @@ func (s *Sim) Run(horizon int64) int64 {
 	// channels and nodes through Net and Node); invalidate snapshots once.
 	s.dirtyAll()
 	n := s.core.Run(horizon)
-	s.ins.simTime.Set(s.core.Now())
-	s.ins.fair.Publish()
+	s.publish()
 	return n
+}
+
+// publish brings the obs counters that shadow Metrics, the sim_time gauge
+// and the fairness gauges up to date. The event loop counts in Metrics
+// only (plain fields, no atomics), so this runs wherever user code can
+// look at the registry: when Run returns, before an At closure, and at the
+// end of Sharded.Run. Counters only move forward, so each is raised by
+// what Metrics gained since the last call.
+func (s *Sim) publish() {
+	ins := &s.ins
+	if ins.obs == nil {
+		return
+	}
+	m, p := &s.metrics, &ins.published
+	for k := range m.kindCounts {
+		ins.byKind[k].Add(int64(m.kindCounts[k] - p.kindCounts[k]))
+	}
+	ins.progMsgs.Add(int64(m.ProgramMsgs - p.ProgramMsgs))
+	ins.wrapMsgs.Add(int64(m.WrapperMsgs - p.WrapperMsgs))
+	ins.delivered.Add(int64(m.Delivered - p.Delivered))
+	ins.requests.Add(int64(m.Requests - p.Requests))
+	ins.releases.Add(int64(m.Releases - p.Releases))
+	ins.events.Add(m.Events - p.Events)
+	*p = *m
+	p.Entries = nil // only the counts are compared; do not pin the log
+	ins.simTime.Set(s.core.Now())
+	ins.fair.Publish()
 }
 
 // Snapshot captures the global state for spec monitors.
