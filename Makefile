@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race test-race cover bench bench-baseline bench-compare bench-history experiments examples fuzz soak parity clean
+.PHONY: all build lint test race test-race cover bench experiments experiments-quick examples fuzz soak parity clean
 
 all: build test test-race
 
@@ -11,9 +11,10 @@ build:
 	$(GO) build ./...
 
 # Static analysis: gofmt (any file it lists fails), go vet, and the repo's
-# own analyzer (layering, determinism, hot-path allocation, obs discipline,
-# guardedby/atomic discipline, kind-switch exhaustiveness, and spawn
-# lifecycle — see DESIGN.md "Static guarantees").
+# own analyzer (layering, determinism, obs discipline, guardedby/atomic
+# discipline, kind-switch exhaustiveness, and spawn lifecycle — see
+# DESIGN.md "Static guarantees"). Allocation discipline is held by the
+# testing.AllocsPerRun tests that `make test` runs.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -58,24 +59,10 @@ parity:
 cover:
 	$(GO) test -cover ./...
 
+# Every go test benchmark in the module, with allocation counts. The
+# end-to-end benchmark of record is `go run ./benchmark` (BENCHMARK.json).
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# Regenerate the committed benchmark baseline (BENCH_BASELINE.json).
-bench-baseline:
-	$(GO) run ./cmd/bench -out BENCH_BASELINE.json
-
-# Re-measure and diff against the previous PR's committed snapshot. Deltas
-# beyond 15% print as REGRESSION for review; only >2x growth fails, matching
-# the CI bench-gate: ns/op is environment-sensitive across machines, so
-# allocs/op and bytes/op are the stable signals to watch in the diff table.
-bench-compare:
-	$(GO) run ./cmd/bench -out BENCH_PR10.json -compare BENCH_PR9.json -tolerance 0.15 -fail-tolerance 1.0
-
-# Walk every committed BENCH_*.json and print the ns/op and allocs/op trend
-# across the PR timeline.
-bench-history:
-	$(GO) run ./cmd/bench -history
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Regenerate every experiment table of EXPERIMENTS.md (full scale ≈ 30 min).
 experiments:

@@ -1,7 +1,7 @@
 // Command gbload drives load against a graybox cluster and reports
 // throughput, CS-entry latency percentiles, safety, and convergence time
-// as an obs metrics snapshot (the same JSON shape cmd/bench reads, so
-// snapshots diff with `bench -compare`).
+// as an obs metrics snapshot (the same JSON shape tmesim -metrics-json and
+// gbnode write).
 //
 // Loopback mode (default): boot an n-node cluster in-process — one
 // runtime.Cluster per node over real TCP loopback sockets — pipe every

@@ -32,8 +32,6 @@ func (q *FIFO[T]) Len() int { return q.n }
 func (q *FIFO[T]) Empty() bool { return q.n == 0 }
 
 // Send enqueues m at the tail.
-//
-//gblint:hotpath
 func (q *FIFO[T]) Send(m T) {
 	if q.n == 0 {
 		q.first = m
@@ -44,8 +42,6 @@ func (q *FIFO[T]) Send(m T) {
 }
 
 // Recv dequeues the head message. ok is false when the queue is empty.
-//
-//gblint:hotpath
 func (q *FIFO[T]) Recv() (m T, ok bool) {
 	if q.n == 0 {
 		return m, false

@@ -135,8 +135,6 @@ func (c *Core) Stopped() bool { return c.stopped }
 func (c *Core) Pending() int { return c.queue.len() }
 
 // Schedule pushes a typed event after the given delay (relative to now).
-//
-//gblint:hotpath
 func (c *Core) Schedule(after int64, kind uint8, a, b int32) {
 	c.seq++
 	c.queue.push(Event{Time: c.now + after, Seq: c.seq, Kind: kind, A: a, B: b})
@@ -157,8 +155,6 @@ func (c *Core) At(t int64, fn func()) {
 // Run processes events until the queue drains, time exceeds horizon, or
 // Stop is called. It returns the number of events processed in this call.
 // The clock ends at horizon even when the queue drains early.
-//
-//gblint:hotpath
 func (c *Core) Run(horizon int64) int64 {
 	var n int64
 	for !c.stopped && c.queue.popDue(horizon, &c.cur) {

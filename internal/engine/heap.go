@@ -17,7 +17,6 @@ func (e *Event) before(o *Event) bool {
 	return e.Seq < o.Seq
 }
 
-//gblint:hotpath
 func (h *eventHeap) push(e Event) {
 	h.items = append(h.items, e)
 	i := len(h.items) - 1
@@ -31,7 +30,6 @@ func (h *eventHeap) push(e Event) {
 	}
 }
 
-//gblint:hotpath
 func (h *eventHeap) pop() (Event, bool) {
 	if len(h.items) == 0 {
 		return Event{}, false

@@ -35,8 +35,6 @@ func NewMesh[M any](core *Core, n int, min, max int64, deliverKind uint8) *Mesh[
 func (m *Mesh[M]) Net() *channel.Net[M] { return m.net }
 
 // Delay samples one transmission delay from the core's RNG.
-//
-//gblint:hotpath
 func (m *Mesh[M]) Delay() int64 {
 	return m.min + m.core.rng.Int63n(m.max-m.min+1)
 }
@@ -44,8 +42,6 @@ func (m *Mesh[M]) Delay() int64 {
 // Send enqueues msg on src→dst and schedules its delivery opportunity
 // after a sampled delay. It reports whether the channel accepted the
 // message (false for out-of-range or self endpoints).
-//
-//gblint:hotpath
 func (m *Mesh[M]) Send(src, dst int, msg M) bool {
 	if !m.net.Send(src, dst, msg) {
 		return false
@@ -57,8 +53,6 @@ func (m *Mesh[M]) Send(src, dst int, msg M) bool {
 // ScheduleDelivery schedules one head-of-channel delivery opportunity on
 // ep after the given delay. Fault injectors call this when they duplicate
 // a message, so the extra copy has its own opportunity.
-//
-//gblint:hotpath
 func (m *Mesh[M]) ScheduleDelivery(ep channel.Endpoint, delay int64) {
 	m.core.Schedule(delay, m.deliverKind, int32(ep.Src), int32(ep.Dst))
 }
@@ -66,8 +60,6 @@ func (m *Mesh[M]) ScheduleDelivery(ep channel.Endpoint, delay int64) {
 // Recv pops the head of ep's channel. ok is false when the channel is
 // empty — a delivery opportunity whose message was lost to a fault — or
 // when ep is not a valid channel.
-//
-//gblint:hotpath
 func (m *Mesh[M]) Recv(ep channel.Endpoint) (msg M, ok bool) {
 	q := m.net.Chan(ep.Src, ep.Dst)
 	if q == nil {

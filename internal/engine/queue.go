@@ -49,8 +49,6 @@ type eventQueue struct {
 }
 
 // push adds e. Callers supply strictly increasing Seq values.
-//
-//gblint:hotpath
 func (q *eventQueue) push(e Event) {
 	if uint64(e.Time-q.base) >= wheelSize {
 		q.far.push(e)
@@ -80,16 +78,12 @@ func (q *eventQueue) push(e Event) {
 
 // nearSlot returns the bucket of the earliest near-level event. The near
 // level must be non-empty.
-//
-//gblint:hotpath
 func (q *eventQueue) nearSlot() int64 {
 	ahead := bits.TrailingZeros64(bits.RotateLeft64(q.occ, -int(q.base&(wheelSize-1))))
 	return (q.base + int64(ahead)) & (wheelSize - 1)
 }
 
 // minTime returns the time of the earliest event, false when empty.
-//
-//gblint:hotpath
 func (q *eventQueue) minTime() (int64, bool) {
 	if q.n == 0 {
 		if q.far.len() == 0 {
@@ -106,8 +100,6 @@ func (q *eventQueue) minTime() (int64, bool) {
 
 // popDue removes the earliest event into *out if it is due at or before
 // horizon, and reports whether it did.
-//
-//gblint:hotpath
 func (q *eventQueue) popDue(horizon int64, out *Event) bool {
 	// Which level holds the minimum: the merge.
 	fromFar := q.far.len() > 0

@@ -1,7 +1,7 @@
 // Package lint is gblint's analysis engine: a stdlib-only static analyzer
 // (go/ast, go/parser, go/types) that makes the repo's graybox and
 // determinism conventions hold by construction instead of by code review.
-// Seven passes run over every package:
+// Six passes run over every package:
 //
 //   - layering: an import-DAG check encoding the graybox rule — wrappers
 //     and specs are designed from local everywhere specifications, never
@@ -15,10 +15,6 @@
 //     flags wall-clock reads (time.Now), the global math/rand source,
 //     map iteration that feeds ordered output, and goroutine spawns
 //     outside the sanctioned ParMap.
-//
-//   - hotpath: inside functions marked //gblint:hotpath, flags closure
-//     literals, fmt formatting calls, and interface-boxing conversions —
-//     the allocation sources the PR 2 benchmarks eliminated.
 //
 //   - obs: observability discipline — instrument types whose methods
 //     promise nil-receiver no-op behavior must guard every exported
@@ -57,7 +53,6 @@ import (
 const (
 	PassLayering    = "layering"
 	PassDeterminism = "determinism"
-	PassHotpath     = "hotpath"
 	PassObs         = "obs"
 	PassGuardedBy   = "guardedby"
 	PassExhaustive  = "exhaustive"
@@ -73,15 +68,6 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Pass, d.Msg)
-}
-
-// HotRequiredRule pins the //gblint:hotpath marker onto the functions of
-// the packages matching Scope: each entry of Funcs ("Name" or
-// "Type.Method") must exist there and be marked.
-type HotRequiredRule struct {
-	Scope  string
-	Funcs  []string
-	Reason string
 }
 
 // LayerRule constrains the imports of the packages matching Scope.
@@ -104,7 +90,7 @@ const DenyModule = "MODULE"
 type Config struct {
 	// Module is the module path; imports with this prefix are in-module.
 	Module string
-	// Passes selects which passes run (nil = all seven).
+	// Passes selects which passes run (nil = all six).
 	Passes []string
 
 	// Layering is the import-DAG rule table.
@@ -124,16 +110,6 @@ type Config struct {
 	// OrderedSinks are method names whose calls inside a map-range body
 	// mark the iteration as feeding ordered output.
 	OrderedSinks []string
-
-	// HotFmtFuncs are the fmt functions banned in hotpath functions.
-	HotFmtFuncs []string
-	// HotRequired lists functions that MUST carry the //gblint:hotpath
-	// marker — the benchmarked chains whose allocation discipline is
-	// enforced, not optional. A rule only applies when a linted package
-	// matches its scope (so partial lint runs stay quiet); within a
-	// matching package, a listed function that is missing or unmarked is
-	// a finding. Methods are named "Type.Method".
-	HotRequired []HotRequiredRule
 
 	// ObsPackage is the package pattern holding the nil-safe instrument
 	// types and the Registry whose Counter/Gauge/Histogram methods
@@ -217,17 +193,6 @@ func DefaultConfig() *Config {
 			"Emit", "Observe", "AddRow", "Write", "WriteString",
 			"Fprintf", "Fprint", "Fprintln", "Printf", "Print", "Println",
 		},
-		HotFmtFuncs: []string{
-			"Sprintf", "Sprint", "Sprintln", "Errorf",
-			"Fprintf", "Fprint", "Fprintln", "Printf", "Print", "Println",
-		},
-		HotRequired: []HotRequiredRule{
-			{Scope: "internal/wire", Funcs: []string{
-				"AppendFrame", "DecodePayload", "Reader.ReadMessage",
-				"V2Encoder.AppendFrame", "V2Reader.ReadMessage",
-				"Transport.encodeBatch", "msgQueue.put", "msgQueue.drain",
-			}, Reason: "the wire send/recv chain is benchmarked allocation-free (bench_wire_throughput); the hotpath contract on it is load-bearing, not decorative"},
-		},
 		ObsPackage: "internal/obs",
 		SpawnScope: []string{
 			"internal/runtime", "internal/wire", "internal/harness", "cmd/...",
@@ -288,13 +253,12 @@ type Runner struct {
 	ignores map[string]map[int][]string
 }
 
-// NewRunner returns a runner over cfg with the selected passes (all seven
+// NewRunner returns a runner over cfg with the selected passes (all six
 // when cfg.Passes is nil). All linted packages must share fset.
 func NewRunner(cfg *Config, fset *token.FileSet) *Runner {
 	all := []Pass{
 		layeringPass{},
 		determinismPass{},
-		newHotpathPass(),
 		newObsPass(),
 		newGuardedPass(),
 		newExhaustivePass(),
@@ -379,7 +343,7 @@ func (r *Runner) Finish() []Diagnostic {
 //
 //	t := time.Now() //gblint:ignore determinism wall-clock is fine here
 //
-//	//gblint:ignore determinism,hotpath reason...
+//	//gblint:ignore determinism,spawn reason...
 //	t := time.Now()
 //
 // With no pass list the directive suppresses every pass.
@@ -420,7 +384,7 @@ func (r *Runner) collectIgnores(pkg *Package) {
 
 func knownPass(p string) bool {
 	switch p {
-	case PassLayering, PassDeterminism, PassHotpath, PassObs,
+	case PassLayering, PassDeterminism, PassObs,
 		PassGuardedBy, PassExhaustive, PassSpawn:
 		return true
 	}

@@ -19,7 +19,6 @@ const fixtureModule = "example.com/fix"
 var fixtures = map[string]string{
 	fixtureModule + "/internal/wrapper": "testdata/layering",
 	fixtureModule + "/internal/sim":     "testdata/det",
-	fixtureModule + "/internal/hot":     "testdata/hot",
 	fixtureModule + "/internal/obs":     "testdata/obsd",
 	fixtureModule + "/internal/guarded": "testdata/guarded",
 	fixtureModule + "/internal/kinds":   "testdata/kinds",
@@ -97,19 +96,10 @@ func lintFixtures(t *testing.T, cfg *Config, exports map[string]string) []Diagno
 func fixtureConfig() *Config {
 	cfg := DefaultConfig()
 	cfg.Module = fixtureModule
-	// The hot fixture also exercises HotRequired: Encode is marked
-	// (quiet), ring.pop is required but unmarked (finding). The default
-	// internal/wire rule stays in the table and must stay silent — no
-	// fixture package matches its scope.
-	cfg.HotRequired = append(cfg.HotRequired, HotRequiredRule{
-		Scope:  "internal/hot",
-		Funcs:  []string{"Encode", "ring.pop"},
-		Reason: "fixture: required hot chain",
-	})
 	return cfg
 }
 
-// TestFixtures runs all seven passes over the fixture packages with full
+// TestFixtures runs all six passes over the fixture packages with full
 // type information and checks the findings against the want comments:
 // every seeded violation is caught, every //gblint:ignore twin and every
 // legitimate construct stays quiet.
@@ -215,7 +205,7 @@ func TestDirective(t *testing.T) {
 		{"//gblint:ignore", "ignore", "", true},
 		{"// gblint:ignore x", "ignore", "x", true},
 		{"//gblint:ignorefoo", "ignore", "", false},
-		{"//gblint:hotpath", "hotpath", "", true},
+		{"//gblint:spawn", "spawn", "", true},
 		{"// some other comment", "ignore", "", false},
 	}
 	for _, c := range cases {
@@ -224,29 +214,6 @@ func TestDirective(t *testing.T) {
 			t.Errorf("directive(%q, %q) = (%q, %v), want (%q, %v)",
 				c.comment, c.name, rest, ok, c.rest, c.ok)
 		}
-	}
-}
-
-// TestHotRequiredMissingFunction checks the no-such-function arm of the
-// HotRequired rule: a required name that exists nowhere in the scope is a
-// finding (at no position — there is no declaration to point at), so the
-// table cannot silently rot when a hot function is renamed away.
-func TestHotRequiredMissingFunction(t *testing.T) {
-	cfg := fixtureConfig()
-	cfg.Passes = []string{PassHotpath}
-	cfg.HotRequired = append(cfg.HotRequired, HotRequiredRule{
-		Scope:  "internal/hot",
-		Funcs:  []string{"VanishedFrame"},
-		Reason: "unit test",
-	})
-	found := false
-	for _, d := range lintFixtures(t, cfg, nil) {
-		if d.Pass == PassHotpath && strings.Contains(d.Msg, "VanishedFrame not found") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no finding for a HotRequired function that does not exist")
 	}
 }
 

@@ -253,16 +253,12 @@ func InvariantI(g sim.GlobalState) bool {
 }
 
 // Observe feeds the next snapshot to all monitors.
-//
-//gblint:hotpath
 func (m *Monitors) Observe(g sim.GlobalState) { m.observe(g, m.everyone) }
 
 // observe feeds the next snapshot, which differs from the previous one at
 // most in the processes j with changed[j] set, to the monitors that can
 // tell the difference. An entry is a phase change, so the FCFS check and
 // the phases it keeps need a look only when some process changed.
-//
-//gblint:hotpath
 func (m *Monitors) observe(g sim.GlobalState, changed []bool) {
 	before := len(m.suite.Violations())
 	m.suite.ObserveChanged(g, changed)
@@ -338,8 +334,6 @@ type cadence struct {
 }
 
 // due reports whether the event just processed is observed.
-//
-//gblint:hotpath
 func (c *cadence) due(s *sim.Sim) bool {
 	mt := s.Metrics()
 	activity := mt.Delivered + mt.Requests + mt.Releases +
@@ -503,7 +497,6 @@ func (mt *monotoneTS) Name() string { return mt.name }
 func (mt *monotoneTS) Pending() int { return 0 }
 func (mt *monotoneTS) Repeat(int)   {} // the same ts again is no regression
 
-//gblint:hotpath
 func (mt *monotoneTS) Observe(g sim.GlobalState) *spec.Violation {
 	cur := &g.Nodes[mt.j]
 	prevTS, prevHas, first := mt.lastTS, mt.lastHasTS, !mt.have
@@ -512,7 +505,6 @@ func (mt *monotoneTS) Observe(g sim.GlobalState) *spec.Violation {
 		return nil
 	}
 	if cur.TS.Less(prevTS) {
-		//gblint:ignore hotpath violation path is cold; formatting only on failure
 		return &spec.Violation{Op: "timestamp", Detail: fmt.Sprintf(
 			"%s: ts regressed from %s to %s", mt.name, prevTS, cur.TS)}
 	}
@@ -534,7 +526,6 @@ func (sr *stableREQ) Name() string { return sr.name }
 func (sr *stableREQ) Pending() int { return 0 }
 func (sr *stableREQ) Repeat(int)   {} // the same REQ again is no change
 
-//gblint:hotpath
 func (sr *stableREQ) Observe(g sim.GlobalState) *spec.Violation {
 	cur := &g.Nodes[sr.j]
 	prevPhase, prevREQ, first := sr.lastPhase, sr.lastREQ, !sr.have
@@ -543,7 +534,6 @@ func (sr *stableREQ) Observe(g sim.GlobalState) *spec.Violation {
 		return nil
 	}
 	if prevPhase == tme.Hungry && cur.Phase == tme.Hungry && prevREQ != cur.REQ {
-		//gblint:ignore hotpath violation path is cold; formatting only on failure
 		return &spec.Violation{Op: "request", Detail: fmt.Sprintf(
 			"%s: REQ changed from %s to %s while hungry", sr.name, prevREQ, cur.REQ)}
 	}

@@ -40,8 +40,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//gblint:hotpath
 func (c *Counter) Inc() {
 	if c == nil {
 		return
@@ -50,8 +48,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds d (negative deltas are ignored: counters are monotone).
-//
-//gblint:hotpath
 func (c *Counter) Add(d int64) {
 	if c == nil || d < 0 {
 		return
@@ -84,8 +80,6 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//gblint:hotpath
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -94,8 +88,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // SetMax stores v only if it exceeds the current value.
-//
-//gblint:hotpath
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return
@@ -109,8 +101,6 @@ func (g *Gauge) SetMax(v int64) {
 }
 
 // Add adds d to the current value.
-//
-//gblint:hotpath
 func (g *Gauge) Add(d int64) {
 	if g == nil {
 		return
@@ -147,8 +137,6 @@ type Histogram struct {
 }
 
 // Observe records v into its bucket.
-//
-//gblint:hotpath
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return

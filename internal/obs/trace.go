@@ -114,8 +114,6 @@ func NewTrace(capacity int, onEvent func(Event)) *Trace {
 }
 
 // Emit records e.
-//
-//gblint:hotpath
 func (t *Trace) Emit(e Event) {
 	if t == nil {
 		return

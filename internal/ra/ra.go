@@ -107,8 +107,6 @@ func (nd *Node) RequestCS() []tme.Message {
 // ReleaseCS performs the "Release CS" action: when eating, send the deferred
 // replies, clear the received flags, reset REQ_j to the most current event's
 // timestamp, and return to thinking. It is a no-op in any other phase.
-//
-//gblint:hotpath
 func (nd *Node) ReleaseCS() []tme.Message {
 	if nd.phase != tme.Eating {
 		return nil
@@ -139,8 +137,6 @@ func (nd *Node) ReleaseCS() []tme.Message {
 // is what keeps the receive path allocation-free. Unknown kinds and
 // out-of-range senders are dropped (they can only arise from
 // message-corruption faults).
-//
-//gblint:hotpath
 func (nd *Node) Deliver(m tme.Message) []tme.Message {
 	k := m.From
 	if k < 0 || k >= nd.n || k == nd.id {
@@ -162,8 +158,6 @@ func (nd *Node) Deliver(m tme.Message) []tme.Message {
 }
 
 // receiveRequest is the paper's receive-request action.
-//
-//gblint:hotpath
 func (nd *Node) receiveRequest(k int, ts ltime.Timestamp) []tme.Message {
 	nd.clock.Observe(ts)
 	nd.received[k] = true
@@ -197,8 +191,6 @@ func (nd *Node) receiveReply(k int, ts ltime.Timestamp) {
 // Step attempts the "Grant CS" internal action (CS Entry Spec): a hungry
 // process whose request precedes every local copy enters the critical
 // section.
-//
-//gblint:hotpath
 func (nd *Node) Step() (entered bool, msgs []tme.Message) {
 	if nd.phase != tme.Hungry {
 		return false, nil

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/graybox-stabilization/graybox/internal/obs"
 )
 
 func eagerFactory(hold int) func(id, n int) Node {
@@ -286,6 +288,24 @@ func TestSimDeterminism(t *testing.T) {
 	a2, r2 := run()
 	if a1 != a2 || r1 != r2 {
 		t.Errorf("same seed diverged: (%d,%d) vs (%d,%d)", a1, r1, a2, r2)
+	}
+}
+
+// TestTickAllocatesNothing: one simulator tick of a circulating ring
+// (token deliveries, node forwarding, the regenerator's look, dead-token
+// accounting) allocates nothing, with and without observability.
+func TestTickAllocatesNothing(t *testing.T) {
+	for _, o := range []*obs.Obs{nil, obs.New(obs.Options{TraceCapacity: 64})} {
+		s := NewSim(SimConfig{N: 5, Seed: 3, NewNode: eagerFactory(2), WrapperDelta: 25, Obs: o})
+		s.Run(20)
+		before := totalAccepts(s.Metrics())
+		allocs := testing.AllocsPerRun(100, s.Tick)
+		if allocs != 0 {
+			t.Errorf("obs=%v: a tick allocates %.2f times, want 0", o != nil, allocs)
+		}
+		if totalAccepts(s.Metrics()) == before {
+			t.Fatalf("obs=%v: the token did not circulate over 101 ticks", o != nil)
+		}
 	}
 }
 

@@ -153,8 +153,6 @@ func (s *Sim) Metrics() *Metrics { return &s.metrics }
 func (s *Sim) Wrapper() *Regenerator { return s.wrapper }
 
 // send puts a token on link i with a sampled delay.
-//
-//gblint:hotpath
 func (s *Sim) send(i int, t Token) {
 	dst := (i + 1) % s.cfg.N
 	s.mesh.Send(i, dst, t)
@@ -165,8 +163,6 @@ func (s *Sim) send(i int, t Token) {
 }
 
 // deliver pops the head of link src→dst into node dst.
-//
-//gblint:hotpath
 func (s *Sim) deliver(src, dst int) {
 	t, ok := s.mesh.Recv(channel.Endpoint{Src: src, Dst: dst})
 	if !ok {
@@ -190,8 +186,6 @@ func (s *Sim) deliver(src, dst int) {
 // tick runs the per-tick machinery: node forwarding in index order, the
 // wrapper at process 0, dead-tick accounting, and the observer. It re-arms
 // the next tick last, so deliveries at t+1 outrank it in seq order.
-//
-//gblint:hotpath
 func (s *Sim) tick() {
 	now := s.Now()
 	for i, nd := range s.nodes {
@@ -225,8 +219,6 @@ func (s *Sim) tick() {
 }
 
 // dispatch executes one engine event record.
-//
-//gblint:hotpath
 func (s *Sim) dispatch(ev *engine.Event) {
 	switch ev.Kind {
 	case kindDeliver:

@@ -439,8 +439,6 @@ func (c *Cluster) PhaseShard(shard, id int) tme.Phase {
 // an earlier move costs one extra look and a move is never missed. No
 // timer, no goroutine, no allocation. One waiter per (shard, id): two
 // would take each other's tokens.
-//
-//gblint:hotpath
 func (c *Cluster) AwaitPhaseChangeShard(stop <-chan struct{}, shard, id int, from tme.Phase) (tme.Phase, bool) {
 	p := c.procAt(shard, id)
 	if p == nil {

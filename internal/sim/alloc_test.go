@@ -1,0 +1,55 @@
+package sim
+
+import (
+	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/wrapper"
+)
+
+// csCycleAllocs measures one full CS cycle of process 0 on a 5-process RA
+// system built from cfg: request, four REQ deliveries, four replies, entry,
+// release.
+func csCycleAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	s := New(cfg)
+	s.Run(1)
+	cycle := func() {
+		s.Request(0)
+		s.Core().Run(s.Now() + 20)
+		s.Release(0)
+		s.Core().Run(s.Now() + 20)
+	}
+	cycle() // grow the channel and event buffers once
+	allocs := testing.AllocsPerRun(100, cycle)
+	if got := len(s.Metrics().Entries); got != 102 { // warm-up + AllocsPerRun's own + 100
+		t.Fatalf("%d entries over 102 cycles", got)
+	}
+	return allocs
+}
+
+// TestInstrumentedCycleAllocatesLikeBare: observability, a level-2 wrapper
+// ticking every step and a level-1 wrapper add no allocation to a CS
+// cycle. The bare cycle's one allocation is ra.RequestCS's fan-out slice.
+// The Timed wrapper's δ exceeds the run, so W never fires: a firing W adds
+// its one sized slice by design.
+func TestInstrumentedCycleAllocatesLikeBare(t *testing.T) {
+	bare := csCycleAllocs(t, Config{N: 5, Seed: 1, NewNode: raFactory})
+	o := obs.New(obs.Options{TraceCapacity: 256})
+	full := csCycleAllocs(t, Config{
+		N: 5, Seed: 1, NewNode: raFactory, Obs: o,
+		NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed(1 << 20) },
+		Level1:     wrapper.PhaseGuard{},
+	})
+	if bare != 1 {
+		t.Errorf("a bare CS cycle allocates %.0f times, want 1 (ra.RequestCS's slice)", bare)
+	}
+	if full != bare {
+		t.Errorf("a CS cycle allocates %.0f times instrumented and wrapped, %.0f bare", full, bare)
+	}
+	snap := o.Registry().Snapshot()
+	if snap.Counter("wrapper_evals_total") == 0 || snap.Counter("wrapper_fires_total") != 0 {
+		t.Fatalf("wrapper evals=%d fires=%d: want ticks evaluated and none fired",
+			snap.Counter("wrapper_evals_total"), snap.Counter("wrapper_fires_total"))
+	}
+}

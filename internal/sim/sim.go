@@ -441,8 +441,6 @@ func (s *Sim) At(t int64, fn func(s *Sim)) {
 
 // send routes msgs into the network, scheduling deliveries. fromWrapper
 // attributes the messages in the metrics.
-//
-//gblint:hotpath
 func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 	for _, m := range msgs {
 		if m.From < 0 || m.From >= s.cfg.N || m.To < 0 || m.To >= s.cfg.N || m.From == m.To {
@@ -466,15 +464,11 @@ func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 // ScheduleDelivery schedules one head-of-channel delivery on ep after the
 // given delay. The fault injector calls this when it duplicates a message,
 // so the extra copy has a delivery opportunity.
-//
-//gblint:hotpath
 func (s *Sim) ScheduleDelivery(ep channel.Endpoint, delay int64) {
 	s.mesh.ScheduleDelivery(ep, delay)
 }
 
 // deliver pops the channel head (if any) into the destination node.
-//
-//gblint:hotpath
 func (s *Sim) deliver(ep channel.Endpoint) {
 	m, ok := s.mesh.Recv(ep)
 	if !ok {
@@ -491,8 +485,6 @@ func (s *Sim) deliver(ep channel.Endpoint) {
 
 // afterEventAt runs the internal step (CS entry) and level-1 wrapper of
 // node i after an event touched it.
-//
-//gblint:hotpath
 func (s *Sim) afterEventAt(i int) {
 	s.runLevel1(i)
 	if entered, msgs := s.nodes[i].Step(); entered {
@@ -529,8 +521,6 @@ func (s *Sim) afterEventAt(i int) {
 // actions and deadlines, and the wrapper ticks — because a corrupted
 // process that receives no messages still must repair itself (the level-1
 // wrapper is a local program, not a message handler).
-//
-//gblint:hotpath
 func (s *Sim) runLevel1(i int) {
 	if s.cfg.Level1 != nil {
 		if repaired, _ := s.cfg.Level1.CheckRepair(s.nodes[i]); repaired {
@@ -559,8 +549,6 @@ func (uniformClient) Cohort() string         { return "uniform" }
 // every event that can write the node: a delivery, a wrapper tick with its
 // level-1 repair, a request, a release, a fault closure, and the client's
 // own deadlines.
-//
-//gblint:hotpath
 func (s *Sim) look(i int) {
 	if s.drivers == nil || s.manual[i] {
 		return
@@ -587,8 +575,6 @@ func (s *Sim) look(i int) {
 }
 
 // doRequest performs the client "Request CS" action at node i if thinking.
-//
-//gblint:hotpath
 func (s *Sim) doRequest(i int) {
 	if s.nodes[i].Phase() != tme.Thinking {
 		return
@@ -603,8 +589,6 @@ func (s *Sim) doRequest(i int) {
 }
 
 // release performs the client "Release CS" action at node i.
-//
-//gblint:hotpath
 func (s *Sim) release(i int) {
 	if s.onRelease != nil {
 		s.onRelease(i, s.core.Now())
@@ -626,8 +610,6 @@ func (s *Sim) Request(i int) { s.core.Schedule(0, evRequest, int32(i), 0) }
 func (s *Sim) Release(i int) { s.core.Schedule(0, evRelease, int32(i), 0) }
 
 // wrapperTick fires node i's level-2 wrapper and re-arms the timer.
-//
-//gblint:hotpath
 func (s *Sim) wrapperTick(i int) {
 	s.runLevel1(i)
 	msgs := s.wrappers[i].Fire(s.core.Now(), s.nodes[i])
@@ -637,8 +619,6 @@ func (s *Sim) wrapperTick(i int) {
 
 // dispatch executes one engine event record, then lets the client of every
 // node the event could have written look at it.
-//
-//gblint:hotpath
 func (s *Sim) dispatch(ev *engine.Event) {
 	switch ev.Kind {
 	case evDeliver:
@@ -669,8 +649,6 @@ func (s *Sim) dispatch(ev *engine.Event) {
 }
 
 // afterEvent is the engine's per-event hook: metrics and the observer.
-//
-//gblint:hotpath
 func (s *Sim) afterEvent() {
 	s.metrics.Events++
 	if s.observer != nil {
@@ -680,8 +658,6 @@ func (s *Sim) afterEvent() {
 
 // Run processes events until the queue drains, time exceeds horizon, or
 // Stop is called. It returns the number of events processed in this call.
-//
-//gblint:hotpath
 func (s *Sim) Run(horizon int64) int64 {
 	// State may have been mutated directly between Run calls (tests poke
 	// channels and nodes through Net and Node); invalidate snapshots once.
@@ -728,8 +704,6 @@ func (s *Sim) Snapshot() GlobalState {
 // SnapshotInto fills g with the current global state, reusing g's slices.
 // Observers that snapshot on every event use SnapshotDeltaInto instead,
 // which skips the unchanged parts.
-//
-//gblint:hotpath
 func (s *Sim) SnapshotInto(g *GlobalState) {
 	g.Time = s.core.Now()
 	if cap(g.Nodes) < s.cfg.N {
@@ -764,8 +738,6 @@ type SnapVersions struct {
 // is overwritten by the next call). After an At-closure ran (fault
 // injection), everything is conservatively treated as changed. Time and
 // Nodes equal what SnapshotInto produces; InFlight is left empty.
-//
-//gblint:hotpath
 func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) (changed []bool) {
 	g.Time = s.core.Now()
 	g.InFlight = g.InFlight[:0]

@@ -43,8 +43,6 @@ func (m *unlessMonitor[S]) Name() string { return m.name }
 func (m *unlessMonitor[S]) Pending() int { return 0 }
 
 // Observe feeds the next state.
-//
-//gblint:hotpath
 func (m *unlessMonitor[S]) Observe(s S) *Violation {
 	idx := m.idx
 	m.idx++
@@ -64,8 +62,6 @@ func (m *unlessMonitor[S]) Observe(s S) *Violation {
 
 // Repeat: p ∧ ¬q held or it did not; either way the same state again breaks
 // nothing and leaves prevPnQ as it is.
-//
-//gblint:hotpath
 func (m *unlessMonitor[S]) Repeat(k int) { m.idx += k }
 
 // NewStable returns an online monitor for stable(p).
@@ -92,8 +88,6 @@ func (m *invariantMonitor[S]) Name() string { return m.name }
 func (m *invariantMonitor[S]) Pending() int { return 0 }
 
 // Observe feeds the next state.
-//
-//gblint:hotpath
 func (m *invariantMonitor[S]) Observe(s S) *Violation {
 	idx := m.idx
 	m.idx++
@@ -104,8 +98,6 @@ func (m *invariantMonitor[S]) Observe(s S) *Violation {
 }
 
 // Repeat: p held at the last state and holds at its repeats.
-//
-//gblint:hotpath
 func (m *invariantMonitor[S]) Repeat(k int) { m.idx += k }
 
 // leadsToMonitor checks p ↦ q online. A violation can only be detected at
@@ -155,8 +147,6 @@ func (l *LeadsToMonitor[S]) OpenSince() int { return l.m.openSince }
 
 // Observe feeds the next state. It never returns a violation (leads-to can
 // only fail at infinity); use Finish at end of trace.
-//
-//gblint:hotpath
 func (l *LeadsToMonitor[S]) Observe(s S) *Violation {
 	m := &l.m
 	idx := m.idx
@@ -185,8 +175,6 @@ func (l *LeadsToMonitor[S]) Observe(s S) *Violation {
 
 // Repeat: if q held there is nothing left to discharge; if p ∧ ¬q stands,
 // each repeat is one more unmet p-position (openSince was set at the first).
-//
-//gblint:hotpath
 func (l *LeadsToMonitor[S]) Repeat(k int) {
 	l.m.idx += k
 	if l.m.standing {
@@ -245,8 +233,6 @@ type scoped[S any] struct {
 }
 
 // catchUp accounts for the observations up to position to that e skipped.
-//
-//gblint:hotpath
 func (e *scoped[S]) catchUp(to int) {
 	if k := to - e.seen; k > 0 {
 		e.m.Repeat(k)
@@ -304,8 +290,6 @@ func (su *Suite[S]) index() {
 }
 
 // Observe feeds s to every monitor, collecting violations.
-//
-//gblint:hotpath
 func (su *Suite[S]) Observe(s S) { su.observe(s, nil, true) }
 
 // ObserveChanged feeds s, the previous state except in the parts j with
@@ -314,11 +298,8 @@ func (su *Suite[S]) Observe(s S) { su.observe(s, nil, true) }
 // was a violation, in registration order. Marking an unchanged part is
 // safe; leaving a changed one unmarked hides it from its monitors. The
 // first observation is fed to every monitor regardless.
-//
-//gblint:hotpath
 func (su *Suite[S]) ObserveChanged(s S, changed []bool) { su.observe(s, changed, false) }
 
-//gblint:hotpath
 func (su *Suite[S]) observe(s S, changed []bool, all bool) {
 	now := su.obs
 	su.obs++

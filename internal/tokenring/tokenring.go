@@ -87,6 +87,28 @@ func (r *Ring) PrivilegedSet() []int {
 	return out
 }
 
+// pickPrivileged is the central daemon's choice: a privileged machine
+// chosen uniformly by one rng.Intn(count) draw, the same draw
+// PrivilegedSet()[rng.Intn(len)] makes, without building the set. At least
+// one machine is always privileged (if all x equal, machine 0 is).
+func (r *Ring) pickPrivileged(rng Rand) int {
+	count := 0
+	for i := 0; i < r.n; i++ {
+		if r.Privileged(i) {
+			count++
+		}
+	}
+	k := rng.Intn(count)
+	for i := 0; ; i++ {
+		if r.Privileged(i) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+}
+
 // Legitimate reports whether exactly one machine is privileged — the
 // system's invariant, equivalent to mutual exclusion on the token.
 func (r *Ring) Legitimate() bool {
@@ -148,10 +170,7 @@ func (r *Ring) Converge(rng Rand, limit int) (moves int, converged bool) {
 		if r.Legitimate() {
 			return moves, true
 		}
-		priv := r.PrivilegedSet()
-		// At least one machine is always privileged (if all x equal,
-		// machine 0 is); pick one at random — the central daemon.
-		r.Step(priv[rng.Intn(len(priv))])
+		r.Step(r.pickPrivileged(rng))
 	}
 	return moves, r.Legitimate()
 }

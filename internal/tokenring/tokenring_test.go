@@ -31,6 +31,23 @@ func TestInitialStateIsLegitimate(t *testing.T) {
 	}
 }
 
+// TestPickPrivilegedMatchesSetDraw: the daemon's pick equals the draw it
+// replaced, PrivilegedSet()[rng.Intn(len)], from the same rng state, so
+// every E10/E14 run moves the same machines.
+func TestPickPrivilegedMatchesSetDraw(t *testing.T) {
+	corrupt := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		r := New(2+trial%9, 3+trial%7)
+		r.Corrupt(corrupt)
+		seed := int64(trial)
+		priv := r.PrivilegedSet()
+		want := priv[rand.New(rand.NewSource(seed)).Intn(len(priv))]
+		if got := r.pickPrivileged(rand.New(rand.NewSource(seed))); got != want {
+			t.Fatalf("ring %s: pickPrivileged = %d, PrivilegedSet draw = %d", r, got, want)
+		}
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	r := New(3, 4)
 	if r.N() != 3 || r.K() != 4 {

@@ -67,8 +67,6 @@ var (
 // the wire shape (kind outside a byte, ids outside int32) — the codec
 // deliberately accepts invalid-but-encodable values, since the fault model
 // forges them on purpose.
-//
-//gblint:hotpath
 func AppendFrame(dst []byte, m tme.Message) ([]byte, error) {
 	if m.Kind < 0 || m.Kind > math.MaxUint8 {
 		return dst, errKindRange(m.Kind)
@@ -95,8 +93,6 @@ func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
 // DecodePayload decodes one payload (the bytes after the length prefix).
 // Malformed input returns an error; no input panics.
-//
-//gblint:hotpath
 func DecodePayload(p []byte) (tme.Message, error) {
 	if len(p) < 1 {
 		return tme.Message{}, errBadLengthBytes(0)
@@ -165,8 +161,6 @@ func NewReader(r io.Reader) *Reader {
 // still diagnosed from whatever arrived: a complete length prefix
 // claiming more than MaxPayload reports ErrPayloadTooLarge even when the
 // rest of the frame never showed up.
-//
-//gblint:hotpath
 func (r *Reader) ReadMessage() (tme.Message, error) {
 	buf := r.buf[:FrameSize]
 	n, err := io.ReadFull(r.r, buf)
@@ -188,9 +182,9 @@ func (r *Reader) ReadMessage() (tme.Message, error) {
 	return DecodePayload(buf[lenPrefixSize:])
 }
 
-// Error constructors live outside the hotpath-marked codec bodies: the
-// lint pass bans fmt in hot functions, and on the fast path none of these
-// run — the allocation happens only on the (connection-fatal) error arm.
+// Error constructors live outside the codec bodies: on the fast path none
+// of these run — the allocation happens only on the (connection-fatal)
+// error arm, and TestCodecAllocatesNothing holds the fast path to zero.
 
 func errKindRange(k tme.Kind) error {
 	return fmt.Errorf("%w: kind %d", ErrFieldRange, k)

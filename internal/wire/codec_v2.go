@@ -94,8 +94,6 @@ func NewV2Encoder() *V2Encoder { return &V2Encoder{} }
 // AppendFrame appends one v2 frame for m to dst. The field-range rules
 // match v1 (kind in a byte, ids in int32); on error no state is mutated
 // and nothing is appended, so a dropped message cannot desync the stream.
-//
-//gblint:hotpath
 func (e *V2Encoder) AppendFrame(dst []byte, m tme.Message) ([]byte, error) {
 	if m.Kind < 0 || m.Kind > math.MaxUint8 {
 		return dst, errKindRange(m.Kind)
@@ -117,7 +115,6 @@ func (e *V2Encoder) AppendFrame(dst []byte, m tme.Message) ([]byte, error) {
 	return dst, nil
 }
 
-//gblint:hotpath
 func (e *V2Encoder) appendID(dst []byte, v int32) []byte {
 	if slot, ok := e.ids.lookup(v); ok {
 		return binary.AppendUvarint(dst, uint64(slot)<<1)
@@ -157,8 +154,6 @@ func NewV2Reader(r io.Reader) *V2Reader {
 // (overlong varints, ids outside int32, references to unpopulated intern
 // slots) returns an error and never panics; framing is lost, so callers
 // must drop the connection.
-//
-//gblint:hotpath
 func (r *V2Reader) ReadMessage() (tme.Message, error) {
 	kind, err := r.r.ReadByte()
 	if err != nil {
@@ -195,7 +190,6 @@ func (r *V2Reader) ReadMessage() (tme.Message, error) {
 	}, nil
 }
 
-//gblint:hotpath
 func (r *V2Reader) readID() (int32, error) {
 	tag, err := binary.ReadUvarint(r.r)
 	if err != nil {

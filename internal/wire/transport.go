@@ -463,8 +463,6 @@ func (t *Transport) sender(e *outEdge) {
 // nothing was appended beyond the already-encoded prefix and the caller
 // must treat the connection as poisoned (cannot happen today: both codecs
 // only fail per message).
-//
-//gblint:hotpath
 func (t *Transport) encodeBatch(dst []byte, batch []tme.Message, enc *V2Encoder) ([]byte, []tme.Message, error) {
 	kept := batch[:0]
 	for _, m := range batch {
@@ -525,7 +523,6 @@ func newMsgQueue() *msgQueue {
 	return &msgQueue{signal: make(chan struct{}, 1)}
 }
 
-//gblint:hotpath
 func (q *msgQueue) put(m tme.Message) {
 	q.mu.Lock()
 	if q.n == len(q.buf) {
@@ -557,8 +554,6 @@ func (q *msgQueue) grow() {
 
 // get pops one message, blocking until an item is available or stop
 // closes. Pops are O(1): the head index advances, nothing shifts.
-//
-//gblint:hotpath
 func (q *msgQueue) get(stop <-chan struct{}) (tme.Message, bool) {
 	for {
 		q.mu.Lock()
@@ -580,8 +575,6 @@ func (q *msgQueue) get(stop <-chan struct{}) (tme.Message, bool) {
 
 // drain appends every queued message to dst in FIFO order under one lock
 // acquisition, blocking until at least one is available or stop closes.
-//
-//gblint:hotpath
 func (q *msgQueue) drain(stop <-chan struct{}, dst []tme.Message) ([]tme.Message, bool) {
 	for {
 		q.mu.Lock()

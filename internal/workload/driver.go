@@ -100,8 +100,6 @@ func (d *Driver) Wake() int64 {
 // Shard(). It is total over (state, phase): substrates may step it
 // whenever something could have written the process, not only at its
 // deadlines.
-//
-//gblint:hotpath
 func (d *Driver) Step(now int64, ph tme.Phase) Action {
 	switch d.state {
 	case drvHolding:

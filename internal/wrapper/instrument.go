@@ -63,8 +63,6 @@ func (t *Timed) TimeoutDelta() int64 { return t.Delta }
 var _ Level2 = (*Instrumented)(nil)
 
 // Fire evaluates the inner wrapper and publishes the outcome.
-//
-//gblint:hotpath
 func (w *Instrumented) Fire(now int64, v tme.SpecView) []tme.Message {
 	msgs := w.Inner.Fire(now, v)
 	w.Evals.Inc()
@@ -87,8 +85,8 @@ func (w *Instrumented) Fire(now int64, v tme.SpecView) []tme.Message {
 }
 
 // noteFire tracks consecutive firing windows for the storm guard. Kept out
-// of the hotpath-marked Fire body: it only runs on actual firings, and the
-// one-time warning path may format.
+// of the Fire body: it only runs on actual firings, and the one-time
+// warning path may format.
 func (w *Instrumented) noteFire(now int64) {
 	if w.streak > 0 && now-w.lastFire <= w.Delta {
 		w.streak++

@@ -60,6 +60,25 @@ func TestWClosedWhenNotHungry(t *testing.T) {
 	}
 }
 
+// TestWAllocatesOncePerFiring pins W's cost: one slice, sized for the
+// worst case, when the guard opens, and nothing when it stays closed.
+func TestWAllocatesOncePerFiring(t *testing.T) {
+	open := hungryView()
+	closed := hungryView()
+	closed.local[0] = ltime.Timestamp{Clock: 7, PID: 0} // every copy later than REQ
+	thinking := hungryView()
+	thinking.phase = tme.Thinking
+	for _, c := range []struct {
+		name string
+		v    *view
+		want float64
+	}{{"open", open, 1}, {"closed", closed, 0}, {"thinking", thinking, 0}} {
+		if got := testing.AllocsPerRun(100, func() { W(c.v) }); got != c.want {
+			t.Errorf("%s guard: W allocates %.0f times, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
 func TestWAllStaleSendsToAll(t *testing.T) {
 	v := hungryView()
 	v.local[2] = ltime.Zero
