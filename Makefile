@@ -11,10 +11,10 @@ build:
 	$(GO) build ./...
 
 # Static analysis: gofmt (any file it lists fails), go vet, and the repo's
-# own analyzer (layering, determinism, obs discipline, guardedby/atomic
-# discipline, kind-switch exhaustiveness, and spawn lifecycle — see
-# DESIGN.md "Static guarantees"). Allocation discipline is held by the
-# testing.AllocsPerRun tests that `make test` runs.
+# own analyzer (layering, determinism and kind-switch exhaustiveness — see
+# DESIGN.md "Static guarantees"). Allocation, lock and goroutine-lifetime
+# discipline are held by tests: testing.AllocsPerRun, `make test-race` and
+# the goroutine-count checks.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -30,12 +30,14 @@ race:
 # wire layer's sockets and chaos proxy, the observability instruments they
 # publish to, the hierarchical monitor, whose mutex is for substrates that
 # run clients on their own goroutines (the sharded simulator is one
-# goroutine), the harness's parallel sweep, which must equal a sequential
-# sweep bit-for-bit, and the live driver: RunLive, the workload.Driver
-# adapter it shares with gbnode, which blocks on the runtime's phase-change
-# wait, and the cross-substrate fault-row test of that Driver).
+# goroutine), the gbnode process with its client loops, the harness's
+# parallel sweep, which must equal a sequential sweep bit-for-bit, and the
+# live driver: RunLive, the workload.Driver adapter it shares with gbnode,
+# which blocks on the runtime's phase-change wait, and the cross-substrate
+# fault-row test of that Driver). This is the net for every mutex-guarded
+# field (DESIGN.md §6 lists the plant that proves each one).
 test-race:
-	$(GO) test -race ./internal/runtime/... ./internal/wire/... ./internal/obs/... ./internal/hme/...
+	$(GO) test -race ./internal/runtime/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/
 	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded

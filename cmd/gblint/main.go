@@ -1,18 +1,15 @@
 // Command gblint is the repository's graybox-aware static analyzer. It
-// enforces the conventions the codebase's correctness arguments lean on:
-// the graybox layering rule (wrappers and specs never import protocol
-// internals), the simulator's determinism contract, observability API
-// discipline, mutex/atomic discipline on //gblint:guardedby fields,
-// exhaustive dispatch over //gblint:kindset const blocks, and goroutine
-// lifecycle (every spawn needs a visible stop path or a //gblint:spawn
-// reason). See internal/lint for the passes and DESIGN.md "Static
-// guarantees" for the architecture they encode. Allocation discipline is
-// not a lint pass: testing.AllocsPerRun tests hold the hot paths to their
-// counts (DESIGN.md §6.3).
+// enforces the conventions no test reaches: the graybox layering rule
+// (wrappers and specs never import protocol internals), the simulator's
+// determinism contract, and exhaustive dispatch over //gblint:kindset const
+// blocks. See internal/lint for the passes and DESIGN.md "Static
+// guarantees" for the architecture they encode and the audit that decided
+// which checks are a lint pass and which a test (allocations, locking,
+// goroutine lifetimes and nil-receiver instruments are tests).
 //
 // Usage:
 //
-//	gblint [-pass layering,determinism,obs,guardedby,exhaustive,spawn] [-json] [packages]
+//	gblint [-pass layering,determinism,exhaustive] [-json] [packages]
 //
 // Packages default to ./... and use the go tool's pattern syntax. The
 // exit status is 1 when any finding is reported. -json renders the
@@ -40,7 +37,7 @@ func main() {
 func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("gblint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	passes := fs.String("pass", "", "comma-separated pass subset (default: all of layering,determinism,obs,guardedby,exhaustive,spawn)")
+	passes := fs.String("pass", "", "comma-separated pass subset (default: all of layering,determinism,exhaustive)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout (empty array when clean)")
 	if err := fs.Parse(args); err != nil {
 		return 2

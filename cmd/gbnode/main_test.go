@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -80,9 +81,11 @@ func TestRunSingleNode(t *testing.T) {
 }
 
 // Three gbnode processes (in-process here, one OS process each in real
-// use) form a cluster over real sockets and all make progress.
+// use) form a cluster over real sockets and all make progress, and once
+// stopped leave no goroutine behind (client loops included).
 func TestThreeNodeCluster(t *testing.T) {
 	const n = 3
+	base := runtime.NumGoroutine()
 	// Stage 1: bind every node on an ephemeral port with peers unknown —
 	// the transports queue outbound traffic until SetPeers.
 	nodes := make([]*Node, n)
@@ -114,6 +117,11 @@ func TestThreeNodeCluster(t *testing.T) {
 		go func() { defer wg.Done(); nd.Stop() }()
 	}
 	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after Stop", base, runtime.NumGoroutine())
+		}
+	}
 	for i, nd := range nodes {
 		var buf bytes.Buffer
 		if err := nd.WriteSnapshot(&buf); err != nil {

@@ -160,7 +160,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.NewCluster
 
 // NewInjector returns a seeded fault injector.
 func NewInjector(seed int64, mix FaultMix) *Injector {
-	return fault.NewInjector(seed, mix, fault.Options{})
+	return fault.NewInjector(seed, mix)
 }
 
 // NewMonitors returns Lspec/TME_Spec monitors for an n-process system.

@@ -113,29 +113,13 @@ func (m Mix) Pick(rng *rand.Rand) Kind {
 	}
 }
 
-// Options tune the injector.
-type Options struct {
-	// AllowInvalidPhase lets StateCorrupt set phases outside {t,h,e},
-	// breaking Structural Spec. Off by default: the paper's Lspec
-	// implementations maintain structure, and repairing sub-Lspec damage
-	// is the (extension) job of level-1 wrappers.
-	AllowInvalidPhase bool
-	// MaxClock bounds forged timestamp clocks. Default 64.
-	MaxClock uint64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxClock == 0 {
-		o.MaxClock = 64
-	}
-	return o
-}
+// maxClock bounds forged timestamp clocks.
+const maxClock = 64
 
 // Injector applies faults to a simulation. Construct with NewInjector.
 type Injector struct {
 	rng   *rand.Rand
 	mix   Mix
-	opts  Options
 	count int
 
 	// obs instruments, bound lazily to the first simulation seen (nil
@@ -172,8 +156,8 @@ func (in *Injector) bind(s Surface) {
 }
 
 // NewInjector returns an injector drawing from the given seed and mix.
-func NewInjector(seed int64, mix Mix, opts Options) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), mix: mix, opts: opts.withDefaults()}
+func NewInjector(seed int64, mix Mix) *Injector {
+	return &Injector{rng: rand.New(rand.NewSource(seed)), mix: mix}
 }
 
 // Count returns how many faults have been applied so far.
@@ -288,7 +272,7 @@ func (in *Injector) corrupt(s Surface) {
 	ts.MutateInFlight(ep, i, func(m *tme.Message) {
 		switch in.rng.Intn(3) {
 		case 0:
-			m.TS = in.randomTS(in.rng.Intn(s.N()))
+			m.TS = randomTS(in.rng, in.rng.Intn(s.N()))
 		case 1:
 			m.Kind = tme.Kind(in.rng.Intn(4)) // may be invalid: receivers drop it
 		case 2:
@@ -319,41 +303,37 @@ func (in *Injector) flush(s Surface) {
 	s.FaultFlush(ep)
 }
 
-func (in *Injector) randomTS(pid int) ltime.Timestamp {
-	return ltime.Timestamp{Clock: uint64(in.rng.Int63n(int64(in.opts.MaxClock))), PID: pid}
+func randomTS(rng *rand.Rand, pid int) ltime.Timestamp {
+	return ltime.Timestamp{Clock: uint64(rng.Int63n(maxClock)), PID: pid}
 }
 
 // RandomCorruption builds an arbitrary transient state corruption for
 // process id of n, drawn from the injector's source.
 func (in *Injector) RandomCorruption(id, n int) tme.Corruption {
-	return RandomCorruptionFrom(in.rng, id, n, in.opts)
+	return RandomCorruptionFrom(in.rng, id, n)
 }
 
 // RandomCorruptionFrom builds an arbitrary transient state corruption for
 // process id of n from an explicit source — for callers (the live chaos
-// proxy's perturb hook) that corrupt node state outside an Injector.
-func RandomCorruptionFrom(rng *rand.Rand, id, n int, opts Options) tme.Corruption {
-	opts = opts.withDefaults()
-	randomTS := func(pid int) ltime.Timestamp {
-		return ltime.Timestamp{Clock: uint64(rng.Int63n(int64(opts.MaxClock))), PID: pid}
-	}
+// proxy's perturb hook) that corrupt node state outside an Injector. The
+// phase it forges is always one of {t,h,e}: the paper's Lspec
+// implementations maintain Structural Spec, and sub-Lspec damage (an
+// invalid phase) is built directly as tme.Corruption{Phase: ...} by the
+// level-1 experiments and tests that need it.
+func RandomCorruptionFrom(rng *rand.Rand, id, n int) tme.Corruption {
 	c := tme.Corruption{Seed: rng.Int63()}
 	if rng.Intn(2) == 0 {
-		if opts.AllowInvalidPhase && rng.Intn(4) == 0 {
-			c.Phase = tme.Phase(4 + rng.Intn(8))
-		} else {
-			c.Phase = tme.Phase(1 + rng.Intn(3))
-		}
+		c.Phase = tme.Phase(1 + rng.Intn(3))
 	}
 	if rng.Intn(2) == 0 {
-		ts := randomTS(id)
+		ts := randomTS(rng, id)
 		c.REQ = &ts
 	}
 	if rng.Intn(2) == 0 {
 		c.LocalREQ = make(map[int]ltime.Timestamp)
 		for k := 0; k < n; k++ {
 			if k != id && rng.Intn(2) == 0 {
-				c.LocalREQ[k] = randomTS(k)
+				c.LocalREQ[k] = randomTS(rng, k)
 			}
 		}
 	}
@@ -369,7 +349,7 @@ func RandomCorruptionFrom(rng *rand.Rand, id, n int, opts Options) tme.Corruptio
 		}
 	}
 	if rng.Intn(3) == 0 {
-		clk := uint64(rng.Int63n(int64(opts.MaxClock)))
+		clk := uint64(rng.Int63n(maxClock))
 		c.Clock = &clk
 	}
 	if rng.Intn(3) == 0 {
@@ -401,8 +381,8 @@ func DropAllInFlight(s Surface) {
 
 // ImproperInit corrupts every process before the run starts, modelling
 // arbitrary (improper) initialization. Call it before the first Run.
-func ImproperInit(s Surface, seed int64, opts Options) {
-	in := NewInjector(seed, Mix{State: 1}, opts)
+func ImproperInit(s Surface, seed int64) {
+	in := NewInjector(seed, Mix{State: 1})
 	in.bind(s)
 	ts, typed := s.(tmeSurface)
 	for i := 0; i < s.N(); i++ {

@@ -36,7 +36,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestMixPickRespectsZeroWeights(t *testing.T) {
-	in := NewInjector(1, Mix{Loss: 1}, Options{})
+	in := NewInjector(1, Mix{Loss: 1})
 	for i := 0; i < 100; i++ {
 		if k := in.mix.Pick(in.rng); k != MessageLoss {
 			t.Fatalf("pick = %v with loss-only mix", k)
@@ -45,7 +45,7 @@ func TestMixPickRespectsZeroWeights(t *testing.T) {
 }
 
 func TestMixPickAllZeroDefaultsUniform(t *testing.T) {
-	in := NewInjector(2, Mix{}, Options{})
+	in := NewInjector(2, Mix{})
 	seen := map[Kind]bool{}
 	for i := 0; i < 500; i++ {
 		seen[in.mix.Pick(in.rng)] = true
@@ -59,7 +59,7 @@ func TestMixPickAllZeroDefaultsUniform(t *testing.T) {
 
 func TestBurstCountsFaults(t *testing.T) {
 	s := raSim(1, false)
-	in := NewInjector(7, DefaultMix, Options{})
+	in := NewInjector(7, DefaultMix)
 	s.At(10, func(s *sim.Sim) { in.Burst(s, 5) })
 	s.Run(20)
 	if in.Count() != 5 {
@@ -69,7 +69,7 @@ func TestBurstCountsFaults(t *testing.T) {
 
 func TestScheduleInstallsBursts(t *testing.T) {
 	s := raSim(2, false)
-	in := NewInjector(8, DefaultMix, Options{})
+	in := NewInjector(8, DefaultMix)
 	in.Schedule(s, []int64{10, 20, 30}, 2)
 	s.Run(40)
 	if in.Count() != 6 {
@@ -83,7 +83,7 @@ func TestMessageFaultsOnEmptyNetworkAreNoops(t *testing.T) {
 		Seed:    3,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
 	})
-	in := NewInjector(9, Mix{Loss: 1, Dup: 1, Corrupt: 1, Flush: 1}, Options{})
+	in := NewInjector(9, Mix{Loss: 1, Dup: 1, Corrupt: 1, Flush: 1})
 	s.At(0, func(s *sim.Sim) { in.Burst(s, 20) })
 	s.Run(10)
 	// Nothing to assert beyond not panicking and channels staying empty.
@@ -111,7 +111,7 @@ func (d *drainingSurface) QueueLen(channel.Endpoint) int {
 // faults then hit nothing instead of asking the rng for an index below 0.
 func TestMessageFaultsSurviveADrainingQueue(t *testing.T) {
 	d := &drainingSurface{Sim: raSim(2, false)}
-	in := NewInjector(9, Mix{}, Options{})
+	in := NewInjector(9, Mix{})
 	for _, k := range []Kind{MessageLoss, MessageDup, MessageCorrupt} {
 		in.Apply(d, k)
 	}
@@ -120,7 +120,7 @@ func TestMessageFaultsSurviveADrainingQueue(t *testing.T) {
 func TestStateCorruptChangesSomethingEventually(t *testing.T) {
 	s := raSim(4, false)
 	before := tme.Snapshot(s.Node(0))
-	in := NewInjector(10, Mix{State: 1}, Options{})
+	in := NewInjector(10, Mix{State: 1})
 	changed := false
 	for i := 0; i < 20 && !changed; i++ {
 		in.Burst(s, 3)
@@ -136,31 +136,22 @@ func TestStateCorruptChangesSomethingEventually(t *testing.T) {
 	}
 }
 
-func TestInvalidPhaseOnlyWhenAllowed(t *testing.T) {
-	in := NewInjector(11, Mix{State: 1}, Options{})
+// TestCorruptionPhaseIsValid checks a drawn corruption never breaks
+// Structural Spec: invalid phases are built by hand where a test needs one.
+func TestCorruptionPhaseIsValid(t *testing.T) {
+	in := NewInjector(11, Mix{State: 1})
 	for i := 0; i < 300; i++ {
 		c := in.RandomCorruption(0, 3)
 		if c.Phase != 0 && !c.Phase.Valid() {
-			t.Fatal("invalid phase produced without AllowInvalidPhase")
+			t.Fatalf("drawn corruption has invalid phase %d", c.Phase)
 		}
-	}
-	in2 := NewInjector(11, Mix{State: 1}, Options{AllowInvalidPhase: true})
-	sawInvalid := false
-	for i := 0; i < 300; i++ {
-		c := in2.RandomCorruption(0, 3)
-		if c.Phase != 0 && !c.Phase.Valid() {
-			sawInvalid = true
-		}
-	}
-	if !sawInvalid {
-		t.Error("AllowInvalidPhase never produced an invalid phase")
 	}
 }
 
 func TestDeterministicInjection(t *testing.T) {
 	run := func() (int, int) {
 		s := raSim(5, true)
-		in := NewInjector(12, DefaultMix, Options{})
+		in := NewInjector(12, DefaultMix)
 		in.Schedule(s, []int64{50, 100}, 10)
 		s.Run(2000)
 		return len(s.Metrics().Entries), s.Metrics().ProgramMsgs
@@ -176,7 +167,7 @@ func TestDeterministicInjection(t *testing.T) {
 // bursts keeps making progress afterwards.
 func TestWrappedSystemSurvivesBursts(t *testing.T) {
 	s := raSim(6, true)
-	in := NewInjector(13, DefaultMix, Options{})
+	in := NewInjector(13, DefaultMix)
 	in.Schedule(s, []int64{100, 150, 200}, 15)
 	s.Run(5000)
 	var after int
@@ -192,7 +183,7 @@ func TestWrappedSystemSurvivesBursts(t *testing.T) {
 
 func TestImproperInit(t *testing.T) {
 	s := raSim(7, true)
-	ImproperInit(s, 21, Options{})
+	ImproperInit(s, 21)
 	// At least one node should start in a non-Init state.
 	perturbed := false
 	for i := 0; i < s.N(); i++ {

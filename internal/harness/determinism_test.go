@@ -45,7 +45,7 @@ func tmeRun(t *testing.T, seed int64) string {
 		WrapperEvery: 5,
 		Obs:          o,
 	})
-	in := fault.NewInjector(seed+1001, fault.DefaultMix, fault.Options{})
+	in := fault.NewInjector(seed+1001, fault.DefaultMix)
 	in.Schedule(s, []int64{200, 300}, 8)
 	s.Run(10000)
 	return runFingerprint(t, o)
@@ -59,7 +59,7 @@ func ringRun(t *testing.T, seed int64) string {
 		WrapperDelta: 25,
 		Obs:          o,
 	})
-	in := fault.NewInjector(seed+2002, fault.DefaultMix, fault.Options{})
+	in := fault.NewInjector(seed+2002, fault.DefaultMix)
 	in.Schedule(s, []int64{50, 80}, 4)
 	s.Run(1500)
 	return runFingerprint(t, o)
@@ -68,7 +68,7 @@ func ringRun(t *testing.T, seed int64) string {
 func tokenringRun(t *testing.T, seed int64) string {
 	o := obs.New(obs.Options{TraceCapacity: 4096})
 	s := tokenring.NewSim(tokenring.SimConfig{N: 5, Seed: seed, Obs: o})
-	in := fault.NewInjector(seed+3003, fault.DefaultMix, fault.Options{})
+	in := fault.NewInjector(seed+3003, fault.DefaultMix)
 	in.Schedule(s, []int64{10}, 5)
 	s.Run(2000)
 	return runFingerprint(t, o)

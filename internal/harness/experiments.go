@@ -690,7 +690,7 @@ func UnifiedFaults(scale Scale) *Table {
 				NewWrapper:   func(int) wrapper.Level2 { return wrapper.NewTimed(5) },
 				WrapperEvery: 5,
 			})
-			in := fault.NewInjector(int64(seed)+1000, mix, fault.Options{})
+			in := fault.NewInjector(int64(seed)+1000, mix)
 			in.Schedule(s, []int64{200, 300, 400}, 6)
 			s.Run(20000)
 			after := 0
@@ -724,7 +724,7 @@ func UnifiedFaults(scale Scale) *Table {
 				NewNode:      func(id, n int) ring.Node { return ring.NewEager(id, n, 2) },
 				WrapperDelta: 25,
 			})
-			in := fault.NewInjector(int64(seed)+2000, mix, fault.Options{})
+			in := fault.NewInjector(int64(seed)+2000, mix)
 			in.Schedule(s, []int64{50, 80}, 4)
 			s.Run(100)
 			faultAt := s.Now()
@@ -766,7 +766,7 @@ func UnifiedFaults(scale Scale) *Table {
 		for seed := 0; seed < seeds; seed++ {
 			n := 5
 			s := tokenring.NewSim(tokenring.SimConfig{N: n, Seed: int64(seed)})
-			in := fault.NewInjector(int64(seed)+3000, mix, fault.Options{})
+			in := fault.NewInjector(int64(seed)+3000, mix)
 			in.Schedule(s, []int64{10}, 2*n)
 			s.Run(10) // run to just past the burst, then count recovery moves
 			start := s.Moves()

@@ -240,7 +240,7 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 		s.At(reqAt+1, func(s *sim.Sim) { fault.DropAllInFlight(s) })
 	}
 	if len(cfg.FaultTimes) > 0 && cfg.FaultsPerBurst > 0 {
-		in := fault.NewInjector(cfg.FaultSeed, cfg.Mix, fault.Options{})
+		in := fault.NewInjector(cfg.FaultSeed, cfg.Mix)
 		in.Schedule(s, cfg.FaultTimes, cfg.FaultsPerBurst)
 	}
 

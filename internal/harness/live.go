@@ -281,7 +281,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		if id < 0 || id >= n {
 			return false
 		}
-		clusters[id].Corrupt(id, fault.RandomCorruptionFrom(rng, id, n, fault.Options{}))
+		clusters[id].Corrupt(id, fault.RandomCorruptionFrom(rng, id, n))
 		return true
 	})
 
@@ -392,7 +392,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 
 	// Schedule applier: fire each pre-drawn event at its offset.
 	var extraFaults int64 // partitions + heals (not injector-counted)
-	in := fault.NewInjector(cfg.Seed+2, fault.DefaultMix, fault.Options{})
+	in := fault.NewInjector(cfg.Seed+2, fault.DefaultMix)
 	if cfg.Schedule != nil {
 		wg.Add(1)
 		//gblint:ignore determinism the schedule applier replays a pre-drawn plan at wall-clock offsets

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -40,6 +41,7 @@ func TestRunLivePartitionHealReconverges(t *testing.T) {
 		dur   = 2500 * time.Millisecond
 		delta = 25 * time.Millisecond
 	)
+	base := goruntime.NumGoroutine()
 	sched := &wire.FaultSchedule{
 		Seed: 5,
 		Events: []wire.FaultEvent{
@@ -76,6 +78,12 @@ func TestRunLivePartitionHealReconverges(t *testing.T) {
 	if gap := res.FirstEntryAfterFaultMS - healMS; gap > bound {
 		t.Errorf("first entry %dms after heal, want ≤ %dms (W' bound)", gap, bound)
 	}
+	// Every goroutine the run started exits: wire accept, senders and
+	// connection readers, the chaos scheduler, the client drivers, the
+	// sampler and the schedule applier.
+	eventually(t, "the goroutine count is back to its baseline", func() bool {
+		return goruntime.NumGoroutine() <= base
+	})
 }
 
 // A full seeded chaos schedule (every fault class) leaves the wrapped

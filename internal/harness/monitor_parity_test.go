@@ -61,7 +61,7 @@ func monitoredRun(cfg RunConfig, full bool) (*lspec.Monitors, RunResult, []byte)
 		s.At(reqAt+1, func(s *sim.Sim) { fault.DropAllInFlight(s) })
 	}
 	if len(cfg.FaultTimes) > 0 && cfg.FaultsPerBurst > 0 {
-		in := fault.NewInjector(cfg.FaultSeed, cfg.Mix, fault.Options{})
+		in := fault.NewInjector(cfg.FaultSeed, cfg.Mix)
 		in.Schedule(s, cfg.FaultTimes, cfg.FaultsPerBurst)
 	}
 

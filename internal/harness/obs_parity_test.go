@@ -53,7 +53,7 @@ func legacyRun(cfg RunConfig) RunResult {
 		lastFault = reqAt + 1
 	}
 	if len(cfg.FaultTimes) > 0 && cfg.FaultsPerBurst > 0 {
-		in := fault.NewInjector(cfg.FaultSeed, cfg.Mix, fault.Options{})
+		in := fault.NewInjector(cfg.FaultSeed, cfg.Mix)
 		in.Schedule(s, cfg.FaultTimes, cfg.FaultsPerBurst)
 		for _, t := range cfg.FaultTimes {
 			if t > lastFault {

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"reflect"
+	goruntime "runtime"
 	"testing"
 )
 
-// TestParMapOrder checks results land at their own indices.
+// TestParMapOrder checks results land at their own indices and that no
+// worker outlives the call.
 func TestParMapOrder(t *testing.T) {
+	base := goruntime.NumGoroutine()
 	got := ParMap(100, func(i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {
@@ -16,6 +19,9 @@ func TestParMapOrder(t *testing.T) {
 	if out := ParMap(0, func(i int) int { return i }); len(out) != 0 {
 		t.Fatalf("ParMap(0) returned %d results", len(out))
 	}
+	eventually(t, "the goroutine count is back to its baseline", func() bool {
+		return goruntime.NumGoroutine() <= base
+	})
 }
 
 // TestParMapDeterministicSweep runs an E2-style seeded sweep through ParMap

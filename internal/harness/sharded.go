@@ -162,7 +162,7 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 	injectors := make([]*fault.Injector, 0, cfg.Shards)
 	if len(cfg.FaultTimes) > 0 && cfg.FaultsPerBurst > 0 {
 		for s := 0; s < cfg.Shards; s++ {
-			in := fault.NewInjector(cfg.FaultSeed+int64(s)*7919, cfg.Mix, fault.Options{})
+			in := fault.NewInjector(cfg.FaultSeed+int64(s)*7919, cfg.Mix)
 			in.Schedule(sh.Shard(s), cfg.FaultTimes, cfg.FaultsPerBurst)
 			injectors = append(injectors, in)
 		}

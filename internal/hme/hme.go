@@ -130,7 +130,7 @@ func (a *Acq) Grant(shard int) error {
 // the sharded simulator's coordinator happens to call it from one.
 type Monitor struct {
 	mu   sync.Mutex
-	held map[int][]int //gblint:guardedby mu -- client → shards currently held, in grant order
+	held map[int][]int // guarded by mu; client → shards currently held, in grant order
 
 	acquisitions *obs.Counter
 	grants       *obs.Counter

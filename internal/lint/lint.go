@@ -1,7 +1,7 @@
 // Package lint is gblint's analysis engine: a stdlib-only static analyzer
 // (go/ast, go/parser, go/types) that makes the repo's graybox and
 // determinism conventions hold by construction instead of by code review.
-// Six passes run over every package:
+// Three passes run over every package:
 //
 //   - layering: an import-DAG check encoding the graybox rule — wrappers
 //     and specs are designed from local everywhere specifications, never
@@ -16,29 +16,17 @@
 //     map iteration that feeds ordered output, and goroutine spawns
 //     outside the sanctioned ParMap.
 //
-//   - obs: observability discipline — instrument types whose methods
-//     promise nil-receiver no-op behavior must guard every exported
-//     method, and every metric name is registered at exactly one site.
-//
-//   - guardedby: concurrency discipline — struct fields annotated
-//     //gblint:guardedby <mu> may only be touched while that sibling
-//     mutex is held (lock/unlock flow tracked lexically per function
-//     body), and fields with atomic.* types or fields reached through
-//     sync/atomic calls must never also be accessed plainly outside
-//     their constructor (the mixed-access bug class).
-//
 //   - exhaustive: switches dispatching over a declared kind set (a const
 //     block marked //gblint:kindset <name>) must cover every member or
 //     carry a default that fails loudly, so a newly added kind can never
 //     silently fall through.
 //
-//   - spawn: every `go` statement in Config.SpawnScope must be tied to a
-//     visible stop path (WaitGroup Add before the spawn, or a stop/done
-//     channel or ctx.Done() reachable from the spawned body) or carry a
-//     reasoned //gblint:spawn directive — goroutine-leak hygiene.
+// Lock discipline, goroutine lifetimes and the observability instruments'
+// nil-receiver contract are held by tests instead: `go test -race`, the
+// goroutine-count checks, and obs.TestNilReceiversAreNoOps.
 //
 // Findings are suppressed line-by-line with //gblint:ignore <passes>; see
-// the directive helpers below for the exact grammar.
+// collectIgnores for the exact grammar.
 package lint
 
 import (
@@ -53,10 +41,7 @@ import (
 const (
 	PassLayering    = "layering"
 	PassDeterminism = "determinism"
-	PassObs         = "obs"
-	PassGuardedBy   = "guardedby"
 	PassExhaustive  = "exhaustive"
-	PassSpawn       = "spawn"
 )
 
 // Diagnostic is one finding.
@@ -90,7 +75,7 @@ const DenyModule = "MODULE"
 type Config struct {
 	// Module is the module path; imports with this prefix are in-module.
 	Module string
-	// Passes selects which passes run (nil = all six).
+	// Passes selects which passes run (nil = all three).
 	Passes []string
 
 	// Layering is the import-DAG rule table.
@@ -110,19 +95,6 @@ type Config struct {
 	// OrderedSinks are method names whose calls inside a map-range body
 	// mark the iteration as feeding ordered output.
 	OrderedSinks []string
-
-	// ObsPackage is the package pattern holding the nil-safe instrument
-	// types and the Registry whose Counter/Gauge/Histogram methods
-	// register metrics.
-	ObsPackage string
-
-	// SpawnScope lists the package patterns under the spawn-lifecycle
-	// contract: every `go` statement there needs a visible stop path or a
-	// reasoned //gblint:spawn directive.
-	SpawnScope []string
-	// SpawnStopNames are the identifier substrings (lowercased) that mark
-	// a channel as a stop signal when the spawned body receives from it.
-	SpawnStopNames []string
 }
 
 // DefaultConfig returns the graybox repository's rule table.
@@ -193,11 +165,6 @@ func DefaultConfig() *Config {
 			"Emit", "Observe", "AddRow", "Write", "WriteString",
 			"Fprintf", "Fprint", "Fprintln", "Printf", "Print", "Println",
 		},
-		ObsPackage: "internal/obs",
-		SpawnScope: []string{
-			"internal/runtime", "internal/wire", "internal/harness", "cmd/...",
-		},
-		SpawnStopNames: []string{"stop", "done", "quit", "close"},
 	}
 }
 
@@ -233,8 +200,8 @@ type Pass interface {
 }
 
 // Finisher is an optional Pass extension that fires after every package
-// was checked (for whole-program properties such as metric-name
-// uniqueness).
+// was checked (for whole-program properties such as a kind set declared in
+// one package and switched over in another).
 type Finisher interface {
 	Finish(cfg *Config, report Reporter)
 }
@@ -249,20 +216,17 @@ type Runner struct {
 	fset   *token.FileSet
 	passes []Pass
 	diags  []Diagnostic
-	// ignores maps file -> line -> pass names suppressed there ("" = all).
+	// ignores maps file -> line -> pass names suppressed there.
 	ignores map[string]map[int][]string
 }
 
-// NewRunner returns a runner over cfg with the selected passes (all six
+// NewRunner returns a runner over cfg with the selected passes (all three
 // when cfg.Passes is nil). All linted packages must share fset.
 func NewRunner(cfg *Config, fset *token.FileSet) *Runner {
 	all := []Pass{
 		layeringPass{},
 		determinismPass{},
-		newObsPass(),
-		newGuardedPass(),
 		newExhaustivePass(),
-		spawnPass{},
 	}
 	r := &Runner{cfg: cfg, fset: fset, ignores: map[string]map[int][]string{}}
 	for _, p := range all {
@@ -282,18 +246,22 @@ func containsStr(ss []string, s string) bool {
 	return false
 }
 
+// reporter returns a Reporter that files findings under pass.
+func (r *Runner) reporter(pass string) Reporter {
+	return func(pos token.Pos, format string, args ...any) {
+		r.diags = append(r.diags, Diagnostic{
+			Pos:  r.fset.Position(pos),
+			Pass: pass,
+			Msg:  fmt.Sprintf(format, args...),
+		})
+	}
+}
+
 // Lint runs every selected pass over pkg.
 func (r *Runner) Lint(pkg *Package) {
 	r.collectIgnores(pkg)
 	for _, p := range r.passes {
-		name := p.Name()
-		p.Check(r.cfg, pkg, func(pos token.Pos, format string, args ...any) {
-			r.diags = append(r.diags, Diagnostic{
-				Pos:  r.fset.Position(pos),
-				Pass: name,
-				Msg:  fmt.Sprintf(format, args...),
-			})
-		})
+		p.Check(r.cfg, pkg, r.reporter(p.Name()))
 	}
 }
 
@@ -301,18 +269,9 @@ func (r *Runner) Lint(pkg *Package) {
 // sorted findings.
 func (r *Runner) Finish() []Diagnostic {
 	for _, p := range r.passes {
-		f, ok := p.(Finisher)
-		if !ok {
-			continue
+		if f, ok := p.(Finisher); ok {
+			f.Finish(r.cfg, r.reporter(p.Name()))
 		}
-		name := p.Name()
-		f.Finish(r.cfg, func(pos token.Pos, format string, args ...any) {
-			r.diags = append(r.diags, Diagnostic{
-				Pos:  r.fset.Position(pos),
-				Pass: name,
-				Msg:  fmt.Sprintf(format, args...),
-			})
-		})
 	}
 	out := r.diags[:0]
 	for _, d := range r.diags {
@@ -343,11 +302,15 @@ func (r *Runner) Finish() []Diagnostic {
 //
 //	t := time.Now() //gblint:ignore determinism wall-clock is fine here
 //
-//	//gblint:ignore determinism,spawn reason...
+//	//gblint:ignore determinism,exhaustive reason...
 //	t := time.Now()
 //
-// With no pass list the directive suppresses every pass.
+// The pass list is required and every name in it must be a known pass. A
+// bare directive, or one naming an unknown pass (a typo, a deleted pass),
+// suppresses nothing and is reported as a finding of its own, so a
+// misspelling can never switch checks off.
 func (r *Runner) collectIgnores(pkg *Package) {
+	report := r.reporter("ignore")
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -355,20 +318,11 @@ func (r *Runner) collectIgnores(pkg *Package) {
 				if !ok {
 					continue
 				}
-				var passes []string
-				if fields := strings.Fields(rest); len(fields) > 0 {
-					for _, p := range strings.Split(fields[0], ",") {
-						if knownPass(p) {
-							passes = append(passes, p)
-						}
-					}
-					// An unknown first token is a reason, not a pass
-					// list: suppress everything.
-					if len(passes) == 0 {
-						passes = []string{""}
-					}
-				} else {
-					passes = []string{""}
+				passes := strings.Split(firstToken(rest), ",")
+				if bad, ok := unknownPass(passes); ok {
+					report(c.Pos(), "//gblint:ignore needs a list of known passes (%s, %s, %s) before its reason; %q is none, so this directive suppresses nothing",
+						PassLayering, PassDeterminism, PassExhaustive, bad)
+					continue
 				}
 				pos := r.fset.Position(c.Pos())
 				m := r.ignores[pos.Filename]
@@ -382,13 +336,16 @@ func (r *Runner) collectIgnores(pkg *Package) {
 	}
 }
 
-func knownPass(p string) bool {
-	switch p {
-	case PassLayering, PassDeterminism, PassObs,
-		PassGuardedBy, PassExhaustive, PassSpawn:
-		return true
+// unknownPass returns the first name in passes that is not a pass.
+func unknownPass(passes []string) (string, bool) {
+	for _, p := range passes {
+		switch p {
+		case PassLayering, PassDeterminism, PassExhaustive:
+		default:
+			return p, true
+		}
 	}
-	return false
+	return "", false
 }
 
 func (r *Runner) suppressed(d Diagnostic) bool {
@@ -397,10 +354,8 @@ func (r *Runner) suppressed(d Diagnostic) bool {
 		return false
 	}
 	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-		for _, p := range m[line] {
-			if p == "" || p == d.Pass {
-				return true
-			}
+		if containsStr(m[line], d.Pass) {
+			return true
 		}
 	}
 	return false
@@ -418,4 +373,12 @@ func directive(comment, name string) (string, bool) {
 		return "", false // e.g. gblint:ignorefoo
 	}
 	return strings.TrimSpace(rest), true
+}
+
+// firstToken returns the first whitespace-delimited token of s.
+func firstToken(s string) string {
+	if fields := strings.Fields(s); len(fields) > 0 {
+		return fields[0]
+	}
+	return ""
 }

@@ -23,6 +23,14 @@ func ClockSuppressed() int64 {
 	return time.Now().UnixNano()
 }
 
+// ClockMisspelled's ignore names no known pass: the directive is a finding
+// of its own and suppresses nothing, so the wall-clock read is still
+// reported.
+func ClockMisspelled() int64 {
+	//gblint:ignore determinsm fixture: a typo must not switch checks off // want:ignore "suppresses nothing"
+	return time.Now().UnixNano() // want:determinism "time.Now reads the wall clock"
+}
+
 // Elapsed uses time arithmetic that never reads the clock: allowed.
 func Elapsed(d time.Duration) int64 { return d.Nanoseconds() }
 

@@ -154,7 +154,7 @@ func TestConvergenceAfterBurst(t *testing.T) {
 	})
 	m := New(3)
 	s.SetObserver(m.AsObserver())
-	in := fault.NewInjector(7, fault.DefaultMix, fault.Options{})
+	in := fault.NewInjector(7, fault.DefaultMix)
 	in.Schedule(s, []int64{100}, 10)
 	s.Run(20000)
 	if starved := m.StarvedProcesses(); len(starved) != 0 {

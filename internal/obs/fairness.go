@@ -17,8 +17,8 @@ import (
 // rule.
 type Fairness struct {
 	mu     sync.Mutex
-	counts []int64 //gblint:guardedby mu -- entries per client id (grown on demand)
-	lats   []int64 //gblint:guardedby mu -- all entry latencies, in substrate ticks
+	counts []int64 // guarded by mu; entries per client id (grown on demand)
+	lats   []int64 // guarded by mu; all entry latencies, in substrate ticks
 	min    *Gauge
 	max    *Gauge
 	ratio  *Gauge

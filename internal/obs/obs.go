@@ -172,10 +172,10 @@ func (h *Histogram) Sum() int64 {
 // entire downstream pipeline a no-op.
 type Registry struct {
 	mu     sync.Mutex
-	cs     map[string]*Counter   //gblint:guardedby mu
-	gs     map[string]*Gauge     //gblint:guardedby mu
-	hs     map[string]*Histogram //gblint:guardedby mu
-	sorted []string              //gblint:guardedby mu -- cached sorted instrument names; nil when stale
+	cs     map[string]*Counter   // guarded by mu
+	gs     map[string]*Gauge     // guarded by mu
+	hs     map[string]*Histogram // guarded by mu
+	sorted []string              // guarded by mu; cached sorted instrument names, nil when stale
 }
 
 // NewRegistry returns an empty enabled registry.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +90,44 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	if err := (*Registry)(nil).WritePrometheus(io.Discard); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNilReceiversAreNoOps holds every instrument type to the package's
+// disabled-path rule by reflection: each exported method, called on a nil
+// pointer with zero-valued arguments (io.Discard for writers), returns
+// without panicking. A method added without its nil guard fails here.
+// Serve is skipped: it opens a listener, and the handler it serves is
+// Handler's, which is called.
+func TestNilReceiversAreNoOps(t *testing.T) {
+	writer := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	for _, nilPtr := range []any{
+		(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Trace)(nil),
+		(*Convergence)(nil), (*Fairness)(nil), (*Registry)(nil), (*Obs)(nil),
+	} {
+		v := reflect.ValueOf(nilPtr)
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Type().Method(i)
+			if m.Name == "Serve" {
+				continue
+			}
+			args := make([]reflect.Value, m.Type.NumIn()-1)
+			for j := range args {
+				if in := m.Type.In(j + 1); in == writer {
+					args[j] = reflect.ValueOf(io.Discard)
+				} else {
+					args[j] = reflect.Zero(in)
+				}
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(%s).%s on a nil receiver panicked: %v", v.Type(), m.Name, r)
+					}
+				}()
+				v.Method(i).Call(args)
+			}()
+		}
 	}
 }
 

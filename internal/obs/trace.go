@@ -97,11 +97,11 @@ func (e Event) String() string {
 // no-ops on a nil receiver.
 type Trace struct {
 	mu      sync.Mutex
-	buf     []Event     //gblint:guardedby mu
-	start   int         //gblint:guardedby mu -- index of the oldest retained event
-	n       int         //gblint:guardedby mu -- retained events
-	total   uint64      //gblint:guardedby mu -- events ever emitted
-	onEvent func(Event) //gblint:guardedby mu
+	buf     []Event     // guarded by mu
+	start   int         // guarded by mu; index of the oldest retained event
+	n       int         // guarded by mu; retained events
+	total   uint64      // guarded by mu; events ever emitted
+	onEvent func(Event) // guarded by mu
 }
 
 // NewTrace returns a trace sink retaining up to capacity events; onEvent,

@@ -9,9 +9,9 @@ import "sync"
 // own inbox fills).
 type mailbox[T any] struct {
 	mu     sync.Mutex
-	items  []T           //gblint:guardedby mu
+	items  []T           // guarded by mu
 	signal chan struct{} // capacity 1: "items may be non-empty"
-	closed bool          //gblint:guardedby mu
+	closed bool          // guarded by mu
 }
 
 func newMailbox[T any]() *mailbox[T] {

@@ -101,8 +101,8 @@ type Cluster struct {
 	ins       rtInstruments
 
 	mu      sync.Mutex
-	seq     int         //gblint:guardedby mu
-	onEntry func(Entry) //gblint:guardedby mu
+	seq     int         // guarded by mu
+	onEntry func(Entry) // guarded by mu
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -145,27 +145,25 @@ func newRTInstruments(o *obs.Obs) rtInstruments {
 
 // proc is one process: its node, guarded by mu, plus its inbox. wrap is
 // set once in NewCluster before any goroutine exists and never reassigned,
-// so it carries no guard annotation.
+// so it needs no guard.
 type proc struct {
 	id    int
 	shard int
 	mu    sync.Mutex
-	node  tme.Node //gblint:guardedby mu
+	node  tme.Node // guarded by mu
 	wrap  wrapper.Level2
 	inbox *mailbox[tme.Message]
 	// phaseMoved holds one token while a move of node's phase may be unseen
 	// (capacity 1: a token says "look again", not how often). Sent to only
 	// under mu, by notePhase, so the phase a token announces is readable by
 	// the time the token is; received from lock-free by
-	// AwaitPhaseChangeShard, hence no guardedby annotation.
+	// AwaitPhaseChangeShard.
 	phaseMoved chan struct{}
 }
 
 // notePhase posts the phase-change token when the node has left the phase
 // before, which the caller read on taking mu. Every section that can write
-// node ends with it.
-//
-//gblint:guardedby mu
+// node ends with it. Called with mu held.
 func (p *proc) notePhase(before tme.Phase) {
 	if p.node.Phase() == before {
 		return

@@ -47,7 +47,7 @@ type chanTransport struct {
 	ins      *rtInstruments
 
 	mu  sync.Mutex
-	rng *rand.Rand //gblint:guardedby mu
+	rng *rand.Rand // guarded by mu
 
 	edges   []*edge
 	deliver func(dst int, m tme.Message)

@@ -104,19 +104,6 @@ func (c *ShardedConfig) withDefaults() ShardedConfig {
 	return out
 }
 
-// dormantStream parks the per-node client of a shard Sim far beyond any
-// horizon: the coordinator owns all workload decisions (every node is
-// under SetManualRelease), the shard instance only runs the protocol.
-type dormantStream struct{}
-
-const dormantTick = int64(1) << 61
-
-func (dormantStream) NextThink() int64     { return dormantTick }
-func (dormantStream) NextHold() int64      { return 1 }
-func (dormantStream) NextResource(int) int { return 0 }
-func (dormantStream) Open() bool           { return false }
-func (dormantStream) Cohort() string       { return "dormant" }
-
 // hookRec is one harvested shard event, buffered shard-locally during the
 // window and drained at the barrier.
 type hookRec struct {
@@ -220,8 +207,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			WrapperEvery: c.WrapperEvery,
 			MinDelay:     c.MinDelay,
 			MaxDelay:     c.MaxDelay,
-			Workload:     true,
-			NewClient:    func(int) workload.Client { return dormantStream{} },
 			Obs:          shardObs,
 		})
 		sim.SetEntryHook(func(node int, t int64) {
@@ -230,9 +215,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		sim.SetReleaseHook(func(node int, t int64) {
 			sh.bufs[s] = append(sh.bufs[s], hookRec{op: opRelease, node: int32(node), t: t})
 		})
-		for i := 0; i < c.N; i++ {
-			sim.SetManualRelease(i, true) // the coordinator owns every release
-		}
 		sh.sims[s] = sim
 		cores[s] = sim.Core()
 		sh.slots[s] = make([]nodeSlot, c.N)

@@ -212,7 +212,6 @@ type Sim struct {
 	net      *channel.Net[tme.Message]
 	drivers  []workload.Driver // one client per node; nil without Workload
 	lastReq  []int64           // time of each node's outstanding request (-1 = none)
-	manual   []bool            // nodes whose client an external coordinator replaces
 	metrics  Metrics
 	observer Observer
 	ins      instruments
@@ -312,7 +311,7 @@ func New(cfg Config) *Sim {
 		rng:       core.RNG(),
 		nodes:     make([]tme.Node, c.N),
 		net:       mesh.Net(),
-		manual:    make([]bool, c.N),
+		lastReq:   make([]int64, c.N),
 		verGlobal: 1,
 		verNodes:  make([]uint64, c.N),
 	}
@@ -326,6 +325,7 @@ func New(cfg Config) *Sim {
 	}
 	for i := range s.nodes {
 		s.nodes[i] = c.NewNode(i, c.N)
+		s.lastReq[i] = -1
 	}
 	if c.NewWrapper != nil {
 		s.wrappers = make([]wrapper.Level2, c.N)
@@ -335,10 +335,8 @@ func New(cfg Config) *Sim {
 		}
 	}
 	if c.Workload {
-		s.lastReq = make([]int64, c.N)
 		s.drivers = make([]workload.Driver, c.N)
 		for i := range s.drivers {
-			s.lastReq[i] = -1
 			var draws workload.Client = uniformClient{s}
 			if c.NewClient != nil {
 				draws = c.NewClient(i)
@@ -363,12 +361,6 @@ func (s *Sim) SetEntryHook(fn func(node int, t int64)) { s.onEntry = fn }
 // way, which is what a coordinator needs to know). Same confinement rule
 // as SetEntryHook.
 func (s *Sim) SetReleaseHook(fn func(node int, t int64)) { s.onRelease = fn }
-
-// SetManualRelease hands node i to an external coordinator: while set, the
-// node's own client stands down, so nothing requests for it and it holds
-// its shard until ReleaseAt. The hierarchical (cross-shard) path uses this
-// to keep earlier shards of a lock set held while later ones are acquired.
-func (s *Sim) SetManualRelease(i int, on bool) { s.manual[i] = on }
 
 // RequestAt schedules node i's "Request CS" action at absolute virtual
 // time t (clamped to now for past times), as a typed event. External
@@ -502,14 +494,12 @@ func (s *Sim) afterEventAt(i int) {
 			}
 			s.ins.lastEntry, s.ins.haveEntry = now, true
 		}
-		if s.lastReq != nil {
-			lat := int64(-1)
-			if s.lastReq[i] >= 0 {
-				lat = now - s.lastReq[i]
-				s.lastReq[i] = -1
-			}
-			s.ins.fair.RecordEntry(i, lat)
+		lat := int64(-1)
+		if s.lastReq[i] >= 0 {
+			lat = now - s.lastReq[i]
+			s.lastReq[i] = -1
 		}
+		s.ins.fair.RecordEntry(i, lat)
 		if s.onEntry != nil {
 			s.onEntry(i, now)
 		}
@@ -550,7 +540,7 @@ func (uniformClient) Cohort() string         { return "uniform" }
 // level-1 repair, a request, a release, a fault closure, and the client's
 // own deadlines.
 func (s *Sim) look(i int) {
-	if s.drivers == nil || s.manual[i] {
+	if s.drivers == nil {
 		return
 	}
 	d := &s.drivers[i]
@@ -581,9 +571,7 @@ func (s *Sim) doRequest(i int) {
 	}
 	s.dirtyNode(i)
 	s.metrics.Requests++
-	if s.lastReq != nil {
-		s.lastReq[i] = s.core.Now()
-	}
+	s.lastReq[i] = s.core.Now()
 	s.send(s.nodes[i].RequestCS(), false)
 	s.afterEventAt(i)
 }

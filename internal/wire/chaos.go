@@ -115,12 +115,12 @@ type Chaos struct {
 	ins chaosInstruments
 
 	mu       sync.Mutex
-	rngs     []*rand.Rand                      //gblint:guardedby mu -- one delay stream per shard
-	queues   [][]chaosEntry                    //gblint:guardedby mu -- indexed by edge (src-major, self-edges omitted)
-	isolated []bool                            //gblint:guardedby mu
-	oneWay   bool                              //gblint:guardedby mu -- isolation drops only group→rest (gray asymmetric cut)
-	perturb  func(id int, rng *rand.Rand) bool //gblint:guardedby mu
-	closed   bool                              //gblint:guardedby mu
+	rngs     []*rand.Rand                      // guarded by mu; one delay stream per shard
+	queues   [][]chaosEntry                    // guarded by mu; indexed by edge (src-major, self-edges omitted)
+	isolated []bool                            // guarded by mu
+	oneWay   bool                              // guarded by mu; isolation drops only group→rest (gray asymmetric cut)
+	perturb  func(id int, rng *rand.Rand) bool // guarded by mu
+	closed   bool                              // guarded by mu
 
 	kick chan struct{}
 	stop chan struct{}

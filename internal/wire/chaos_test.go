@@ -161,7 +161,7 @@ func TestInjectorBurstOnChaos(t *testing.T) {
 			}
 		}
 	}
-	in := fault.NewInjector(11, fault.Mix{Loss: 1, Dup: 1, Corrupt: 1, Flush: 1}, fault.Options{})
+	in := fault.NewInjector(11, fault.Mix{Loss: 1, Dup: 1, Corrupt: 1, Flush: 1})
 	in.Burst(ch, 10)
 	if in.Count() != 10 {
 		t.Fatalf("injector applied %d faults, want 10", in.Count())

@@ -113,9 +113,9 @@ type Transport struct {
 	dial func(addr string) (net.Conn, error)
 
 	mu     sync.Mutex
-	edges  map[edgeKey]*outEdge  //gblint:guardedby mu
-	conns  map[net.Conn]struct{} //gblint:guardedby mu
-	closed bool                  //gblint:guardedby mu
+	edges  map[edgeKey]*outEdge  // guarded by mu
+	conns  map[net.Conn]struct{} // guarded by mu
+	closed bool                  // guarded by mu
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -509,13 +509,10 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 // and never allocate: capacity grows only when the queue outpaces its
 // consumer and is reused forever after.
 type msgQueue struct {
-	mu sync.Mutex
-	//gblint:guardedby mu
-	buf []tme.Message // ring storage; len(buf) is the capacity
-	//gblint:guardedby mu
-	head int // index of the oldest item
-	//gblint:guardedby mu
-	n      int           // items queued
+	mu     sync.Mutex
+	buf    []tme.Message // guarded by mu; ring storage, len(buf) is the capacity
+	head   int           // guarded by mu; index of the oldest item
+	n      int           // guarded by mu; items queued
 	signal chan struct{} // capacity 1: "items may be non-empty"
 }
 
@@ -537,9 +534,7 @@ func (q *msgQueue) put(m tme.Message) {
 	}
 }
 
-// grow doubles the ring (called with q.mu held, queue full).
-//
-//gblint:guardedby mu
+// grow doubles the ring of a full queue. Called with mu held.
 func (q *msgQueue) grow() {
 	c := len(q.buf) * 2
 	if c < 16 {

@@ -130,6 +130,9 @@ func TestSenderBatchesBurstIntoFewFlushes(t *testing.T) {
 	}
 	t0.SetPeers([]string{"", t1.Addr()}) // release the burst
 	c1.waitLen(t, n, 5*time.Second)
+	// The sender counts a batch after its flush returns, which can be after
+	// the peer has read it; Close joins the sender, so the counts are final.
+	_ = t0.Close()
 
 	r := o.Registry()
 	sent := r.Counter("wire_msgs_sent_total", "").Value()
