@@ -299,7 +299,6 @@ func BenchmarkLevel1Ablation(b *testing.B) {
 			NewWrapper: func(int) wrapper.Level2 {
 				return wrapper.NewTimed(5)
 			},
-			WrapperEvery: 5,
 		})
 		s.At(200, func(s *sim.Sim) {
 			for id := 0; id < s.N(); id++ {

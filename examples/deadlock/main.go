@@ -27,7 +27,6 @@ func scenario(withWrapper bool) {
 	}
 	if withWrapper {
 		cfg.NewWrapper = func(int) wrapper.Level2 { return wrapper.NewTimed(10) }
-		cfg.WrapperEvery = 10
 	}
 	s := sim.New(cfg)
 

@@ -38,12 +38,11 @@ func tmeRun(t *testing.T, seed int64) string {
 	o := obs.New(obs.Options{TraceCapacity: 4096})
 	s := sim.New(sim.Config{
 		N: 4, Seed: seed,
-		NewNode:      RA.Factory(),
-		Workload:     true,
-		MaxRequests:  20,
-		NewWrapper:   func(int) wrapper.Level2 { return wrapper.NewTimed(5) },
-		WrapperEvery: 5,
-		Obs:          o,
+		NewNode:     RA.Factory(),
+		Workload:    true,
+		MaxRequests: 20,
+		NewWrapper:  func(int) wrapper.Level2 { return wrapper.NewTimed(5) },
+		Obs:         o,
 	})
 	in := fault.NewInjector(seed+1001, fault.DefaultMix)
 	in.Schedule(s, []int64{200, 300}, 8)

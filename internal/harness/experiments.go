@@ -612,7 +612,6 @@ func Level1Ablation(scale Scale) *Table {
 				NewWrapper: func(int) wrapper.Level2 {
 					return wrapper.NewTimed(5)
 				},
-				WrapperEvery: 5,
 			}
 			if withGuard {
 				simCfg.Level1 = wrapper.PhaseGuard{}
@@ -684,11 +683,10 @@ func UnifiedFaults(scale Scale) *Table {
 		for seed := 0; seed < seeds; seed++ {
 			s := sim.New(sim.Config{
 				N: 4, Seed: int64(seed),
-				NewNode:      RA.Factory(),
-				Workload:     true,
-				MaxRequests:  40,
-				NewWrapper:   func(int) wrapper.Level2 { return wrapper.NewTimed(5) },
-				WrapperEvery: 5,
+				NewNode:     RA.Factory(),
+				Workload:    true,
+				MaxRequests: 40,
+				NewWrapper:  func(int) wrapper.Level2 { return wrapper.NewTimed(5) },
 			})
 			in := fault.NewInjector(int64(seed)+1000, mix)
 			in.Schedule(s, []int64{200, 300, 400}, 6)

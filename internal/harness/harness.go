@@ -213,9 +213,6 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 			}
 			return wrapper.NewTimed(delta)
 		}
-		if delta > 1 {
-			simCfg.WrapperEvery = delta
-		}
 	}
 	s := sim.New(simCfg)
 
@@ -317,6 +314,10 @@ func (u *unrefinedTimed) Fire(now int64, v tme.SpecView) []tme.Message {
 	u.next = now + u.delta
 	return wrapper.Unrefined(v)
 }
+
+// TimeoutDelta exposes δ, as wrapper.Timed does, so the simulator arms the
+// deadline a period after the process turns hungry.
+func (u *unrefinedTimed) TimeoutDelta() int64 { return u.delta }
 
 // ParMap runs fn for each index 0..n-1 concurrently (bounded by the CPU
 // count) and returns the results in index order. Experiment sweeps use it

@@ -37,9 +37,6 @@ func monitoredRun(cfg RunConfig, full bool) (*lspec.Monitors, RunResult, []byte)
 	if cfg.Delta >= 0 {
 		delta := cfg.Delta
 		simCfg.NewWrapper = func(int) wrapper.Level2 { return wrapper.NewTimed(delta) }
-		if delta > 1 {
-			simCfg.WrapperEvery = delta
-		}
 	}
 	s := sim.New(simCfg)
 

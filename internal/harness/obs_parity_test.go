@@ -29,9 +29,6 @@ func legacyRun(cfg RunConfig) RunResult {
 	if cfg.Delta >= 0 {
 		delta := cfg.Delta
 		simCfg.NewWrapper = func(int) wrapper.Level2 { return wrapper.NewTimed(delta) }
-		if delta > 1 {
-			simCfg.WrapperEvery = delta
-		}
 	}
 	s := sim.New(simCfg)
 

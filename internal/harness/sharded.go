@@ -153,9 +153,6 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 	if cfg.Delta >= 0 {
 		delta := cfg.Delta
 		scfg.NewWrapper = func(shard, id int) wrapper.Level2 { return wrapper.NewTimed(delta) }
-		if delta > 1 {
-			scfg.WrapperEvery = delta
-		}
 	}
 	sh := sim.NewSharded(scfg)
 

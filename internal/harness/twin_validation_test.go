@@ -13,9 +13,19 @@ import (
 // messages-per-entry predicted within 25% of sim measurements across an
 // n×δ×load grid. Entries carry the same bound; W' resend volume is the
 // model's stated loose metric and gets a factor-2 band instead.
+//
+// The band has a floor. W' is armed per request, so where δ sits above
+// nearly every wait the sim fires only on the tail of the wait, and in
+// some cells not at all. A rate counted from c firings carries a 95%
+// Poisson interval of about c ± 2√c, which is wider than the ×2 band until
+// c reaches twinMinFires; such a count cannot hold the twin to ×2. A cell
+// where the sim fired fewer times than that agrees when the twin also
+// predicts a silent wrapper, under twinSilent msgs/entry.
 const (
 	twinTol        = 0.25
 	twinWrapperTol = 2.0
+	twinSilent     = 0.05
+	twinMinFires   = 16
 )
 
 // twinCell is one grid point of the validation sweep.
@@ -59,12 +69,14 @@ func TestTwinValidationGrid(t *testing.T) {
 	type cellResult struct {
 		cell              twinCell
 		entries, mpe, wpe float64
+		fires             int64
 		pred              twin.Prediction
 	}
 	results := ParMap(len(grid), func(i int) cellResult {
 		c := grid[i]
 		spec := workload.UniformSpec(c.tmin, c.tmax, c.hold)
 		var entries, prog, wrap int
+		var fires int64
 		for s := 0; s < seeds; s++ {
 			r := Run(RunConfig{
 				Algo: RA, N: c.n, Seed: int64(s), Delta: c.delta,
@@ -74,6 +86,7 @@ func TestTwinValidationGrid(t *testing.T) {
 			entries += r.Entries
 			prog += r.ProgramMsgs
 			wrap += r.WrapperMsgs
+			fires += r.Obs.Counter("wrapper_fires_total")
 		}
 		pred := twin.Predict(twin.SpecParams(twin.Params{
 			N: c.n, Delta: c.delta, Horizon: horizon,
@@ -83,6 +96,7 @@ func TestTwinValidationGrid(t *testing.T) {
 			entries: float64(entries) / seeds,
 			mpe:     float64(prog) / float64(entries),
 			wpe:     float64(wrap) / float64(entries),
+			fires:   fires,
 			pred:    pred,
 		}
 	})
@@ -96,9 +110,10 @@ func TestTwinValidationGrid(t *testing.T) {
 			t.Errorf("%s: msgs/entry sim=%.2f twin=%.2f (%.0f%% > %.0f%%)",
 				name, r.mpe, r.pred.MsgsPerEntry, 100*rel, 100*twinTol)
 		}
-		if ratio := bandRatio(r.pred.WrapperMsgsPerEntry, r.wpe); ratio > twinWrapperTol {
-			t.Errorf("%s: wrapper msgs/entry sim=%.2f twin=%.2f (×%.2f > ×%.1f)",
-				name, r.wpe, r.pred.WrapperMsgsPerEntry, ratio, twinWrapperTol)
+		silent := r.fires < twinMinFires && r.pred.WrapperMsgsPerEntry < twinSilent
+		if ratio := bandRatio(r.pred.WrapperMsgsPerEntry, r.wpe); !silent && ratio > twinWrapperTol {
+			t.Errorf("%s: wrapper msgs/entry sim=%.4f (%d firings) twin=%.4f (×%.2f > ×%.1f)",
+				name, r.wpe, r.fires, r.pred.WrapperMsgsPerEntry, ratio, twinWrapperTol)
 		}
 	}
 }

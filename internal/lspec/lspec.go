@@ -323,11 +323,11 @@ func (m *Monitors) checkFCFS(g sim.GlobalState) {
 // cadence is the rule for which events are observed. To keep monitoring
 // affordable on long runs, snapshots are taken only after events that
 // changed an activity counter (deliveries, client actions, sends) and at
-// most once per virtual-time instant otherwise: repeated closed-guard
-// wrapper ticks within one instant cannot have changed any node. State
-// corruption between activity events is observed at the next observed
-// event; violation times shift by at most one event. The rule defines the
-// observation stream, hence every violation's Index.
+// most once per virtual-time instant otherwise: repeated closed-guard or
+// cancelled wrapper deadlines within one instant cannot have changed any
+// node. State corruption between activity events is observed at the next
+// observed event; violation times shift by at most one event. The rule
+// defines the observation stream, hence every violation's Index.
 type cadence struct {
 	activity int
 	time     int64

@@ -7,25 +7,34 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
-// TestQuiescentObservationAllocatesNothing runs idle wrapper ticks (every
-// process thinking, no message in flight) through AsObserver: one observed
-// event per tick, in which no process changed. Neither the simulator nor
-// the observer may allocate. The run goes through Core().Run because
-// Sim.Run invalidates every snapshot on entry.
+// TestQuiescentObservationAllocatesNothing drives AsObserver directly on a
+// quiescent wrapped simulation (every process thinking, no message in
+// flight), in which no process changed between observations. A quiescent
+// simulation has no events at all, since W' is armed only while a process
+// is hungry, so the observer is called by hand, one virtual tick apart (the
+// observer looks at most once per instant). Neither the simulator nor the
+// observer may allocate.
 func TestQuiescentObservationAllocatesNothing(t *testing.T) {
 	s := sim.New(sim.Config{N: 5, Seed: 1, NewNode: raFactory,
 		NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed(5) }})
 	m := New(5)
-	s.SetObserver(m.AsObserver())
+	observe := m.AsObserver()
 	s.Run(10)
+	if n := s.Core().Pending(); n != 0 {
+		t.Fatalf("a quiescent wrapped simulation has %d pending events, want 0", n)
+	}
+	observe(s) // the first observation reads every process
 	before := m.obs
 	const runs = 200
-	allocs := testing.AllocsPerRun(runs, func() { s.Core().Run(s.Now() + 1) })
+	allocs := testing.AllocsPerRun(runs, func() {
+		s.Core().Run(s.Now() + 1) // an empty queue: only the clock moves
+		observe(s)
+	})
 	if allocs != 0 {
 		t.Errorf("a quiescent observation allocates %.0f times, want 0", allocs)
 	}
 	if got := m.obs - before; got < runs {
-		t.Fatalf("%d observations over %d idle ticks: the ticks were not observed", got, runs)
+		t.Fatalf("%d observations over %d calls: the calls were not observed", got, runs)
 	}
 	if !m.Clean() {
 		t.Errorf("idle run not clean: %v", m.Violations())

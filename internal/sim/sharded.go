@@ -7,8 +7,8 @@
 // not run concurrently).
 //
 // The split is what keeps the shards independent. Inside a barrier window
-// the shard cores share nothing: protocol events, deliveries, and W' ticks
-// are all shard-local, and the entry/release hooks write only to a
+// the shard cores share nothing: protocol events, deliveries, and W'
+// deadlines are all shard-local, and the entry/release hooks write only to a
 // per-shard harvest buffer. Everything cross-shard — admitting client
 // arrivals, drawing think/hold/shard-skew values, moving hierarchical
 // acquisitions to their next shard, serving parked arrivals — happens
@@ -60,8 +60,6 @@ type ShardedConfig struct {
 	NewWrapper func(shard, id int) wrapper.Level2
 	// Level1 is the level-1 wrapper shared by every shard instance.
 	Level1 wrapper.Level1
-	// WrapperEvery is the W' tick cadence; default 1.
-	WrapperEvery int64
 	// MinDelay/MaxDelay bound per-message delay, as in Config.
 	MinDelay, MaxDelay int64
 	// NewClient constructs logical client c's draw stream (required).
@@ -199,15 +197,14 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			newWrap = func(id int) wrapper.Level2 { return c.NewWrapper(s, id) }
 		}
 		sim := New(Config{
-			N:            c.N,
-			Seed:         shardSeed(c.Seed, s),
-			NewNode:      c.NewNode,
-			NewWrapper:   newWrap,
-			Level1:       c.Level1,
-			WrapperEvery: c.WrapperEvery,
-			MinDelay:     c.MinDelay,
-			MaxDelay:     c.MaxDelay,
-			Obs:          shardObs,
+			N:          c.N,
+			Seed:       shardSeed(c.Seed, s),
+			NewNode:    c.NewNode,
+			NewWrapper: newWrap,
+			Level1:     c.Level1,
+			MinDelay:   c.MinDelay,
+			MaxDelay:   c.MaxDelay,
+			Obs:        shardObs,
 		})
 		sim.SetEntryHook(func(node int, t int64) {
 			sh.bufs[s] = append(sh.bufs[s], hookRec{op: opEntry, node: int32(node), t: t})

@@ -37,7 +37,6 @@ func shardedCfg(seed int64) ShardedConfig {
 		NewWrapper: func(shard, id int) wrapper.Level2 {
 			return wrapper.NewTimed(200)
 		},
-		WrapperEvery: 50,
 		NewClient: func(c int) workload.Client {
 			return &testShardClient{think: 10, hold: 3, seq: []int{c, c + 1, c + 2}}
 		},

@@ -11,6 +11,12 @@
 // exposes hooks for the fault injector (internal/fault) and for spec
 // monitors (internal/lspec) via per-event observers.
 //
+// W' is armed, not ticked. A wrapped process's timeout is a deadline set δ
+// after the simulator first sees it hungry and re-armed every δ while it
+// stays hungry; leaving Hungry disarms it. Theorem 8 asks no more: W'_j is
+// evaluated within δ of any continuously hungry state, and a process that
+// is not hungry costs the wrapper no event.
+//
 // The hot path is allocation-free in steady state: scheduled occurrences
 // are typed engine event records (no closure per event) interpreted by the
 // dispatch switch, and observers can keep snapshots current with
@@ -56,9 +62,6 @@ type Config struct {
 	// Level1, when non-nil, is the level-1 wrapper run on each process
 	// after every event at it.
 	Level1 wrapper.Level1
-	// WrapperEvery is the cadence (virtual ticks) of wrapper timer
-	// events; default 1. Only meaningful when NewWrapper is set.
-	WrapperEvery int64
 	// MinDelay and MaxDelay bound per-message transmission delay in
 	// virtual ticks. Defaults: 1 and 5.
 	MinDelay, MaxDelay int64
@@ -91,9 +94,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxDelay < out.MinDelay {
 		out.MaxDelay = out.MinDelay
-	}
-	if out.WrapperEvery <= 0 {
-		out.WrapperEvery = 1
 	}
 	if out.ThinkMin == 0 && out.ThinkMax == 0 {
 		out.ThinkMin, out.ThinkMax = 5, 20
@@ -183,9 +183,9 @@ func (g *GlobalState) NumEating() int {
 type Observer func(s *Sim)
 
 // The typed event kinds of the TME hot path. Every recurring occurrence
-// (delivery, client timer, wrapper tick, release) is a plain engine record
-// dispatched by a switch; only the rare path — At, used by fault injectors
-// and tests — carries a closure (engine.KindFunc).
+// (delivery, client timer, wrapper deadline, release) is a plain engine
+// record dispatched by a switch; only the rare path — At, used by fault
+// injectors and tests — carries a closure (engine.KindFunc).
 //
 //gblint:kindset sim-ev
 const (
@@ -193,8 +193,9 @@ const (
 	evDeliver uint8 = iota + 1
 	// evClientTimer is node a's client deadline (think or hold) falling due.
 	evClientTimer
-	// evWrapperTick fires node a's level-2 wrapper.
-	evWrapperTick
+	// evWrapperDeadline is node a's armed W' timeout falling due: δ after
+	// the node was first seen hungry, then every δ while it stays hungry.
+	evWrapperDeadline
 	// evRequest performs the client "Request CS" action at node a.
 	evRequest
 	// evRelease performs the client "Release CS" action at node a.
@@ -209,6 +210,7 @@ type Sim struct {
 	rng      *rand.Rand // the core's master stream, cached
 	nodes    []tme.Node
 	wrappers []wrapper.Level2
+	timeouts []timeout // one armed W' deadline per node; nil without wrappers
 	net      *channel.Net[tme.Message]
 	drivers  []workload.Driver // one client per node; nil without Workload
 	lastReq  []int64           // time of each node's outstanding request (-1 = none)
@@ -329,9 +331,13 @@ func New(cfg Config) *Sim {
 	}
 	if c.NewWrapper != nil {
 		s.wrappers = make([]wrapper.Level2, c.N)
+		s.timeouts = make([]timeout, c.N)
 		for i := range s.wrappers {
-			s.wrappers[i] = wrapper.InstrumentLevel2(c.Obs, i, c.NewWrapper(i))
-			s.core.Schedule(0, evWrapperTick, int32(i), 0)
+			w := c.NewWrapper(i)
+			// The eager W (δ = 0, or no timeout at all) is evaluated every
+			// tick of a hungry stretch.
+			s.timeouts[i] = timeout{period: max(wrapper.Timeout(w), 1), at: -1}
+			s.wrappers[i] = wrapper.InstrumentLevel2(c.Obs, i, w)
 		}
 	}
 	if c.Workload {
@@ -508,9 +514,9 @@ func (s *Sim) afterEventAt(i int) {
 
 // runLevel1 executes the level-1 wrapper on node i, if configured. It is
 // driven from every occasion the process "runs" — deliveries, client
-// actions and deadlines, and the wrapper ticks — because a corrupted
-// process that receives no messages still must repair itself (the level-1
-// wrapper is a local program, not a message handler).
+// actions and timers — and at every node after a fault closure, because a
+// corrupted process that receives no messages still must repair itself
+// (the level-1 wrapper is a local program, not a message handler).
 func (s *Sim) runLevel1(i int) {
 	if s.cfg.Level1 != nil {
 		if repaired, _ := s.cfg.Level1.CheckRepair(s.nodes[i]); repaired {
@@ -536,9 +542,8 @@ func (uniformClient) Cohort() string         { return "uniform" }
 
 // look steps node i's client until it has nothing more to do now. The
 // simulator has no blocking wait, so the client's "await" is a look after
-// every event that can write the node: a delivery, a wrapper tick with its
-// level-1 repair, a request, a release, a fault closure, and the client's
-// own deadlines.
+// every event that can write the node: a delivery, a request, a release, a
+// fault closure with its level-1 repair, and the client's own deadlines.
 func (s *Sim) look(i int) {
 	if s.drivers == nil {
 		return
@@ -597,41 +602,93 @@ func (s *Sim) Request(i int) { s.core.Schedule(0, evRequest, int32(i), 0) }
 // Release asks node i to release the CS now.
 func (s *Sim) Release(i int) { s.core.Schedule(0, evRelease, int32(i), 0) }
 
-// wrapperTick fires node i's level-2 wrapper and re-arms the timer.
-func (s *Sim) wrapperTick(i int) {
-	s.runLevel1(i)
-	msgs := s.wrappers[i].Fire(s.core.Now(), s.nodes[i])
-	s.send(msgs, true)
-	s.core.Schedule(s.cfg.WrapperEvery, evWrapperTick, int32(i), 0)
+// timeout is one process's W' deadline (see the package doc). At most one
+// deadline event per process is queued: a disarmed or re-armed deadline is
+// cancelled lazily, when its event pops, so the engine needs no cancel.
+type timeout struct {
+	period int64 // the wrapper's δ, at least 1
+	at     int64 // armed deadline; -1 when disarmed
+	queued bool  // an evWrapperDeadline for this process is in the queue
 }
 
-// dispatch executes one engine event record, then lets the client of every
-// node the event could have written look at it.
+// watch arms node i's W' deadline when the node is hungry and disarms it
+// when it is not. It runs after every event that can write the node, so an
+// armed deadline always belongs to the hungry stretch in progress.
+func (s *Sim) watch(i int) {
+	if s.timeouts == nil {
+		return
+	}
+	t := &s.timeouts[i]
+	if s.nodes[i].Phase() != tme.Hungry {
+		t.at = -1
+		return
+	}
+	if t.at >= 0 {
+		return // already armed for this stretch
+	}
+	t.at = s.core.Now() + t.period
+	if !t.queued {
+		t.queued = true
+		s.core.Schedule(t.period, evWrapperDeadline, int32(i), 0)
+	}
+}
+
+// wrapperDeadline handles node i's popped deadline event: nothing when the
+// node left Hungry since, a re-queue when it left and came back (its armed
+// time moved later), and otherwise one W' evaluation and the next deadline
+// a period on. The evaluation reads the node and writes only channels.
+func (s *Sim) wrapperDeadline(i int) {
+	t := &s.timeouts[i]
+	now := s.core.Now()
+	switch {
+	case t.at < 0:
+		t.queued = false
+	case now < t.at:
+		s.core.Schedule(t.at-now, evWrapperDeadline, int32(i), 0)
+	default:
+		s.send(s.wrappers[i].Fire(now, s.nodes[i]), true)
+		t.at = now + t.period
+		s.core.Schedule(t.period, evWrapperDeadline, int32(i), 0)
+	}
+}
+
+// settle follows an event that could have written node i: its client looks
+// at it, and then, since the client may have requested, its W' deadline is
+// re-watched.
+func (s *Sim) settle(i int) {
+	s.look(i)
+	s.watch(i)
+}
+
+// dispatch executes one engine event record, then settles every node the
+// event could have written.
 func (s *Sim) dispatch(ev *engine.Event) {
 	switch ev.Kind {
 	case evDeliver:
 		s.deliver(channel.Endpoint{Src: int(ev.A), Dst: int(ev.B)})
-		s.look(int(ev.B))
+		s.settle(int(ev.B))
 	case evClientTimer:
 		s.runLevel1(int(ev.A))
-		s.look(int(ev.A))
-	case evWrapperTick:
-		s.wrapperTick(int(ev.A))
-		s.look(int(ev.A))
+		s.settle(int(ev.A))
+	case evWrapperDeadline:
+		s.wrapperDeadline(int(ev.A))
 	case evRequest:
 		s.doRequest(int(ev.A))
-		s.look(int(ev.A))
+		s.settle(int(ev.A))
 	case evRelease:
 		s.release(int(ev.A))
-		s.look(int(ev.A))
+		s.settle(int(ev.A))
 	default:
 		s.publish() // the closure is user code and may read the counters
 		ev.Call()
 		// The closure may have mutated any node or channel (fault
-		// injection does exactly that), so cached snapshots are stale.
+		// injection does exactly that), so cached snapshots are stale, and
+		// a corrupted node is repaired now: a quiescent one has no other
+		// event to repair it at.
 		s.dirtyAll()
 		for i := range s.nodes {
-			s.look(i)
+			s.runLevel1(i)
+			s.settle(i)
 		}
 	}
 }
@@ -647,9 +704,13 @@ func (s *Sim) afterEvent() {
 // Run processes events until the queue drains, time exceeds horizon, or
 // Stop is called. It returns the number of events processed in this call.
 func (s *Sim) Run(horizon int64) int64 {
-	// State may have been mutated directly between Run calls (tests poke
-	// channels and nodes through Net and Node); invalidate snapshots once.
+	// State may have been mutated directly between Run calls (tests and
+	// fault.ImproperInit poke channels and nodes through Net and Node):
+	// invalidate snapshots once, and arm or disarm every W' deadline.
 	s.dirtyAll()
+	for i := range s.nodes {
+		s.watch(i)
+	}
 	n := s.core.Run(horizon)
 	s.publish()
 	return n

@@ -156,7 +156,7 @@ func TestWrapperMessagesAttributed(t *testing.T) {
 		Seed:    8,
 		NewNode: raFactory,
 		NewWrapper: func(int) wrapper.Level2 {
-			return wrapper.NewTimed(0) // eager W: fires every tick
+			return wrapper.NewTimed(0) // eager W: evaluated every tick while hungry
 		},
 	})
 	// Make node 0 hungry with its requests lost: drop them right away.
@@ -240,9 +240,9 @@ func TestLevel1WrapperRuns(t *testing.T) {
 }
 
 // Regression: a corrupted node that receives no messages must still be
-// repaired — level-1 runs on the periodic ticks, not only on deliveries.
-// (Found by BenchmarkLevel1Ablation at a seed whose run was quiescent at
-// the moment of corruption.)
+// repaired — level-1 runs at every node after a fault closure, not only on
+// deliveries. (Found by BenchmarkLevel1Ablation at a seed whose run was
+// quiescent at the moment of corruption.)
 func TestLevel1RepairsQuiescentNode(t *testing.T) {
 	s := New(Config{
 		N:       2,
@@ -252,7 +252,6 @@ func TestLevel1RepairsQuiescentNode(t *testing.T) {
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.NewTimed(5)
 		},
-		WrapperEvery: 5,
 	})
 	// No workload, no messages: corrupt both nodes while fully quiescent.
 	s.At(10, func(s *Sim) {

@@ -28,10 +28,17 @@
 //     a resent request provokes a permission reply, which is why measured
 //     msgs/entry sits above the protocol constant at small δ.
 //
-//   - §4 deadlock recovery is scheduling arithmetic: W' fires on exact
-//     multiples of δ, every process is hungry and mutually stale, and the
-//     winner re-enters once the resent requests refresh its local copies
-//     — the fault→next-firing gap plus the expected max one-way flight.
+//   - W' is armed when a request is issued and falls due every δ while it
+//     waits, so it fires once per full δ a request waits. That count needs
+//     the wait's distribution, not only its mean: the round trip's exact
+//     distribution, a binomial count of processes queued ahead, and the
+//     exact sum of the link delays of their services.
+//
+//   - §4 deadlock recovery is scheduling arithmetic: every process turns
+//     hungry one tick before the fault, every W' falls due δ later, and
+//     the winner re-enters once the resent requests refresh its local
+//     copies — δ−1 ticks after the fault plus the expected max one-way
+//     flight.
 //
 // Everything here is arithmetic on the parameters: no RNG, no clock, no
 // substrate. The gblint layering rule for this package enforces that —
@@ -70,8 +77,9 @@ type Params struct {
 	// changes the per-entry message constant.
 	Algo string
 	// Delta is the W' timeout δ in ticks. 0 is the eager W (evaluated
-	// every tick); negative disables the wrapper (no resend volume and no
-	// deadlock recovery — ConvergenceTicks becomes +Inf).
+	// every tick a process is hungry); negative disables the wrapper (no
+	// resend volume and no deadlock recovery — ConvergenceTicks becomes
+	// +Inf).
 	Delta int64
 	// MinDelay/MaxDelay bound the link delay, drawn uniformly on the
 	// integers [MinDelay, MaxDelay]. Defaults 1 and 5 (the sim's).
@@ -91,10 +99,6 @@ type Params struct {
 	// MaxRequests caps each client's requests (0 = unbounded); the sim's
 	// liveness-drain bound.
 	MaxRequests int
-	// FaultTime is when the §4 deadlock fault lands (default 11: requests
-	// at t=10, every in-flight message dropped at t=11 — the harness's
-	// DeadlockFault schedule).
-	FaultTime int64
 }
 
 func (p Params) withDefaults() Params {
@@ -122,9 +126,6 @@ func (p Params) withDefaults() Params {
 	if p.Horizon <= 0 {
 		p.Horizon = 20000
 	}
-	if p.FaultTime <= 0 {
-		p.FaultTime = 11
-	}
 	return p
 }
 
@@ -141,15 +142,15 @@ type Prediction struct {
 	ProgramMsgs  float64
 	// WaitTicks is the expected request→entry latency.
 	WaitTicks float64
-	// WrapperMsgsPerEntry estimates W' resend volume: one firing per
-	// δ-window spent hungry, resending to every peer not known to hold a
-	// newer request. This is the model's loosest number (the stale-peer
-	// count varies with timestamp interleaving); treat it as a flood
-	// indicator with a stated wide tolerance, not a ≤25% prediction.
+	// WrapperMsgsPerEntry estimates W' resend volume: one firing per full
+	// δ a request waits, resending to every peer whose reply has not come
+	// back. This is the model's loosest number (the stale-peer count varies
+	// with timestamp interleaving); treat it as a flood indicator with a
+	// stated wide tolerance, not a ≤25% prediction.
 	WrapperMsgsPerEntry float64
 	WrapperMsgs         float64
-	// ConvergenceTicks is the expected §4 deadlock-recovery latency:
-	// first W' firing after the fault plus the max one-way flight of the
+	// ConvergenceTicks is the expected §4 deadlock-recovery latency: first
+	// W' deadline after the fault plus the max one-way flight of the
 	// resent requests. +Inf without a wrapper.
 	ConvergenceTicks float64
 	// SaturationRate is the system-wide entry-rate ceiling (entries/tick);
@@ -199,15 +200,17 @@ func Predict(p Params) Prediction {
 	// Requests lead entries by the clients still hungry at the horizon.
 	pred.Requests = pred.Entries + queue*float64(p.Shards)
 
-	// W' resend volume: every δ-window spent hungry fires once, resending
-	// to the peers whose known request is not newer — all of them except
-	// the later half of the hungry queue.
+	// W' resend volume. The deadline is armed when the request is issued
+	// and falls due every δ while it waits, so a request fires once per
+	// full δ it waits. Each firing resends to the peers whose reply has not
+	// come back: the processes queued ahead of it, about half the station's
+	// queue, and at least the one eating.
 	if p.Delta > 0 {
-		stale := float64(p.N-1) - queue/2
+		stale := queue / 2
 		if stale < 1 {
 			stale = 1
 		}
-		pred.WrapperMsgsPerEntry = pred.WaitTicks / float64(p.Delta) * stale
+		pred.WrapperMsgsPerEntry = fullPeriods(p, clients, queue, wq) * stale
 	}
 	pred.WrapperMsgs = pred.WrapperMsgsPerEntry * pred.Entries
 
@@ -291,27 +294,25 @@ func mva(clients, s, z float64, cv2 float64) (resp, queue float64) {
 	return resp, queue
 }
 
-// convergenceTicks predicts the §4 deadlock-recovery latency. After the
-// fault every process is hungry with every request lost and every local
-// copy stale. W' evaluations land on exact multiples of δ (the substrates
-// schedule wrapper ticks at t=0 with period δ), so the first corrective
-// firing is at the first multiple of δ at or after FaultTime+1; every
-// wrapper fires at once, and the winner re-enters when the resent requests
-// have refreshed all n−1 of its local copies — the expected max one-way
-// flight over the discrete uniform link delays.
+// convergenceTicks predicts the §4 deadlock-recovery latency, counted from
+// the fault. Every process requests one tick before the fault, which drops
+// every request in flight (the harness's DeadlockFault schedule: requests
+// at t=10, the drop at t=11), leaving each process hungry with every local
+// copy stale. W' is armed when a process turns hungry, so every wrapper
+// first falls due δ after the requests (the eager W, δ ≤ 1, a tick after):
+// δ−1 ticks after the fault. Every wrapper fires at once, and the winner
+// re-enters when the resent requests have refreshed all n−1 of its local
+// copies — the expected max one-way flight over the discrete uniform link
+// delays.
 func convergenceTicks(p Params) float64 {
 	if p.Delta < 0 {
 		return math.Inf(1)
 	}
-	var firstFire float64
-	earliest := p.FaultTime + 1
-	if p.Delta <= 1 {
-		firstFire = float64(earliest) // eager W: evaluated every tick
-	} else {
-		k := (earliest + p.Delta - 1) / p.Delta
-		firstFire = float64(k * p.Delta)
+	period := p.Delta
+	if period < 1 {
+		period = 1
 	}
-	return firstFire - float64(p.FaultTime) + eMaxUniform(p.N-1, p.MinDelay, p.MaxDelay)
+	return float64(period-1) + eMaxUniform(p.N-1, p.MinDelay, p.MaxDelay)
 }
 
 // uniformVar is the variance of the discrete uniform on [lo, hi].
@@ -337,27 +338,93 @@ func eMaxUniform(m int, lo, hi int64) float64 {
 }
 
 // eMaxRoundTrip is the exact expectation of the maximum over m independent
-// round trips, each the sum of two iid discrete uniform [lo, hi] legs (the
-// convolution is triangular on [2lo, 2hi]).
+// round trips (maxRoundTripPMF).
 func eMaxRoundTrip(m int, lo, hi int64) float64 {
 	if m < 1 {
 		return 0
 	}
-	span := int(hi - lo + 1)
-	pmf := make([]float64, 2*span-1)
-	for a := 0; a < span; a++ {
-		for b := 0; b < span; b++ {
-			pmf[a+b] += 1 / float64(span*span)
-		}
+	e := 0.0
+	for i, q := range maxRoundTripPMF(m, lo, hi) {
+		e += float64(2*lo+int64(i)) * q
 	}
-	e, cdf, prev := 0.0, 0.0, 0.0
+	return e
+}
+
+// maxRoundTripPMF is the distribution of the maximum over m independent
+// round trips, each the sum of two iid discrete uniform [lo, hi] legs (the
+// convolution is triangular on [2lo, 2hi]): entry i is P(max = 2lo + i).
+func maxRoundTripPMF(m int, lo, hi int64) []float64 {
+	span := int(hi - lo + 1)
+	pmf := convolveUniform(convolveUniform([]float64{1}, span), span)
+	cdf, prev := 0.0, 0.0
 	for i, q := range pmf {
 		cdf += q
 		c := math.Pow(cdf, float64(m))
-		e += float64(2*lo+int64(i)) * (c - prev)
-		prev = c
+		pmf[i], prev = c-prev, c
+	}
+	return pmf
+}
+
+// fullPeriods is E[⌊W/δ⌋], the expected number of full timeout periods a
+// request waits: how many times its armed W' falls due. The wait W is the
+// request's round trip plus its queueing. The request finds each other
+// client of its shard queued with probability queue/(clients−1), so the
+// count a ahead is binomial. Behind a ≥ 1 of them it waits out the rest of
+// the service in progress and a−1 full services, each a hold plus one link
+// delay; the rest is sized so that E[W] is the model's WaitTicks. The link
+// delays are summed exactly: their spread is what gives the wait a tail
+// past δ when its mean sits well below.
+func fullPeriods(p Params, clients, queue, wq float64) float64 {
+	others := int(math.Ceil(clients)) - 1
+	var ahead, rest float64
+	if others > 0 && queue > 0 {
+		ahead = math.Min(1, queue/float64(others))
+		busy := 1 - math.Pow(1-ahead, float64(others)) // P(a ≥ 1)
+		service := p.HoldMean + float64(p.MinDelay+p.MaxDelay)/2
+		rest = (wq - (ahead*float64(others)-busy)*service) / busy
+	}
+	span := int(p.MaxDelay - p.MinDelay + 1)
+	trip := maxRoundTripPMF(p.N-1, p.MinDelay, p.MaxDelay)
+	links := []float64{1} // P(a−1 link delays sum to (a−1)·MinDelay + k)
+	e := 0.0
+	for a := 0; a <= others; a++ {
+		var base float64
+		if a > 0 {
+			base = rest + float64(a-1)*(p.HoldMean+float64(p.MinDelay))
+		}
+		if a > 1 {
+			links = convolveUniform(links, span)
+		}
+		pa := binomialPMF(others, a, ahead)
+		for i, pt := range trip {
+			for k, pl := range links {
+				w := float64(2*p.MinDelay+int64(i)) + base + float64(k)
+				e += pa * pt * pl * math.Floor(w/float64(p.Delta))
+			}
+		}
 	}
 	return e
+}
+
+// convolveUniform adds one discrete uniform draw on span values to the
+// distribution pmf.
+func convolveUniform(pmf []float64, span int) []float64 {
+	out := make([]float64, len(pmf)+span-1)
+	for i, q := range pmf {
+		for d := 0; d < span; d++ {
+			out[i+d] += q / float64(span)
+		}
+	}
+	return out
+}
+
+// binomialPMF is P(X = k) for X ~ Binomial(n, p).
+func binomialPMF(n, k int, p float64) float64 {
+	c := 1.0
+	for i := 0; i < k; i++ {
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return c * math.Pow(p, float64(k)) * math.Pow(1-p, float64(n-k))
 }
 
 // SpecMeans derives the think/hold means the model needs from a workload

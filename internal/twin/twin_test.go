@@ -140,24 +140,46 @@ func TestPredictShape(t *testing.T) {
 	}
 }
 
-// TestConvergenceArithmetic pins the §4 recovery formula: δ-grid firing
-// gap plus the expected max one-way flight.
+// TestConvergenceArithmetic pins the §4 recovery formula: the armed
+// deadline's gap after the fault plus the expected max one-way flight.
 func TestConvergenceArithmetic(t *testing.T) {
-	// n=3, δ=10, fault at 11: first firing at t=20, flight E[max2 U{1..5}]
-	// = 3.8 → 9 + 3.8.
+	// n=3, δ=10, requests at 10, fault at 11: first deadline at t=20,
+	// flight E[max2 U{1..5}] = 3.8 → 9 + 3.8.
 	p := Predict(Params{N: 3, Delta: 10})
 	if math.Abs(p.ConvergenceTicks-12.8) > 1e-9 {
 		t.Errorf("conv(n=3, δ=10) = %v, want 12.8", p.ConvergenceTicks)
 	}
-	// δ=50: firing at t=50 → 39 + 3.8.
+	// δ=50: deadline at t=60 → 49 + 3.8.
 	p = Predict(Params{N: 3, Delta: 50})
-	if math.Abs(p.ConvergenceTicks-42.8) > 1e-9 {
-		t.Errorf("conv(n=3, δ=50) = %v, want 42.8", p.ConvergenceTicks)
+	if math.Abs(p.ConvergenceTicks-52.8) > 1e-9 {
+		t.Errorf("conv(n=3, δ=50) = %v, want 52.8", p.ConvergenceTicks)
 	}
-	// Eager W (δ=0): evaluated every tick, fires right after the fault.
+	// Eager W (δ=0): falls due a tick after the requests, at the fault.
 	p = Predict(Params{N: 3, Delta: 0})
-	if math.Abs(p.ConvergenceTicks-(1+3.8)) > 1e-9 {
-		t.Errorf("conv(n=3, eager) = %v, want 4.8", p.ConvergenceTicks)
+	if math.Abs(p.ConvergenceTicks-3.8) > 1e-9 {
+		t.Errorf("conv(n=3, eager) = %v, want 3.8", p.ConvergenceTicks)
+	}
+}
+
+// TestFullPeriods pins the resend count's arithmetic. With no queueing the
+// wait is the round trip alone, at most 2·MaxDelay: a δ above that never
+// falls due, and δ=1 falls due once per tick of the expected round trip.
+func TestFullPeriods(t *testing.T) {
+	p := Params{N: 3, Delta: 11}.withDefaults()
+	if got := fullPeriods(p, 1, 0, 0); got != 0 {
+		t.Errorf("δ=11 over round trips of at most 10: %v periods, want 0", got)
+	}
+	p.Delta = 1
+	if got, want := fullPeriods(p, 1, 0, 0), eMaxRoundTrip(2, 1, 5); math.Abs(got-want) > 1e-9 {
+		t.Errorf("δ=1: %v periods, want the mean round trip %v", got, want)
+	}
+	// Four other clients, queue 4: all are always ahead, so the wait is the
+	// round trip, the rest of the service in progress (wq less three
+	// services of 6, here 2) and three holds with three link delays. Every
+	// wait is whole, so with δ=1 the periods are the mean wait: the round
+	// trip plus wq.
+	if got, want := fullPeriods(p, 5, 4, 20), eMaxRoundTrip(2, 1, 5)+20; math.Abs(got-want) > 1e-9 {
+		t.Errorf("δ=1 with wq=20: %v periods, want %v", got, want)
 	}
 }
 

@@ -60,6 +60,15 @@ const stormAfter = 8
 // TimeoutDelta exposes the W' timeout to the instrumentation layer.
 func (t *Timed) TimeoutDelta() int64 { return t.Delta }
 
+// Timeout is l2's W' timeout δ, read through its TimeoutDelta method; 0
+// for a wrapper without one (the eager W, such as a Func).
+func Timeout(l2 Level2) int64 {
+	if td, ok := l2.(interface{ TimeoutDelta() int64 }); ok {
+		return td.TimeoutDelta()
+	}
+	return 0
+}
+
 var _ Level2 = (*Instrumented)(nil)
 
 // Fire evaluates the inner wrapper and publishes the outcome.
@@ -123,10 +132,6 @@ func InstrumentLevel2(o *obs.Obs, id int, l2 Level2) Level2 {
 		return l2
 	}
 	r := o.Registry()
-	var delta int64
-	if td, ok := l2.(interface{ TimeoutDelta() int64 }); ok {
-		delta = td.TimeoutDelta()
-	}
 	return &Instrumented{
 		Inner:  l2,
 		ID:     id,
@@ -134,7 +139,7 @@ func InstrumentLevel2(o *obs.Obs, id int, l2 Level2) Level2 {
 		Fires:  r.Counter("wrapper_fires_total", "level-2 wrapper guard openings"),
 		Sends:  r.Counter("wrapper_msgs_total", "corrective messages sent by level-2 wrappers"),
 		Trace:  o.Tracer(),
-		Delta:  delta,
+		Delta:  Timeout(l2),
 		Storms: r.Counter("wrapper_resend_storm_total", "δ-windows fired past the consecutive-firing storm threshold"),
 	}
 }
