@@ -1,10 +1,10 @@
 // Command gbnode runs ONE graybox TME node as a real OS process: a
 // runtime.Cluster hosting a single process id, speaking the internal/wire
 // framed TCP protocol to its peers, with the protocol stacked under the
-// level-1 PhaseGuard and (by default) the W' timeout wrapper on a real
-// timer. A built-in client loop drives the node through the
-// think→request→eat→release cycle, so a set of gbnode processes forms a
-// live cluster with no external coordinator.
+// level-1 PhaseGuard and (by default) the W' timeout wrapper, armed δ
+// after the node turns hungry. A built-in client loop drives the node
+// through the think→request→eat→release cycle, so a set of gbnode
+// processes forms a live cluster with no external coordinator.
 //
 // Usage (three nodes on one machine):
 //
@@ -85,7 +85,6 @@ func parseFlags(args []string) (NodeConfig, error) {
 	peers := fs.String("peers", "", "comma-separated peer addresses, one per id (empty for n=1)")
 	algo := fs.String("algo", "ra", "protocol: ra or lamport")
 	fs.DurationVar(&cfg.Delta, "delta", 25*time.Millisecond, "W' wrapper timeout (negative disables the wrapper)")
-	fs.DurationVar(&cfg.WrapperTick, "tick", 2*time.Millisecond, "wrapper evaluation cadence")
 	fs.BoolVar(&cfg.V2, "v2", false, "send with the compact v2 wire codec (peers auto-detect; mixed clusters are fine)")
 	fs.StringVar(&cfg.HTTP, "http", "127.0.0.1:0", `debug HTTP listen address ("" disables)`)
 	fs.DurationVar(&cfg.Think, "think", 15*time.Millisecond, "max think time between CS attempts")

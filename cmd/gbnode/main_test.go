@@ -29,6 +29,9 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-algo", "paxos"}); err == nil {
 		t.Error("unknown -algo accepted")
 	}
+	if _, err := parseFlags([]string{"-tick", "2ms"}); err == nil {
+		t.Error("-tick accepted: W' is armed per request and has no tick")
+	}
 }
 
 func TestStartNodeValidation(t *testing.T) {

@@ -21,17 +21,16 @@ type NodeConfig struct {
 	// Shards is the number of independent critical sections the cluster
 	// runs (default 1); the client loop draws each attempt's shard from
 	// its workload skew stream.
-	Shards      int
-	Listen      string
-	Peers       []string // one address per id; Peers[ID] is replaced by the bound address
-	Algo        harness.Algo
-	Delta       time.Duration // negative = no W' wrapper
-	WrapperTick time.Duration
-	V2          bool   // send with the compact v2 wire codec (receivers auto-detect)
-	HTTP        string // "" disables the debug HTTP server
-	Think, Eat  time.Duration
-	Duration    time.Duration
-	Seed        int64
+	Shards     int
+	Listen     string
+	Peers      []string // one address per id; Peers[ID] is replaced by the bound address
+	Algo       harness.Algo
+	Delta      time.Duration // negative = no W' wrapper
+	V2         bool          // send with the compact v2 wire codec (receivers auto-detect)
+	HTTP       string        // "" disables the debug HTTP server
+	Think, Eat time.Duration
+	Duration   time.Duration
+	Seed       int64
 	// Workload, when non-nil, shapes the client loop's traffic (ticks read
 	// as harness.LiveTick each, same as the gbload drivers); nil derives a
 	// uniform closed loop from Think/Eat.
@@ -102,12 +101,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	cl, err := runtime.NewCluster(runtime.Config{
 		N: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed, Local: []int{cfg.ID},
-		NewNode:     cfg.Algo.Factory(),
-		NewWrapper:  newWrapper,
-		WrapperTick: cfg.WrapperTick,
-		Level1:      wrapper.PhaseGuard{},
-		Obs:         o,
-		Transport:   tr,
+		NewNode:    cfg.Algo.Factory(),
+		NewWrapper: newWrapper,
+		Level1:     wrapper.PhaseGuard{},
+		Obs:        o,
+		Transport:  tr,
 	})
 	if err != nil {
 		_ = tr.Close()

@@ -19,7 +19,7 @@ func main() {
 	const n = 3
 	// A cluster that drops 30% of all messages — enough to wedge plain
 	// RA ME regularly — wrapped with the paper's W (evaluated every
-	// millisecond per process).
+	// millisecond a process stays hungry, and never while it is not).
 	cluster, err := runtime.NewCluster(runtime.Config{
 		N:        n,
 		Seed:     42,
@@ -28,7 +28,6 @@ func main() {
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
-		WrapperTick: time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

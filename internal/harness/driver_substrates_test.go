@@ -81,9 +81,8 @@ func TestDriverFaultRowsOnBothSubstrates(t *testing.T) {
 		var requests, entries [n]atomic.Int64
 		cl, err := runtime.NewCluster(runtime.Config{
 			N: n, Seed: 7, NewNode: RA.Factory(),
-			NewWrapper:  func(int) wrapper.Level2 { return wrapper.NewTimed(delta) },
-			WrapperTick: time.Millisecond,
-			Level1:      wrapper.PhaseGuard{},
+			NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed(delta) },
+			Level1:     wrapper.PhaseGuard{},
 		})
 		if err != nil {
 			t.Fatal(err)

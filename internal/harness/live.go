@@ -67,10 +67,11 @@ type LiveConfig struct {
 	Seed int64
 	// Duration is the measured run length. Default 2s.
 	Duration time.Duration
-	// Delta is the W' timeout on the real timer. 0 = default 25ms;
-	// negative = no wrapper (the unwrapped baseline).
+	// Delta is the W' timeout, armed when a process turns hungry. 0 =
+	// default 25ms; negative = no wrapper (the unwrapped baseline).
 	Delta time.Duration
-	// WrapperTick is the wrapper evaluation cadence. Default 2ms.
+	// Deprecated: WrapperTick is ignored; W' is armed per hungry stretch,
+	// not evaluated on a tick.
 	WrapperTick time.Duration
 	// ChaosMinDelay/ChaosMaxDelay bound the proxy's per-message hold.
 	// Defaults 500µs / 3ms.
@@ -119,9 +120,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	}
 	if c.Delta == 0 {
 		c.Delta = 25 * time.Millisecond
-	}
-	if c.WrapperTick <= 0 {
-		c.WrapperTick = 2 * time.Millisecond
 	}
 	if c.ChaosMinDelay <= 0 {
 		c.ChaosMinDelay = 500 * time.Microsecond
@@ -261,12 +259,11 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	for i := 0; i < n; i++ {
 		cl, err := runtime.NewCluster(runtime.Config{
 			N: n, Shards: shards, Seed: cfg.Seed + int64(i), Local: []int{i},
-			NewNode:     cfg.Algo.Factory(),
-			NewWrapper:  newWrapper,
-			WrapperTick: cfg.WrapperTick,
-			Level1:      wrapper.PhaseGuard{},
-			Obs:         o,
-			Transport:   chaos.Pipe(transports[i]),
+			NewNode:    cfg.Algo.Factory(),
+			NewWrapper: newWrapper,
+			Level1:     wrapper.PhaseGuard{},
+			Obs:        o,
+			Transport:  chaos.Pipe(transports[i]),
 		})
 		if err != nil {
 			for _, tr := range transports {

@@ -20,10 +20,9 @@ func clientCluster(t *testing.T, onEntry func(runtime.Entry)) *runtime.Cluster {
 	delta := (5 * time.Millisecond).Nanoseconds()
 	cl, err := runtime.NewCluster(runtime.Config{
 		N: 2, Seed: 31,
-		NewNode:     func(id, n int) tme.Node { return ra.New(id, n) },
-		NewWrapper:  func(int) wrapper.Level2 { return wrapper.NewTimed(delta) },
-		WrapperTick: time.Millisecond,
-		Level1:      wrapper.PhaseGuard{},
+		NewNode:    func(id, n int) tme.Node { return ra.New(id, n) },
+		NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed(delta) },
+		Level1:     wrapper.PhaseGuard{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,5 +191,27 @@ func TestRunLiveSaturatedHandoffRate(t *testing.T) {
 	floor := 0.55 * float64(cfg.Duration/cfg.EatTime)
 	if float64(res.Entries) < floor {
 		t.Errorf("entries = %d over %v, want >= %.0f (0.55 x Duration/EatTime)", res.Entries, cfg.Duration, floor)
+	}
+}
+
+// W' is armed δ after a process turns hungry, so a fault-free run whose
+// every wait is far below δ evaluates it not once: the common case pays
+// what the bare protocol pays. Three nodes at think = hold = 1 ms wait a
+// few milliseconds for the other two holds, against δ = 25 ms.
+func TestRunLiveFaultFreeEvaluatesNoWrapper(t *testing.T) {
+	res, err := RunLive(LiveConfig{
+		N: 3, Seed: 1, Duration: 300 * time.Millisecond, Delta: 25 * time.Millisecond,
+		ThinkMin: time.Millisecond, ThinkMax: time.Millisecond, EatTime: time.Millisecond,
+		ChaosMinDelay: time.Microsecond, ChaosMaxDelay: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Entries == 0 {
+		t.Fatal("no entries")
+	}
+	if got := res.Snapshot.Counter("wrapper_evals_total"); got != 0 {
+		t.Errorf("wrapper_evals_total = %d over %d entries, want 0: W' was evaluated before any wait reached δ",
+			got, res.Entries)
 	}
 }

@@ -24,9 +24,8 @@ func TestClusterPublishesObs(t *testing.T) {
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
-		WrapperTick: time.Millisecond,
-		Level1:      wrapper.PhaseGuard{},
-		Obs:         o,
+		Level1: wrapper.PhaseGuard{},
+		Obs:    o,
 	})
 	if err != nil {
 		t.Fatal(err)

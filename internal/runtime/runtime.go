@@ -7,6 +7,11 @@
 // internal/wire supplies a TCP transport with the same contract, so one
 // event loop serves both single-process demos and real clusters.
 //
+// The level-2 wrapper is armed, not ticked: a process's W' deadline is set
+// δ after it turns Hungry and cleared when it leaves, and its event loop
+// holds one timer for that deadline, so a process that is not hungry costs
+// the wrapper nothing.
+//
 // The simulator is the measurement substrate (deterministic virtual time);
 // this package demonstrates the same wrapper recovering real concurrent
 // executions, and backs the runnable examples.
@@ -36,13 +41,19 @@ type Config struct {
 	Seed int64
 	// NewNode constructs each process (required).
 	NewNode func(id, n int) tme.Node
-	// NewWrapper, when non-nil, attaches a level-2 wrapper per process,
-	// driven every WrapperTick of wall-clock time.
+	// NewWrapper, when non-nil, attaches a level-2 wrapper per process. It
+	// is evaluated δ after the process turns Hungry and every δ after that
+	// while it stays hungry, δ being wrapper.Timeout of the wrapper in
+	// nanoseconds (Fire receives Unix nanoseconds); a wrapper with no
+	// timeout, the eager W, is evaluated every millisecond of a hungry
+	// stretch.
 	NewWrapper func(id int) wrapper.Level2
-	// WrapperTick is the wrapper evaluation cadence. Default 2ms.
+	// Deprecated: WrapperTick is ignored; W' is armed per hungry stretch
+	// (see NewWrapper), not evaluated on a tick.
 	WrapperTick time.Duration
 	// Level1, when non-nil, is the level-1 wrapper run on a process after
-	// every event at it (intra-process repair, §2.2).
+	// every event at it and after every corruption (intra-process repair,
+	// §2.2).
 	Level1 wrapper.Level1
 	// MinDelay/MaxDelay bound per-message transport delay.
 	// Defaults 100µs / 1ms.
@@ -69,9 +80,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.WrapperTick <= 0 {
-		c.WrapperTick = 2 * time.Millisecond
 	}
 	if c.MinDelay <= 0 {
 		c.MinDelay = 100 * time.Microsecond
@@ -143,15 +151,29 @@ func newRTInstruments(o *obs.Obs) rtInstruments {
 	}
 }
 
-// proc is one process: its node, guarded by mu, plus its inbox. wrap is
-// set once in NewCluster before any goroutine exists and never reassigned,
-// so it needs no guard.
+// eagerEvery is how often a wrapper with no timeout (the eager W, δ = 0)
+// is evaluated while its process stays hungry: the live reading of the
+// simulator's one-tick period.
+const eagerEvery = time.Millisecond
+
+// proc is one process: its node, guarded by mu, plus its inbox. wrap,
+// every and armed are set once in NewCluster before any goroutine exists
+// and never reassigned, so they need no guard.
 type proc struct {
 	id    int
 	shard int
 	mu    sync.Mutex
 	node  tme.Node // guarded by mu
 	wrap  wrapper.Level2
+	every time.Duration // W''s period δ, or eagerEvery for the eager W
+	// due is the armed W' deadline in Unix nanoseconds, -1 when disarmed.
+	// It is armed a period on when node turns Hungry and disarmed when it
+	// leaves, both in notePhase, so an armed deadline always belongs to the
+	// hungry stretch in progress.
+	due int64 // guarded by mu
+	// armed holds one token while due may be earlier than the event loop's
+	// timer knows (capacity 1, sent to only under mu by notePhase).
+	armed chan struct{}
 	inbox *mailbox[tme.Message]
 	// phaseMoved holds one token while a move of node's phase may be unseen
 	// (capacity 1: a token says "look again", not how often). Sent to only
@@ -162,16 +184,42 @@ type proc struct {
 }
 
 // notePhase posts the phase-change token when the node has left the phase
-// before, which the caller read on taking mu. Every section that can write
-// node ends with it. Called with mu held.
+// before, which the caller read on taking mu, and arms or disarms the W'
+// deadline to match. Every section that can write node ends with it.
+// Called with mu held.
 func (p *proc) notePhase(before tme.Phase) {
-	if p.node.Phase() == before {
+	ph := p.node.Phase()
+	if ph == before {
 		return
+	}
+	if p.wrap != nil {
+		p.watch(ph)
 	}
 	select {
 	case p.phaseMoved <- struct{}{}:
 	default:
 	}
+}
+
+// watch arms the W' deadline a period from now, and tells the event loop,
+// when ph is Hungry; otherwise it disarms it. The timer of a disarmed
+// deadline is left to fire into a no-op. Called with mu held.
+func (p *proc) watch(ph tme.Phase) {
+	if ph != tme.Hungry {
+		p.due = -1
+		return
+	}
+	p.due = wallClock().UnixNano() + int64(p.every)
+	select {
+	case p.armed <- struct{}{}:
+	default:
+	}
+}
+
+// wallClock is the package's one wall-clock read: W' deadlines, the time
+// Fire is given, entry stamps and trace timestamps all come from it.
+func wallClock() time.Time {
+	return time.Now() //gblint:ignore determinism the goroutine runtime runs on the wall clock by definition; this is its one read
 }
 
 // NewCluster builds a cluster; it does not start any goroutine.
@@ -209,9 +257,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				inbox: newMailbox[tme.Message](), phaseMoved: make(chan struct{}, 1),
 			}
 			if cfg.NewWrapper != nil {
+				raw := cfg.NewWrapper(i)
+				p.every = time.Duration(wrapper.Timeout(raw))
+				if p.every <= 0 {
+					p.every = eagerEvery
+				}
 				// Instrumentation is per process id; shard instances of one
 				// process share its wrapper gauges, which sum naturally.
-				p.wrap = wrapper.InstrumentLevel2(cfg.Obs, i, cfg.NewWrapper(i))
+				p.wrap = wrapper.InstrumentLevel2(cfg.Obs, i, raw)
+				p.armed = make(chan struct{}, 1)
+				p.watch(p.node.Phase())
 			}
 			c.procs[s][i] = p
 		}
@@ -279,14 +334,16 @@ func (c *Cluster) deliver(dst int, m tme.Message) {
 	p.inbox.put(m)
 }
 
-// eventLoop drives one process: deliver messages, run the wrapper on its
-// tick, detect CS entries.
+// eventLoop drives one process: deliver messages, evaluate the wrapper at
+// its armed deadline, detect CS entries.
 func (c *Cluster) eventLoop(p *proc) {
-	var tick <-chan time.Time
+	var timer *time.Timer
+	var fire <-chan time.Time
 	if p.wrap != nil {
-		t := time.NewTicker(c.cfg.WrapperTick)
-		defer t.Stop()
-		tick = t.C
+		timer = time.NewTimer(time.Hour)
+		timer.Stop()
+		defer timer.Stop()
+		fire = timer.C
 	}
 	for {
 		select {
@@ -301,11 +358,7 @@ func (c *Cluster) eventLoop(p *proc) {
 				p.mu.Lock()
 				before := p.node.Phase()
 				out := p.node.Deliver(m)
-				if c.cfg.Level1 != nil {
-					if repaired, _ := c.cfg.Level1.CheckRepair(p.node); repaired {
-						c.ins.repairs.Inc()
-					}
-				}
+				c.repair(p)
 				entered, more := p.node.Step()
 				p.notePhase(before)
 				p.mu.Unlock()
@@ -315,23 +368,68 @@ func (c *Cluster) eventLoop(p *proc) {
 					c.recordEntry(p.shard, p.id)
 				}
 			}
-		case now := <-tick:
+		case <-p.armed:
 			p.mu.Lock()
-			before := p.node.Phase()
-			if c.cfg.Level1 != nil {
-				if repaired, _ := c.cfg.Level1.CheckRepair(p.node); repaired {
-					c.ins.repairs.Inc()
-				}
-			}
-			msgs := p.wrap.Fire(now.UnixNano(), p.node)
-			entered, more := p.node.Step()
-			p.notePhase(before)
+			due := p.due
 			p.mu.Unlock()
-			c.route(p.shard, append(msgs, more...))
-			if entered {
-				c.recordEntry(p.shard, p.id)
+			if due >= 0 {
+				rearm(timer, time.Duration(due-wallClock().UnixNano()))
 			}
+		case <-fire:
+			c.deadline(p, timer)
 		}
+	}
+}
+
+// rearm points t, which may be running or may have fired unread, at d from
+// now. go.mod's Go version keeps the pre-1.23 timer channel, so a fired
+// value is drained before Reset.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+}
+
+// deadline handles p's timer firing, its value already received. A due
+// deadline runs level-1, one W' evaluation and Step, and is re-armed a
+// period on if the process is still hungry; one disarmed since is a no-op,
+// and one re-armed later since only re-aims the timer.
+func (c *Cluster) deadline(p *proc, timer *time.Timer) {
+	var msgs, more []tme.Message
+	entered := false
+	p.mu.Lock()
+	now := wallClock().UnixNano()
+	if p.due >= 0 && now >= p.due {
+		before := p.node.Phase()
+		c.repair(p)
+		msgs = p.wrap.Fire(now, p.node)
+		entered, more = p.node.Step()
+		p.due = now + int64(p.every)
+		p.notePhase(before)
+	}
+	due := p.due
+	p.mu.Unlock()
+	if due >= 0 {
+		timer.Reset(time.Duration(due - now))
+	}
+	c.route(p.shard, append(msgs, more...))
+	if entered {
+		c.recordEntry(p.shard, p.id)
+	}
+}
+
+// repair runs the level-1 wrapper on p's node and counts a repair. Called
+// with p.mu held.
+func (c *Cluster) repair(p *proc) {
+	if c.cfg.Level1 == nil {
+		return
+	}
+	if repaired, _ := c.cfg.Level1.CheckRepair(p.node); repaired {
+		c.ins.repairs.Inc()
 	}
 }
 
@@ -351,7 +449,7 @@ func (c *Cluster) route(shard int, msgs []tme.Message) {
 
 func (c *Cluster) recordEntry(shard, id int) {
 	c.mu.Lock()
-	e := Entry{ID: id, Seq: c.seq, Shard: shard, At: time.Now()} //gblint:ignore determinism entry timestamps under the goroutine runtime are wall-clock by definition
+	e := Entry{ID: id, Seq: c.seq, Shard: shard, At: wallClock()}
 	c.seq++
 	cb := c.onEntry
 	c.mu.Unlock()
@@ -479,7 +577,8 @@ func (c *Cluster) SnapshotShard(shard, id int) tme.SpecState {
 func (c *Cluster) Corrupt(id int, corr tme.Corruption) { c.CorruptShard(0, id, corr) }
 
 // CorruptShard applies a transient state corruption to process id on the
-// given shard.
+// given shard, then the level-1 wrapper: a quiescent process has no other
+// event to repair it at.
 func (c *Cluster) CorruptShard(shard, id int, corr tme.Corruption) {
 	p := c.procAt(shard, id)
 	if p == nil {
@@ -490,6 +589,7 @@ func (c *Cluster) CorruptShard(shard, id int, corr tme.Corruption) {
 	if node, ok := p.node.(tme.Corruptible); ok {
 		before := p.node.Phase()
 		node.Corrupt(corr)
+		c.repair(p)
 		p.notePhase(before)
 	}
 }

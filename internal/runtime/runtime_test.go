@@ -187,9 +187,8 @@ func TestClusterWrapperRecoversFromLoss(t *testing.T) {
 		NewNode:  func(id, n int) tme.Node { return ra.New(id, n) },
 		LossRate: 0.4,
 		NewWrapper: func(int) wrapper.Level2 {
-			return wrapper.Func(wrapper.W) // eager: every tick
+			return wrapper.Func(wrapper.W) // eager: every millisecond of hunger
 		},
-		WrapperTick: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +300,6 @@ func TestClusterLevel1Repair(t *testing.T) {
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
-		WrapperTick: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +341,6 @@ func TestClusterSoak(t *testing.T) {
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
-		WrapperTick: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

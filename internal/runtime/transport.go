@@ -130,8 +130,7 @@ func (t *chanTransport) forward(e *edge) {
 				if lost {
 					t.ins.lost.Inc()
 					if t.ins.trace != nil {
-						//gblint:ignore determinism trace timestamps under the goroutine runtime are wall-clock by definition
-						t.ins.trace.Emit(obs.Event{Time: time.Now().UnixNano(), Kind: obs.EvDrop, A: e.src, B: e.dst})
+						t.ins.trace.Emit(obs.Event{Time: wallClock().UnixNano(), Kind: obs.EvDrop, A: e.src, B: e.dst})
 					}
 					continue
 				}

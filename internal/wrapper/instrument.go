@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
@@ -27,34 +28,34 @@ type Instrumented struct {
 	// Trace receives one EvWrapperFire event per opening (nil = no trace).
 	Trace *obs.Trace
 
-	// Resend-storm guard. A W' that fires in consecutive δ-windows while
-	// the process stays hungry the whole time is not correcting a
-	// transient fault — the hunger is outliving whole timeout periods,
-	// which means δ sits far below the real queueing wait and every window
-	// burns (n−1) resends for nothing (the PR 9 δ-tuning lesson, and the
-	// E17 resend flood). Any evaluation that sees the process non-hungry
-	// resets the streak: resends followed by an entry were contention, not
-	// a storm. Delta is the wrapper's timeout (taken from a
+	// Resend-storm guard. A W' that keeps firing for the same request is
+	// not correcting a transient fault: the hungry stretch is outliving
+	// whole timeout periods, which means δ sits far below the real
+	// queueing wait (E5's δ sweep, and the E17 resend flood) or a peer is
+	// cut off, and every window burns (n−1) resends for nothing. The
+	// streak is keyed on the request, REQ_j, an Lspec variable: a firing
+	// for a new REQ starts it again, so resends followed by an entry were
+	// contention, not a storm. Delta is the wrapper's timeout (taken from a
 	// TimeoutDelta-capable inner wrapper; 0 disables the guard), Storms
 	// counts threshold crossings, and Warn fires once per wrapper on the
 	// first crossing.
 	Delta int64
-	// StormAfter is how many consecutive firing windows count as a storm
-	// (default stormAfter when 0).
+	// StormAfter is how many consecutive firings for one request count as
+	// a storm (default stormAfter when 0).
 	StormAfter int
 	// Storms is the wrapper_resend_storm_total counter.
 	Storms *obs.Counter
 	// Warn receives the one-time storm warning (nil = stderr).
 	Warn func(id, streak int, delta int64)
 
-	streak   int
-	lastFire int64
-	warned   bool
+	streak  int
+	lastREQ ltime.Timestamp
+	warned  bool
 }
 
-// stormAfter is the default storm threshold: firing 8 δ-windows in a row
-// cannot be transient recovery — at the δ values the experiments use, real
-// convergence completes within one or two windows.
+// stormAfter is the default storm threshold: firing 8 δ-windows for one
+// request cannot be transient recovery — at the δ values the experiments
+// use, real convergence completes within one or two windows.
 const stormAfter = 8
 
 // TimeoutDelta exposes the W' timeout to the instrumentation layer.
@@ -82,27 +83,22 @@ func (w *Instrumented) Fire(now int64, v tme.SpecView) []tme.Message {
 			Time: now, Kind: obs.EvWrapperFire, A: w.ID, B: -1, N: len(msgs),
 		})
 		if w.Delta > 0 {
-			w.noteFire(now)
+			w.noteFire(v.REQ())
 		}
-	} else if w.streak > 0 && v.Phase() != tme.Hungry {
-		// The hungry stretch the streak was tracking ended — the process
-		// entered (or gave up), so those resends were contention, not a
-		// storm. Only an unbroken hungry run of firing windows counts.
-		w.streak = 0
 	}
 	return msgs
 }
 
-// noteFire tracks consecutive firing windows for the storm guard. Kept out
-// of the Fire body: it only runs on actual firings, and the one-time
-// warning path may format.
-func (w *Instrumented) noteFire(now int64) {
-	if w.streak > 0 && now-w.lastFire <= w.Delta {
+// noteFire tracks consecutive firings for one request for the storm guard.
+// Kept out of the Fire body: it only runs on actual firings, and the
+// one-time warning path may format.
+func (w *Instrumented) noteFire(req ltime.Timestamp) {
+	if w.streak > 0 && req == w.lastREQ {
 		w.streak++
 	} else {
 		w.streak = 1
 	}
-	w.lastFire = now
+	w.lastREQ = req
 	threshold := w.StormAfter
 	if threshold <= 0 {
 		threshold = stormAfter
@@ -120,7 +116,7 @@ func (w *Instrumented) noteFire(now int64) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"wrapper: resend storm on process %d: W' fired %d consecutive δ-windows (δ=%d) — δ is far below the queueing wait, every window resends for nothing; raise δ\n",
+		"wrapper: resend storm on process %d: W' fired %d δ-windows for one request (δ=%d) — δ is far below the queueing wait, or a peer is cut off; every window resends for nothing\n",
 		w.ID, w.streak, w.Delta)
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // stormView is a process that stays hungry with every local copy stale —
-// the state in which W' resends every δ-window. That only happens in a real
-// run when the queueing wait exceeds δ by whole multiples: a well-tuned δ
-// clears the guard within one or two windows (PR 9's sweep).
+// the state in which W' resends at every deadline. That only happens in a
+// real run when the queueing wait exceeds δ by whole multiples: a
+// well-tuned δ clears the guard within one or two windows (E5's sweep).
 func stormView() *view {
 	return &view{
 		id:    1,
@@ -22,10 +22,15 @@ func stormView() *view {
 	}
 }
 
+// jitter is the lateness of firing k, in (0, 100]: a timer fires a little
+// after its deadline, and never by the same amount twice in a row.
+func jitter(k int) int64 { return int64(k*37%100) + 1 }
+
 func TestStormGuardFiresOnSustainedResends(t *testing.T) {
-	// δ=4 against a wait that (scripted here) never ends: the wrapper
-	// fires at t = 0, 4, 8, ... — every window, the storm signature.
-	const delta = 4
+	// An armed W' fires δ after the request and again every δ it stays
+	// hungry, each time a little late: firings δ plus jitter apart, all for
+	// one REQ. No two are exactly δ apart, as on a nanosecond wall clock.
+	const delta = 4000
 	o := obs.New(obs.Options{})
 	w := InstrumentLevel2(o, 1, NewTimed(delta)).(*Instrumented)
 	if w.Delta != delta {
@@ -38,25 +43,27 @@ func TestStormGuardFiresOnSustainedResends(t *testing.T) {
 		if id != 1 || d != delta {
 			t.Errorf("Warn(id=%d, streak=%d, delta=%d)", id, streak, d)
 		}
-		if streak < stormAfter {
-			t.Errorf("warned at streak %d, below threshold %d", streak, stormAfter)
+		if streak != stormAfter {
+			t.Errorf("warned at streak %d, want the threshold %d", streak, stormAfter)
 		}
 	}
 
 	v := stormView()
 	storms := o.Registry().Counter("wrapper_resend_storm_total", "")
-	for win := 0; win < stormAfter+3; win++ {
-		for tick := int64(0); tick < delta; tick++ {
-			w.Fire(int64(win)*delta+tick, v)
+	fires := o.Registry().Counter("wrapper_fires_total", "")
+	now := int64(0)
+	for k := 1; k <= stormAfter+3; k++ {
+		now += delta + jitter(k)
+		w.Fire(now, v)
+		if fires.Value() != int64(k) {
+			t.Fatalf("firing %d: wrapper_fires_total = %d, the guard did not open", k, fires.Value())
 		}
-		if win == stormAfter-2 && storms.Value() != 0 {
-			t.Fatalf("storm counter moved at window %d, before the threshold", win)
+		// The threshold is crossed at the stormAfter-th firing, and every
+		// further firing for the same request is another storm window.
+		want := int64(max(0, k-stormAfter+1))
+		if got := storms.Value(); got != want {
+			t.Fatalf("after firing %d: wrapper_resend_storm_total = %d, want %d", k, got, want)
 		}
-	}
-	// Threshold crossed at window stormAfter-1 (streak counts windows), then
-	// every further window is another storm-window sample.
-	if got := storms.Value(); got != 4 {
-		t.Errorf("wrapper_resend_storm_total = %d, want 4", got)
 	}
 	if warns != 1 {
 		t.Errorf("Warn called %d times, want exactly 1", warns)
@@ -64,23 +71,24 @@ func TestStormGuardFiresOnSustainedResends(t *testing.T) {
 }
 
 func TestStormGuardQuietOnTransientRecovery(t *testing.T) {
-	// The healthy pattern: a couple of firing windows, then the copies
-	// refresh (guard closes) and the streak must reset.
+	// The healthy pattern: a request outlives a few windows, then enters,
+	// and the next request carries a fresh REQ, which starts the streak
+	// again. Firings keep their δ-plus-jitter rhythm across requests, so
+	// only the REQ tells the bursts apart.
+	const delta = 4000
 	o := obs.New(obs.Options{})
-	w := InstrumentLevel2(o, 1, NewTimed(4)).(*Instrumented)
+	w := InstrumentLevel2(o, 1, NewTimed(delta)).(*Instrumented)
 	w.Warn = func(int, int, int64) { t.Error("warned on transient recovery") }
 
-	hungry, done := stormView(), stormView()
-	done.phase = tme.Thinking
 	now := int64(0)
 	for burst := 0; burst < 5; burst++ {
-		for win := 0; win < stormAfter-1; win++ { // stay just under threshold
-			w.Fire(now, hungry)
-			now += 4
-		}
-		for gap := 0; gap < 3; gap++ { // recovery: guard closed, no firing
-			w.Fire(now, done)
-			now += 4
+		v := stormView()
+		v.req.Clock += uint64(10 * burst)
+		for k := 0; k < stormAfter-1; k++ { // stay just under threshold
+			now += delta + jitter(k)
+			if len(w.Fire(now, v)) == 0 {
+				t.Fatalf("burst %d firing %d: the guard did not open", burst, k)
+			}
 		}
 	}
 	if got := o.Registry().Counter("wrapper_resend_storm_total", "").Value(); got != 0 {
