@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzEventQueue -fuzztime=15s ./internal/engine/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeFrame -fuzztime=15s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadSchedule -fuzztime=15s ./internal/workload/
+	$(GO) test -run=Fuzz -fuzz=FuzzMonitorsMatchOracle -fuzztime=15s ./internal/lspec/
 
 clean:
 	$(GO) clean ./...

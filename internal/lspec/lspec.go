@@ -1,5 +1,5 @@
-// Package lspec realizes the paper's two specifications as executable
-// monitors over simulation snapshots:
+// Package lspec realizes the paper's two specifications as an executable
+// check over simulation snapshots:
 //
 //   - Lspec (DSN 2001 §3.2) — the local everywhere specification for TME:
 //     Structural, Flow, CS, Request, Reply, CS Entry, CS Release, Timestamp
@@ -10,9 +10,11 @@
 //   - TME_Spec (§3.1) — ME1 mutual exclusion, ME2 starvation freedom, ME3
 //     first-come first-serve.
 //
-// Monitors are how stabilization is *measured*: during fault bursts they
-// record violations with their virtual times; convergence time is the last
-// violation time after the last fault (plus liveness obligations draining).
+// Each observation runs one step per process that moved, judging all of
+// that process's clauses at once (see Monitors). Monitors are how
+// stabilization is *measured*: during fault bursts they record violations
+// with their virtual times; convergence time is the last violation time
+// after the last fault (plus liveness obligations draining).
 // Theorem 5 (Lspec ⇒ TME_Spec) becomes the testable statement that runs
 // with no Lspec violations have no TME_Spec violations.
 package lspec
@@ -41,32 +43,32 @@ func (t TimedViolation) String() string {
 // Construct with New, feed every snapshot to Observe (typically from a
 // sim.Observer), and read the verdicts at the end.
 //
-// Lspec is a local specification and the monitors are as local as it is:
-// every clause that reads the variables of one process j is registered with
-// the suite as scoped to j and is re-evaluated only on observations in which
-// j changed. Structural Spec, ME1 and invariant I read several processes and
-// are re-evaluated whenever any process changed.
+// Lspec is a local specification and the check is as local as it is. One
+// step per process judges every clause that reads process j alone against
+// what j held when it was last judged, and runs only on observations in
+// which j changed (or j's CS Release invariant is failing, since a failing
+// invariant is reported again on every state). Structural Spec and ME1 are
+// read from counts of invalid and eating processes that the steps keep, and
+// invariant I re-checks only the pairs that read the one process that moved
+// when it held before. The verdicts are exactly those of judging every
+// clause on every state: the clauses written one spec operator each are
+// the test oracle this check is held to.
 type Monitors struct {
-	n     int
-	suite *spec.Suite[sim.GlobalState]
+	// procs[j] is what the check keeps of process j.
+	procs []proc
+	// stepped lists the processes the current observation judged, in
+	// ascending order.
+	stepped []int
 	// everyone marks every process changed: what Observe, which is told
 	// nothing about its snapshot, passes for the change set.
 	everyone []bool
-	// me2 tracks h.j ↦ e.j per process (liveness: open obligations at the
-	// end of a run are starvation).
-	me2 []*spec.LeadsToMonitor[sim.GlobalState]
-	// csTransient tracks e.j ↦ ¬e.j per process (CS Spec).
-	csTransient []*spec.LeadsToMonitor[sim.GlobalState]
-	// replyPending tracks Reply Spec: a pending earlier request is
-	// eventually discharged, per ordered pair.
-	replyPending []*spec.LeadsToMonitor[sim.GlobalState]
+	// invalid, eating and releaseFailing count the processes whose last
+	// judged state has an invalid phase, is eating, or breaks CS Release.
+	invalid, eating, releaseFailing int
+	// iHolds records that invariant I held at the last observation.
+	iHolds bool
 
 	violations []TimedViolation
-	// prevPhases retains the previous observation's client phases — all
-	// checkFCFS needs from the prior state — so observing costs no heap
-	// copy of the snapshot.
-	prevPhases []tme.Phase
-	havePrev   bool
 	obs        int
 	// fcfs counts knowing-overtake events (operational ME3 violations).
 	fcfsViolations []TimedViolation
@@ -79,6 +81,104 @@ type Monitors struct {
 		byOp   map[string]*obs.Counter
 		trace  *obs.Trace
 		conv   *obs.Convergence
+	}
+}
+
+// The clauses a step can find broken, one bit each, in report order.
+const (
+	brokeTS      uint8 = 1 << iota // Timestamp Spec: ts.j never decreases
+	brokeFlow                      // Flow Spec: t unless h, h unless e, e unless t
+	brokeREQ                       // Request Spec: REQ_j is stable while hungry
+	brokeRelease                   // CS Release Spec: thinking ⇒ REQ_j = ts.j
+)
+
+// proc is the record of one process j: its variables at the state it was
+// last judged on, the liveness obligations open there, and what its last
+// step found.
+type proc struct {
+	judged bool
+	phase  tme.Phase
+	req    ltime.Timestamp
+	ts     ltime.Timestamp
+	hasTS  bool
+	// me2 is ME2's obligation h.j ↦ e.j: set on Hungry, cleared on
+	// Eating. CS Spec's e.j ↦ ¬e.j is open iff phase is Eating.
+	me2 bool
+	// replies counts the Reply Spec obligations open at j: the k with
+	// received(j.REQ_k) ∧ j.REQ_k lt REQ_j.
+	replies int
+	// broke holds the clauses the last step found broken, and entered
+	// that it saw j enter its critical section; was, wasTS and wasREQ are
+	// the values it replaced, for the reports.
+	broke         uint8
+	entered       bool
+	was           tme.Phase
+	wasTS, wasREQ ltime.Timestamp
+}
+
+// step judges process j's move to s against the state j was last judged on,
+// then records s. It reads nothing but s, and returns the clauses broken.
+// On an unchanged state it finds no transition broken and opens or
+// discharges nothing new.
+func (p *proc) step(j int, s *tme.SpecState) uint8 {
+	p.broke, p.entered = 0, false
+	if p.judged {
+		if p.hasTS && s.HasTS && s.TS.Less(p.ts) {
+			p.broke |= brokeTS
+		}
+		if !flowAllows(p.phase, s.Phase) {
+			p.broke |= brokeFlow
+		}
+		if p.phase == tme.Hungry && s.Phase == tme.Hungry && s.REQ != p.req {
+			p.broke |= brokeREQ
+		}
+		p.entered = p.phase != tme.Eating && s.Phase == tme.Eating
+	}
+	if s.Phase == tme.Thinking && s.HasTS && s.REQ != s.TS {
+		p.broke |= brokeRelease
+	}
+	if s.Phase == tme.Hungry || s.Phase == tme.Eating {
+		p.me2 = s.Phase == tme.Hungry // thinking or an invalid phase leaves it
+	}
+	p.replies = 0
+	for k, r := range s.Received {
+		if r && k != j && s.Local[k].Less(s.REQ) {
+			p.replies++
+		}
+	}
+	p.was, p.wasTS, p.wasREQ = p.phase, p.ts, p.req
+	p.judged, p.phase, p.req, p.ts, p.hasTS = true, s.Phase, s.REQ, s.TS, s.HasTS
+	return p.broke
+}
+
+// flowAllows reports whether Flow Spec (t unless h, h unless e, e unless t)
+// lets a process go from phase a to phase b.
+func flowAllows(a, b tme.Phase) bool {
+	switch a {
+	case tme.Thinking:
+		return b == tme.Thinking || b == tme.Hungry
+	case tme.Hungry:
+		return b == tme.Hungry || b == tme.Eating
+	case tme.Eating:
+		return b == tme.Eating || b == tme.Thinking
+	default:
+		return true // no flow clause holds at an invalid phase
+	}
+}
+
+// count adds d times p's last judged state to the running counts.
+func (m *Monitors) count(p *proc, d int) {
+	if !p.judged {
+		return
+	}
+	if !p.phase.Valid() {
+		m.invalid += d
+	}
+	if p.phase == tme.Eating {
+		m.eating += d
+	}
+	if p.broke&brokeRelease != 0 {
+		m.releaseFailing += d
 	}
 }
 
@@ -130,108 +230,10 @@ func sanitize(s string) string {
 
 // New returns monitors for an n-process system.
 func New(n int) *Monitors {
-	m := &Monitors{n: n, suite: spec.NewSuite[sim.GlobalState](), everyone: make([]bool, n)}
+	m := &Monitors{procs: make([]proc, n), stepped: make([]int, 0, n), everyone: make([]bool, n), iHolds: true}
 	for j := range m.everyone {
 		m.everyone[j] = true
 	}
-
-	// The three clauses that read more than one process come first and
-	// stay unscoped.
-	//
-	// Structural Spec: every phase is exactly one of {t,h,e}.
-	m.suite.Add(spec.NewInvariant("structural", func(g sim.GlobalState) bool {
-		for _, s := range g.Nodes {
-			if !s.Phase.Valid() {
-				return false
-			}
-		}
-		return true
-	}))
-
-	// ME1 (TME_Spec): at most one process eats.
-	m.suite.Add(spec.NewInvariant("ME1", func(g sim.GlobalState) bool {
-		return g.NumEating() <= 1
-	}))
-
-	// Invariant I of Theorem A.1: local copies never lead the truth.
-	m.suite.Add(spec.NewInvariant("invariant-I", InvariantI))
-
-	// Timestamp Spec: ts.j never decreases (checked pairwise between
-	// consecutive snapshots via an unless monitor over the previous-state
-	// trick below; here as a stable-difference check).
-	for j := 0; j < n; j++ {
-		j := j
-		m.suite.AddScoped(&monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j}, j)
-	}
-
-	// Flow Spec: t unless h, h unless e, e unless t — per process.
-	for j := 0; j < n; j++ {
-		j := j
-		phaseIs := func(p tme.Phase) spec.Predicate[sim.GlobalState] {
-			return func(g sim.GlobalState) bool { return g.Nodes[j].Phase == p }
-		}
-		m.suite.AddScoped(spec.NewUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)), j)
-		m.suite.AddScoped(spec.NewUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)), j)
-		m.suite.AddScoped(spec.NewUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)), j)
-	}
-
-	// Request Spec (safety half): while hungry, REQ_j is unchanged.
-	for j := 0; j < n; j++ {
-		j := j
-		m.suite.AddScoped(&stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j}, j)
-	}
-
-	// CS Release Spec: while thinking, REQ_j equals ts.j.
-	for j := 0; j < n; j++ {
-		j := j
-		m.suite.AddScoped(spec.NewInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j),
-			func(g sim.GlobalState) bool {
-				s := &g.Nodes[j]
-				if s.Phase != tme.Thinking || !s.HasTS {
-					return true
-				}
-				return s.REQ == s.TS
-			}), j)
-	}
-
-	// CS Spec (liveness): e.j ↦ ¬e.j.
-	for j := 0; j < n; j++ {
-		j := j
-		lt := spec.NewLeadsToNot(fmt.Sprintf("cs-transient.%d", j),
-			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
-		m.csTransient = append(m.csTransient, lt)
-		m.suite.AddScoped(lt, j)
-	}
-
-	// ME2 (liveness): h.j ↦ e.j.
-	for j := 0; j < n; j++ {
-		j := j
-		lt := spec.NewLeadsTo(fmt.Sprintf("ME2.%d", j),
-			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Hungry },
-			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
-		m.me2 = append(m.me2, lt)
-		m.suite.AddScoped(lt, j)
-	}
-
-	// Reply Spec (liveness): received(j.REQ_k) ∧ j.REQ_k lt REQ_j — a
-	// pending request that is earlier than ours — is eventually
-	// discharged (flag cleared or our request resolved).
-	for j := 0; j < n; j++ {
-		for k := 0; k < n; k++ {
-			if j == k {
-				continue
-			}
-			j, k := j, k
-			p := func(g sim.GlobalState) bool {
-				s := &g.Nodes[j]
-				return s.Received[k] && s.Local[k].Less(s.REQ)
-			}
-			lt := spec.NewLeadsToNot(fmt.Sprintf("reply.%d.%d", j, k), p)
-			m.replyPending = append(m.replyPending, lt)
-			m.suite.AddScoped(lt, j)
-		}
-	}
-
 	return m
 }
 
@@ -252,52 +254,117 @@ func InvariantI(g sim.GlobalState) bool {
 	return true
 }
 
+// invariantIAround is invariant I on the 2(n−1) pairs that read process j.
+// On a state that differs from one where I held only at j, it is I.
+func invariantIAround(g sim.GlobalState, j int) bool {
+	nj := &g.Nodes[j]
+	for k := range g.Nodes {
+		if k != j && !(nj.Local[k].LessEq(g.Nodes[k].REQ) && g.Nodes[k].Local[j].LessEq(nj.REQ)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Observe feeds the next snapshot to all monitors.
 func (m *Monitors) Observe(g sim.GlobalState) { m.observe(g, m.everyone) }
 
 // observe feeds the next snapshot, which differs from the previous one at
-// most in the processes j with changed[j] set, to the monitors that can
-// tell the difference. An entry is a phase change, so the FCFS check and
-// the phases it keeps need a look only when some process changed.
+// most in the processes j with changed[j] set. The first observation judges
+// every process whatever changed says.
 func (m *Monitors) observe(g sim.GlobalState, changed []bool) {
-	before := len(m.suite.Violations())
-	m.suite.ObserveChanged(g, changed)
-	for _, v := range m.suite.Violations()[before:] {
-		tv := TimedViolation{Time: g.Time, V: v}
-		m.violations = append(m.violations, tv)
-		m.record(tv)
-	}
-	some := false
-	for _, c := range changed {
-		some = some || c
-	}
-	if some {
-		m.checkFCFS(g)
-		if cap(m.prevPhases) < len(g.Nodes) {
-			m.prevPhases = make([]tme.Phase, len(g.Nodes))
-		}
-		m.prevPhases = m.prevPhases[:len(g.Nodes)]
-		for i := range g.Nodes {
-			m.prevPhases[i] = g.Nodes[i].Phase
-		}
-		m.havePrev = true
-	}
+	now := m.obs
 	m.obs++
+	if now == 0 {
+		changed = m.everyone
+	}
+	moved, last := 0, 0
+	for j, c := range changed {
+		if c {
+			moved, last = moved+1, j
+		}
+	}
+	if moved == 0 && m.releaseFailing == 0 && m.invalid == 0 && m.eating <= 1 && m.iHolds {
+		return
+	}
+	m.stepped = m.stepped[:0]
+	var broke uint8
+	for j := range m.procs {
+		p := &m.procs[j]
+		if !changed[j] && p.broke&brokeRelease == 0 {
+			continue
+		}
+		m.count(p, -1)
+		broke |= p.step(j, &g.Nodes[j])
+		m.count(p, 1)
+		m.stepped = append(m.stepped, j)
+	}
+	switch {
+	case moved == 0:
+	case moved == 1 && m.iHolds:
+		m.iHolds = invariantIAround(g, last)
+	default:
+		m.iHolds = InvariantI(g)
+	}
+	m.report(g.Time, now, broke)
+	if moved > 0 {
+		m.checkFCFS(g, now)
+	}
+}
+
+// report records the violations of observation now, in the order the
+// clauses are listed in: Structural, ME1 and invariant I, then each
+// per-process clause for every process in turn.
+func (m *Monitors) report(t int64, now int, broke uint8) {
+	if m.invalid > 0 {
+		m.violate(t, "invariant", now, "structural: p does not hold")
+	}
+	if m.eating > 1 {
+		m.violate(t, "invariant", now, "ME1: p does not hold")
+	}
+	if !m.iHolds {
+		m.violate(t, "invariant", now, "invariant-I: p does not hold")
+	}
+	for clause := brokeTS; clause <= brokeRelease; clause <<= 1 {
+		if broke&clause == 0 {
+			continue
+		}
+		for _, j := range m.stepped {
+			p := &m.procs[j]
+			if p.broke&clause == 0 {
+				continue
+			}
+			switch clause {
+			case brokeTS:
+				m.violate(t, "timestamp", now-1, fmt.Sprintf("timestamp.%d: ts regressed from %s to %s", j, p.wasTS, p.ts))
+			case brokeFlow:
+				m.violate(t, "unless", now-1, fmt.Sprintf("flow.%s.%d: p ∧ ¬q held but next state satisfies ¬p ∧ ¬q", p.was, j))
+			case brokeREQ:
+				m.violate(t, "request", now-1, fmt.Sprintf("request.req-stable.%d: REQ changed from %s to %s while hungry", j, p.wasREQ, p.req))
+			case brokeRelease:
+				m.violate(t, "invariant", now, fmt.Sprintf("release.req-tracks-ts.%d: p does not hold", j))
+			}
+		}
+	}
+}
+
+// violate records one safety violation at trace index i: the state judged
+// for an invariant, the state whose successor broke a transition clause.
+func (m *Monitors) violate(t int64, op string, i int, detail string) {
+	tv := TimedViolation{Time: t, V: &spec.Violation{Op: op, Index: i, Detail: detail}}
+	m.violations = append(m.violations, tv)
+	m.record(tv)
 }
 
 // checkFCFS flags a "knowing overtake": process k transitions into eating
 // while some hungry j holds an earlier request that k has recorded exactly
 // (k.REQ_j = REQ_j). Recording j's request implies it causally preceded k's
 // entry, so this is an operational ME3 violation.
-func (m *Monitors) checkFCFS(g sim.GlobalState) {
-	if !m.havePrev {
-		return
-	}
-	for k := range g.Nodes {
-		if g.Nodes[k].Phase != tme.Eating || m.prevPhases[k] == tme.Eating {
+func (m *Monitors) checkFCFS(g sim.GlobalState, now int) {
+	for _, k := range m.stepped {
+		if !m.procs[k].entered {
 			continue
 		}
-		// k just entered.
 		for j := range g.Nodes {
 			if j == k || g.Nodes[j].Phase != tme.Hungry {
 				continue
@@ -308,7 +375,7 @@ func (m *Monitors) checkFCFS(g sim.GlobalState) {
 					Time: g.Time,
 					V: &spec.Violation{
 						Op:    "ME3",
-						Index: m.obs,
+						Index: now,
 						Detail: fmt.Sprintf("process %d entered knowing %d's earlier request %s < %s",
 							k, j, reqJ, g.Nodes[k].REQ),
 					},
@@ -348,13 +415,13 @@ func (c *cadence) due(s *sim.Sim) bool {
 // AsObserver adapts the monitors to a sim.Observer (see cadence for which
 // events it looks at).
 //
-// The snapshot is maintained incrementally, in one buffer (no monitor keeps
-// a snapshot past its Observe): the simulator's dirty tracking says which
+// The snapshot is maintained incrementally, in one buffer (the check keeps
+// no snapshot past its Observe): the simulator's dirty tracking says which
 // processes changed since the last observation, only those are re-read, and
-// only the monitors that read them are re-evaluated. An observation in
-// which nothing changed and no monitor is failing costs a version compare
-// per process. The verdicts are identical to AsFullSnapshotObserver's
-// (proven by the monitor parity tests); only the per-event work differs.
+// only their steps run. An observation in which nothing changed and no
+// clause is failing costs a version compare per process. The verdicts are
+// identical to AsFullSnapshotObserver's (proven by the monitor parity
+// tests); only the per-event work differs.
 func (m *Monitors) AsObserver() sim.Observer {
 	c := cadence{activity: -1, time: -1}
 	var g sim.GlobalState
@@ -369,7 +436,7 @@ func (m *Monitors) AsObserver() sim.Observer {
 
 // AsFullSnapshotObserver is the reference observer: identical observation
 // cadence to AsObserver, but every snapshot is rebuilt from scratch with
-// SnapshotInto and every monitor is evaluated on every observation. It
+// SnapshotInto and every process is judged on every observation. It
 // exists so the parity tests can prove the incremental path equivalent;
 // production callers want AsObserver.
 func (m *Monitors) AsFullSnapshotObserver() sim.Observer {
@@ -437,10 +504,9 @@ func (m *Monitors) LastViolationTime() int64 {
 // StarvedProcesses returns the ids whose ME2 obligation (h.j ↦ e.j) is
 // still open — hungry at the end of the run with no subsequent entry.
 func (m *Monitors) StarvedProcesses() []int {
-	m.suite.CatchUp()
 	var out []int
-	for j, lt := range m.me2 {
-		if lt.Pending() > 0 {
+	for j := range m.procs {
+		if m.procs[j].me2 {
 			out = append(out, j)
 		}
 	}
@@ -450,10 +516,9 @@ func (m *Monitors) StarvedProcesses() []int {
 // StuckEaters returns the ids whose CS Spec obligation (e.j ↦ ¬e.j) is
 // still open at the end of the run.
 func (m *Monitors) StuckEaters() []int {
-	m.suite.CatchUp()
 	var out []int
-	for j, lt := range m.csTransient {
-		if lt.Pending() > 0 {
+	for j := range m.procs {
+		if m.procs[j].phase == tme.Eating {
 			out = append(out, j)
 		}
 	}
@@ -462,12 +527,9 @@ func (m *Monitors) StuckEaters() []int {
 
 // OpenReplyObligations counts Reply Spec obligations still pending.
 func (m *Monitors) OpenReplyObligations() int {
-	m.suite.CatchUp()
 	total := 0
-	for _, lt := range m.replyPending {
-		if lt.Pending() > 0 {
-			total++
-		}
+	for j := range m.procs {
+		total += m.procs[j].replies
 	}
 	return total
 }
@@ -481,66 +543,3 @@ func (m *Monitors) Clean() bool {
 		len(m.StuckEaters()) == 0 &&
 		m.OpenReplyObligations() == 0
 }
-
-// monotoneTS checks Timestamp Spec: ts.j never decreases across snapshots.
-// It retains only the previous ts.j — not the whole snapshot — so observing
-// copies two words per state instead of a GlobalState.
-type monotoneTS struct {
-	name      string
-	j         int
-	have      bool
-	lastTS    ltime.Timestamp
-	lastHasTS bool
-}
-
-func (mt *monotoneTS) Name() string { return mt.name }
-func (mt *monotoneTS) Pending() int { return 0 }
-func (mt *monotoneTS) Repeat(int)   {} // the same ts again is no regression
-
-func (mt *monotoneTS) Observe(g sim.GlobalState) *spec.Violation {
-	cur := &g.Nodes[mt.j]
-	prevTS, prevHas, first := mt.lastTS, mt.lastHasTS, !mt.have
-	mt.lastTS, mt.lastHasTS, mt.have = cur.TS, cur.HasTS, true
-	if first || !prevHas || !cur.HasTS {
-		return nil
-	}
-	if cur.TS.Less(prevTS) {
-		return &spec.Violation{Op: "timestamp", Detail: fmt.Sprintf(
-			"%s: ts regressed from %s to %s", mt.name, prevTS, cur.TS)}
-	}
-	return nil
-}
-
-// stableREQ checks the safety half of Request Spec / CS Entry Spec: while a
-// process stays hungry, REQ_j does not change. Like monotoneTS it retains
-// only the fields the next comparison needs.
-type stableREQ struct {
-	name      string
-	j         int
-	have      bool
-	lastPhase tme.Phase
-	lastREQ   ltime.Timestamp
-}
-
-func (sr *stableREQ) Name() string { return sr.name }
-func (sr *stableREQ) Pending() int { return 0 }
-func (sr *stableREQ) Repeat(int)   {} // the same REQ again is no change
-
-func (sr *stableREQ) Observe(g sim.GlobalState) *spec.Violation {
-	cur := &g.Nodes[sr.j]
-	prevPhase, prevREQ, first := sr.lastPhase, sr.lastREQ, !sr.have
-	sr.lastPhase, sr.lastREQ, sr.have = cur.Phase, cur.REQ, true
-	if first {
-		return nil
-	}
-	if prevPhase == tme.Hungry && cur.Phase == tme.Hungry && prevREQ != cur.REQ {
-		return &spec.Violation{Op: "request", Detail: fmt.Sprintf(
-			"%s: REQ changed from %s to %s while hungry", sr.name, prevREQ, cur.REQ)}
-	}
-	return nil
-}
-
-var (
-	_ spec.Monitor[sim.GlobalState] = (*monotoneTS)(nil)
-	_ spec.Monitor[sim.GlobalState] = (*stableREQ)(nil)
-)

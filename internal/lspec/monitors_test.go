@@ -90,6 +90,36 @@ func TestTimestampSpecMonitorCatchesClockRegression(t *testing.T) {
 	}
 }
 
+// TestTimestampAndRequestViolationsReportTheirIndex: a ts regression and a
+// REQ change while hungry, both on observation 3, are reported at index 2,
+// the state whose successor broke the clause (as unless reports), by the
+// check and by the oracle alike.
+func TestTimestampAndRequestViolationsReportTheirIndex(t *testing.T) {
+	steady := mkState(0,
+		[2]tme.Phase{tme.Thinking, tme.Hungry},
+		[2]ltime.Timestamp{reqAt(5, 0), reqAt(3, 1)},
+		[2]ltime.Timestamp{reqAt(5, 0), reqAt(4, 1)})
+	broken := mkState(3,
+		[2]tme.Phase{tme.Thinking, tme.Hungry},
+		[2]ltime.Timestamp{reqAt(2, 0), reqAt(7, 1)}, // 1's REQ moved while hungry
+		[2]ltime.Timestamp{reqAt(2, 0), reqAt(4, 1)}) // 0's clock went backwards
+	m, o := New(2), newOracle(2)
+	for _, g := range []sim.GlobalState{steady, steady, steady, broken} {
+		m.Observe(g)
+		o.Observe(g)
+	}
+	for name, vs := range map[string][]TimedViolation{"Monitors": m.Violations(), "oracle": o.violations} {
+		if len(vs) != 2 || vs[0].V.Op != "timestamp" || vs[1].V.Op != "request" {
+			t.Fatalf("%s: violations %v, want a timestamp and a request violation", name, vs)
+		}
+		for _, v := range vs {
+			if v.V.Index != 2 {
+				t.Errorf("%s: %v reported at index %d, want 2", name, v, v.V.Index)
+			}
+		}
+	}
+}
+
 func TestCSReleaseSpecMonitorCatchesStaleREQWhileThinking(t *testing.T) {
 	m := New(2)
 	g := mkState(0,

@@ -132,7 +132,6 @@ type monotoneSeq struct {
 
 func (ms *monotoneSeq) Name() string { return ms.name }
 func (ms *monotoneSeq) Pending() int { return 0 }
-func (ms *monotoneSeq) Repeat(int)   {} // the same seq again is no regression
 
 func (ms *monotoneSeq) Observe(s Snapshot) *spec.Violation {
 	cur := s.Seqs[ms.i]

@@ -11,8 +11,8 @@ import (
 // the fault injector type-asserts for), so that one substrate-agnostic
 // injector drives faults into the TME model. FaultPerturb marks the process
 // it writes dirty, the same way the simulator's own mutations do, so
-// incremental snapshots and the monitors scoped by them stay honest; channel
-// contents are not part of those snapshots.
+// incremental snapshots and the monitor steps run on them stay honest;
+// channel contents are not part of those snapshots.
 
 // Channels enumerates the mesh's channels in deterministic order.
 func (s *Sim) Channels() []channel.Endpoint { return s.endpoints() }

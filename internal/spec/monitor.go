@@ -11,13 +11,6 @@ type Monitor[S any] interface {
 	// non-nil violation whenever the property fails at this state or on
 	// the transition into it.
 	Observe(s S) *Violation
-	// Repeat stands for k more observations of the state last fed to
-	// Observe. It is only called after an Observe that returned nil, and a
-	// state judged nil is judged nil again when nothing moved, so Repeat has
-	// no verdict to return: it advances the trace position and lets an
-	// obligation that stands open count the extra positions. A Suite calls
-	// it to bring a monitor it skipped up to date (see ObserveChanged).
-	Repeat(k int)
 	// Pending reports how many obligations remain open (nonzero only for
 	// liveness monitors such as leads-to, where p held but q has not yet).
 	Pending() int
@@ -60,10 +53,6 @@ func (m *unlessMonitor[S]) Observe(s S) *Violation {
 	return nil
 }
 
-// Repeat: p ∧ ¬q held or it did not; either way the same state again breaks
-// nothing and leaves prevPnQ as it is.
-func (m *unlessMonitor[S]) Repeat(k int) { m.idx += k }
-
 // NewStable returns an online monitor for stable(p).
 func NewStable[S any](name string, p Predicate[S]) Monitor[S] {
 	return NewUnless(name, p, False[S])
@@ -97,9 +86,6 @@ func (m *invariantMonitor[S]) Observe(s S) *Violation {
 	return nil
 }
 
-// Repeat: p held at the last state and holds at its repeats.
-func (m *invariantMonitor[S]) Repeat(k int) { m.idx += k }
-
 // leadsToMonitor checks p ↦ q online. A violation can only be detected at
 // trace end (liveness), so Observe never fails; callers inspect Pending
 // after the run has quiesced, or use Deadline-bounded variants in harnesses.
@@ -108,10 +94,7 @@ type leadsToMonitor[S any] struct {
 	p, q Predicate[S]
 	// selfNeg marks q ≡ ¬p (the "p is transient" shape), letting Observe
 	// evaluate p once per state instead of twice.
-	selfNeg bool
-	// standing records p ∧ ¬q at the last observed state: every repeat of
-	// that state opens one more position.
-	standing   bool
+	selfNeg    bool
 	idx        int
 	openSince  int // index of the earliest unmet p, -1 if none
 	open       int // number of distinct p-positions currently unmet
@@ -163,23 +146,13 @@ func (l *LeadsToMonitor[S]) Observe(s S) *Violation {
 		m.open = 0
 		m.openSince = -1
 	}
-	m.standing = pv && !qv
-	if m.standing {
+	if pv && !qv {
 		if m.openSince == -1 {
 			m.openSince = idx
 		}
 		m.open++
 	}
 	return nil
-}
-
-// Repeat: if q held there is nothing left to discharge; if p ∧ ¬q stands,
-// each repeat is one more unmet p-position (openSince was set at the first).
-func (l *LeadsToMonitor[S]) Repeat(k int) {
-	l.m.idx += k
-	if l.m.standing {
-		l.m.open += k
-	}
 }
 
 // Finish reports a violation if obligations remain open at trace end.
@@ -193,164 +166,27 @@ func (l *LeadsToMonitor[S]) Finish() *Violation {
 
 var _ Monitor[int] = (*LeadsToMonitor[int])(nil)
 
-// AllParts is the footprint of a monitor that may read the whole state.
-const AllParts = -1
-
-// Suite aggregates monitors and fans states out to them. A state is made
-// of parts (for Lspec, one per process), each monitor is registered with the
-// part it reads, and an observation names the parts that moved: a monitor
-// whose part did not move would judge the same state again, so the suite
-// skips it and accounts for the skipped positions with Repeat when the
-// monitor is next needed.
+// Suite aggregates monitors and feeds every state to every one of them.
 type Suite[S any] struct {
-	monitors []scoped[S]
-	// every lists all monitor indices and readers[j] those whose footprint
-	// covers part j (scoped to j, or AllParts), both in registration order:
-	// the candidates of an observation in which anything, or only part j,
-	// may have changed. Built by index.
-	every   []int
-	readers [][]int
-	// nFailing counts the monitors with failing set.
-	nFailing int
-	// obs counts observations fed to the suite.
-	obs        int
+	monitors   []Monitor[S]
 	violations []*Violation
 }
 
-// scoped is a registered monitor with the suite's bookkeeping for it.
-type scoped[S any] struct {
-	m Monitor[S]
-	// part is the monitor's footprint: the index of the one part of the
-	// state it reads, or AllParts.
-	part int
-	// seen is how many observations the monitor has accounted for, by
-	// Observe or Repeat; it trails Suite.obs while the monitor is skipped.
-	seen int
-	// failing records that the monitor last returned a violation. Such a
-	// monitor is never skipped: an invariant that fails on a state fails on
-	// its repeats, and every one of them is reported (non-latching).
-	failing bool
-}
-
-// catchUp accounts for the observations up to position to that e skipped.
-func (e *scoped[S]) catchUp(to int) {
-	if k := to - e.seen; k > 0 {
-		e.m.Repeat(k)
-		e.seen = to
-	}
-}
-
-// NewSuite returns a Suite over the given monitors, each reading the whole
-// state.
+// NewSuite returns a Suite over the given monitors.
 func NewSuite[S any](ms ...Monitor[S]) *Suite[S] {
-	su := &Suite[S]{}
-	for _, m := range ms {
-		su.Add(m)
-	}
-	return su
+	return &Suite[S]{monitors: append([]Monitor[S](nil), ms...)}
 }
 
-// Add registers a monitor that may read the whole state.
-func (su *Suite[S]) Add(m Monitor[S]) { su.AddScoped(m, AllParts) }
+// Add registers a monitor.
+func (su *Suite[S]) Add(m Monitor[S]) { su.monitors = append(su.monitors, m) }
 
-// AddScoped registers a monitor whose verdict depends on part j of the
-// state only. Claiming too much (AllParts) costs evaluations; claiming too
-// little loses verdicts. Register before the first observation.
-func (su *Suite[S]) AddScoped(m Monitor[S], j int) {
-	su.monitors = append(su.monitors, scoped[S]{m: m, part: j})
-}
-
-// index builds every and readers for the monitors registered so far.
-func (su *Suite[S]) index() {
-	parts, global := 0, 0
-	for _, e := range su.monitors {
-		if e.part == AllParts {
-			global++
-		} else if e.part >= parts {
-			parts = e.part + 1
-		}
-	}
-	su.every = make([]int, len(su.monitors))
-	for i := range su.every {
-		su.every[i] = i
-	}
-	// The reader lists are cut from one array: every part is read by the
-	// AllParts monitors and each scoped monitor reads one part.
-	flat := make([]int, 0, parts*global+len(su.monitors)-global)
-	su.readers = make([][]int, parts)
-	for j := range su.readers {
-		start := len(flat)
-		for i, e := range su.monitors {
-			if e.part == AllParts || e.part == j {
-				flat = append(flat, i)
-			}
-		}
-		su.readers[j] = flat[start:]
-	}
-}
-
-// Observe feeds s to every monitor, collecting violations.
-func (su *Suite[S]) Observe(s S) { su.observe(s, nil, true) }
-
-// ObserveChanged feeds s, the previous state except in the parts j with
-// changed[j] set, to the monitors that read a changed part (a monitor
-// registered with Add reads all of them) and to those whose last verdict
-// was a violation, in registration order. Marking an unchanged part is
-// safe; leaving a changed one unmarked hides it from its monitors. The
-// first observation is fed to every monitor regardless.
-func (su *Suite[S]) ObserveChanged(s S, changed []bool) { su.observe(s, changed, false) }
-
-func (su *Suite[S]) observe(s S, changed []bool, all bool) {
-	now := su.obs
-	su.obs++
-	all = all || now == 0
-	nChanged, last := 0, 0
-	for j, c := range changed {
-		if c {
-			nChanged, last = nChanged+1, j
-		}
-	}
-	some := all || nChanged > 0
-	if !some && su.nFailing == 0 {
-		return
-	}
-	if len(su.every) != len(su.monitors) {
-		su.index()
-	}
-	// The common observation changed one part and finds no monitor failing:
-	// its candidates are that part's readers, not every monitor.
-	candidates := su.every
-	if !all && nChanged == 1 && su.nFailing == 0 && last < len(su.readers) {
-		candidates = su.readers[last]
-	}
-	for _, i := range candidates {
-		e := &su.monitors[i]
-		if !(all || e.failing || (e.part == AllParts && some) || (e.part != AllParts && changed[e.part])) {
-			continue
-		}
-		e.catchUp(now)
-		e.seen = now + 1
-		v := e.m.Observe(s)
-		if v != nil {
+// Observe feeds s to every monitor, in registration order, collecting
+// violations.
+func (su *Suite[S]) Observe(s S) {
+	for _, m := range su.monitors {
+		if v := m.Observe(s); v != nil {
 			su.violations = append(su.violations, v)
 		}
-		if e.failing != (v != nil) {
-			e.failing = v != nil
-			if v != nil {
-				su.nFailing++
-			} else {
-				su.nFailing--
-			}
-		}
-	}
-}
-
-// CatchUp accounts, in every monitor the suite has been skipping, for the
-// observations skipped, so that trace positions and open-obligation counts
-// read as if every monitor had been fed every state.
-func (su *Suite[S]) CatchUp() {
-	for i := range su.monitors {
-		su.monitors[i].catchUp(su.obs)
 	}
 }
 
@@ -359,10 +195,9 @@ func (su *Suite[S]) Violations() []*Violation { return su.violations }
 
 // Pending sums open obligations across monitors.
 func (su *Suite[S]) Pending() int {
-	su.CatchUp()
 	total := 0
-	for _, e := range su.monitors {
-		total += e.m.Pending()
+	for _, m := range su.monitors {
+		total += m.Pending()
 	}
 	return total
 }
