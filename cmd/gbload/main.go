@@ -5,10 +5,12 @@
 //
 // Loopback mode (default): boot an n-node cluster in-process — one
 // runtime.Cluster per node over real TCP loopback sockets — pipe every
-// message through the wire.Chaos proxy, and inject the seeded fault
-// schedule (message loss, duplication, corruption, state perturbation,
-// flush, plus a partition/heal pair). The schedule is fully determined by
-// -seed: same seed, same fault plan (timings are wall-clock and are not).
+// message through the wire.Chaos proxy, and inject the fault plan that
+// -scenario compiles to. The default, mixed-burst, is three bursts of every
+// injector fault class (message loss, duplication, corruption, state
+// perturbation, flush); -scenario partition adds a partition/heal pair.
+// The plan is fully determined by -seed: same seed, same fault plan
+// (timings are wall-clock and are not).
 //
 //	gbload -n 5 -duration 10s -seed 1 -check
 //
@@ -35,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/harness"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/scenario"
@@ -59,11 +60,8 @@ func run(args []string, out, errOut io.Writer) error {
 	seed := fs.Int64("seed", 1, "seed for the fault schedule, chaos delays, and think times")
 	algo := fs.String("algo", "ra", "protocol: ra or lamport")
 	delta := fs.Duration("delta", 25*time.Millisecond, "W' wrapper timeout (negative disables the wrapper)")
-	bursts := fs.Int("bursts", 3, "fault bursts in the schedule (0 disables)")
-	maxPerBurst := fs.Int("max-per-burst", 4, "max injector faults per burst")
-	partition := fs.Bool("partition", true, "include a partition/heal pair in the schedule")
 	workloadName := fs.String("workload", "", "workload preset shaping the driver traffic (e.g. uniform, poisson, bursty, mixed; empty = uniform defaults)")
-	scenarioName := fs.String("scenario", "", "scenario preset replacing the ad-hoc schedule flags (e.g. none, gray-burst, partition-asym, churn)")
+	scenarioName := fs.String("scenario", scenario.PresetMixedBurst, "scenario preset compiling to the fault plan (e.g. none, partition, gray-burst, partition-asym, churn)")
 	traceOut := fs.String("trace-out", "", "record the workload draws to this JSON schedule file")
 	traceIn := fs.String("trace-in", "", "replay a recorded workload schedule file instead of generating draws")
 	outPath := fs.String("out", "-", `snapshot output file ("-" = stdout)`)
@@ -106,25 +104,12 @@ func run(args []string, out, errOut io.Writer) error {
 		cfg.V2Nodes = ids
 	}
 
-	// -scenario replaces the ad-hoc schedule flags with a named preset;
-	// without it the legacy -bursts/-max-per-burst/-partition path applies.
-	var sched *wire.FaultSchedule
-	if *scenarioName != "" {
-		sc, err := scenario.Preset(*scenarioName)
-		if err != nil {
-			return err
-		}
-		cfg.Scenario = &sc
-		plan := scenario.CompileLive(sc, *seed, *n, *duration)
-		sched = plan.Schedule
-	} else {
-		sched = wire.NewFaultSchedule(*seed, wire.ScheduleConfig{
-			N: *n, Duration: *duration,
-			Bursts: *bursts, MaxPerBurst: *maxPerBurst,
-			Mix: fault.DefaultMix, Partition: *partition,
-		})
-		cfg.Schedule = sched
+	sc, err := scenario.Preset(*scenarioName)
+	if err != nil {
+		return err
 	}
+	cfg.Scenario = &sc
+	sched := scenario.CompileLive(sc, *seed, *n, *duration).Schedule
 	if *schedOut != "" {
 		data := []byte("[]\n")
 		if sched != nil {
@@ -137,9 +122,8 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 
 	// Workload shaping: -trace-in replays a recorded schedule verbatim;
-	// -workload picks a generator preset; otherwise RunLive builds uniform
-	// draws from its think/hold defaults.
-	var wspec *workload.Spec
+	// -workload picks a generator preset; otherwise RunLive draws from its
+	// default spec (cfg.Spec()).
 	switch {
 	case *traceIn != "":
 		data, err := os.ReadFile(*traceIn)
@@ -156,21 +140,13 @@ func run(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wspec = &spec
-		cfg.Workload = wspec
+		cfg.Workload = &spec
 	}
 	if *traceOut != "" {
-		spec := workload.UniformSpec(
-			int64(harness.DefaultThinkMin/harness.LiveTick),
-			int64(harness.DefaultThinkMax/harness.LiveTick),
-			int64(harness.DefaultEatTime/harness.LiveTick))
-		if wspec != nil {
-			spec = *wspec
-		}
-		// Same stream RunLive uses (seed+100), so the recording replays the
-		// exact draws of this run when fed back through -trace-in.
+		// Same spec and stream RunLive uses (seed+100), so the recording
+		// replays the exact draws of this run when fed back through -trace-in.
 		items := int(duration.Milliseconds()/20) + 16
-		trace := workload.Record(spec, *seed+100, *n, items)
+		trace := workload.Record(cfg.Spec(), *seed+100, *n, items)
 		if err := os.WriteFile(*traceOut, trace.JSON(), 0o644); err != nil {
 			return fmt.Errorf("write -trace-out: %w", err)
 		}
@@ -187,7 +163,7 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 
 	recordResult(o.Registry(), res)
-	pred := predictRun(o.Registry(), cfg, a, wspec)
+	pred := predictRun(o.Registry(), cfg, a)
 	fmt.Fprintf(status, "gbload: %d entries (%.0f/s), p50/p95/p99 %d/%d/%d µs, %d faults, %d violations (%d after convergence), converged=%v in %dms\n",
 		res.Entries, res.ThroughputPerSec,
 		res.LatP50US, res.LatP95US, res.LatP99US,
@@ -222,16 +198,9 @@ func run(args []string, out, errOut io.Writer) error {
 // proxy's default 1–3ms band) and publishes it as gbload_twin_* gauges so
 // the snapshot carries predicted next to observed. Trace replays have no
 // closed form, so they get no prediction (nil).
-func predictRun(r *obs.Registry, cfg harness.LiveConfig, a harness.Algo, wspec *workload.Spec) *twin.Prediction {
+func predictRun(r *obs.Registry, cfg harness.LiveConfig, a harness.Algo) *twin.Prediction {
 	if cfg.WorkloadTrace != nil {
 		return nil
-	}
-	spec := workload.UniformSpec(
-		int64(harness.DefaultThinkMin/harness.LiveTick),
-		int64(harness.DefaultThinkMax/harness.LiveTick),
-		int64(harness.DefaultEatTime/harness.LiveTick))
-	if wspec != nil {
-		spec = *wspec
 	}
 	delta := int64(cfg.Delta / harness.LiveTick)
 	switch {
@@ -246,7 +215,7 @@ func predictRun(r *obs.Registry, cfg harness.LiveConfig, a harness.Algo, wspec *
 		N: cfg.N, Shards: cfg.Shards, Algo: a.String(),
 		Delta: delta, MinDelay: 1, MaxDelay: 3,
 		Horizon: int64(cfg.Duration / harness.LiveTick),
-	}, spec))
+	}, cfg.Spec()))
 	set := func(name, help string, v int64) { r.Gauge(name, help).Set(v) }
 	set("gbload_twin_entries_predicted", "twin forecast of fault-free CS entries", int64(pred.Entries+0.5))
 	set("gbload_twin_msgs_per_entry_x1000", "twin forecast of program msgs per entry (×1000)", int64(pred.MsgsPerEntry*1000+0.5))

@@ -17,7 +17,7 @@ import (
 func TestLoopbackRunCheck(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-n", "3", "-duration", "900ms", "-seed", "1", "-bursts", "2", "-check",
+		"-n", "3", "-duration", "900ms", "-seed", "1", "-scenario", "partition", "-check",
 	}, &out, io.Discard)
 	if err != nil {
 		t.Fatalf("gbload -check failed: %v", err)
@@ -75,6 +75,15 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-algo", "paxos"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown -algo accepted")
 	}
+	if err := run([]string{"-scenario", "hurricane"}, io.Discard, io.Discard); err == nil {
+		t.Error("unknown -scenario accepted")
+	}
+	// The pre-scenario schedule flags are gone: -scenario names the plan.
+	for _, args := range [][]string{{"-bursts", "2"}, {"-max-per-burst", "3"}, {"-partition=false"}} {
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
 // Remote mode polls /metrics.json endpoints and reports the entry delta.
@@ -116,7 +125,7 @@ func TestLoopbackShardedRun(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-n", "3", "-shards", "3", "-duration", "900ms", "-seed", "2",
-		"-bursts", "2", "-check",
+		"-scenario", "partition", "-check",
 	}, &out, io.Discard)
 	if err != nil {
 		t.Fatalf("gbload -shards -check failed: %v", err)

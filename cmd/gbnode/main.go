@@ -87,11 +87,9 @@ func parseFlags(args []string) (NodeConfig, error) {
 	fs.DurationVar(&cfg.Delta, "delta", 25*time.Millisecond, "W' wrapper timeout (negative disables the wrapper)")
 	fs.BoolVar(&cfg.V2, "v2", false, "send with the compact v2 wire codec (peers auto-detect; mixed clusters are fine)")
 	fs.StringVar(&cfg.HTTP, "http", "127.0.0.1:0", `debug HTTP listen address ("" disables)`)
-	fs.DurationVar(&cfg.Think, "think", 15*time.Millisecond, "max think time between CS attempts")
-	fs.DurationVar(&cfg.Eat, "eat", time.Millisecond, "time spent holding the CS")
 	fs.DurationVar(&cfg.Duration, "duration", 0, "run length (0 = until SIGINT/SIGTERM)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "seed for the client loop's think times")
-	workloadName := fs.String("workload", "", "workload preset shaping the client loop (e.g. uniform, poisson, bursty, mixed; empty = uniform from -think/-eat)")
+	workloadName := fs.String("workload", "", "workload preset shaping the client loop (e.g. uniform, poisson, bursty, mixed; empty = the live harness's uniform default)")
 	if err := fs.Parse(args); err != nil {
 		return NodeConfig{}, err
 	}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/harness"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/workload"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -32,6 +33,33 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-tick", "2ms"}); err == nil {
 		t.Error("-tick accepted: W' is armed per request and has no tick")
 	}
+	// Traffic is shaped by -workload alone.
+	for _, args := range [][]string{{"-think", "4ms"}, {"-eat", "2ms"}} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// With no -workload a node's client draws what RunLive's driver for the
+// same seed and id draws: the uniform spec of harness.DefaultThinkMin/Max
+// and DefaultEatTime from stream seed+100.
+func TestDefaultClientMatchesRunLive(t *testing.T) {
+	cfg, err := parseFlags([]string{"-id", "2", "-n", "3", "-seed", "9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := func(d time.Duration) int64 { return int64(d / harness.LiveTick) }
+	spec := workload.UniformSpec(tick(harness.DefaultThinkMin), tick(harness.DefaultThinkMax), tick(harness.DefaultEatTime))
+	want := workload.NewGen(spec, cfg.Seed+100, cfg.N).Client(cfg.ID)
+	got := draws(cfg)
+	for i := 0; i < 50; i++ {
+		gt, gh := got.NextThink(), got.NextHold()
+		wt, wh := want.NextThink(), want.NextHold()
+		if gt != wt || gh != wh {
+			t.Fatalf("draw %d: gbnode think/hold %d/%d, RunLive %d/%d", i, gt, gh, wt, wh)
+		}
+	}
 }
 
 func TestStartNodeValidation(t *testing.T) {
@@ -50,7 +78,7 @@ func TestRunSingleNode(t *testing.T) {
 	ready := make(chan NodeAddrs, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run([]string{"-n", "1", "-id", "0", "-duration", "600ms", "-think", "4ms"},
+		errc <- run([]string{"-n", "1", "-id", "0", "-duration", "600ms", "-workload", "uniform"},
 			&out, io.Discard, ready)
 	}()
 	addrs := <-ready
@@ -98,9 +126,7 @@ func TestThreeNodeCluster(t *testing.T) {
 		// end, each client loop drawing its shard per attempt.
 		nd, err := StartNode(NodeConfig{
 			ID: i, N: n, Shards: 2, Peers: make([]string, n), Algo: harness.RA,
-			Delta: 25 * time.Millisecond, HTTP: "",
-			Think: 6 * time.Millisecond, Eat: time.Millisecond,
-			Seed: int64(i),
+			Delta: 25 * time.Millisecond, HTTP: "", Seed: int64(i),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -21,19 +21,18 @@ type NodeConfig struct {
 	// Shards is the number of independent critical sections the cluster
 	// runs (default 1); the client loop draws each attempt's shard from
 	// its workload skew stream.
-	Shards     int
-	Listen     string
-	Peers      []string // one address per id; Peers[ID] is replaced by the bound address
-	Algo       harness.Algo
-	Delta      time.Duration // negative = no W' wrapper
-	V2         bool          // send with the compact v2 wire codec (receivers auto-detect)
-	HTTP       string        // "" disables the debug HTTP server
-	Think, Eat time.Duration
-	Duration   time.Duration
-	Seed       int64
+	Shards   int
+	Listen   string
+	Peers    []string // one address per id; Peers[ID] is replaced by the bound address
+	Algo     harness.Algo
+	Delta    time.Duration // negative = no W' wrapper
+	V2       bool          // send with the compact v2 wire codec (receivers auto-detect)
+	HTTP     string        // "" disables the debug HTTP server
+	Duration time.Duration
+	Seed     int64
 	// Workload, when non-nil, shapes the client loop's traffic (ticks read
-	// as harness.LiveTick each, same as the gbload drivers); nil derives a
-	// uniform closed loop from Think/Eat.
+	// as harness.LiveTick each, same as the gbload drivers); nil runs the
+	// live harness's default spec.
 	Workload *workload.Spec
 }
 
@@ -68,12 +67,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-	if cfg.Think <= 0 {
-		cfg.Think = 15 * time.Millisecond
-	}
-	if cfg.Eat <= 0 {
-		cfg.Eat = time.Millisecond
 	}
 	o := newObs()
 	nd := &Node{cfg: cfg, obs: o, stop: make(chan struct{})}
@@ -162,36 +155,19 @@ func (nd *Node) WriteSnapshot(w io.Writer) error {
 }
 
 // clientLoop is the built-in workload: harness.RunLiveClient, the same
-// loop the gbload drivers run. All draws come from the workload package
-// (one tick = harness.LiveTick), derived from the same seed+100 stream
-// family the gbload drivers use, so a gbnode fleet and a gbload loopback
-// run with the same seed see the same per-id traffic shape.
+// loop the gbload drivers run.
 func (nd *Node) clientLoop() {
 	defer nd.wg.Done()
-	spec := nd.uniformSpec()
-	if nd.cfg.Workload != nil {
-		spec = *nd.cfg.Workload
-	}
-	client := workload.NewGen(spec, nd.cfg.Seed+100, nd.cfg.N).Client(nd.cfg.ID)
-	harness.RunLiveClient(nd.stop, nd.cluster, nd.cfg.ID, client, nil)
+	harness.RunLiveClient(nd.stop, nd.cluster, nd.cfg.ID, draws(nd.cfg), nil)
 }
 
-// uniformSpec maps the legacy -think/-eat flags onto workload ticks: a
-// uniform closed loop between Think/4 and Think, holding for Eat.
-func (nd *Node) uniformSpec() workload.Spec {
-	maxThink := int64(nd.cfg.Think / harness.LiveTick)
-	if maxThink < 1 {
-		maxThink = 1
-	}
-	minThink := maxThink / 4
-	if minThink < 1 {
-		minThink = 1
-	}
-	hold := int64(nd.cfg.Eat / harness.LiveTick)
-	if hold < 1 {
-		hold = 1
-	}
-	return workload.UniformSpec(minThink, maxThink, hold)
+// draws is the node's client draw stream (one tick = harness.LiveTick):
+// the live harness's spec from the same seed+100 stream family the gbload
+// drivers use, so a gbnode fleet and a gbload loopback run with the same
+// seed see the same per-id traffic shape.
+func draws(cfg NodeConfig) workload.Client {
+	spec := harness.LiveConfig{Workload: cfg.Workload}.Spec()
+	return workload.NewGen(spec, cfg.Seed+100, cfg.N).Client(cfg.ID)
 }
 
 // newFlagSet returns a flag set that reports errors instead of exiting,

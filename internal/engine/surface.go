@@ -16,8 +16,8 @@ import (
 // protocol.
 //
 // Message-type-specific corruption (e.g. scrambling a TME timestamp field
-// by field) stays with the substrate: injectors that know a richer
-// interface may type-assert for it and fall back to these methods.
+// by field) stays with the substrate: FaultCorrupt and FaultPerturb are the
+// substrate's whole fault model, and injectors reach it through them alone.
 //
 // The Fault* methods report whether the fault was applied; substrates
 // without the corresponding machinery (the token ring has no channels)

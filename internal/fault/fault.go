@@ -7,9 +7,9 @@
 // The injector targets engine.Surface — the substrate-agnostic fault
 // surface — so one Mix drives faults into every engine-backed system: the
 // TME simulator, the token-circulation ring, and the Dijkstra token-ring
-// daemon. Substrates that expose the richer TME-typed hooks (MutateInFlight,
-// CorruptibleNode) get the paper's field-by-field corruption model; the
-// rest get the surface's generic corruption and perturbation.
+// daemon. What a corrupted message or a perturbed process becomes is the
+// substrate's FaultCorrupt/FaultPerturb; the TME substrates (simulator and
+// live chaos proxy) draw it from tme.CorruptMessage and tme.RandomCorruption.
 //
 // Faults are transient and finite in number — exactly the premise under
 // which stabilization is claimed. The injector never touches anything after
@@ -22,25 +22,12 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
-	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
-	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
 // Surface is the fault surface the injector drives — engine.Surface,
 // re-exported so callers can read the contract where the injector lives.
 type Surface = engine.Surface
-
-// tmeSurface is the richer TME-typed corruption interface. *sim.Sim
-// implements it; substrates that do fall back from the generic surface
-// methods to the paper's field-by-field fault model.
-type tmeSurface interface {
-	Surface
-	// MutateInFlight applies f to the i-th in-flight message on ep.
-	MutateInFlight(ep channel.Endpoint, i int, f func(*tme.Message)) bool
-	// CorruptibleNode returns process id's corruption hook, or nil.
-	CorruptibleNode(id int) tme.Corruptible
-}
 
 // Kind enumerates the fault classes of the paper's fault model.
 type Kind int
@@ -112,9 +99,6 @@ func (m Mix) Pick(rng *rand.Rand) Kind {
 		return ChannelFlush
 	}
 }
-
-// maxClock bounds forged timestamp clocks.
-const maxClock = 64
 
 // Injector applies faults to a simulation. Construct with NewInjector.
 type Injector struct {
@@ -260,39 +244,13 @@ func (in *Injector) dup(s Surface) {
 }
 
 func (in *Injector) corrupt(s Surface) {
-	ep, i, ok := in.victim(s)
-	if !ok {
-		return
-	}
-	ts, typed := s.(tmeSurface)
-	if !typed {
+	if ep, i, ok := in.victim(s); ok {
 		s.FaultCorrupt(ep, i, in.rng)
-		return
 	}
-	ts.MutateInFlight(ep, i, func(m *tme.Message) {
-		switch in.rng.Intn(3) {
-		case 0:
-			m.TS = randomTS(in.rng, in.rng.Intn(s.N()))
-		case 1:
-			m.Kind = tme.Kind(in.rng.Intn(4)) // may be invalid: receivers drop it
-		case 2:
-			m.From = in.rng.Intn(s.N() + 1) // may be out of range
-		}
-	})
 }
 
 func (in *Injector) state(s Surface) {
-	id := in.rng.Intn(s.N())
-	ts, typed := s.(tmeSurface)
-	if !typed {
-		s.FaultPerturb(id, in.rng)
-		return
-	}
-	node := ts.CorruptibleNode(id)
-	if node == nil {
-		return
-	}
-	node.Corrupt(in.RandomCorruption(id, s.N()))
+	s.FaultPerturb(in.rng.Intn(s.N()), in.rng)
 }
 
 func (in *Injector) flush(s Surface) {
@@ -301,61 +259,6 @@ func (in *Injector) flush(s Surface) {
 		return
 	}
 	s.FaultFlush(ep)
-}
-
-func randomTS(rng *rand.Rand, pid int) ltime.Timestamp {
-	return ltime.Timestamp{Clock: uint64(rng.Int63n(maxClock)), PID: pid}
-}
-
-// RandomCorruption builds an arbitrary transient state corruption for
-// process id of n, drawn from the injector's source.
-func (in *Injector) RandomCorruption(id, n int) tme.Corruption {
-	return RandomCorruptionFrom(in.rng, id, n)
-}
-
-// RandomCorruptionFrom builds an arbitrary transient state corruption for
-// process id of n from an explicit source — for callers (the live chaos
-// proxy's perturb hook) that corrupt node state outside an Injector. The
-// phase it forges is always one of {t,h,e}: the paper's Lspec
-// implementations maintain Structural Spec, and sub-Lspec damage (an
-// invalid phase) is built directly as tme.Corruption{Phase: ...} by the
-// level-1 experiments and tests that need it.
-func RandomCorruptionFrom(rng *rand.Rand, id, n int) tme.Corruption {
-	c := tme.Corruption{Seed: rng.Int63()}
-	if rng.Intn(2) == 0 {
-		c.Phase = tme.Phase(1 + rng.Intn(3))
-	}
-	if rng.Intn(2) == 0 {
-		ts := randomTS(rng, id)
-		c.REQ = &ts
-	}
-	if rng.Intn(2) == 0 {
-		c.LocalREQ = make(map[int]ltime.Timestamp)
-		for k := 0; k < n; k++ {
-			if k != id && rng.Intn(2) == 0 {
-				c.LocalREQ[k] = randomTS(rng, k)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		if k == id {
-			continue
-		}
-		switch rng.Intn(4) {
-		case 0:
-			c.DropReceived = append(c.DropReceived, k)
-		case 1:
-			c.ForgeReceived = append(c.ForgeReceived, k)
-		}
-	}
-	if rng.Intn(3) == 0 {
-		clk := uint64(rng.Int63n(maxClock))
-		c.Clock = &clk
-	}
-	if rng.Intn(3) == 0 {
-		c.ScrambleInternal = true
-	}
-	return c
 }
 
 // DropAllInFlight flushes every channel — the paper's §4 deadlock scenario
@@ -384,18 +287,8 @@ func DropAllInFlight(s Surface) {
 func ImproperInit(s Surface, seed int64) {
 	in := NewInjector(seed, Mix{State: 1})
 	in.bind(s)
-	ts, typed := s.(tmeSurface)
 	for i := 0; i < s.N(); i++ {
-		applied := false
-		if typed {
-			if node := ts.CorruptibleNode(i); node != nil {
-				node.Corrupt(in.RandomCorruption(i, s.N()))
-				applied = true
-			}
-		} else {
-			applied = s.FaultPerturb(i, in.rng)
-		}
-		if applied {
+		if s.FaultPerturb(i, in.rng) {
 			in.cFaults.Inc()
 			in.cByKind[StateCorrupt].Inc()
 			in.conv.RecordFault(s.Now())

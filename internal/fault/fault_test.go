@@ -136,18 +136,6 @@ func TestStateCorruptChangesSomethingEventually(t *testing.T) {
 	}
 }
 
-// TestCorruptionPhaseIsValid checks a drawn corruption never breaks
-// Structural Spec: invalid phases are built by hand where a test needs one.
-func TestCorruptionPhaseIsValid(t *testing.T) {
-	in := NewInjector(11, Mix{State: 1})
-	for i := 0; i < 300; i++ {
-		c := in.RandomCorruption(0, 3)
-		if c.Phase != 0 && !c.Phase.Valid() {
-			t.Fatalf("drawn corruption has invalid phase %d", c.Phase)
-		}
-	}
-}
-
 func TestDeterministicInjection(t *testing.T) {
 	run := func() (int, int) {
 		s := raSim(5, true)

@@ -55,7 +55,7 @@ func TestDriverFaultRowsOnBothSubstrates(t *testing.T) {
 						s.At(s.Now()+1, inject)
 						return
 					}
-					s.CorruptibleNode(k).Corrupt(tme.Corruption{Phase: row.forge})
+					s.Node(k).(tme.Corruptible).Corrupt(tme.Corruption{Phase: row.forge})
 					applied++
 				}
 				s.At(int64(40*(round*len(driverFaultRows)+k+1)), inject)

@@ -37,8 +37,8 @@ import (
 // = 1ms) byte-identically.
 const LiveTick = time.Millisecond
 
-// Default driver timings, exported so callers (cmd/gbload's -trace-out)
-// can reconstruct the exact uniform spec RunLive falls back to.
+// Default driver timings: LiveConfig{}.Spec() is the uniform spec they
+// make, the traffic every live client runs when nothing else is asked for.
 const (
 	DefaultThinkMin = 2 * time.Millisecond
 	DefaultThinkMax = 15 * time.Millisecond
@@ -125,13 +125,13 @@ func (c LiveConfig) withDefaults() LiveConfig {
 		c.ChaosMinDelay = 500 * time.Microsecond
 	}
 	if c.ChaosMaxDelay < c.ChaosMinDelay {
-		c.ChaosMaxDelay = 3 * time.Millisecond
+		c.ChaosMaxDelay = max(3*time.Millisecond, c.ChaosMinDelay)
 	}
 	if c.ThinkMin <= 0 {
 		c.ThinkMin = DefaultThinkMin
 	}
 	if c.ThinkMax < c.ThinkMin {
-		c.ThinkMax = DefaultThinkMax
+		c.ThinkMax = max(DefaultThinkMax, c.ThinkMin)
 	}
 	if c.EatTime <= 0 {
 		c.EatTime = DefaultEatTime
@@ -140,6 +140,19 @@ func (c LiveConfig) withDefaults() LiveConfig {
 		c.SampleEvery = 500 * time.Microsecond
 	}
 	return c
+}
+
+// Spec is the workload the drivers draw from when no trace is replayed:
+// Workload when set, otherwise the think/eat bounds (defaults applied) as a
+// uniform spec. Ticks are LiveTick-sized, so min == max degenerates to a
+// constant instead of an Int63n edge case. cmd/gbnode's client and
+// cmd/gbload's -trace-out and twin forecast read the same spec.
+func (c LiveConfig) Spec() workload.Spec {
+	if c.Workload != nil {
+		return *c.Workload
+	}
+	c = c.withDefaults()
+	return workload.UniformSpec(int64(c.ThinkMin/LiveTick), int64(c.ThinkMax/LiveTick), int64(c.EatTime/LiveTick))
 }
 
 // LiveResult reports one live run.
@@ -201,20 +214,11 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	}
 	n := cfg.N
 
-	// All driver traffic flows through the workload engine: an explicit
-	// Spec/trace when configured, otherwise the LiveConfig think/eat bounds
-	// expressed as a uniform spec (ticks are LiveTick-sized, so min == max
-	// degenerates to a constant instead of an Int63n edge case).
-	var src workload.Source
-	switch {
-	case cfg.WorkloadTrace != nil:
-		src = cfg.WorkloadTrace
-	case cfg.Workload != nil:
-		src = workload.NewGen(*cfg.Workload, cfg.Seed+100, n)
-	default:
-		src = workload.NewGen(workload.UniformSpec(
-			int64(cfg.ThinkMin/LiveTick), int64(cfg.ThinkMax/LiveTick),
-			int64(cfg.EatTime/LiveTick)), cfg.Seed+100, n)
+	// All driver traffic flows through the workload engine: a recorded
+	// trace when configured, otherwise cfg.Spec() drawn from seed+100.
+	var src workload.Source = cfg.WorkloadTrace
+	if cfg.WorkloadTrace == nil {
+		src = workload.NewGen(cfg.Spec(), cfg.Seed+100, n)
 	}
 
 	shards := cfg.Shards
@@ -278,7 +282,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		if id < 0 || id >= n {
 			return false
 		}
-		clusters[id].Corrupt(id, fault.RandomCorruptionFrom(rng, id, n))
+		clusters[id].Corrupt(id, tme.RandomCorruption(rng, id, n))
 		return true
 	})
 

@@ -9,6 +9,32 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/wire"
 )
 
+// A think or chaos-delay max below its min becomes the default max, raised
+// to the min when the default lies below it.
+func TestLiveConfigBoundDefaults(t *testing.T) {
+	const us, ms = time.Microsecond, time.Millisecond
+	type bounds [2]time.Duration
+	for _, c := range []struct {
+		cfg          LiveConfig
+		think, chaos bounds
+	}{
+		{LiveConfig{}, bounds{DefaultThinkMin, DefaultThinkMax}, bounds{500 * us, 3 * ms}},
+		{LiveConfig{ThinkMin: ms, ChaosMinDelay: ms}, bounds{ms, DefaultThinkMax}, bounds{ms, 3 * ms}},
+		{LiveConfig{ThinkMin: ms, ThinkMax: 2 * ms, ChaosMinDelay: us, ChaosMaxDelay: us}, bounds{ms, 2 * ms}, bounds{us, us}},
+		{LiveConfig{ThinkMin: 20 * ms, ChaosMinDelay: 5 * ms}, bounds{20 * ms, 20 * ms}, bounds{5 * ms, 5 * ms}},
+		{LiveConfig{ThinkMin: 20 * ms, ThinkMax: 10 * ms, ChaosMinDelay: 5 * ms, ChaosMaxDelay: 4 * ms},
+			bounds{20 * ms, 20 * ms}, bounds{5 * ms, 5 * ms}},
+	} {
+		got := c.cfg.withDefaults()
+		if think := (bounds{got.ThinkMin, got.ThinkMax}); think != c.think {
+			t.Errorf("think [%v, %v] defaults to %v, want %v", c.cfg.ThinkMin, c.cfg.ThinkMax, think, c.think)
+		}
+		if chaos := (bounds{got.ChaosMinDelay, got.ChaosMaxDelay}); chaos != c.chaos {
+			t.Errorf("chaos delay [%v, %v] defaults to %v, want %v", c.cfg.ChaosMinDelay, c.cfg.ChaosMaxDelay, chaos, c.chaos)
+		}
+	}
+}
+
 // A fault-free loopback cluster makes progress with zero safety
 // violations.
 func TestRunLiveCleanRun(t *testing.T) {

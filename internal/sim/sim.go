@@ -401,10 +401,6 @@ func (s *Sim) N() int { return s.cfg.N }
 // Net exposes the channel mesh for fault injection.
 func (s *Sim) Net() *channel.Net[tme.Message] { return s.net }
 
-// RNG returns the simulation's seeded random source. Fault injectors use it
-// so that a whole experiment remains a function of one seed.
-func (s *Sim) RNG() *rand.Rand { return s.rng }
-
 // Core returns the underlying engine core (the generic fault surface and
 // tests schedule through it).
 func (s *Sim) Core() *engine.Core { return s.core }

@@ -7,9 +7,10 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
-// This file implements engine.Surface (and the richer TME-aware extension
-// the fault injector type-asserts for), so that one substrate-agnostic
-// injector drives faults into the TME model. FaultPerturb marks the process
+// This file implements engine.Surface, so that one substrate-agnostic
+// injector drives faults into the TME model. FaultCorrupt and FaultPerturb
+// are the paper's TME fault model (tme.CorruptMessage, tme.RandomCorruption),
+// the same one the live chaos proxy applies. FaultPerturb marks the process
 // it writes dirty, the same way the simulator's own mutations do, so
 // incremental snapshots and the monitor steps run on them stay honest;
 // channel contents are not part of those snapshots.
@@ -43,18 +44,16 @@ func (s *Sim) FaultDuplicate(ep channel.Endpoint, i int, redeliver int64) bool {
 	return true
 }
 
-// FaultCorrupt damages the i-th in-flight message on ep with a generic
-// field overwrite drawn from rng. TME-aware injectors use MutateInFlight
-// for the paper's field-by-field corruption model instead.
+// FaultCorrupt damages the i-th in-flight message on ep with
+// tme.CorruptMessage, drawing from rng.
 func (s *Sim) FaultCorrupt(ep channel.Endpoint, i int, rng *rand.Rand) bool {
-	return s.MutateInFlight(ep, i, func(m *tme.Message) {
-		m.From = rng.Intn(s.cfg.N + 1) // may be out of range: receivers drop it
-	})
+	q := s.net.Chan(ep.Src, ep.Dst)
+	return q != nil && q.Mutate(i, func(m *tme.Message) { tme.CorruptMessage(rng, m, s.cfg.N) })
 }
 
-// FaultPerturb corrupts the local state of process id, scrambling its
-// implementation-internal structures from rng. Returns false when the node
-// does not support corruption.
+// FaultPerturb corrupts the local state of process id with
+// tme.RandomCorruption, drawing from rng. Returns false (drawing nothing)
+// when the node does not support corruption.
 func (s *Sim) FaultPerturb(id int, rng *rand.Rand) bool {
 	if id < 0 || id >= s.cfg.N {
 		return false
@@ -63,7 +62,7 @@ func (s *Sim) FaultPerturb(id int, rng *rand.Rand) bool {
 	if !ok {
 		return false
 	}
-	node.Corrupt(tme.Corruption{ScrambleInternal: true, Seed: rng.Int63()})
+	node.Corrupt(tme.RandomCorruption(rng, id, s.cfg.N))
 	s.dirtyNode(id)
 	return true
 }
@@ -76,24 +75,4 @@ func (s *Sim) FaultFlush(ep channel.Endpoint) bool {
 	}
 	q.Clear()
 	return true
-}
-
-// MutateInFlight applies f to the i-th in-flight message on ep — the
-// TME-typed corruption hook behind the generic fault surface.
-func (s *Sim) MutateInFlight(ep channel.Endpoint, i int, f func(*tme.Message)) bool {
-	q := s.net.Chan(ep.Src, ep.Dst)
-	return q != nil && q.Mutate(i, f)
-}
-
-// CorruptibleNode returns process id's corruption hook, or nil when the
-// node does not support state corruption.
-func (s *Sim) CorruptibleNode(id int) tme.Corruptible {
-	if id < 0 || id >= s.cfg.N {
-		return nil
-	}
-	node, ok := s.nodes[id].(tme.Corruptible)
-	if !ok {
-		return nil
-	}
-	return node
 }

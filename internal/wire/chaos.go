@@ -9,7 +9,6 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
-	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
@@ -58,7 +57,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 		c.MinDelay = 500 * time.Microsecond
 	}
 	if c.MaxDelay < c.MinDelay {
-		c.MaxDelay = 3 * time.Millisecond
+		c.MaxDelay = max(3*time.Millisecond, c.MinDelay)
 	}
 	return c
 }
@@ -451,9 +450,8 @@ func (c *Chaos) FaultDuplicate(ep channel.Endpoint, i int, redeliver int64) bool
 	return true
 }
 
-// FaultCorrupt scrambles one field of the i-th held message on ep — the
-// same field-by-field damage the TME simulator applies, drawn from the
-// injector's rng.
+// FaultCorrupt damages the i-th held message on ep with
+// tme.CorruptMessage — the simulator's damage from the same draws.
 func (c *Chaos) FaultCorrupt(ep channel.Endpoint, i int, rng *rand.Rand) bool {
 	idx, ok := c.edgeIndex(ep.Src, ep.Dst)
 	if !ok {
@@ -465,15 +463,7 @@ func (c *Chaos) FaultCorrupt(ep channel.Endpoint, i int, rng *rand.Rand) bool {
 	if i < 0 || i >= len(q) {
 		return false
 	}
-	m := &q[i].m
-	switch rng.Intn(3) {
-	case 0:
-		m.TS = ltime.Timestamp{Clock: uint64(rng.Int63n(64)), PID: rng.Intn(c.cfg.N)}
-	case 1:
-		m.Kind = tme.Kind(rng.Intn(4)) // may be invalid: receivers drop it
-	case 2:
-		m.From = rng.Intn(c.cfg.N + 1) // may be out of range
-	}
+	tme.CorruptMessage(rng, &q[i].m, c.cfg.N)
 	return true
 }
 

@@ -35,6 +35,26 @@ func TestChaosReleasesFIFO(t *testing.T) {
 	}
 }
 
+// A max below the min becomes the default max, raised to the min when the
+// default lies below it.
+func TestChaosConfigDelayDefaults(t *testing.T) {
+	const us, ms = time.Microsecond, time.Millisecond
+	for _, c := range []struct{ min, max, wantMin, wantMax time.Duration }{
+		{0, 0, 500 * us, 3 * ms},
+		{ms, 0, ms, 3 * ms},
+		{ms, 2 * ms, ms, 2 * ms},
+		{us, us, us, us},
+		{5 * ms, 0, 5 * ms, 5 * ms},
+		{5 * ms, 4 * ms, 5 * ms, 5 * ms},
+	} {
+		got := ChaosConfig{MinDelay: c.min, MaxDelay: c.max}.withDefaults()
+		if got.MinDelay != c.wantMin || got.MaxDelay != c.wantMax {
+			t.Errorf("MinDelay %v, MaxDelay %v: defaults to [%v, %v], want [%v, %v]",
+				c.min, c.max, got.MinDelay, got.MaxDelay, c.wantMin, c.wantMax)
+		}
+	}
+}
+
 func TestChaosPartitionDropsAndHeals(t *testing.T) {
 	ch := NewChaos(ChaosConfig{N: 3, Seed: 2, MinDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
 	defer ch.Close()
