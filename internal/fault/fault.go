@@ -105,6 +105,8 @@ type Injector struct {
 	rng   *rand.Rand
 	mix   Mix
 	count int
+	// candidates is nonEmptyChannel's scratch list, reused across calls.
+	candidates []channel.Endpoint
 
 	// obs instruments, bound lazily to the first simulation seen (nil
 	// fields when that simulation runs without observability).
@@ -199,14 +201,17 @@ func (in *Injector) Apply(s Surface, kind Kind) {
 }
 
 // nonEmptyChannel picks a uniformly random non-empty channel, or ok=false
-// when all channels are empty.
+// when all channels are empty. The channels are read once, into the
+// injector's scratch list: on a live surface a queue can drain between two
+// looks, so a count followed by a rescan could pick differently.
 func (in *Injector) nonEmptyChannel(s Surface) (channel.Endpoint, bool) {
-	var candidates []channel.Endpoint
+	candidates := in.candidates[:0]
 	for _, ep := range s.Channels() {
 		if s.QueueLen(ep) > 0 {
 			candidates = append(candidates, ep)
 		}
 	}
+	in.candidates = candidates
 	if len(candidates) == 0 {
 		return channel.Endpoint{}, false
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
@@ -114,6 +115,51 @@ func TestMessageFaultsSurviveADrainingQueue(t *testing.T) {
 	in := NewInjector(9, Mix{})
 	for _, k := range []Kind{MessageLoss, MessageDup, MessageCorrupt} {
 		in.Apply(d, k)
+	}
+}
+
+// freshNonEmptyChannel is nonEmptyChannel as it was before it reused a
+// scratch list: a fresh candidate slice per call, one draw.
+func freshNonEmptyChannel(rng *rand.Rand, s Surface) (channel.Endpoint, bool) {
+	var candidates []channel.Endpoint
+	for _, ep := range s.Channels() {
+		if s.QueueLen(ep) > 0 {
+			candidates = append(candidates, ep)
+		}
+	}
+	if len(candidates) == 0 {
+		return channel.Endpoint{}, false
+	}
+	return candidates[rng.Intn(len(candidates))], true
+}
+
+// TestNonEmptyChannelMatchesFreshSlice: reusing the scratch list changes
+// neither the endpoint picked nor the draws. Over 200 seeds, an injector
+// and an equal-seeded rng running the fresh-slice version pick the same
+// endpoint on every call, through states with empty and busy networks.
+func TestNonEmptyChannelMatchesFreshSlice(t *testing.T) {
+	hits := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		s := raSim(seed, true)
+		in := NewInjector(seed, DefaultMix)
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 30; step++ {
+			got, gotOK := in.nonEmptyChannel(s)
+			want, wantOK := freshNonEmptyChannel(rng, s)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d, t=%d: picked %v,%v; fresh slice picks %v,%v", seed, s.Now(), got, gotOK, want, wantOK)
+			}
+			if gotOK {
+				hits++
+			}
+			s.Run(s.Now() + 3)
+		}
+		if in.rng.Int63() != rng.Int63() {
+			t.Fatalf("seed %d: the injector's draws diverged from the fresh-slice version's", seed)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no call found a non-empty channel; the comparison is vacuous")
 	}
 }
 

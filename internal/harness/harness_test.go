@@ -1,6 +1,7 @@
 package harness
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,39 @@ func TestRunDeterministic(t *testing.T) {
 	if a.Entries != b.Entries || a.ProgramMsgs != b.ProgramMsgs ||
 		a.LastViolation != b.LastViolation {
 		t.Errorf("same config diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestStabilizeRunAllocationsPerEntry is a tier-1 tripwire for the
+// benchmark's sim-stabilize allocs_per_entry, which CI does not gate: one
+// RA and one Lamport run of its shape (N=5, δ=5, ten faults at 200 and at
+// 300, 30 requests each, monitors on) may make at most 3 heap allocations
+// per CS entry, set-up included. The fan-outs, W' firings and replies write
+// into buffers their producers own, so what remains is per run, not per
+// step. Not parallel: it reads the process-wide malloc count. About 0.02 s.
+func TestStabilizeRunAllocationsPerEntry(t *testing.T) {
+	var before, after goruntime.MemStats
+	entries := 0
+	goruntime.ReadMemStats(&before)
+	for i, algo := range []Algo{RA, Lamport} {
+		r := Run(RunConfig{
+			Algo: algo, N: 5,
+			Seed: 1000 + int64(i), FaultSeed: 1500 + int64(i),
+			Delta:      5,
+			FaultTimes: []int64{200, 300}, FaultsPerBurst: 10,
+			MaxRequests: 30, Horizon: 20000,
+			Monitor: true,
+		})
+		entries += r.Entries
+	}
+	goruntime.ReadMemStats(&after)
+	if entries == 0 {
+		t.Fatal("no entries")
+	}
+	perEntry := float64(after.Mallocs-before.Mallocs) / float64(entries)
+	t.Logf("%.2f allocations per entry over %d entries", perEntry, entries)
+	if perEntry > 3 {
+		t.Errorf("%.2f heap allocations per CS entry, want at most 3", perEntry)
 	}
 }
 

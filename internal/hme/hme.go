@@ -86,6 +86,17 @@ func NewAcq(client int, shards []int) *Acq {
 	return &Acq{client: client, set: Canonicalize(shards)}
 }
 
+// Reset turns a into the acquisition NewAcq(client, shards) would return,
+// canonicalizing into a's own set, so that a driver reusing one Acq per
+// client allocates only when a set outgrows every earlier one. shards is
+// not modified; slices returned by Set and Held before the call are
+// overwritten.
+func (a *Acq) Reset(client int, shards []int) {
+	set := append(a.set[:0], shards...)
+	slices.Sort(set)
+	a.client, a.set, a.next = client, slices.Compact(set), 0
+}
+
 // Client returns the acquiring client id.
 func (a *Acq) Client() int { return a.client }
 

@@ -1,6 +1,7 @@
 package hme
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -36,6 +37,48 @@ func TestAcqAscendingOrder(t *testing.T) {
 	}
 	if err := a.Grant(0); err == nil {
 		t.Fatal("grant after completion did not error")
+	}
+}
+
+// TestAcqResetEqualsNewAcq: one Acq reused through Reset is, after every
+// reset, the acquisition NewAcq would build, over random shard lists with
+// unsorted entries and duplicates, sets shorter than an earlier one, and
+// resets in the middle of an acquisition; and Reset leaves its input alone.
+func TestAcqResetEqualsNewAcq(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var reused Acq
+	for i := 0; i < 500; i++ {
+		shards := make([]int, rng.Intn(7)) // 0..6 entries, so sets shrink and grow
+		for k := range shards {
+			shards[k] = rng.Intn(5) // duplicates are common
+		}
+		input := slices.Clone(shards)
+		reused.Reset(i, shards)
+		fresh := NewAcq(i, shards)
+		if !slices.Equal(shards, input) {
+			t.Fatalf("Reset modified its input: %v, was %v", shards, input)
+		}
+		for {
+			if reused.Client() != fresh.Client() || !slices.Equal(reused.Set(), fresh.Set()) ||
+				!slices.Equal(reused.Held(), fresh.Held()) || reused.Done() != fresh.Done() {
+				t.Fatalf("reset %d of %v: reused (client %d, set %v, held %v, done %v), NewAcq (client %d, set %v, held %v, done %v)",
+					i, input, reused.Client(), reused.Set(), reused.Held(), reused.Done(),
+					fresh.Client(), fresh.Set(), fresh.Held(), fresh.Done())
+			}
+			shard, ok := fresh.Pending()
+			if got, gotOK := reused.Pending(); got != shard || gotOK != ok {
+				t.Fatalf("reset %d of %v: pending %d,%v, NewAcq %d,%v", i, input, got, gotOK, shard, ok)
+			}
+			if !ok || rng.Intn(4) == 0 { // sometimes reset mid-acquisition
+				break
+			}
+			if err := reused.Grant(shard); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Grant(shard); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -43,8 +43,11 @@ type Node struct {
 	// heard[k] is the latest timestamp received from k in a reply or
 	// release message; it realizes j.REQ_k when k has nothing queued.
 	heard []ltime.Timestamp
-	// reply backs Deliver's immediate reply; see tme.Node.Deliver.
-	reply [1]tme.Message
+	// Each producer writes its messages into its own buffer, valid until
+	// the same action runs again (tme.Node's contract).
+	reply    [1]tme.Message // Deliver's immediate reply
+	requests []tme.Message  // RequestCS's fan-out
+	releases []tme.Message  // ReleaseCS's fan-out
 }
 
 var (
@@ -139,7 +142,9 @@ func (nd *Node) removePID(k int) {
 }
 
 // RequestCS performs the "Request CS" action: take a fresh timestamp,
-// enqueue it, clear grants, become hungry, and broadcast the request.
+// enqueue it, clear grants, become hungry, and broadcast the request. The
+// broadcast is written into the node's own buffer, valid until the next
+// RequestCS.
 func (nd *Node) RequestCS() []tme.Message {
 	if nd.phase != tme.Thinking {
 		return nil
@@ -150,31 +155,37 @@ func (nd *Node) RequestCS() []tme.Message {
 		nd.grant[k] = false
 	}
 	nd.phase = tme.Hungry
-	msgs := make([]tme.Message, 0, nd.n-1)
-	for k := 0; k < nd.n; k++ {
-		if k != nd.id {
-			msgs = append(msgs, tme.Message{Kind: tme.Request, TS: nd.req, From: nd.id, To: k})
-		}
-	}
-	return msgs
+	nd.requests = nd.broadcast(nd.requests, tme.Request, nd.req)
+	return nd.requests
 }
 
 // ReleaseCS performs the "Release CS" action: dequeue the own request,
-// broadcast a release, and return to thinking.
+// broadcast a release, and return to thinking. The broadcast is written
+// into the node's own buffer, valid until the next ReleaseCS.
 func (nd *Node) ReleaseCS() []tme.Message {
 	if nd.phase != tme.Eating {
 		return nil
 	}
 	nd.removePID(nd.id)
 	ts := nd.clock.Tick()
-	msgs := make([]tme.Message, 0, nd.n-1)
-	for k := 0; k < nd.n; k++ {
-		if k != nd.id {
-			msgs = append(msgs, tme.Message{Kind: tme.Release, TS: ts, From: nd.id, To: k})
-		}
-	}
+	nd.releases = nd.broadcast(nd.releases, tme.Release, ts)
 	nd.req = nd.clock.Now() // CS Release Spec: t.j ⇒ REQ_j = ts.j
 	nd.phase = tme.Thinking
+	return nd.releases
+}
+
+// broadcast overwrites buf with one kind message stamped ts to every other
+// process, allocating only on a buffer's first use.
+func (nd *Node) broadcast(buf []tme.Message, kind tme.Kind, ts ltime.Timestamp) []tme.Message {
+	msgs := buf[:0]
+	if msgs == nil {
+		msgs = make([]tme.Message, 0, nd.n-1)
+	}
+	for k := 0; k < nd.n; k++ {
+		if k != nd.id {
+			msgs = append(msgs, tme.Message{Kind: kind, TS: ts, From: nd.id, To: k})
+		}
+	}
 	return msgs
 }
 

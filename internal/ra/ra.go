@@ -25,7 +25,11 @@ type Node struct {
 	req      ltime.Timestamp
 	local    []ltime.Timestamp // j.REQ_k
 	received []bool            // received(j.REQ_k): k's request pending a reply
-	reply    [1]tme.Message    // backs Deliver's immediate reply; see tme.Node.Deliver
+	// Each producer writes its messages into its own buffer, valid until
+	// the same action runs again (tme.Node's contract).
+	reply    [1]tme.Message // Deliver's immediate reply
+	requests []tme.Message  // RequestCS's fan-out
+	replies  []tme.Message  // ReleaseCS's deferred replies
 }
 
 var (
@@ -88,33 +92,40 @@ func (nd *Node) deferredSet() []int {
 
 // RequestCS performs the "Request CS" action: when thinking, take a fresh
 // timestamp as REQ_j, become hungry, and send a request to every other
-// process. It is a no-op in any other phase.
+// process. It is a no-op in any other phase. The fan-out is written into
+// the node's own buffer, valid until the next RequestCS.
 func (nd *Node) RequestCS() []tme.Message {
 	if nd.phase != tme.Thinking {
 		return nil
 	}
 	nd.req = nd.clock.Tick()
 	nd.phase = tme.Hungry
-	msgs := make([]tme.Message, 0, nd.n-1)
+	msgs := nd.requests[:0]
+	if msgs == nil {
+		msgs = make([]tme.Message, 0, nd.n-1)
+	}
 	for k := 0; k < nd.n; k++ {
 		if k != nd.id {
 			msgs = append(msgs, tme.Message{Kind: tme.Request, TS: nd.req, From: nd.id, To: k})
 		}
 	}
+	nd.requests = msgs
 	return msgs
 }
 
 // ReleaseCS performs the "Release CS" action: when eating, send the deferred
 // replies, clear the received flags, reset REQ_j to the most current event's
-// timestamp, and return to thinking. It is a no-op in any other phase.
+// timestamp, and return to thinking. It is a no-op in any other phase. The
+// replies are written into the node's own buffer, valid until the next
+// ReleaseCS.
 func (nd *Node) ReleaseCS() []tme.Message {
 	if nd.phase != tme.Eating {
 		return nil
 	}
 	ts := nd.clock.Tick() // the release event
-	var msgs []tme.Message
+	msgs := nd.replies[:0]
 	// Inline the deferred-set membership test (same predicate as
-	// deferredSet) so releasing allocates at most once, for the replies.
+	// deferredSet) so releasing builds no set.
 	for k := 0; k < nd.n; k++ {
 		if k != nd.id && nd.received[k] && nd.req.Less(nd.local[k]) {
 			if msgs == nil {
@@ -128,6 +139,10 @@ func (nd *Node) ReleaseCS() []tme.Message {
 	}
 	nd.req = nd.clock.Now() // CS Release Spec: t.j ⇒ REQ_j = ts.j
 	nd.phase = tme.Thinking
+	if len(msgs) == 0 {
+		return nil
+	}
+	nd.replies = msgs
 	return msgs
 }
 

@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/ltime"
@@ -316,7 +317,7 @@ func TestDeliverResultValidUntilNextDeliver(t *testing.T) {
 	kept := first[0]
 
 	// Valid across everything that is not a Deliver on this node, and the
-	// other calls' results are the caller's own: they never share the buffer.
+	// other calls write buffers of their own: they never share this one.
 	own := nodes[0].RequestCS()
 	nodes[0].Step()
 	nodes[1].Deliver(own[0])
@@ -336,6 +337,76 @@ func TestDeliverResultValidUntilNextDeliver(t *testing.T) {
 	}
 	if own[0].Kind != tme.Request || own[1].Kind != tme.Request {
 		t.Fatalf("RequestCS result was overwritten by Deliver: %v", own)
+	}
+}
+
+// TestFanOutResultsValidUntilSameAction states the rest of tme.Node's
+// aliasing contract: a RequestCS result survives any number of Deliver and
+// Step calls and a ReleaseCS, and only the next RequestCS overwrites it; a
+// ReleaseCS result likewise survives everything but the next ReleaseCS.
+func TestFanOutResultsValidUntilSameAction(t *testing.T) {
+	nodes := newCluster(3)
+	req := nodes[0].RequestCS()
+	keptReq := append([]tme.Message(nil), req...)
+
+	// Node 1's later request is deferred; then every reply arrives.
+	nodes[1].RequestCS()
+	nodes[0].Deliver(tme.Message{Kind: tme.Request, TS: nodes[1].REQ(), From: 1, To: 0})
+	for _, m := range keptReq {
+		for _, r := range nodes[m.To].Deliver(m) {
+			nodes[0].Deliver(r)
+			nodes[0].Step()
+		}
+	}
+	if nodes[0].Phase() != tme.Eating {
+		t.Fatalf("node 0 did not enter: %v", nodes[0].Phase())
+	}
+	rel := nodes[0].ReleaseCS()
+	if len(rel) != 1 || rel[0].To != 1 || rel[0].Kind != tme.Reply {
+		t.Fatalf("release = %v, want the deferred reply to 1", rel)
+	}
+	keptRel := append([]tme.Message(nil), rel...)
+	if !slices.Equal(req, keptReq) {
+		t.Fatalf("RequestCS result after Deliver, Step and ReleaseCS = %v, want %v", req, keptReq)
+	}
+
+	// The next request overwrites the first one's result and no other.
+	next := nodes[0].RequestCS()
+	nodes[0].Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 99, PID: 2}, From: 2, To: 0})
+	nodes[0].Step()
+	if !slices.Equal(rel, keptRel) {
+		t.Fatalf("ReleaseCS result after RequestCS, Deliver and Step = %v, want %v", rel, keptRel)
+	}
+	if req[0] != next[0] || req[0].TS == keptReq[0].TS {
+		t.Fatalf("first RequestCS result = %v after the next RequestCS; it is documented to be overwritten by %v", req, next)
+	}
+}
+
+// TestRequestReleaseAllocateNothing pins what the contract buys on the send
+// side: after the first cycle has made a node's buffers, a whole CS cycle
+// (request, the peers' replies, entry, and a release with a deferred reply)
+// allocates nothing.
+func TestRequestReleaseAllocateNothing(t *testing.T) {
+	nodes := newCluster(3)
+	cycle := func() {
+		for _, m := range nodes[0].RequestCS() {
+			for _, r := range nodes[m.To].Deliver(m) { // thinking peers reply at once
+				nodes[0].Deliver(r)
+			}
+		}
+		// A request later than node 0's is deferred until its release.
+		later := ltime.Timestamp{Clock: nodes[0].REQ().Clock + 1, PID: 1}
+		nodes[0].Deliver(tme.Message{Kind: tme.Request, TS: later, From: 1, To: 0})
+		if entered, _ := nodes[0].Step(); !entered {
+			t.Fatal("node 0 did not enter")
+		}
+		if rel := nodes[0].ReleaseCS(); len(rel) != 1 || rel[0].To != 1 {
+			t.Fatalf("release = %v, want the deferred reply to 1", rel)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a request+release cycle allocates %.1f, want 0", allocs)
 	}
 }
 

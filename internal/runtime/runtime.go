@@ -397,7 +397,9 @@ func rearm(t *time.Timer, d time.Duration) {
 // deadline handles p's timer firing, its value already received. A due
 // deadline runs level-1, one W' evaluation and Step, and is re-armed a
 // period on if the process is still hungry; one disarmed since is a no-op,
-// and one re-armed later since only re-aims the timer.
+// and one re-armed later since only re-aims the timer. Fire's result may be
+// the wrapper's own buffer (wrapper.Level2's contract); it is routed here,
+// on the event loop, before the loop can fire the wrapper again.
 func (c *Cluster) deadline(p *proc, timer *time.Timer) {
 	var msgs, more []tme.Message
 	entered := false
@@ -476,7 +478,23 @@ func (c *Cluster) procAt(shard, id int) *proc {
 // thinking, or when id is not hosted locally).
 func (c *Cluster) Request(id int) { c.RequestShard(0, id) }
 
-// RequestShard asks process id to request the CS of the given shard.
+// RequestShard asks process id to request the CS of the given shard. One
+// caller per (shard, id), as for AwaitPhaseChangeShard: harness.RunLiveClient
+// is that pair's client goroutine, and it issues RequestShard and
+// ReleaseShard one after the other.
+//
+// The fan-out is routed after p.mu is released, as a view of the node's own
+// RequestCS buffer (tme.Node's contract), while the event loop may Deliver
+// to the node and fire its W'. That is safe because
+//   - the buffer is disjoint from Deliver's reply and from the wrapper's
+//     buffer, so the event loop's writes never touch it;
+//   - only the next RequestCS on the node rewrites it, and with one caller
+//     per pair that call comes after this route returns;
+//   - the event loop routes Deliver's reply before it delivers again, and
+//     W's buffer (deadline) before it handles its next deadline.
+//
+// ReleaseShard routes its ReleaseCS buffer under the same argument.
+// TestFanOutSurvivesConcurrentDeliverAndFire checks it under -race.
 func (c *Cluster) RequestShard(shard, id int) {
 	p := c.procAt(shard, id)
 	if p == nil {
@@ -498,7 +516,9 @@ func (c *Cluster) RequestShard(shard, id int) {
 // eating, or when id is not hosted locally).
 func (c *Cluster) Release(id int) { c.ReleaseShard(0, id) }
 
-// ReleaseShard asks process id to release the CS of the given shard.
+// ReleaseShard asks process id to release the CS of the given shard. One
+// caller per (shard, id); see RequestShard for why its result may be routed
+// outside p.mu.
 func (c *Cluster) ReleaseShard(shard, id int) {
 	p := c.procAt(shard, id)
 	if p == nil {

@@ -134,11 +134,12 @@ type nodeSlot struct {
 
 // clientState tracks one logical client loop.
 type clientState struct {
-	acq      *hme.Acq // in-flight acquisition; nil between loops
-	arriveAt int64    // arrival time of the current loop (latency baseline)
-	relLeft  int      // shard releases outstanding before the loop completes
-	recorded bool     // fairness entry recorded for this loop
-	loops    int      // completed loops
+	acq      hme.Acq // the current loop's acquisition, Reset at each loop's start
+	active   bool    // a loop is in flight: acq is live
+	arriveAt int64   // arrival time of the current loop (latency baseline)
+	relLeft  int     // shard releases outstanding before the loop completes
+	recorded bool    // fairness entry recorded for this loop
+	loops    int     // completed loops
 	done     bool
 }
 
@@ -350,7 +351,8 @@ func (sh *Sharded) startLoop(c int, at int64) {
 		set[1] = cl.NextResource(sh.cfg.Shards)
 		n = 2
 	}
-	st.acq = hme.NewAcq(c, set[:n])
+	st.acq.Reset(c, set[:n])
+	st.active = true
 	st.arriveAt = at
 	st.recorded = false
 	st.relLeft = 0
@@ -408,7 +410,7 @@ func (sh *Sharded) handleEntry(s, i int, t int64) {
 		return // spurious: a corruption forged the phase with nobody served
 	}
 	st := &sh.cst[c]
-	if st.acq == nil {
+	if !st.active {
 		return
 	}
 	sl.entered = true
@@ -469,13 +471,13 @@ func (sh *Sharded) handleRelease(s, i int, t int64) {
 	if st.relLeft > 0 {
 		st.relLeft--
 	}
-	if st.relLeft > 0 || st.acq == nil || !st.acq.Done() {
+	if st.relLeft > 0 || !st.active || !st.acq.Done() {
 		return
 	}
 	if len(st.acq.Set()) > 1 {
 		sh.monitor.Observe(hme.OpRelease, c, 0, nil)
 	}
-	st.acq = nil
+	st.active = false
 	st.loops++
 	if sh.cfg.MaxLoops == 0 || st.loops < sh.cfg.MaxLoops {
 		sh.pushArrival(arrival{at: t + sh.clients[c].NextThink(), client: int32(c)})

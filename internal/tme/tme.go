@@ -127,25 +127,32 @@ type SpecView interface {
 }
 
 // Node is a TME process as driven by an execution substrate (the
-// discrete-event simulator or the goroutine runtime). All methods are
-// invoked from a single goroutine per node.
+// discrete-event simulator or the goroutine runtime). Calls on one node are
+// serialized: one at a time, never concurrently.
+//
+// RequestCS, ReleaseCS and Deliver each return a result valid only until
+// the next call of the same method on the node: an implementation may
+// return a view of a buffer that method owns and overwrite it then, so that
+// none of the three allocates in steady state. A caller sends (or copies)
+// the messages before it calls that method again. The three buffers are
+// disjoint, so a result survives every call of the other methods. That is
+// what the live runtime relies on: a client goroutine routes its RequestCS
+// or ReleaseCS result outside the node's lock while the process's event
+// loop delivers to the node (see runtime.Cluster.RequestShard). Step's
+// result is the caller's to keep.
 type Node interface {
 	SpecView
 
 	// RequestCS performs the client's "Request CS" action; it is a no-op
-	// unless the process is thinking. It returns the messages to send.
+	// unless the process is thinking. It returns the messages to send,
+	// valid until the next RequestCS.
 	RequestCS() []Message
 	// ReleaseCS performs the client's "Release CS" action; it is a no-op
-	// unless the process is eating. It returns the messages to send.
+	// unless the process is eating. It returns the messages to send, valid
+	// until the next ReleaseCS.
 	ReleaseCS() []Message
 	// Deliver handles one incoming message and returns the messages to
-	// send in response. The result is valid only until the next Deliver on
-	// this node: an implementation may return a view of a buffer it owns
-	// and overwrite it then, so that replying allocates nothing. A caller
-	// sends (or copies) the messages before it delivers again. RequestCS,
-	// ReleaseCS and Step results are the caller's to keep: on the live
-	// cluster a client goroutine is still routing one while the process's
-	// event loop delivers.
+	// send in response, valid until the next Deliver.
 	Deliver(m Message) []Message
 	// Step attempts one internal action (CS entry). entered reports
 	// whether the process transitioned hungry→eating.

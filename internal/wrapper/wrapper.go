@@ -31,27 +31,31 @@ import "github.com/graybox-stabilization/graybox/internal/tme"
 // "lt REQ_j" unsatisfiable even though every local copy is useless; the
 // ¬(REQ_j lt j.REQ_k) guard still opens and the wrapper still recovers the
 // system (regression-tested against a 12-process deadlock this produced).
-func W(v tme.SpecView) []tme.Message {
+//
+// The result is a fresh slice, the caller's to keep.
+func W(v tme.SpecView) []tme.Message { return appendW(nil, v) }
+
+// appendW appends W_j's messages to dst and returns the extended slice.
+// A nil dst that must grow is allocated once, sized for the worst case; the
+// guard being closed for every k leaves dst untouched.
+func appendW(dst []tme.Message, v tme.SpecView) []tme.Message {
 	if v.Phase() != tme.Hungry {
-		return nil
+		return dst
 	}
 	req := v.REQ()
-	var msgs []tme.Message
 	for k := 0; k < v.N(); k++ {
 		if k == v.ID() {
 			continue
 		}
 		local, _ := v.LocalREQ(k)
 		if !req.Less(local) {
-			if msgs == nil {
-				// One allocation sized for the worst case; the guard being
-				// closed for every k keeps the common path allocation-free.
-				msgs = make([]tme.Message, 0, v.N()-1)
+			if dst == nil {
+				dst = make([]tme.Message, 0, v.N()-1)
 			}
-			msgs = append(msgs, tme.Message{Kind: tme.Request, TS: req, From: v.ID(), To: k})
+			dst = append(dst, tme.Message{Kind: tme.Request, TS: req, From: v.ID(), To: k})
 		}
 	}
-	return msgs
+	return dst
 }
 
 // Unrefined evaluates the first, unrefined version of W_j from §4: when
@@ -78,7 +82,10 @@ func Unrefined(v tme.SpecView) []tme.Message {
 // the current virtual time; the wrapper decides whether its guard is open.
 type Level2 interface {
 	// Fire evaluates the wrapper at time now over the spec view and
-	// returns the messages to send.
+	// returns the messages to send. The result is valid only until the
+	// next Fire on this wrapper: an implementation may return a view of a
+	// buffer it owns, so that firing allocates nothing. A caller sends (or
+	// copies) the messages before it fires the wrapper again.
 	Fire(now int64, v tme.SpecView) []tme.Message
 }
 
@@ -91,6 +98,8 @@ type Timed struct {
 	Delta int64
 	// next is the earliest time the guard may open again.
 	next int64
+	// out backs Fire's result; see Level2.Fire.
+	out []tme.Message
 }
 
 var _ Level2 = (*Timed)(nil)
@@ -105,13 +114,18 @@ func NewTimed(delta int64) *Timed {
 }
 
 // Fire evaluates W'_j: a no-op until the timer expires, then W_j, then the
-// timer is reset to Delta.
+// timer is reset to Delta. The messages are written into the wrapper's own
+// buffer, valid until the next Fire.
 func (t *Timed) Fire(now int64, v tme.SpecView) []tme.Message {
 	if now < t.next {
 		return nil
 	}
 	t.next = now + t.Delta
-	return W(v)
+	t.out = appendW(t.out[:0], v)
+	if len(t.out) == 0 {
+		return nil
+	}
+	return t.out
 }
 
 // Func adapts a plain wrapper function (such as W or Unrefined) into a

@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/lamport"
@@ -75,6 +76,55 @@ func TestWAllocatesOncePerFiring(t *testing.T) {
 	}{{"open", open, 1}, {"closed", closed, 0}, {"thinking", thinking, 0}} {
 		if got := testing.AllocsPerRun(100, func() { W(c.v) }); got != c.want {
 			t.Errorf("%s guard: W allocates %.0f times, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// TestTimedFiringAllocatesNothing: W' writes each firing into its own
+// buffer (Level2.Fire's contract), so only its first firing allocates.
+func TestTimedFiringAllocatesNothing(t *testing.T) {
+	v := &view{id: 2, n: 5, phase: tme.Hungry, req: ltime.Timestamp{Clock: 5, PID: 2}}
+	var w Timed // δ = 0: the guard is evaluated at every call
+	if msgs := w.Fire(0, v); len(msgs) != 4 {
+		t.Fatalf("first firing sent %d messages, want 4", len(msgs))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if msgs := w.Fire(0, v); len(msgs) != 4 {
+			t.Fatalf("firing sent %d messages, want 4", len(msgs))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a firing W' allocates %.0f times after its first firing, want 0", allocs)
+	}
+}
+
+// TestFiringLeavesFanOutsAlone: a node's RequestCS and ReleaseCS results
+// live in the node's buffers and W' fires into its own, so firing over the
+// node, however often, leaves both fan-outs as they were.
+func TestFiringLeavesFanOutsAlone(t *testing.T) {
+	for name, nd := range map[string]tme.Node{"ra": ra.New(0, 3), "lamport": lamport.New(0, 3)} {
+		var w Timed
+		req := nd.RequestCS()
+		want := append([]tme.Message(nil), req...)
+		for now := int64(0); now < 5; now++ {
+			if msgs := w.Fire(now, nd); len(msgs) != 2 {
+				t.Fatalf("%s: hungry with no replies, W' sent %v", name, msgs)
+			}
+		}
+		if !slices.Equal(req, want) {
+			t.Errorf("%s: RequestCS result after W' firings = %v, want %v", name, req, want)
+		}
+
+		nd.(tme.Corruptible).Corrupt(tme.Corruption{Phase: tme.Eating})
+		nd.Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 9, PID: 1}, From: 1, To: 0})
+		rel := nd.ReleaseCS()
+		want = append([]tme.Message(nil), rel...)
+		nd.RequestCS()
+		for now := int64(5); now < 10; now++ {
+			w.Fire(now, nd)
+		}
+		if len(rel) == 0 || !slices.Equal(rel, want) {
+			t.Errorf("%s: ReleaseCS result after W' firings = %v, want %v", name, rel, want)
 		}
 	}
 }
