@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race test-race cover bench experiments experiments-quick examples fuzz soak parity clean
+.PHONY: all build lint test race test-race cover bench experiments experiments-quick examples fuzz soak parity goldens clean
 
 all: build test test-race
 
@@ -60,6 +60,12 @@ parity:
 
 cover:
 	$(GO) test -cover ./...
+
+# Re-pin the harness goldens (e2_metrics.json, e4_metrics.json,
+# fig1_table.txt) from the current code. Review the diff: a golden moves
+# only when behaviour or a draw changed on purpose.
+goldens:
+	$(GO) test ./internal/harness -run Golden -count=1 -update
 
 # Every go test benchmark in the module, with allocation counts. The
 # end-to-end benchmark of record is `go run ./benchmark` (BENCHMARK.json).

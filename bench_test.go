@@ -7,7 +7,6 @@
 package graybox
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
@@ -18,6 +17,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/ring"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/synth"
 	"github.com/graybox-stabilization/graybox/internal/tme"
@@ -193,7 +193,7 @@ func BenchmarkScalability(b *testing.B) {
 // BenchmarkSynthesis is E9: synthesize and verify recovery strategies on
 // random 64-state specifications.
 func BenchmarkSynthesis(b *testing.B) {
-	rng := rand.New(rand.NewSource(2001))
+	rng := seeded.New(2001)
 	for i := 0; i < b.N; i++ {
 		a := gb.Random(rng, "a", 64, 2.0)
 		st, err := synth.Synthesize(a, synth.AllCandidates(64))
@@ -209,7 +209,7 @@ func BenchmarkSynthesis(b *testing.B) {
 // BenchmarkWhiteboxBaseline is E10: Dijkstra's token ring converging from
 // random corruption — the whitebox comparator.
 func BenchmarkWhiteboxBaseline(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded.New(7)
 	var moves int64
 	for i := 0; i < b.N; i++ {
 		ring := tokenring.New(8, 9)
@@ -429,7 +429,7 @@ func BenchmarkFIFOSendRecv(b *testing.B) {
 // BenchmarkStabilizingToLarge measures the model checker on a 4096-state
 // random system.
 func BenchmarkStabilizingToLarge(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
+	rng := seeded.New(5)
 	a := gb.Random(rng, "a", 4096, 2.0)
 	c := gb.RandomSub(rng, "c", a)
 	b.ResetTimer()

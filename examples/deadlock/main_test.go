@@ -16,8 +16,8 @@ func Example() {
 	//
 	// === with graybox wrapper W' (δ=10) ===
 	//   t=11   FAULT: all 6 in-flight requests dropped
-	//   t=24   process 0 entered the CS (request 1.0)
+	//   t=23   process 0 entered the CS (request 1.0)
 	//   t=25   process 1 entered the CS (request 1.1)
-	//   t=30   process 2 entered the CS (request 1.2)
-	//   all 3 processes served; wrapper sent 7 recovery requests
+	//   t=29   process 2 entered the CS (request 1.2)
+	//   all 3 processes served; wrapper sent 6 recovery requests
 }

@@ -1,9 +1,10 @@
 package channel
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 func TestFIFOOrder(t *testing.T) {
@@ -127,7 +128,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 // Property: any interleaving of sends and receives preserves FIFO order.
 func TestFIFOOrderProperty(t *testing.T) {
 	f := func(ops []bool, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := seeded.New(seed)
 		var q FIFO[int]
 		next := 0     // next value to send
 		expected := 0 // next value we must receive
@@ -163,7 +164,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 // surviving original messages (FIFO channels stay FIFO under faults).
 func TestFaultsPreserveRelativeOrderProperty(t *testing.T) {
 	f := func(nMsgs uint8, faults []uint8, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := seeded.New(seed)
 		var q FIFO[int]
 		n := int(nMsgs%20) + 1
 		for i := 0; i < n; i++ {

@@ -15,8 +15,11 @@
 //     further out overflow to the heap. Pop merges the two levels on
 //     (time, seq), so the order is exactly a single heap's: that order is
 //     the simulator's daemon, and no run may differ by one event;
-//   - the master seeded RNG plus derived per-purpose streams (Stream), so
-//     every run is a pure function of one seed;
+//   - named seeded streams (Stream), one per subsystem, each derived from
+//     the core seed and its name. There is no master stream: the link
+//     delays, the built-in client, a daemon and a fault injector each draw
+//     from their own, so adding draws to one cannot move another's and a
+//     run is still a pure function of one seed;
 //   - the delay-sampled FIFO link mesh (Mesh) over internal/channel;
 //   - the substrate-agnostic fault surface (Surface) the injector in
 //     internal/fault drives, so one fault mix reaches every protocol.
@@ -30,8 +33,9 @@
 package engine
 
 import (
-	"hash/fnv"
 	"math/rand"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // KindFunc is the reserved event kind of the At escape hatch: the event
@@ -57,11 +61,11 @@ type Event struct {
 func (e *Event) Call() { e.act() }
 
 // Core is the deterministic event loop: virtual clock, event queue, and the
-// seeded random source. Construct with New, install the substrate's
-// dispatch with SetHandler, then Schedule/At and Run.
+// seed its named streams derive from. It holds no random stream of its own:
+// each owner holds its streams (Stream). Construct with New, install the
+// substrate's dispatch with SetHandler, then Schedule/At and Run.
 type Core struct {
 	seed    int64
-	rng     *rand.Rand
 	now     int64
 	seq     uint64
 	queue   eventQueue
@@ -79,14 +83,10 @@ type Core struct {
 	// defeats escape analysis, so a local would be heap-allocated per event.
 	// This makes Run non-reentrant (handlers must not call Run).
 	cur Event
-
-	streams map[string]*rand.Rand
 }
 
-// New returns a core whose every random choice derives from seed.
-func New(seed int64) *Core {
-	return &Core{seed: seed, rng: rand.New(rand.NewSource(seed))}
-}
+// New returns a core whose every named stream derives from seed.
+func New(seed int64) *Core { return &Core{seed: seed} }
 
 // SetHandler installs the substrate's event dispatch. Events are delivered
 // by pointer; the handler must not retain it past the call.
@@ -102,26 +102,14 @@ func (c *Core) Now() int64 { return c.now }
 // Seed returns the seed the core was built from.
 func (c *Core) Seed() int64 { return c.seed }
 
-// RNG returns the master seeded random source. Substrates draw delays and
-// workload choices from it so that a run is a function of one seed.
-func (c *Core) RNG() *rand.Rand { return c.rng }
-
-// Stream returns the named derived random stream, deterministically seeded
-// from the core seed and the name (FNV-1a). Independent concerns — a
-// daemon's scheduling choices, a corruption generator — draw from separate
-// streams so adding draws to one cannot perturb the other.
-func (c *Core) Stream(name string) *rand.Rand {
-	if r, ok := c.streams[name]; ok {
-		return r
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	r := rand.New(rand.NewSource(c.seed ^ int64(h.Sum64())))
-	if c.streams == nil {
-		c.streams = make(map[string]*rand.Rand)
-	}
-	c.streams[name] = r
-	return r
+// Stream seeds s, which the caller holds by value, as the core's stream
+// called name (seed XOR FNV-1a(name), seeded.Derive) and returns its
+// generator. Independent concerns — link delays, a daemon's scheduling
+// choices, a corruption generator — draw from separate streams so adding
+// draws to one cannot perturb the other. Seeding the same name twice
+// restarts the stream.
+func (c *Core) Stream(name string, s *seeded.Stream) *rand.Rand {
+	return s.Init(seeded.Derive(c.seed, name))
 }
 
 // Stop ends the run after the current event. The flag persists: subsequent

@@ -3,6 +3,8 @@ package engine
 import (
 	"runtime"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // TestGroupBarrierMatchesSequential pins the group's determinism contract:
@@ -20,6 +22,7 @@ func TestGroupBarrierMatchesSequential(t *testing.T) {
 		for s := 0; s < shards; s++ {
 			s := s
 			c := New(int64(s + 1))
+			rng := c.Stream("group.test", new(seeded.Stream))
 			c.SetHandler(func(ev *Event) {
 				if ev.Kind == KindFunc {
 					ev.Call()
@@ -28,7 +31,7 @@ func TestGroupBarrierMatchesSequential(t *testing.T) {
 				traces[s] = append(traces[s], c.Now()*1000+int64(ev.A))
 				// Reschedule with a seeded delay so each shard has its own
 				// ongoing event stream.
-				c.Schedule(1+int64(c.RNG().Intn(7)), ev.Kind, ev.A+1, 0)
+				c.Schedule(1+int64(rng.Intn(7)), ev.Kind, ev.A+1, 0)
 			})
 			c.Schedule(int64(s), 1, 0, 0)
 			cores[s] = c

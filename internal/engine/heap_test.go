@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // drain pops every event and returns the (time, seq) sequence observed.
@@ -22,7 +23,7 @@ func drain(h *eventHeap) [][2]int64 {
 // and pops and checks every pop against a sort-based oracle: events come out
 // in strict (time, seq) order, and exactly the pushed multiset comes out.
 func TestEventHeapProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := seeded.New(42)
 	for trial := 0; trial < 200; trial++ {
 		var h eventHeap
 		var oracle [][2]int64 // pending (time, seq), kept unsorted
@@ -89,7 +90,7 @@ func TestEventHeapProperty(t *testing.T) {
 // TestEventHeapOrderMatchesSortOracle pushes a random batch, then drains it
 // fully and compares against sorting the batch by (time, seq).
 func TestEventHeapOrderMatchesSortOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded.New(7)
 	for trial := 0; trial < 100; trial++ {
 		var h eventHeap
 		n := rng.Intn(300)

@@ -1,23 +1,31 @@
 package engine
 
-import "github.com/graybox-stabilization/graybox/internal/channel"
+import (
+	"github.com/graybox-stabilization/graybox/internal/channel"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
+)
 
 // Mesh is the delay-sampled FIFO link mesh shared by message-passing
 // substrates: an n×n channel.Net plus the delivery-scheduling convention
 // that every enqueued message gets exactly one delivery opportunity, a
 // typed event of the substrate's deliverKind carrying the endpoint in
-// (A, B). Delays are drawn from the core's master RNG, so transmission
-// timing is part of the run's single seeded stream. They are bounded by
-// max, and that bound is what the core's event queue is built on: with max
-// under the wheel's 64 ticks (every substrate uses 1 to 5) a delivery is
-// pushed and popped in O(1) and never reaches the overflow heap.
+// (A, B). Delays are drawn from the mesh's own named stream of the core
+// ("mesh.delay"): the i-th message sent gets the stream's i-th delay, whatever
+// else the run draws. They are bounded by max, and that bound is what the
+// core's event queue is built on: with max under the wheel's 64 ticks
+// (every substrate uses 1 to 5) a delivery is pushed and popped in O(1) and
+// never reaches the overflow heap.
 type Mesh[M any] struct {
 	core        *Core
 	net         *channel.Net[M]
 	min, max    int64
 	deliverKind uint8
 	eps         []channel.Endpoint // cached deterministic endpoint order
+	delay       seeded.Stream
 }
+
+// meshStream names the core stream the link delays are drawn from.
+const meshStream = "mesh.delay"
 
 // NewMesh builds an n-process mesh whose per-message delays are uniform in
 // [min, max] virtual ticks (max is raised to min if smaller). Deliveries
@@ -27,27 +35,31 @@ func NewMesh[M any](core *Core, n int, min, max int64, deliverKind uint8) *Mesh[
 	if max < min {
 		max = min
 	}
-	return &Mesh[M]{core: core, net: channel.NewNet[M](n), min: min, max: max, deliverKind: deliverKind}
+	m := &Mesh[M]{core: core, net: channel.NewNet[M](n), min: min, max: max, deliverKind: deliverKind}
+	core.Stream(meshStream, &m.delay)
+	return m
 }
 
 // Net exposes the underlying channel mesh for direct inspection and fault
 // injection.
 func (m *Mesh[M]) Net() *channel.Net[M] { return m.net }
 
-// Delay samples one transmission delay from the core's RNG.
+// Delay samples one transmission delay from the mesh's stream.
 func (m *Mesh[M]) Delay() int64 {
-	return m.min + m.core.rng.Int63n(m.max-m.min+1)
+	return m.min + m.delay.Rand().Int63n(m.max-m.min+1)
 }
 
 // Send enqueues msg on src→dst and schedules its delivery opportunity
-// after a sampled delay. It reports whether the channel accepted the
-// message (false for out-of-range or self endpoints).
-func (m *Mesh[M]) Send(src, dst int, msg M) bool {
+// after a sampled delay, which it returns. ok is false, and no delay is
+// drawn, when the channel refuses the message (out-of-range or self
+// endpoints).
+func (m *Mesh[M]) Send(src, dst int, msg M) (delay int64, ok bool) {
 	if !m.net.Send(src, dst, msg) {
-		return false
+		return 0, false
 	}
-	m.ScheduleDelivery(channel.Endpoint{Src: src, Dst: dst}, m.Delay())
-	return true
+	delay = m.Delay()
+	m.ScheduleDelivery(channel.Endpoint{Src: src, Dst: dst}, delay)
+	return delay, true
 }
 
 // ScheduleDelivery schedules one head-of-channel delivery opportunity on

@@ -4,7 +4,32 @@ import (
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
+
+// TestMeshDelaysAreTheirOwnStream: the i-th accepted send's delay is the
+// i-th draw of the core's mesh stream, whatever else draws from the core's
+// other streams in between, and a refused send draws nothing.
+func TestMeshDelaysAreTheirOwnStream(t *testing.T) {
+	const seed, min, max = 9, 2, 6
+	core := New(seed)
+	m := NewMesh[int](core, 3, min, max, 1)
+	other := core.Stream("other", new(seeded.Stream))
+	ref := seeded.New(seeded.Derive(seed, meshStream))
+	for i := 0; i < 200; i++ {
+		other.Int63() // a neighbour's draws must not move the mesh's
+		if _, ok := m.Send(1, 1, i); ok {
+			t.Fatal("the self endpoint was accepted")
+		}
+		d, ok := m.Send(i%3, (i+1)%3, i)
+		if !ok {
+			t.Fatalf("send %d refused", i)
+		}
+		if want := min + ref.Int63n(max-min+1); d != want {
+			t.Fatalf("send %d: delay %d, want the stream's %d", i, d, want)
+		}
+	}
+}
 
 // BenchmarkMeshFanOut prices one message through the mesh at the sharded
 // benchmark workload's footprint: eight 100-process meshes (79,200

@@ -2,8 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // queueDeltas are the scheduling distances the differential tests draw
@@ -79,7 +80,7 @@ func (d *diffQueues) drain() {
 // core never does that (At clamps to now), but the queue is exact on every
 // input, not only the core's.
 func TestEventQueueMatchesHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
+	rng := seeded.New(26)
 	for trial := 0; trial < 300; trial++ {
 		d := &diffQueues{t: t}
 		ops := 1 + rng.Intn(600)
@@ -170,7 +171,7 @@ func TestCoreDispatchMatchesHeapCore(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		var got, want []rec
 		c, ref := New(seed), &refCore{}
-		rngC, rngR := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		rngC, rngR := seeded.New(seed), seeded.New(seed)
 
 		// Each handled event schedules zero to two successors; the draws
 		// follow dispatch order, so one misordered pop diverges the rest.
@@ -190,7 +191,7 @@ func TestCoreDispatchMatchesHeapCore(t *testing.T) {
 			}
 		}
 
-		script := rand.New(rand.NewSource(seed + 1000))
+		script := seeded.New(seed + 1000)
 		for step := 0; step < 200; step++ {
 			switch script.Intn(4) {
 			case 0:

@@ -1,8 +1,11 @@
 // Package fault injects the TME fault model of DSN 2001 §3.1 into a
 // simulation: messages corrupted, lost, or duplicated at any time; process
 // and channel state transiently (and arbitrarily) corrupted; improper
-// initialization. All choices are drawn from a seeded source, so a faulty
-// run remains a deterministic function of its seeds.
+// initialization. All choices are drawn from seeded streams, so a faulty
+// run remains a deterministic function of its seeds. The injector draws
+// fault classes and fault details from two separate streams, so the class
+// sequence of a run is fixed by the seed alone, whatever state the faults
+// find.
 //
 // The injector targets engine.Surface — the substrate-agnostic fault
 // surface — so one Mix drives faults into every engine-backed system: the
@@ -23,6 +26,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // Surface is the fault surface the injector drives — engine.Surface,
@@ -102,7 +106,8 @@ func (m Mix) Pick(rng *rand.Rand) Kind {
 
 // Injector applies faults to a simulation. Construct with NewInjector.
 type Injector struct {
-	rng   *rand.Rand
+	pick  seeded.Stream // fault classes (Mix.Pick)
+	aim   seeded.Stream // fault details: victim, damage, redelivery delay
 	mix   Mix
 	count int
 	// candidates is nonEmptyChannel's scratch list, reused across calls.
@@ -141,9 +146,18 @@ func (in *Injector) bind(s Surface) {
 	in.conv = o.Convergence()
 }
 
+// The injector's two streams, derived from its seed.
+const (
+	pickStream = "fault.pick"
+	aimStream  = "fault.aim"
+)
+
 // NewInjector returns an injector drawing from the given seed and mix.
 func NewInjector(seed int64, mix Mix) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), mix: mix}
+	in := &Injector{mix: mix}
+	in.pick.Init(seeded.Derive(seed, pickStream))
+	in.aim.Init(seeded.Derive(seed, aimStream))
+	return in
 }
 
 // Count returns how many faults have been applied so far.
@@ -166,14 +180,14 @@ func (in *Injector) Schedule(s Surface, times []int64, countPerBurst int) {
 
 // one applies a single randomly chosen fault.
 func (in *Injector) one(s Surface) {
-	in.Apply(s, in.mix.Pick(in.rng))
+	in.Apply(s, in.mix.Pick(in.pick.Rand()))
 }
 
 // Apply applies one fault of class kind to s, drawing the fault's details
-// (which channel, which message, what damage) from the injector's source.
-// This is the entry point for pre-drawn schedules — internal/wire's live
-// fault schedules fix the kind sequence up front and Apply each one at its
-// wall-clock offset.
+// (which channel, which message, what damage) from the injector's detail
+// stream. This is the entry point for pre-drawn schedules —
+// internal/wire's live fault schedules fix the kind sequence up front and
+// Apply each one at its wall-clock offset.
 func (in *Injector) Apply(s Surface, kind Kind) {
 	if kind < MessageLoss || kind > ChannelFlush {
 		return
@@ -215,7 +229,7 @@ func (in *Injector) nonEmptyChannel(s Surface) (channel.Endpoint, bool) {
 	if len(candidates) == 0 {
 		return channel.Endpoint{}, false
 	}
-	return candidates[in.rng.Intn(len(candidates))], true
+	return candidates[in.aim.Rand().Intn(len(candidates))], true
 }
 
 // victim picks a uniformly random in-flight message: a non-empty channel
@@ -230,7 +244,7 @@ func (in *Injector) victim(s Surface) (ep channel.Endpoint, i int, ok bool) {
 	if n == 0 {
 		return ep, 0, false
 	}
-	return ep, in.rng.Intn(n), true
+	return ep, in.aim.Rand().Intn(n), true
 }
 
 func (in *Injector) loss(s Surface) {
@@ -245,17 +259,18 @@ func (in *Injector) dup(s Surface) {
 		return
 	}
 	// The copy needs its own delivery opportunity.
-	s.FaultDuplicate(ep, i, 1+in.rng.Int63n(5))
+	s.FaultDuplicate(ep, i, 1+in.aim.Rand().Int63n(5))
 }
 
 func (in *Injector) corrupt(s Surface) {
 	if ep, i, ok := in.victim(s); ok {
-		s.FaultCorrupt(ep, i, in.rng)
+		s.FaultCorrupt(ep, i, in.aim.Rand())
 	}
 }
 
 func (in *Injector) state(s Surface) {
-	s.FaultPerturb(in.rng.Intn(s.N()), in.rng)
+	rng := in.aim.Rand()
+	s.FaultPerturb(rng.Intn(s.N()), rng)
 }
 
 func (in *Injector) flush(s Surface) {
@@ -293,7 +308,7 @@ func ImproperInit(s Surface, seed int64) {
 	in := NewInjector(seed, Mix{State: 1})
 	in.bind(s)
 	for i := 0; i < s.N(); i++ {
-		if s.FaultPerturb(i, in.rng) {
+		if s.FaultPerturb(i, in.aim.Rand()) {
 			in.cFaults.Inc()
 			in.cByKind[StateCorrupt].Inc()
 			in.conv.RecordFault(s.Now())

@@ -6,6 +6,7 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/ra"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
@@ -39,7 +40,7 @@ func TestKindString(t *testing.T) {
 func TestMixPickRespectsZeroWeights(t *testing.T) {
 	in := NewInjector(1, Mix{Loss: 1})
 	for i := 0; i < 100; i++ {
-		if k := in.mix.Pick(in.rng); k != MessageLoss {
+		if k := in.mix.Pick(in.pick.Rand()); k != MessageLoss {
 			t.Fatalf("pick = %v with loss-only mix", k)
 		}
 	}
@@ -49,7 +50,7 @@ func TestMixPickAllZeroDefaultsUniform(t *testing.T) {
 	in := NewInjector(2, Mix{})
 	seen := map[Kind]bool{}
 	for i := 0; i < 500; i++ {
-		seen[in.mix.Pick(in.rng)] = true
+		seen[in.mix.Pick(in.pick.Rand())] = true
 	}
 	for _, k := range []Kind{MessageLoss, MessageDup, MessageCorrupt, StateCorrupt, ChannelFlush} {
 		if !seen[k] {
@@ -135,14 +136,14 @@ func freshNonEmptyChannel(rng *rand.Rand, s Surface) (channel.Endpoint, bool) {
 
 // TestNonEmptyChannelMatchesFreshSlice: reusing the scratch list changes
 // neither the endpoint picked nor the draws. Over 200 seeds, an injector
-// and an equal-seeded rng running the fresh-slice version pick the same
+// and its aim stream's twin running the fresh-slice version pick the same
 // endpoint on every call, through states with empty and busy networks.
 func TestNonEmptyChannelMatchesFreshSlice(t *testing.T) {
 	hits := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		s := raSim(seed, true)
 		in := NewInjector(seed, DefaultMix)
-		rng := rand.New(rand.NewSource(seed))
+		rng := seeded.New(seeded.Derive(seed, aimStream))
 		for step := 0; step < 30; step++ {
 			got, gotOK := in.nonEmptyChannel(s)
 			want, wantOK := freshNonEmptyChannel(rng, s)
@@ -154,7 +155,7 @@ func TestNonEmptyChannelMatchesFreshSlice(t *testing.T) {
 			}
 			s.Run(s.Now() + 3)
 		}
-		if in.rng.Int63() != rng.Int63() {
+		if in.aim.Rand().Int63() != rng.Int63() {
 			t.Fatalf("seed %d: the injector's draws diverged from the fresh-slice version's", seed)
 		}
 	}

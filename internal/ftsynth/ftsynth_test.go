@@ -2,10 +2,10 @@ package ftsynth
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/graybox"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // A small worked spec: states 0..4; legitimate chain 0→1→2→0; state 3 is a
@@ -183,7 +183,7 @@ func TestMaskingWithLocalCandidates(t *testing.T) {
 // Graybox reusability: one masking tolerance, synthesized from the spec,
 // applies to every everywhere-implementation.
 func TestMaskingReusableAcrossImplementations(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
+	rng := seeded.New(31)
 	verified := 0
 	for iter := 0; iter < 200; iter++ {
 		n := 4 + rng.Intn(10)
@@ -227,7 +227,7 @@ func TestMaskingReusableAcrossImplementations(t *testing.T) {
 
 // Fail-safe reusability, property-tested the same way.
 func TestFailSafeReusableAcrossImplementations(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
+	rng := seeded.New(57)
 	verified := 0
 	for iter := 0; iter < 200; iter++ {
 		n := 4 + rng.Intn(10)

@@ -1,8 +1,9 @@
 package graybox
 
 import (
-	"math/rand"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 func TestProductBasics(t *testing.T) {
@@ -45,7 +46,7 @@ func TestProductErrors(t *testing.T) {
 }
 
 func TestTupleCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := seeded.New(1)
 	parts := []*System{
 		Random(rng, "a", 3, 1.5),
 		Random(rng, "b", 4, 1.5),
@@ -66,7 +67,7 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 
 // Lemma 2: (∀i: [C_i ⇒ A_i]) ⇒ [C ⇒ A] for the products — property test.
 func TestLemma2Property(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
+	rng := seeded.New(77)
 	for iter := 0; iter < 120; iter++ {
 		k := 2 + rng.Intn(2)
 		as := make([]*System, k)
@@ -95,7 +96,7 @@ func TestLemma2Property(t *testing.T) {
 // Lemma 3: (∀i: [C_i ⇒ A_i]) ∧ (∀i: [W'_i ⇒ W_i]) ⇒ [(C ▯ W') ⇒ (A ▯ W)]
 // over products — property test.
 func TestLemma3Property(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
+	rng := seeded.New(88)
 	for iter := 0; iter < 80; iter++ {
 		k := 2
 		as := make([]*System, k)
@@ -126,7 +127,7 @@ func TestLemma3Property(t *testing.T) {
 // Theorem 4 (stabilization via local everywhere specifications): with the
 // Lemma 3 premises plus A ▯ W stabilizing to A, C ▯ W' is stabilizing to A.
 func TestTheorem4Property(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	rng := seeded.New(99)
 	tested := 0
 	for iter := 0; iter < 600 && tested < 25; iter++ {
 		k := 2

@@ -1,9 +1,10 @@
 package graybox
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // TestFigure1 reproduces the paper's Figure 1 counterexample exactly:
@@ -44,7 +45,7 @@ func TestFigure1(t *testing.T) {
 // Theorem "first observation" of §2.1: [C ⇒ A] ∧ A stabilizing to A ⇒
 // C stabilizing to A — property-tested on random systems.
 func TestEverywhereTransfersStabilization(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := seeded.New(11)
 	tested := 0
 	for i := 0; i < 400; i++ {
 		a := Random(rng, "a", 2+rng.Intn(12), 2.0)
@@ -154,7 +155,7 @@ func withInit(s *System, init []int) *System {
 
 // Lemma 0: [C ⇒ A] ∧ [W' ⇒ W] ⇒ [(C ▯ W') ⇒ (A ▯ W)] — property-tested.
 func TestLemma0Property(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+	rng := seeded.New(23)
 	for i := 0; i < 200; i++ {
 		a := Random(rng, "a", 2+rng.Intn(10), 2.2)
 		w := withInit(Random(rng, "w", a.NumStates(), 1.8), a.Init())
@@ -176,7 +177,7 @@ func TestLemma0Property(t *testing.T) {
 // Theorem 1: [C ⇒ A] ∧ (A ▯ W stabilizing to A) ∧ [W' ⇒ W] ⇒
 // C ▯ W' stabilizing to A — property-tested.
 func TestTheorem1Property(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
+	rng := seeded.New(31)
 	tested := 0
 	for i := 0; i < 600; i++ {
 		a := Random(rng, "a", 2+rng.Intn(10), 2.0)
@@ -242,7 +243,7 @@ func TestStabilizingLassoIsRealCycle(t *testing.T) {
 // lasso (stem ≤ n, cycle ≤ n) violates it; if not stabilizing, the returned
 // lasso must be a genuine violating computation.
 func TestStabilizingToAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
+	rng := seeded.New(47)
 	for iter := 0; iter < 150; iter++ {
 		n := 2 + rng.Intn(5)
 		a := Random(rng, "a", n, 1.7)

@@ -2,8 +2,9 @@ package graybox
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 func TestBuildValidatesTotality(t *testing.T) {
@@ -130,7 +131,7 @@ func TestAddChainDuplicatesIgnored(t *testing.T) {
 }
 
 func TestRandomIsTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := seeded.New(3)
 	for i := 0; i < 20; i++ {
 		s := Random(rng, "r", 1+rng.Intn(30), 1+rng.Float64()*3)
 		for u := 0; u < s.NumStates(); u++ {
@@ -145,7 +146,7 @@ func TestRandomIsTotal(t *testing.T) {
 }
 
 func TestRandomSubIsEverywhereImplementation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := seeded.New(5)
 	for i := 0; i < 30; i++ {
 		a := Random(rng, "a", 2+rng.Intn(20), 2.5)
 		c := RandomSub(rng, "c", a)

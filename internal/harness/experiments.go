@@ -2,11 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/graybox"
 	"github.com/graybox-stabilization/graybox/internal/ring"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/synth"
 	"github.com/graybox-stabilization/graybox/internal/tme"
@@ -365,7 +365,7 @@ func Synthesis(scale Scale) *Table {
 		Header: []string{"states", "specs", "synth ok", "wrapped stabilizing",
 			"reusable on impls", "mean recovery steps"},
 	}
-	rng := rand.New(rand.NewSource(2001))
+	rng := seeded.New(2001)
 	sizes := []int{4, 8, 16}
 	if scale == Full {
 		sizes = []int{4, 8, 16, 32, 64, 128}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wire"
@@ -49,7 +49,7 @@ func TestFaultCorruptIsOneModelAcrossSubstrates(t *testing.T) {
 	for seed := range want {
 		q.Clear()
 		q.Send(m)
-		if !s.FaultCorrupt(ep, 0, rand.New(rand.NewSource(int64(seed)))) {
+		if !s.FaultCorrupt(ep, 0, seeded.New(int64(seed))) {
 			t.Fatal("sim FaultCorrupt missed an in-flight message")
 		}
 		want[seed] = q.At(0)
@@ -66,7 +66,7 @@ func TestFaultCorruptIsOneModelAcrossSubstrates(t *testing.T) {
 		link.Send(m)
 	}
 	for seed := range want {
-		if !c.FaultCorrupt(ep, seed, rand.New(rand.NewSource(int64(seed)))) {
+		if !c.FaultCorrupt(ep, seed, seeded.New(int64(seed))) {
 			t.Fatalf("chaos FaultCorrupt missed held message %d", seed)
 		}
 	}
@@ -104,10 +104,10 @@ func TestFaultPerturbIsRandomCorruption(t *testing.T) {
 		}
 		for seed := int64(0); seed < faultModelSeeds; seed++ {
 			perturbed, direct := boot(), boot()
-			if !perturbed.FaultPerturb(id, rand.New(rand.NewSource(seed))) {
+			if !perturbed.FaultPerturb(id, seeded.New(seed)) {
 				t.Fatalf("%v: FaultPerturb not applied", algo)
 			}
-			direct.Node(id).(tme.Corruptible).Corrupt(tme.RandomCorruption(rand.New(rand.NewSource(seed)), id, n))
+			direct.Node(id).(tme.Corruptible).Corrupt(tme.RandomCorruption(seeded.New(seed), id, n))
 			got, want := tme.Snapshot(perturbed.Node(id)), tme.Snapshot(direct.Node(id))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v seed %d: perturbed state %+v, corrupted state %+v", algo, seed, got, want)

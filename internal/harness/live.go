@@ -532,16 +532,41 @@ func percentilesUS(lat []int64) (p50, p95, p99 int64) {
 
 // liveSleep waits d or until stop closes; false means stopped early.
 func liveSleep(stop <-chan struct{}, d time.Duration) bool {
+	var s sleeper
+	defer s.close()
+	return s.sleep(stop, d)
+}
+
+// sleeper is one goroutine's reusable wait: a single timer serves every
+// sleep, where a timer per sleep would cost two allocations per entry on
+// a client's think and hold waits.
+type sleeper struct{ t *time.Timer }
+
+// sleep waits d or until stop closes; false means stopped early.
+func (s *sleeper) sleep(stop <-chan struct{}, d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if s.t == nil {
+		s.t = time.NewTimer(d)
+	} else {
+		s.t.Reset(d) // the last sleep received the fire, so the channel is empty
+	}
 	select {
-	case <-t.C:
+	case <-s.t.C:
 		return true
 	case <-stop:
+		s.close()
 		return false
+	}
+}
+
+// close releases the timer; a later sleep starts a fresh one, so no fire
+// left in the old channel can end it early.
+func (s *sleeper) close() {
+	if s.t != nil {
+		s.t.Stop()
+		s.t = nil
 	}
 }
 
@@ -551,16 +576,18 @@ func liveSleep(stop <-chan struct{}, d time.Duration) bool {
 // hosts. It drives process id of cl until stop closes or cl stops, reading
 // every gap, hold time and target shard from draws (ticks are LiveTick
 // each). onRequest, when non-nil, is called just before each request is
-// issued. Its two waits are liveSleep for the Driver's deadlines and
-// runtime.Cluster.AwaitPhaseChangeShard for leaving Hungry: the cluster's
-// event loop tells it that it eats, nothing polls.
+// issued. Its two waits are one reused timer for the Driver's deadlines
+// (think and hold) and runtime.Cluster.AwaitPhaseChangeShard for leaving
+// Hungry: the cluster's event loop tells it that it eats, nothing polls.
 func RunLiveClient(stop <-chan struct{}, cl *runtime.Cluster, id int, draws workload.Client, onRequest func(shard int)) {
 	d := workload.NewDriver(draws, cl.Shards(), 0, int64(LiveTick), liveNowNS())
+	var wait sleeper
+	defer wait.close()
 	for running := true; running; {
 		now := liveNowNS()
 		switch d.Step(now, cl.PhaseShard(d.Shard(), id)) {
 		case workload.ActSleep, workload.ActIdle:
-			running = liveSleep(stop, time.Duration(d.Wake()-now))
+			running = wait.sleep(stop, time.Duration(d.Wake()-now))
 		case workload.ActAwait:
 			_, running = cl.AwaitPhaseChangeShard(stop, d.Shard(), id, tme.Hungry)
 		case workload.ActRequest:

@@ -150,3 +150,23 @@ func TestLiveClusterTableQuick(t *testing.T) {
 		t.Errorf("wrapped row = %v, want after-conv 0 / converged true", wrapped)
 	}
 }
+
+// TestLiveClientSleepReusesItsTimer: after its first wait, the live
+// client's sleeper waits again without allocating, and a stop ends a wait
+// early (about 5 ms of wall clock).
+func TestLiveClientSleepReusesItsTimer(t *testing.T) {
+	var s sleeper
+	defer s.close()
+	s.sleep(nil, time.Microsecond)
+	if a := testing.AllocsPerRun(20, func() { s.sleep(nil, time.Microsecond) }); a != 0 {
+		t.Errorf("a think or hold wait allocates %.1f, want 0", a)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	if s.sleep(stop, time.Hour) {
+		t.Error("a closed stop did not end the wait")
+	}
+	if !s.sleep(stop, 0) || !s.sleep(nil, time.Microsecond) {
+		t.Error("the sleeper did not wait again after a stop")
+	}
+}

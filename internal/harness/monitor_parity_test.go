@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/lspec"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
@@ -186,7 +186,7 @@ func TestMonitorParityRandomSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized sweep skipped in -short mode")
 	}
-	rng := rand.New(rand.NewSource(20010701)) // DSN 2001
+	rng := seeded.New(20010701) // DSN 2001
 	for i := 0; i < 12; i++ {
 		cfg := RunConfig{
 			Algo:      []Algo{RA, Lamport}[i%2],

@@ -61,13 +61,18 @@ func twinGrid() []twinCell {
 // TestTwinValidationGrid is the model-vs-measurement gate: every cell of
 // the n×δ×load grid must see sim throughput and message cost inside the
 // stated tolerance of the closed-form prediction.
+//
+// Each cell pools six seeds. The cell nearest the band, n=5 δ=25 heavy,
+// sits at ×1.83 over 20 seeds, and one seed's rate varies by about 16%, so
+// a two-seed sample crosses ×2 on the draws alone (it read ×2.14 when the
+// streams changed, while the 20-seed rate moved 0.0245 → 0.0246).
 func TestTwinValidationGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep; skipped under -short")
 	}
 	const (
 		horizon = 20000
-		seeds   = 2
+		seeds   = 6
 	)
 	grid := twinGrid()
 	type cellResult struct {

@@ -1,12 +1,12 @@
 package hme
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
@@ -45,7 +45,7 @@ func TestAcqAscendingOrder(t *testing.T) {
 // unsorted entries and duplicates, sets shorter than an earlier one, and
 // resets in the middle of an acquisition; and Reset leaves its input alone.
 func TestAcqResetEqualsNewAcq(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := seeded.New(1)
 	var reused Acq
 	for i := 0; i < 500; i++ {
 		shards := make([]int, rng.Intn(7)) // 0..6 entries, so sets shrink and grow

@@ -21,10 +21,10 @@
 package lamport
 
 import (
-	"math/rand"
 	"sort"
 
 	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
@@ -302,7 +302,8 @@ func (nd *Node) Corrupt(c tme.Corruption) {
 		nd.clock.Corrupt(*c.Clock)
 	}
 	if c.ScrambleInternal {
-		rng := rand.New(rand.NewSource(c.Seed))
+		var st seeded.Stream
+		rng := st.Init(c.Seed)
 		nd.queue = nd.queue[:0]
 		for k := 0; k < nd.n; k++ {
 			if k == nd.id {

@@ -11,8 +11,10 @@ import (
 // regression gate compare runs byte-for-byte. It flags
 //
 //   - wall-clock reads (time.Now and friends, per Config.DetTimeFuncs);
-//   - the global math/rand source (package-level rand.Intn etc.; seeded
-//     rand.New(rand.NewSource(seed)) generators are the sanctioned form);
+//   - the global math/rand source (package-level rand.Intn etc.) and
+//     math/rand/v2's top-level draws (rand.IntN, rand.N, rand.Uint64, ...),
+//     which read a source no seed reaches; seeded streams (seeded.New, or
+//     rand.New over rand.NewPCG) are the sanctioned form;
 //   - `range` over a map whose body feeds ordered output — appends,
 //     channel sends, or calls to emitting sinks (Config.OrderedSinks) —
 //     since map iteration order would leak into the event stream;
@@ -25,9 +27,12 @@ type determinismPass struct{}
 
 func (determinismPass) Name() string { return PassDeterminism }
 
-// randTypeNames are math/rand type names, never flaggable (they carry no
-// state); needed only when type information is unavailable.
-var randTypeNames = map[string]bool{"Rand": true, "Source": true, "Source64": true, "Zipf": true}
+// randTypeNames are math/rand and math/rand/v2 type names, never
+// flaggable (they carry no state); needed only when type information is
+// unavailable.
+var randTypeNames = map[string]bool{
+	"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true,
+}
 
 func (determinismPass) Check(cfg *Config, pkg *Package, report Reporter) {
 	if !matchAny(cfg.DetScope, pkg.Path) {
@@ -58,9 +63,17 @@ func (determinismPass) Check(cfg *Config, pkg *Package, report Reporter) {
 	}
 }
 
-// checkDetCall flags wall-clock and global-rand calls.
+// checkDetCall flags wall-clock and global-rand calls. An explicitly
+// instantiated generic (rand.N[int64](n)) is judged by its function.
 func checkDetCall(cfg *Config, pkg *Package, imports map[string]string, call *ast.CallExpr, report Reporter) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+	fun := call.Fun
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
@@ -85,7 +98,11 @@ func checkDetCall(cfg *Config, pkg *Package, imports map[string]string, call *as
 		} else if randTypeNames[name] {
 			return
 		}
-		report(call.Pos(), "rand.%s draws from the global math/rand source: use a seeded rand.New(rand.NewSource(seed)) generator", name)
+		src := "the global math/rand source"
+		if path == "math/rand/v2" {
+			src = "math/rand/v2's unseedable global source"
+		}
+		report(call.Pos(), "rand.%s draws from %s: use a seeded stream (seeded.New(seed), a PCG held by value)", name, src)
 	}
 }
 
@@ -126,6 +143,11 @@ func fileImports(f *ast.File) map[string]string {
 		name := path
 		if i := lastSlash(path); i >= 0 {
 			name = path[i+1:]
+			// A major-version suffix is not the package name: "math/rand/v2"
+			// is imported as rand.
+			if j := lastSlash(path[:i]); isMajorVersion(name) && i > 0 {
+				name = path[j+1 : i]
+			}
 		}
 		if imp.Name != nil {
 			name = imp.Name.Name
@@ -133,6 +155,20 @@ func fileImports(f *ast.File) map[string]string {
 		m[name] = path
 	}
 	return m
+}
+
+// isMajorVersion reports whether elem is a module major-version path
+// element: v2, v3, ...
+func isMajorVersion(elem string) bool {
+	if len(elem) < 2 || elem[0] != 'v' || elem[1] == '0' {
+		return false
+	}
+	for _, c := range elem[1:] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func lastSlash(s string) int {

@@ -89,8 +89,8 @@ type Config struct {
 	// DetTimeFuncs are the time-package functions that read the wall
 	// clock.
 	DetTimeFuncs []string
-	// DetRandAllowed are the math/rand members that do not touch the
-	// global source (seeded constructors).
+	// DetRandAllowed are the math/rand and math/rand/v2 members that do
+	// not touch the global source (seeded constructors).
 	DetRandAllowed []string
 	// OrderedSinks are method names whose calls inside a map-range body
 	// mark the iteration as feeding ordered output.
@@ -119,6 +119,8 @@ func DefaultConfig() *Config {
 			{Scope: "internal/ring", Deny: []string{"internal/wrapper", "internal/sim"}, Reason: implSide},
 			{Scope: "internal/obs", Deny: []string{DenyModule},
 				Reason: "obs is a leaf every layer publishes into, so it may depend on nothing in-module"},
+			{Scope: "internal/seeded", Deny: []string{DenyModule},
+				Reason: "seeded is the one stream constructor every layer draws from, so it may depend on nothing in-module"},
 			{Scope: "internal/engine", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
 				"internal/wrapper", "internal/spec", "internal/lspec",
@@ -154,13 +156,14 @@ func DefaultConfig() *Config {
 			"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
 			"internal/engine", "internal/wire",
 			"internal/workload", "internal/scenario", "internal/hme",
+			"internal/seeded",
 		},
 		// ParMap is the harness's deterministic parallel sweep: it joins
 		// before any result is observed, so the spawned goroutines cannot
 		// order-race.
 		DetGoAllowed:   []string{"ParMap"},
 		DetTimeFuncs:   []string{"Now", "Since", "Until"},
-		DetRandAllowed: []string{"New", "NewSource", "NewZipf"},
+		DetRandAllowed: []string{"New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8"},
 		OrderedSinks: []string{
 			"Emit", "Observe", "AddRow", "Write", "WriteString",
 			"Fprintf", "Fprint", "Fprintln", "Printf", "Print", "Println",

@@ -99,7 +99,7 @@ func fixtureConfig() *Config {
 // every seeded violation is caught, every //gblint:ignore twin and every
 // legitimate construct stays quiet.
 func TestFixtures(t *testing.T) {
-	exports, err := Exports(".", "time", "math/rand", "fmt")
+	exports, err := Exports(".", "time", "math/rand", "math/rand/v2", "fmt")
 	if err != nil {
 		t.Fatalf("building export data: %v", err)
 	}
@@ -139,7 +139,7 @@ diags:
 // missing type info — like MapOpaque's range — skip instead of guessing,
 // so the findings must come out identical to the fully typed run.
 func TestSyntacticDegradation(t *testing.T) {
-	exports, err := Exports(".", "time", "math/rand", "fmt")
+	exports, err := Exports(".", "time", "math/rand", "math/rand/v2", "fmt")
 	if err != nil {
 		t.Fatalf("building export data: %v", err)
 	}

@@ -36,7 +36,7 @@ func Elapsed(d time.Duration) int64 { return d.Nanoseconds() }
 
 // GlobalRand draws from the global math/rand source.
 func GlobalRand() int {
-	return rand.Intn(6) // want:determinism "global math/rand source"
+	return rand.Intn(6) // want:determinism "global math/rand source: use a seeded stream (seeded.New(seed)"
 }
 
 // SeededRand is the sanctioned form: an explicit seeded generator.

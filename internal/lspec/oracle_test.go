@@ -2,12 +2,12 @@ package lspec
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/spec"
 	"github.com/graybox-stabilization/graybox/internal/tme"
@@ -400,7 +400,7 @@ func TestMonitorsMatchOracle(t *testing.T) {
 			{name: "E4-deadlock", cfg: sim.Config{N: 4, Seed: 5, NewNode: raFactory, MaxRequests: 10, NewWrapper: wrapped(5)},
 				horizon: 30000, deadlock: true},
 		}
-		rng := rand.New(rand.NewSource(20010701))
+		rng := seeded.New(20010701)
 		for i := 0; i < 200; i++ {
 			c := simCase{
 				name:      fmt.Sprintf("run %d", i),
@@ -425,7 +425,7 @@ func TestMonitorsMatchOracle(t *testing.T) {
 	})
 	t.Run("walks", func(t *testing.T) {
 		for seed := int64(1); seed <= 200; seed++ {
-			tally(walk(t, rand.New(rand.NewSource(seed)), 200))
+			tally(walk(t, seeded.New(seed), 200))
 		}
 	})
 	for _, op := range []string{"invariant", "unless", "timestamp", "request", "ME3"} {

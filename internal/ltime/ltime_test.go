@@ -1,10 +1,11 @@
 package ltime
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 func TestZeroIsMinimum(t *testing.T) {
@@ -190,7 +191,7 @@ func TestHappenedBeforeImpliesLess(t *testing.T) {
 		trials  = 25
 	)
 	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
+		rng := seeded.New(int64(trial))
 		clocks := make([]*Clock, nProcs)
 		for i := range clocks {
 			clocks[i] = NewClock(i)
@@ -264,7 +265,7 @@ func TestHappenedBeforeImpliesLess(t *testing.T) {
 // Property: sorting by Less yields a consistent permutation (sort.Slice with
 // Less is a valid strict weak ordering).
 func TestSortByLess(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded.New(7)
 	ts := make([]Timestamp, 500)
 	for i := range ts {
 		ts[i] = Timestamp{Clock: uint64(rng.Intn(50)), PID: rng.Intn(10)}

@@ -62,7 +62,8 @@ func (k EventKind) String() string {
 // Event is one trace record. Time is virtual ticks under the simulator and
 // unix nanoseconds under the goroutine runtime. A and B are process ids
 // (message source/destination; -1 when not applicable). N is an event-
-// specific count (messages sent by a wrapper firing, for example). Detail
+// specific count (messages sent by a wrapper firing, for example; on the
+// TME simulator a send's drawn delivery delay in ticks). Detail
 // is a static label — publishers pass constant strings so emission stays
 // allocation-free.
 type Event struct {

@@ -10,9 +10,8 @@
 package ra
 
 import (
-	"math/rand"
-
 	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
@@ -250,7 +249,8 @@ func (nd *Node) Corrupt(c tme.Corruption) {
 		nd.clock.Corrupt(*c.Clock)
 	}
 	if c.ScrambleInternal {
-		rng := rand.New(rand.NewSource(c.Seed))
+		var st seeded.Stream
+		rng := st.Init(c.Seed)
 		for k := 0; k < nd.n; k++ {
 			if k == nd.id {
 				continue

@@ -1,11 +1,10 @@
 package ring
 
 import (
-	"math/rand"
-
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // The ring's typed engine event kinds. The dispatch switch routes every
@@ -58,7 +57,7 @@ type Sim struct {
 	cfg      SimConfig
 	core     *engine.Core
 	mesh     *engine.Mesh[Token]
-	rng      *rand.Rand // the core's master stream, cached
+	forge    seeded.Stream // ForgeHolders' picks (forgeStream)
 	nodes    []Node
 	eps      []channel.Endpoint // the n ring links i → (i+1) mod n
 	wrapper  *Regenerator
@@ -112,13 +111,13 @@ func NewSim(cfg SimConfig) *Sim {
 		cfg:   cfg,
 		core:  core,
 		mesh:  engine.NewMesh[Token](core, cfg.N, cfg.MinDelay, cfg.MaxDelay, kindDeliver),
-		rng:   core.RNG(),
 		nodes: make([]Node, cfg.N),
 		eps:   make([]channel.Endpoint, cfg.N),
 		metrics: Metrics{
 			Accepts: make([]int, cfg.N),
 		},
 	}
+	core.Stream(forgeStream, &s.forge)
 	core.SetHandler(s.dispatch)
 	s.ins = newRingInstruments(cfg.Obs)
 	for i := range s.nodes {

@@ -120,11 +120,14 @@ func (s *Sim) DuplicateInFlight() {
 	}
 }
 
+// forgeStream names the core stream ForgeHolders draws from.
+const forgeStream = "ring.forge"
+
 // ForgeHolders corrupts k processes into believing they hold the token
 // (multi-token state corruption), chosen deterministically from the seed.
 func (s *Sim) ForgeHolders(k int) {
 	for j := 0; j < k; j++ {
-		i := s.rng.Intn(s.cfg.N)
+		i := s.forge.Rand().Intn(s.cfg.N)
 		s.nodes[i].CorruptState(true, s.nodes[i].Seq())
 	}
 }

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"github.com/graybox-stabilization/graybox/internal/fault"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/wire"
-	"github.com/graybox-stabilization/graybox/internal/workload"
 )
 
 // Spec declares one fault environment. The zero value is a fault-free run.
@@ -101,7 +101,7 @@ func CompileSim(sc Spec, seed, horizon int64) SimPlan {
 	if sc.DelayFactor > 1 {
 		p.MinDelay, p.MaxDelay = 1, 5*sc.DelayFactor
 	}
-	rng := workload.Stream(seed, "scenario/"+sc.Name+"/sim")
+	rng := seeded.New(seeded.Derive(seed, "scenario/"+sc.Name+"/sim"))
 	lo, hi := horizon/200, horizon/50
 	if lo < 1 {
 		lo = 1

@@ -30,11 +30,11 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"github.com/graybox-stabilization/graybox/internal/engine"
 	"github.com/graybox-stabilization/graybox/internal/hme"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
@@ -236,17 +236,14 @@ func registryOf(o *obs.Obs) *obs.Registry {
 }
 
 // shardSeed derives shard s's seed from the run seed (FNV-1a over the
-// shard id), mirroring engine.Core.Stream's scheme so shard instances are
-// independent pure functions of (seed, shard).
+// shard id), the named-stream scheme of seeded.Derive, so shard instances
+// are independent pure functions of (seed, shard).
 func shardSeed(seed int64, s int) int64 {
-	h := fnv.New64a()
 	var b [8]byte
 	for i := 0; i < 8; i++ {
 		b[i] = byte(uint64(s) >> (8 * i))
 	}
-	h.Write([]byte("shard/"))
-	h.Write(b[:])
-	return seed ^ int64(h.Sum64())
+	return seed ^ int64(seeded.Extend(seeded.Hash("shard/"), b[:]))
 }
 
 // Shard returns shard s's underlying Sim (its nodes, metrics, obs, and At

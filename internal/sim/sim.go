@@ -35,12 +35,12 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
 	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
@@ -69,7 +69,7 @@ type Config struct {
 	// process: think, request, eat, release, repeat.
 	Workload bool
 	// ThinkMin/ThinkMax bound the built-in client's think time, drawn
-	// uniformly from the run's master stream. Defaults: 5 and 20.
+	// uniformly from the run's "sim.client" stream. Defaults: 5 and 20.
 	ThinkMin, ThinkMax int64
 	// EatTime is how long the built-in client eats before releasing.
 	// Default 3.
@@ -207,7 +207,7 @@ type Sim struct {
 	cfg      Config
 	core     *engine.Core
 	mesh     *engine.Mesh[tme.Message]
-	rng      *rand.Rand // the core's master stream, cached
+	client   seeded.Stream // the built-in client's think draws (clientStream)
 	nodes    []tme.Node
 	wrappers []wrapper.Level2
 	timeouts []timeout // one armed W' deadline per node; nil without wrappers
@@ -310,7 +310,6 @@ func New(cfg Config) *Sim {
 		cfg:       c,
 		core:      core,
 		mesh:      mesh,
-		rng:       core.RNG(),
 		nodes:     make([]tme.Node, c.N),
 		net:       mesh.Net(),
 		lastReq:   make([]int64, c.N),
@@ -341,6 +340,7 @@ func New(cfg Config) *Sim {
 		}
 	}
 	if c.Workload {
+		core.Stream(clientStream, &s.client)
 		s.drivers = make([]workload.Driver, c.N)
 		for i := range s.drivers {
 			var draws workload.Client = uniformClient{s}
@@ -440,7 +440,7 @@ func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 		if m.From < 0 || m.From >= s.cfg.N || m.To < 0 || m.To >= s.cfg.N || m.From == m.To {
 			continue
 		}
-		s.mesh.Send(m.From, m.To, m)
+		delay, _ := s.mesh.Send(m.From, m.To, m)
 		slot := kindSlot(m.Kind)
 		s.metrics.kindCounts[slot]++
 		if fromWrapper {
@@ -449,7 +449,7 @@ func (s *Sim) send(msgs []tme.Message, fromWrapper bool) {
 			s.metrics.ProgramMsgs++
 		}
 		s.ins.trace.Emit(obs.Event{
-			Time: s.core.Now(), Kind: obs.EvSend, A: m.From, B: m.To,
+			Time: s.core.Now(), Kind: obs.EvSend, A: m.From, B: m.To, N: int(delay),
 			Detail: s.ins.kindDetail[slot],
 		})
 	}
@@ -523,13 +523,17 @@ func (s *Sim) runLevel1(i int) {
 	}
 }
 
+// clientStream names the core stream the built-in client draws from.
+const clientStream = "sim.client"
+
 // uniformClient is the built-in client's draw stream: think uniform on
-// [ThinkMin, ThinkMax] from the run's master stream, hold EatTime.
+// [ThinkMin, ThinkMax] from the run's clientStream, shared by every
+// process's client, hold EatTime.
 type uniformClient struct{ s *Sim }
 
 func (u uniformClient) NextThink() int64 {
 	c := &u.s.cfg
-	return c.ThinkMin + u.s.rng.Int63n(c.ThinkMax-c.ThinkMin+1)
+	return c.ThinkMin + u.s.client.Rand().Int63n(c.ThinkMax-c.ThinkMin+1)
 }
 func (u uniformClient) NextHold() int64      { return u.s.cfg.EatTime }
 func (uniformClient) NextResource(n int) int { return 0 }

@@ -1,9 +1,10 @@
 package spec
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // Simple integer-state helpers.
@@ -277,7 +278,7 @@ func TestSuite(t *testing.T) {
 // Property: stable(p) over a monotone trace holds for any upward-closed p.
 func TestStableMonotoneProperty(t *testing.T) {
 	f := func(seed int64, thr uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := seeded.New(seed)
 		tr := make([]int, 50)
 		v := 0
 		for i := range tr {

@@ -2,10 +2,10 @@ package synth
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/graybox"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // Synthesis fixes Figure 1's C: the strategy gives s* a recovery transition
@@ -88,7 +88,7 @@ func TestAllCandidates(t *testing.T) {
 // Property: for random specs, synthesis over all candidates succeeds and the
 // wrapped system is stabilizing and interference-free.
 func TestSynthesizeRandomProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	rng := seeded.New(99)
 	for i := 0; i < 150; i++ {
 		a := graybox.Random(rng, "a", 2+rng.Intn(15), 1.6)
 		st, err := Synthesize(a, AllCandidates(a.NumStates()))
@@ -145,7 +145,7 @@ func TestSynthesizeRandomProperty(t *testing.T) {
 // same strategy stabilizes EVERY everywhere-implementation of A (the
 // synthesis analogue of Theorem 8).
 func TestStrategyReusableAcrossImplementations(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
+	rng := seeded.New(123)
 	for i := 0; i < 100; i++ {
 		a := graybox.Random(rng, "a", 3+rng.Intn(10), 2.0)
 		st, err := Synthesize(a, AllCandidates(a.NumStates()))

@@ -6,6 +6,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // kindDaemonStep is the recurring engine event firing one central-daemon
@@ -36,8 +37,8 @@ type Sim struct {
 	cfg     SimConfig
 	core    *engine.Core
 	ring    *Ring
-	daemon  Rand // engine stream: which privileged machine fires
-	corrupt Rand // engine stream: transient state corruption
+	daemon  seeded.Stream // engine stream: which privileged machine fires
+	corrupt seeded.Stream // engine stream: transient state corruption
 	moves   int
 	ins     trInstruments
 }
@@ -75,12 +76,12 @@ func NewSim(cfg SimConfig) *Sim {
 	}
 	core := engine.New(cfg.Seed)
 	s := &Sim{
-		cfg:     cfg,
-		core:    core,
-		ring:    New(cfg.N, cfg.K),
-		daemon:  core.Stream("tokenring.daemon"),
-		corrupt: core.Stream("tokenring.corrupt"),
+		cfg:  cfg,
+		core: core,
+		ring: New(cfg.N, cfg.K),
 	}
+	core.Stream("tokenring.daemon", &s.daemon)
+	core.Stream("tokenring.corrupt", &s.corrupt)
 	s.ins = newTRInstruments(cfg.Obs)
 	core.SetHandler(s.dispatch)
 	core.Schedule(1, kindDaemonStep, 0, 0)
@@ -102,7 +103,7 @@ func (s *Sim) Legitimate() bool { return s.ring.Legitimate() }
 // step fires one central-daemon move: a uniformly chosen privileged
 // machine moves (at least one machine is always privileged).
 func (s *Sim) step() {
-	s.ring.Step(s.ring.pickPrivileged(s.daemon))
+	s.ring.Step(s.ring.pickPrivileged(s.daemon.Rand()))
 	s.moves++
 	s.ins.moves.Inc()
 	if s.ring.Legitimate() {
@@ -141,7 +142,7 @@ func (s *Sim) Converge(limit int) (moves int, converged bool) {
 // CorruptAll assigns arbitrary counters to every machine (transient
 // whole-ring state corruption), drawn from the run's corruption stream.
 func (s *Sim) CorruptAll() {
-	s.ring.Corrupt(s.corrupt)
+	s.ring.Corrupt(s.corrupt.Rand())
 	s.ins.conv.RecordFault(s.Now())
 	if s.ins.trace != nil {
 		s.ins.trace.Emit(obs.Event{Time: s.Now(), Kind: obs.EvFault, A: -1, B: -1, Detail: "corrupt-all"})

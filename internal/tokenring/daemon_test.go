@@ -1,10 +1,10 @@
 package tokenring
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // TestDaemonSimDeterminism: the engine-backed daemon is reproducible from
@@ -75,7 +75,7 @@ func TestDaemonSimConvergeAlreadyLegit(t *testing.T) {
 // fault on this substrate overwrites one machine's counter.
 func TestDaemonSimFaultPerturb(t *testing.T) {
 	s := NewSim(SimConfig{N: 4, Seed: 9})
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded.New(7)
 	if !s.FaultPerturb(2, rng) {
 		t.Fatal("FaultPerturb(2) = false, want true")
 	}

@@ -1,10 +1,11 @@
 package tokenring
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 func TestNewPanicsOnBadSizes(t *testing.T) {
@@ -35,14 +36,14 @@ func TestInitialStateIsLegitimate(t *testing.T) {
 // replaced, PrivilegedSet()[rng.Intn(len)], from the same rng state, so
 // every E10/E14 run moves the same machines.
 func TestPickPrivilegedMatchesSetDraw(t *testing.T) {
-	corrupt := rand.New(rand.NewSource(1))
+	corrupt := seeded.New(1)
 	for trial := 0; trial < 500; trial++ {
 		r := New(2+trial%9, 3+trial%7)
 		r.Corrupt(corrupt)
 		seed := int64(trial)
 		priv := r.PrivilegedSet()
-		want := priv[rand.New(rand.NewSource(seed)).Intn(len(priv))]
-		if got := r.pickPrivileged(rand.New(rand.NewSource(seed))); got != want {
+		want := priv[seeded.New(seed).Intn(len(priv))]
+		if got := r.pickPrivileged(seeded.New(seed)); got != want {
 			t.Fatalf("ring %s: pickPrivileged = %d, PrivilegedSet draw = %d", r, got, want)
 		}
 	}
@@ -109,7 +110,7 @@ func TestConvergenceFromArbitraryStates(t *testing.T) {
 	f := func(seed int64, nRaw, extra uint8) bool {
 		n := 2 + int(nRaw%8)
 		k := n + int(extra%4) // K ≥ n
-		rng := rand.New(rand.NewSource(seed))
+		rng := seeded.New(seed)
 		r := New(n, k)
 		r.Corrupt(rng)
 		moves, ok := r.Converge(rng, 10*n*n*k)
@@ -137,7 +138,7 @@ func TestConvergenceFromArbitraryStates(t *testing.T) {
 func TestNoDeadlockProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := 2 + int(nRaw%8)
-		rng := rand.New(rand.NewSource(seed))
+		rng := seeded.New(seed)
 		r := New(n, n+1)
 		r.Corrupt(rng)
 		return len(r.PrivilegedSet()) >= 1
@@ -148,7 +149,7 @@ func TestNoDeadlockProperty(t *testing.T) {
 }
 
 func TestConvergeStopsAtLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := seeded.New(3)
 	r := New(6, 6)
 	r.Corrupt(rng)
 	moves, _ := r.Converge(rng, 1)
@@ -172,7 +173,7 @@ func TestCirculateDetectsIllegitimacy(t *testing.T) {
 // Deterministic convergence measurement: same seed, same trajectory.
 func TestConvergeDeterministic(t *testing.T) {
 	run := func() int {
-		rng := rand.New(rand.NewSource(99))
+		rng := seeded.New(99)
 		r := New(7, 8)
 		r.Corrupt(rng)
 		moves, ok := r.Converge(rng, 100000)

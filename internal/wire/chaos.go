@@ -298,49 +298,22 @@ func (c *Chaos) hold(idx int, m tme.Message, out Link) bool {
 
 // scheduler releases due messages in edge-scan order, preserving FIFO per
 // edge (queues are due-ordered except for duplicates, released in queue
-// order anyway).
+// order anyway). A pass allocates nothing in steady state: drained queues
+// are compacted in place, so their arrays serve the next holds, and the
+// released entries go through one buffer the scheduler keeps.
 func (c *Chaos) scheduler() {
 	defer c.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	var release []chaosEntry
 	for {
 		now := nowNS()
-		var release []chaosEntry
-		next := int64(-1)
-		c.mu.Lock()
-		for i := range c.queues {
-			q := c.queues[i]
-			n := 0
-			for n < len(q) && q[n].due <= now {
-				n++
-			}
-			if n > 0 {
-				for _, e := range q[:n] {
-					// Corruption may have forged From out of range; such
-					// messages are inside no partition group.
-					srcIso := e.m.From >= 0 && e.m.From < c.cfg.N && c.isolated[e.m.From]
-					dstIso := e.m.To >= 0 && e.m.To < c.cfg.N && c.isolated[e.m.To]
-					cut := srcIso != dstIso
-					if c.oneWay {
-						cut = srcIso && !dstIso
-					}
-					if cut {
-						c.ins.partDrop.Inc()
-						continue
-					}
-					release = append(release, e)
-				}
-				c.queues[i] = append(q[:0:0], q[n:]...)
-				q = c.queues[i]
-			}
-			if len(q) > 0 && (next < 0 || q[0].due < next) {
-				next = q[0].due
-			}
-		}
-		c.mu.Unlock()
-		for _, e := range release {
-			e.out.Send(e.m)
+		var next int64
+		release, next = c.collect(now, release[:0])
+		for i := range release {
+			release[i].out.Send(release[i].m)
 			c.ins.released.Inc()
+			release[i] = chaosEntry{} // hold no message or link past its release
 		}
 		wait := time.Hour
 		if next >= 0 {
@@ -363,6 +336,47 @@ func (c *Chaos) scheduler() {
 		case <-timer.C:
 		}
 	}
+}
+
+// collect removes every due entry from the queues, appending the ones not
+// cut by a partition to release, and returns it with the earliest due time
+// still held (-1 when nothing is). Each drained queue is compacted in place
+// and its vacated tail cleared.
+func (c *Chaos) collect(now int64, release []chaosEntry) ([]chaosEntry, int64) {
+	next := int64(-1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, q := range c.queues {
+		n := 0
+		for n < len(q) && q[n].due <= now {
+			n++
+		}
+		for _, e := range q[:n] {
+			// Corruption may have forged From out of range; such messages
+			// are inside no partition group.
+			srcIso := e.m.From >= 0 && e.m.From < c.cfg.N && c.isolated[e.m.From]
+			dstIso := e.m.To >= 0 && e.m.To < c.cfg.N && c.isolated[e.m.To]
+			cut := srcIso != dstIso
+			if c.oneWay {
+				cut = srcIso && !dstIso
+			}
+			if cut {
+				c.ins.partDrop.Inc()
+				continue
+			}
+			release = append(release, e)
+		}
+		if n > 0 {
+			kept := copy(q, q[n:])
+			clear(q[kept:])
+			q = q[:kept]
+			c.queues[i] = q
+		}
+		if len(q) > 0 && (next < 0 || q[0].due < next) {
+			next = q[0].due
+		}
+	}
+	return release, next
 }
 
 // edgeIndex maps (src,dst) to the dense queue layout; ok=false for

@@ -8,6 +8,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
@@ -140,7 +141,7 @@ func TestChaosSurfaceVerbs(t *testing.T) {
 	if !ch.FaultDuplicate(ep, 0, 1) || ch.QueueLen(ep) != 3 {
 		t.Fatalf("FaultDuplicate failed (len %d)", ch.QueueLen(ep))
 	}
-	rng := rand.New(rand.NewSource(7))
+	rng := seeded.New(7)
 	if !ch.FaultCorrupt(ep, 0, rng) {
 		t.Fatal("FaultCorrupt failed")
 	}
@@ -159,7 +160,7 @@ func TestChaosSurfaceVerbs(t *testing.T) {
 
 func TestChaosPerturbHook(t *testing.T) {
 	ch, _, _ := heldChaos(t, 2)
-	rng := rand.New(rand.NewSource(1))
+	rng := seeded.New(1)
 	if ch.FaultPerturb(0, rng) {
 		t.Error("FaultPerturb without hook reported applied")
 	}
@@ -244,5 +245,33 @@ func TestChaosShardStreams(t *testing.T) {
 		if m.Resource != i%4 {
 			t.Fatalf("release %d lost its shard id: %+v", i, m)
 		}
+	}
+}
+
+// chanLink hands each released message to a channel.
+type chanLink struct{ out chan tme.Message }
+
+func (l *chanLink) Start(func(dst int, m tme.Message)) {}
+func (l *chanLink) Send(m tme.Message)                 { l.out <- m }
+func (l *chanLink) Close() error                       { return nil }
+
+// TestChaosSteadyCycleAllocatesNothing: once an edge's queue and the
+// scheduler's release buffer have grown, a message held and released
+// through the proxy allocates nothing, the scheduler's pass included.
+func TestChaosSteadyCycleAllocatesNothing(t *testing.T) {
+	ch := NewChaos(ChaosConfig{N: 3, Seed: 1, MinDelay: time.Microsecond, MaxDelay: time.Microsecond})
+	defer ch.Close()
+	sink := &chanLink{out: make(chan tme.Message, 1)}
+	link := ch.Pipe(sink)
+	m := tme.Message{Kind: tme.Request, From: 0, To: 1}
+	cycle := func() {
+		link.Send(m)
+		<-sink.out
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Errorf("a submit→release cycle allocates %.2f, want 0", a)
 	}
 }

@@ -9,8 +9,8 @@
 // The paper's experiments (and the speculation literature they connect to:
 // Dubois & Guerraoui's common-case figure of merit) are judged *under
 // load*, so the load must be as reproducible as the faults: every draw
-// comes from a per-client named RNG stream derived from the run seed with
-// the same FNV-1a scheme as engine.Core.Stream, which makes a whole
+// comes from a per-client named stream derived from the run seed with the
+// same scheme as engine.Core.Stream (seeded.Derive), which makes a whole
 // workload a pure function of (Spec, seed, n) — adding draws to one client
 // cannot perturb another, and the same seed yields the same schedule on
 // every substrate.
@@ -24,11 +24,12 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
 	"strconv"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // ArrivalKind selects how a client's CS attempts arrive.
@@ -201,7 +202,7 @@ type Source interface {
 type Gen struct {
 	spec    Spec
 	seed    int64
-	clients []*genClient
+	clients []genClient
 }
 
 // NewGen validates nothing it can tolerate: an empty spec falls back to
@@ -210,10 +211,9 @@ func NewGen(spec Spec, seed int64, n int) *Gen {
 	if len(spec.Cohorts) == 0 {
 		spec = DefaultSpec()
 	}
-	g := &Gen{spec: spec, seed: seed, clients: make([]*genClient, n)}
-	for i := 0; i < n; i++ {
-		c := spec.Cohorts[cohortOf(spec, i)]
-		g.clients[i] = newGenClient(c, seed, i)
+	g := &Gen{spec: spec, seed: seed, clients: make([]genClient, n)}
+	for i := range g.clients {
+		g.clients[i].init(spec.Cohorts[cohortOf(spec, i)], seed, i)
 	}
 	return g
 }
@@ -229,10 +229,11 @@ func (g *Gen) N() int { return len(g.clients) }
 // panic the generator.
 func (g *Gen) Client(id int) Client {
 	if id >= 0 && id < len(g.clients) {
-		return g.clients[id]
+		return &g.clients[id]
 	}
-	c := g.spec.Cohorts[cohortOf(g.spec, id)]
-	return newGenClient(c, g.seed, id)
+	c := new(genClient)
+	c.init(g.spec.Cohorts[cohortOf(g.spec, id)], g.seed, id)
+	return c
 }
 
 // cohortOf assigns client i to a cohort index, proportionally by weight
@@ -262,41 +263,30 @@ func weightOf(c Cohort) int {
 	return c.Weight
 }
 
-// Stream derives a named RNG deterministically from seed — the same FNV-1a
-// scheme as engine.Core.Stream. Exported for sibling packages (the scenario
-// compiler) that need independent named streams without an engine.Core.
-func Stream(seed int64, name string) *rand.Rand { return stream(seed, name) }
-
-// stream derives a named RNG deterministically from seed — the same
-// FNV-1a scheme as engine.Core.Stream, reimplemented here so the workload
-// layer stays free of an engine.Core instance (live runs have none).
-func stream(seed int64, name string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
-}
-
 // genClient is one client's generator state. Separate streams drive
 // arrivals, holds, and resource picks, so consuming more of one cannot
-// perturb the others.
+// perturb the others. The streams are held by value: a client and its
+// three streams are one allocation, or none inside Gen's slice.
 type genClient struct {
 	cohort   Cohort
-	arrive   *rand.Rand
-	hold     *rand.Rand
-	shard    *rand.Rand
+	arrive   seeded.Stream
+	hold     seeded.Stream
+	shard    seeded.Stream
 	zipf     *rand.Zipf
 	zipfN    int
 	cyclePos int64 // position inside the on/off or diurnal cycle
 }
 
-func newGenClient(c Cohort, seed int64, id int) *genClient {
-	base := "workload/" + c.Name + "/" + strconv.Itoa(id)
-	return &genClient{
-		cohort: c,
-		arrive: stream(seed, base+"/arrive"),
-		hold:   stream(seed, base+"/hold"),
-		shard:  stream(seed, base+"/shard"),
-	}
+// init seeds client id's streams, named "workload/<cohort>/<id>/arrive"
+// (and /hold, /shard). The name is hashed in pieces, never built.
+func (g *genClient) init(c Cohort, seed int64, id int) {
+	var digits [20]byte
+	base := seeded.Extend(seeded.Hash("workload/"), c.Name)
+	base = seeded.Extend(seeded.Extend(base, "/"), strconv.AppendInt(digits[:0], int64(id), 10))
+	g.cohort = c
+	g.arrive.Init(seed ^ int64(seeded.Extend(base, "/arrive")))
+	g.hold.Init(seed ^ int64(seeded.Extend(base, "/hold")))
+	g.shard.Init(seed ^ int64(seeded.Extend(base, "/shard")))
 }
 
 func (g *genClient) Cohort() string { return g.cohort.Name }
@@ -329,16 +319,16 @@ func (g *genClient) NextThink() int64 {
 	a := g.cohort.Arrival
 	switch a.Kind {
 	case OpenPoisson:
-		return expGap(g.arrive, a.MeanGap)
+		return expGap(g.arrive.Rand(), a.MeanGap)
 	case OpenBursty:
 		return g.burstyGap(a)
 	case OpenDiurnal:
 		return g.diurnalGap(a)
 	case ClosedUniform:
-		return uniformGap(g.arrive, a.ThinkMin, a.ThinkMax)
+		return uniformGap(g.arrive.Rand(), a.ThinkMin, a.ThinkMax)
 	}
 	// Zero-value configs take the historical closed-loop default.
-	return uniformGap(g.arrive, a.ThinkMin, a.ThinkMax)
+	return uniformGap(g.arrive.Rand(), a.ThinkMin, a.ThinkMax)
 }
 
 // burstyGap draws Poisson gaps in "on-time" and converts them to real
@@ -354,7 +344,7 @@ func (g *genClient) burstyGap(a Arrival) int64 {
 		off = 0
 	}
 	cycle := on + off
-	want := expGap(g.arrive, a.BurstGap) // on-time to consume
+	want := expGap(g.arrive.Rand(), a.BurstGap) // on-time to consume
 	real := int64(0)
 	pos := g.cyclePos % cycle
 	for want > 0 {
@@ -398,7 +388,7 @@ func (g *genClient) diurnalGap(a Arrival) int64 {
 	if m <= 0 {
 		m = 0.01
 	}
-	gap := expGap(g.arrive, a.MeanGap/m)
+	gap := expGap(g.arrive.Rand(), a.MeanGap/m)
 	g.cyclePos += gap
 	return gap
 }
@@ -408,11 +398,11 @@ func (g *genClient) NextHold() int64 {
 	var v int64
 	switch h.Kind {
 	case HoldUniform:
-		v = uniformGap(g.hold, h.Min, h.Max)
+		v = uniformGap(g.hold.Rand(), h.Min, h.Max)
 	case HoldLognormal:
-		v = int64(math.Exp(g.hold.NormFloat64()*h.Sigma + h.Mu))
+		v = int64(math.Exp(g.hold.Rand().NormFloat64()*h.Sigma + h.Mu))
 	case HoldPareto:
-		u := g.hold.Float64()
+		u := g.hold.Rand().Float64()
 		if u <= 0 {
 			u = 1e-9
 		}
@@ -448,12 +438,12 @@ func (g *genClient) NextResource(n int) int {
 		if g.zipf == nil || g.zipfN != n {
 			// rand.Zipf is deterministic given its source; rebinding on a
 			// changed n keeps the rank space aligned with the caller's.
-			g.zipf = rand.NewZipf(g.shard, sk.S, 1, uint64(n-1))
+			g.zipf = rand.NewZipf(g.shard.Rand(), sk.S, 1, uint64(n-1))
 			g.zipfN = n
 		}
 		return int(g.zipf.Uint64())
 	}
-	return g.shard.Intn(n)
+	return g.shard.Rand().Intn(n)
 }
 
 // DefaultSpec is the repository's historical client behavior: one cohort,

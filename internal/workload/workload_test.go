@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
+
+	"github.com/graybox-stabilization/graybox/internal/seeded"
 )
 
 // Same (spec, seed, n) ⇒ byte-identical schedule JSON: the acceptance
@@ -203,5 +206,46 @@ func TestLoadScheduleRejectsEmpty(t *testing.T) {
 	}
 	if _, err := LoadSchedule([]byte(`not json`)); err == nil {
 		t.Fatal("malformed JSON should be rejected")
+	}
+}
+
+// TestGenAllocations: a client and its three streams are one allocation
+// (none for the clients NewGen builds, which share one slice), and a draw
+// allocates nothing.
+func TestGenAllocations(t *testing.T) {
+	spec, _ := Preset("hotshard")
+	g := NewGen(spec, 1, 8)
+	if a := testing.AllocsPerRun(100, func() { _ = g.Client(3) }); a != 0 {
+		t.Errorf("Gen.Client of a built client allocates %.1f, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = g.Client(99) }); a != 1 {
+		t.Errorf("Gen.Client of an ad-hoc client allocates %.1f, want 1", a)
+	}
+	small := testing.AllocsPerRun(10, func() { _ = NewGen(spec, 1, 8) })
+	large := testing.AllocsPerRun(10, func() { _ = NewGen(spec, 1, 640) })
+	if small != large {
+		t.Errorf("NewGen allocates %.1f for 8 clients and %.1f for 640, want the same", small, large)
+	}
+	c := g.Client(0)
+	c.NextResource(8) // binds the Zipf sampler once
+	if a := testing.AllocsPerRun(100, func() { _ = c.NextThink() + c.NextHold() + int64(c.NextResource(8)) }); a != 0 {
+		t.Errorf("a draw allocates %.1f, want 0", a)
+	}
+}
+
+// TestClientStreamsAreNamed pins the naming scheme the client's streams are
+// hashed from in pieces: client id's arrivals are the stream named
+// "workload/<cohort>/<id>/arrive" under the workload seed.
+func TestClientStreamsAreNamed(t *testing.T) {
+	spec := UniformSpec(1, 1000, 3)
+	g := NewGen(spec, 5, 12)
+	for _, id := range []int{0, 11, 12345} {
+		ref := seeded.New(seeded.Derive(5, "workload/uniform/"+strconv.Itoa(id)+"/arrive"))
+		c := g.Client(id)
+		for j := 0; j < 20; j++ {
+			if got, want := c.NextThink(), 1+ref.Int63n(1000); got != want {
+				t.Fatalf("client %d think %d: %d, want %d", id, j, got, want)
+			}
+		}
 	}
 }
