@@ -209,12 +209,11 @@ func BenchmarkSynthesis(b *testing.B) {
 // BenchmarkWhiteboxBaseline is E10: Dijkstra's token ring converging from
 // random corruption — the whitebox comparator.
 func BenchmarkWhiteboxBaseline(b *testing.B) {
-	rng := seeded.New(7)
 	var moves int64
 	for i := 0; i < b.N; i++ {
-		ring := tokenring.New(8, 9)
-		ring.Corrupt(rng)
-		m, ok := ring.Converge(rng, 1<<20)
+		s := tokenring.NewSim(tokenring.SimConfig{N: 8, Seed: int64(i)})
+		s.CorruptAll()
+		m, ok := s.Converge(1 << 20)
 		if !ok {
 			b.Fatal("token ring did not converge")
 		}

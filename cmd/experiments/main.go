@@ -52,22 +52,21 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown scale %q (want quick or full)", *scaleName)
 	}
 
-	ids, builders := selectExperiments(scale, strings.ToUpper(*only))
-	if len(ids) == 0 {
-		return fmt.Errorf("no experiment matches %q", *only)
-	}
-	// E18 is a gate, not just a table: rebind its builder to capture the
-	// verdict so -check can fail the process on divergence.
-	gateOK := true
-	builders["E18"] = func() *harness.Table {
-		t, ok := harness.ParityGate(scale)
-		if !ok {
-			gateOK = false
+	exps := harness.Experiments
+	if *only != "" {
+		exps = nil
+		for _, e := range harness.Experiments {
+			if e.ID == strings.ToUpper(*only) {
+				exps = []harness.Experiment{e}
+			}
 		}
-		return t
+		if exps == nil {
+			return fmt.Errorf("no experiment matches %q", *only)
+		}
 	}
-	results := make(map[string]*expResult, len(ids))
-	for _, id := range ids {
+	gateOK := true
+	results := make(map[string]*expResult, len(exps))
+	for _, e := range exps {
 		var agg *expResult
 		if *jsonPath != "" {
 			agg = &expResult{Metrics: obs.NewSnapshot()}
@@ -76,10 +75,11 @@ func run(args []string, out io.Writer) error {
 				agg.Metrics.Merge(r.Obs)
 			})
 		}
-		t := builders[id]()
+		t, ok := e.Run(scale)
+		gateOK = gateOK && ok
 		if *jsonPath != "" {
 			harness.SetRunHook(nil)
-			results[id] = agg
+			results[e.ID] = agg
 		}
 		switch {
 		case *csvOut:
@@ -122,36 +122,4 @@ func writeResults(path string, out io.Writer, results map[string]*expResult) err
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// selectExperiments returns the requested experiment IDs in order plus
-// their lazy table builders, so -only doesn't pay for the full sweep.
-func selectExperiments(scale harness.Scale, only string) ([]string, map[string]func() *harness.Table) {
-	builders := map[string]func() *harness.Table{
-		"E1":  harness.Fig1,
-		"E2":  func() *harness.Table { return harness.Stabilization(harness.RA, scale) },
-		"E3":  func() *harness.Table { return harness.Stabilization(harness.Lamport, scale) },
-		"E4":  func() *harness.Table { return harness.Deadlock(scale) },
-		"E5":  func() *harness.Table { return harness.TimeoutSweep(harness.RA, scale) },
-		"E6":  func() *harness.Table { return harness.Interference(scale) },
-		"E7":  func() *harness.Table { return harness.LspecImpliesTME(scale) },
-		"E8":  func() *harness.Table { return harness.Scalability(scale) },
-		"E9":  func() *harness.Table { return harness.Synthesis(scale) },
-		"E10": func() *harness.Table { return harness.WhiteboxBaseline(scale) },
-		"E11": func() *harness.Table { return harness.TokenCirculation(scale) },
-		"E12": func() *harness.Table { return harness.RefinementAblation(scale) },
-		"E13": func() *harness.Table { return harness.Level1Ablation(scale) },
-		"E14": func() *harness.Table { return harness.UnifiedFaults(scale) },
-		"E15": func() *harness.Table { return harness.LiveCluster(scale) },
-		"E16": func() *harness.Table { return harness.WorkloadMatrix(scale) },
-		"E17": func() *harness.Table { return harness.ShardScale(scale) },
-		"E18": func() *harness.Table { t, _ := harness.ParityGate(scale); return t },
-	}
-	if only != "" {
-		if _, ok := builders[only]; !ok {
-			return nil, nil
-		}
-		return []string{only}, builders
-	}
-	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18"}, builders
 }

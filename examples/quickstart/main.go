@@ -40,7 +40,7 @@ func main() {
 
 	fmt.Printf("3 processes, 30%% message loss, graybox wrapper W attached\n\n")
 	for i := 0; i < n; i++ {
-		cluster.Request(i)
+		cluster.RequestShard(0, i)
 		fmt.Printf("process %d requested the critical section\n", i)
 	}
 
@@ -51,7 +51,7 @@ func main() {
 		case e := <-entries:
 			fmt.Printf("process %d ENTERED the critical section (entry #%d)\n", e.ID, e.Seq+1)
 			time.Sleep(2 * time.Millisecond) // "eat"
-			cluster.Release(e.ID)
+			cluster.ReleaseShard(0, e.ID)
 			fmt.Printf("process %d released it\n", e.ID)
 			served++
 		case <-deadline:

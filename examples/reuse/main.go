@@ -17,7 +17,7 @@ func main() {
 	fmt.Println("one wrapper W'(δ=5), two implementations, same fault schedule")
 	fmt.Println("(3 bursts of mixed faults: loss, duplication, corruption, state)")
 	fmt.Println()
-	fmt.Printf("%-18s %-10s %-10s %-14s %-8s\n",
+	fmt.Printf("%-18s %-10s %-10s %-14s %s\n",
 		"implementation", "wrapper", "converged", "conv. time", "starved")
 
 	for _, algo := range []harness.Algo{harness.RA, harness.Lamport} {

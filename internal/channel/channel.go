@@ -28,9 +28,6 @@ type FIFO[T any] struct {
 // Len returns the number of queued messages.
 func (q *FIFO[T]) Len() int { return q.n }
 
-// Empty reports whether the queue holds no messages.
-func (q *FIFO[T]) Empty() bool { return q.n == 0 }
-
 // Send enqueues m at the tail.
 func (q *FIFO[T]) Send(m T) {
 	if q.n == 0 {
@@ -54,14 +51,6 @@ func (q *FIFO[T]) Recv() (m T, ok bool) {
 		q.rest = q.rest[:q.n-1]
 	}
 	return m, true
-}
-
-// Peek returns the head message without removing it.
-func (q *FIFO[T]) Peek() (m T, ok bool) {
-	if q.n == 0 {
-		return m, false
-	}
-	return q.first, true
 }
 
 // slot returns the place of the i-th queued message. It panics if i is out
@@ -124,16 +113,6 @@ func (q *FIFO[T]) Clear() {
 	q.rest = q.rest[:0]
 }
 
-// Snapshot returns a copy of the queued messages, head first.
-func (q *FIFO[T]) Snapshot() []T {
-	out := make([]T, q.n)
-	if q.n > 0 {
-		out[0] = q.first
-		copy(out[1:], q.rest)
-	}
-	return out
-}
-
 // Endpoint names one directed channel: from Src to Dst.
 type Endpoint struct {
 	Src, Dst int
@@ -159,9 +138,6 @@ type Net[T any] struct {
 func NewNet[T any](n int) *Net[T] {
 	return &Net[T]{n: n, chans: make([]FIFO[T], n*n)}
 }
-
-// N returns the number of processes.
-func (nn *Net[T]) N() int { return nn.n }
 
 // Chan returns the directed channel src→dst, or nil if the endpoint is
 // invalid (out of range or src == dst). The returned pointer stays valid
@@ -190,13 +166,6 @@ func (nn *Net[T]) TotalQueued() int {
 		total += nn.chans[i].Len()
 	}
 	return total
-}
-
-// ClearAll flushes every channel (the "all channels are empty" Init state).
-func (nn *Net[T]) ClearAll() {
-	for i := range nn.chans {
-		nn.chans[i].Clear()
-	}
 }
 
 // Endpoints returns every directed endpoint in deterministic order

@@ -52,9 +52,7 @@ const (
 	opDuplicate
 	opMutate
 	opClear
-	opPeek
 	opAt
-	opSnapshot
 	numOps
 )
 
@@ -65,8 +63,7 @@ type fifoStep struct{ op, i int }
 // runFIFOTape applies a tape of the given length to a FIFO and to the slice
 // model side by side; step k is asked for with the number of messages then
 // queued, so a generated tape can aim its index. Every return value must
-// agree, and after every step so must Len, Empty, Peek, each At(i) and
-// Snapshot. Sent values count up from 0, so a misplaced element shows as a
+// agree, and after every step so must Len and each At(i). Sent values count up from 0, so a misplaced element shows as a
 // wrong value, not only a wrong length.
 func runFIFOTape(t *testing.T, steps int, step func(k, queued int) fifoStep) {
 	t.Helper()
@@ -102,33 +99,20 @@ func runFIFOTape(t *testing.T, steps int, step func(k, queued int) fifoStep) {
 		case opClear:
 			q.Clear()
 			ref = ref[:0]
-		// The three reads must leave the queue as it was; what they return
-		// is compared after every step, below.
-		case opPeek:
-			q.Peek()
+		// The read must leave the queue as it was; what At returns is
+		// compared after every step, below.
 		case opAt:
 			if st.i >= 0 && st.i < q.Len() {
 				q.At(st.i)
 			}
-		case opSnapshot:
-			snap := q.Snapshot()
-			for i := range snap {
-				snap[i] = -1 // a snapshot that aliased the queue would show
-			}
 		}
-		if q.Len() != len(ref) || q.Empty() != (len(ref) == 0) {
-			t.Fatalf("step %d (op %d, i %d): Len = %d, Empty = %v, model %v", k, st.op, st.i, q.Len(), q.Empty(), ref)
-		}
-		if head, ok := q.Peek(); ok != (len(ref) > 0) || (ok && head != ref[0]) {
-			t.Fatalf("step %d (op %d, i %d): Peek = (%d,%v), model %v", k, st.op, st.i, head, ok, ref)
+		if q.Len() != len(ref) {
+			t.Fatalf("step %d (op %d, i %d): Len = %d, model %v", k, st.op, st.i, q.Len(), ref)
 		}
 		for i, want := range ref {
 			if got := q.At(i); got != want {
 				t.Fatalf("step %d (op %d, i %d): At(%d) = %d, model %v", k, st.op, st.i, i, got, ref)
 			}
-		}
-		if got := q.Snapshot(); !slices.Equal(got, []int(ref)) {
-			t.Fatalf("step %d (op %d, i %d): Snapshot = %v, model %v", k, st.op, st.i, got, ref)
 		}
 	}
 	// Drain: exactly the model's messages, in its order.
@@ -152,8 +136,8 @@ func FuzzFIFOOps(f *testing.F) {
 	f.Add([]byte{})
 	// Three queued, then duplicate/drop/mutate at the head, at index 1 and
 	// at the tail, with receives promoting rest[0] in between.
-	f.Add([]byte{0, 0, 0, 3, 1, 3 + 9, 1, 3 + 18, 2, 2 + 9, 4, 4 + 9, 1, 1, 1})
-	f.Add([]byte{0, 0, 5, 0, 6, 7 + 9, 8, 1, 1})
+	f.Add([]byte{0, 0, 0, 3, 1, 3 + numOps, 1, 3 + 2*numOps, 2, 2 + numOps, 4, 4 + numOps, 1, 1, 1})
+	f.Add([]byte{0, 0, 5, 0, 0, opAt + numOps, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		runFIFOTape(t, len(ops), func(k, queued int) fifoStep {
 			b := int(ops[k])
@@ -173,10 +157,10 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 		tape []fifoStep
 	}{
 		{"empty queue refuses everything", []fifoStep{
-			{opRecv, 0}, {opDrop, 0}, {opDuplicate, 0}, {opMutate, 0}, {opPeek, 0}, {opSnapshot, 0}, {opClear, 0},
+			{opRecv, 0}, {opDrop, 0}, {opDuplicate, 0}, {opMutate, 0}, {opAt, 0}, {opClear, 0},
 		}},
 		{"one message stays inline", []fifoStep{
-			{opSend, 0}, {opPeek, 0}, {opAt, 0}, {opMutate, 0}, {opRecv, 0}, {opRecv, 0}, {opSend, 0}, {opRecv, 0},
+			{opSend, 0}, {opAt, 0}, {opMutate, 0}, {opRecv, 0}, {opRecv, 0}, {opSend, 0}, {opRecv, 0},
 		}},
 		{"recv promotes rest[0]", append(send(4),
 			fifoStep{opRecv, 0}, fifoStep{opRecv, 0}, fifoStep{opSend, 0}, fifoStep{opRecv, 0}, fifoStep{opRecv, 0}, fifoStep{opRecv, 0},

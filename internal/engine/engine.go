@@ -99,9 +99,6 @@ func (c *Core) SetAfterEvent(fn func()) { c.afterEvent = fn }
 // Now returns the current virtual time.
 func (c *Core) Now() int64 { return c.now }
 
-// Seed returns the seed the core was built from.
-func (c *Core) Seed() int64 { return c.seed }
-
 // Stream seeds s, which the caller holds by value, as the core's stream
 // called name (seed XOR FNV-1a(name), seeded.Derive) and returns its
 // generator. Independent concerns — link delays, a daemon's scheduling
@@ -115,12 +112,6 @@ func (c *Core) Stream(name string, s *seeded.Stream) *rand.Rand {
 // Stop ends the run after the current event. The flag persists: subsequent
 // Run calls return immediately.
 func (c *Core) Stop() { c.stopped = true }
-
-// Stopped reports whether Stop was called.
-func (c *Core) Stopped() bool { return c.stopped }
-
-// Pending returns the number of scheduled events.
-func (c *Core) Pending() int { return c.queue.len() }
 
 // Schedule pushes a typed event after the given delay (relative to now).
 func (c *Core) Schedule(after int64, kind uint8, a, b int32) {

@@ -27,9 +27,6 @@ type Group struct {
 // retained, not copied; shard s is cores[s].
 func NewGroup(cores []*Core) *Group { return &Group{cores: cores} }
 
-// Cores returns the underlying shard cores (shard s at index s).
-func (g *Group) Cores() []*Core { return g.cores }
-
 // LowWater returns the earliest pending event time across all shards — the
 // virtual-clock low-water-mark — and false when every queue is empty. The
 // coordinator uses it to skip barrier windows no shard has work in.

@@ -137,5 +137,3 @@ func (q *eventQueue) popDue(horizon int64, out *Event) bool {
 	}
 	return true
 }
-
-func (q *eventQueue) len() int { return q.n + q.far.len() }

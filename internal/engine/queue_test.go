@@ -210,8 +210,8 @@ func TestCoreDispatchMatchesHeapCore(t *testing.T) {
 					t.Fatalf("seed %d step %d: clock %d, reference %d", seed, step, c.Now(), ref.now)
 				}
 			}
-			if c.Pending() != ref.q.len() {
-				t.Fatalf("seed %d step %d: Pending = %d, reference %d", seed, step, c.Pending(), ref.q.len())
+			if c.queue.len() != ref.q.len() {
+				t.Fatalf("seed %d step %d: Pending = %d, reference %d", seed, step, c.queue.len(), ref.q.len())
 			}
 		}
 		c.Run(1 << 40)
@@ -292,8 +292,8 @@ func TestCoreSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Schedule+Run allocates %.1f per 500-tick window, want 0", allocs)
 	}
-	if c.Pending() != 256 {
-		t.Fatalf("Pending = %d, want the 256 self-rescheduling events", c.Pending())
+	if c.queue.len() != 256 {
+		t.Fatalf("Pending = %d, want the 256 self-rescheduling events", c.queue.len())
 	}
 }
 
@@ -325,3 +325,6 @@ func BenchmarkCoreDispatch(b *testing.B) {
 		})
 	}
 }
+
+// len returns the number of queued events, near and far.
+func (q *eventQueue) len() int { return q.n + q.far.len() }

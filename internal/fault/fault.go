@@ -301,20 +301,3 @@ func DropAllInFlight(s Surface) {
 		})
 	}
 }
-
-// ImproperInit corrupts every process before the run starts, modelling
-// arbitrary (improper) initialization. Call it before the first Run.
-func ImproperInit(s Surface, seed int64) {
-	in := NewInjector(seed, Mix{State: 1})
-	in.bind(s)
-	for i := 0; i < s.N(); i++ {
-		if s.FaultPerturb(i, in.aim.Rand()) {
-			in.cFaults.Inc()
-			in.cByKind[StateCorrupt].Inc()
-			in.conv.RecordFault(s.Now())
-			in.trace.Emit(obs.Event{
-				Time: s.Now(), Kind: obs.EvFault, A: i, B: -1, Detail: "improper-init",
-			})
-		}
-	}
-}

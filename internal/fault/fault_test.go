@@ -216,9 +216,14 @@ func TestWrappedSystemSurvivesBursts(t *testing.T) {
 	}
 }
 
+// TestImproperInit corrupts every process before the run starts, modelling
+// arbitrary (improper) initialization.
 func TestImproperInit(t *testing.T) {
 	s := raSim(7, true)
-	ImproperInit(s, 21)
+	rng := seeded.New(21)
+	for i := 0; i < s.N(); i++ {
+		s.FaultPerturb(i, rng)
+	}
 	// At least one node should start in a non-Init state.
 	perturbed := false
 	for i := 0; i < s.N(); i++ {
@@ -233,7 +238,7 @@ func TestImproperInit(t *testing.T) {
 		}
 	}
 	if !perturbed {
-		t.Error("ImproperInit left every node in the Init state")
+		t.Error("improper initialization left every node in the Init state")
 	}
 	// And the wrapped system still converges to progress.
 	s.Run(5000)

@@ -97,6 +97,3 @@ func (c *TupleCodec) Decode(s int, tuple []int) {
 		s /= size
 	}
 }
-
-// Components returns the number of components.
-func (c *TupleCodec) Components() int { return len(c.sizes) }

@@ -53,9 +53,6 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		Random(rng, "c", 2, 1.5),
 	}
 	c := NewTupleCodec(parts)
-	if c.Components() != 3 {
-		t.Fatalf("Components = %d", c.Components())
-	}
 	tuple := make([]int, 3)
 	for s := 0; s < 24; s++ {
 		c.Decode(s, tuple)

@@ -107,8 +107,8 @@ func TestDriverFaultRowsOnBothSubstrates(t *testing.T) {
 
 		for round := 0; round < rounds; round++ {
 			for k, row := range driverFaultRows {
-				eventually(t, row.name, func() bool { return cl.Phase(k) == row.when })
-				cl.Corrupt(k, tme.Corruption{Phase: row.forge})
+				eventually(t, row.name, func() bool { return cl.PhaseShard(0, k) == row.when })
+				cl.CorruptShard(0, k, tme.Corruption{Phase: row.forge})
 			}
 		}
 		for i := 0; i < n; i++ {

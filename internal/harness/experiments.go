@@ -791,25 +791,33 @@ func UnifiedFaults(scale Scale) *Table {
 	return t
 }
 
-// All returns every experiment table at the given scale, in index order.
-func All(scale Scale) []*Table {
-	return []*Table{
-		Fig1(),
-		Stabilization(RA, scale),
-		Stabilization(Lamport, scale),
-		Deadlock(scale),
-		TimeoutSweep(RA, scale),
-		Interference(scale),
-		LspecImpliesTME(scale),
-		Scalability(scale),
-		Synthesis(scale),
-		WhiteboxBaseline(scale),
-		TokenCirculation(scale),
-		RefinementAblation(scale),
-		Level1Ablation(scale),
-		UnifiedFaults(scale),
-		LiveCluster(scale),
-		WorkloadMatrix(scale),
-		ShardScale(scale),
-	}
+// Experiment is one table of EXPERIMENTS.md.
+type Experiment struct {
+	// ID is the experiment's index, "E1" to "E18".
+	ID string
+	// Run builds the table at the given scale. ok is false only when a gate
+	// experiment (E18's parity gate) diverges.
+	Run func(Scale) (t *Table, ok bool)
+}
+
+// Experiments lists every experiment, in index order.
+var Experiments = []Experiment{
+	{"E1", func(Scale) (*Table, bool) { return Fig1(), true }},
+	{"E2", func(s Scale) (*Table, bool) { return Stabilization(RA, s), true }},
+	{"E3", func(s Scale) (*Table, bool) { return Stabilization(Lamport, s), true }},
+	{"E4", func(s Scale) (*Table, bool) { return Deadlock(s), true }},
+	{"E5", func(s Scale) (*Table, bool) { return TimeoutSweep(RA, s), true }},
+	{"E6", func(s Scale) (*Table, bool) { return Interference(s), true }},
+	{"E7", func(s Scale) (*Table, bool) { return LspecImpliesTME(s), true }},
+	{"E8", func(s Scale) (*Table, bool) { return Scalability(s), true }},
+	{"E9", func(s Scale) (*Table, bool) { return Synthesis(s), true }},
+	{"E10", func(s Scale) (*Table, bool) { return WhiteboxBaseline(s), true }},
+	{"E11", func(s Scale) (*Table, bool) { return TokenCirculation(s), true }},
+	{"E12", func(s Scale) (*Table, bool) { return RefinementAblation(s), true }},
+	{"E13", func(s Scale) (*Table, bool) { return Level1Ablation(s), true }},
+	{"E14", func(s Scale) (*Table, bool) { return UnifiedFaults(s), true }},
+	{"E15", func(s Scale) (*Table, bool) { return LiveCluster(s), true }},
+	{"E16", func(s Scale) (*Table, bool) { return WorkloadMatrix(s), true }},
+	{"E17", func(s Scale) (*Table, bool) { return ShardScale(s), true }},
+	{"E18", ParityGate},
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -235,11 +236,17 @@ func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still take seconds")
 	}
-	tables := All(Quick)
-	if len(tables) != 17 {
-		t.Fatalf("tables = %d, want 17", len(tables))
+	if len(Experiments) != 18 {
+		t.Fatalf("experiments = %d, want 18", len(Experiments))
 	}
-	for _, tab := range tables {
+	for i, e := range Experiments {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Fatalf("experiment %d is %s, want %s", i, e.ID, want)
+		}
+		tab, ok := e.Run(Quick)
+		if !ok {
+			t.Errorf("%s: gate diverged", e.ID)
+		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("table %q has no rows", tab.Title)
 		}

@@ -45,6 +45,9 @@ const (
 	DefaultEatTime  = time.Millisecond
 )
 
+// sampleEvery is the live ME1 sampler's cadence.
+const sampleEvery = 500 * time.Microsecond
+
 // liveNowNS reads the wall clock; live runs measure real time by design.
 //
 //gblint:ignore determinism live cluster runs are wall-clock by design; determinism lives in the fault schedule
@@ -81,8 +84,6 @@ type LiveConfig struct {
 	ThinkMin, ThinkMax time.Duration
 	// EatTime is how long a process holds the CS. Default 1ms.
 	EatTime time.Duration
-	// SampleEvery is the ME1 sampler cadence. Default 500µs.
-	SampleEvery time.Duration
 	// Workload, when non-nil, shapes the drivers' traffic (ticks read as
 	// LiveTick each); nil uses ThinkMin/ThinkMax/EatTime as a uniform
 	// closed loop — through the same workload draw path either way.
@@ -135,9 +136,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	}
 	if c.EatTime <= 0 {
 		c.EatTime = DefaultEatTime
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 500 * time.Microsecond
 	}
 	return c
 }
@@ -282,7 +280,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		if id < 0 || id >= n {
 			return false
 		}
-		clusters[id].Corrupt(id, tme.RandomCorruption(rng, id, n))
+		clusters[id].CorruptShard(0, id, tme.RandomCorruption(rng, id, n))
 		return true
 	})
 
@@ -351,7 +349,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	//gblint:ignore determinism the live safety monitor samples wall-clock state by design
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(cfg.SampleEvery)
+		ticker := time.NewTicker(sampleEvery)
 		defer ticker.Stop()
 		conv := o.Convergence()
 		eating := func(s int) int {

@@ -32,7 +32,7 @@ func clientCluster(t *testing.T, onEntry func(runtime.Entry)) *runtime.Cluster {
 	}
 	cl.Start()
 	t.Cleanup(cl.Stop)
-	cl.Request(1)
+	cl.RequestShard(0, 1)
 	if ph, ok := cl.AwaitPhaseChangeShard(testDeadline(t), 0, 1, tme.Hungry); !ok || ph != tme.Eating {
 		t.Fatalf("process 1 never entered: (%v, %v)", ph, ok)
 	}
@@ -70,7 +70,7 @@ func startClient(t *testing.T, cl *runtime.Cluster, onRequest func(shard int)) (
 		defer close(done)
 		RunLiveClient(stop, cl, 0, draws, onRequest)
 	}()
-	eventually(t, "process 0 is hungry", func() bool { return cl.Phase(0) == tme.Hungry })
+	eventually(t, "process 0 is hungry", func() bool { return cl.PhaseShard(0, 0) == tme.Hungry })
 	return stop, done
 }
 
@@ -89,10 +89,10 @@ func TestLiveClientRerequestsAfterWipe(t *testing.T) {
 		t.Fatalf("requests before the fault = %d, want 1", got)
 	}
 
-	cl.Corrupt(0, tme.Corruption{Phase: tme.Thinking})
+	cl.CorruptShard(0, 0, tme.Corruption{Phase: tme.Thinking})
 	eventually(t, "the client asks again", func() bool { return requests.Load() >= 2 })
 
-	cl.Release(1)
+	cl.ReleaseShard(0, 1)
 	select {
 	case e := <-entered:
 		if e.ID != 0 {
@@ -111,7 +111,7 @@ func TestLiveClientReleasesForgedEating(t *testing.T) {
 	cl := clientCluster(t, nil)
 	var requests atomic.Int64
 	stop, done := startClient(t, cl, func(int) { requests.Add(1) })
-	cl.Corrupt(0, tme.Corruption{Phase: tme.Eating})
+	cl.CorruptShard(0, 0, tme.Corruption{Phase: tme.Eating})
 	eventually(t, "the client releases and asks again", func() bool { return requests.Load() >= 2 })
 	close(stop)
 	<-done
@@ -128,16 +128,16 @@ func TestRunLiveForgedEntryRecordsNoLatency(t *testing.T) {
 			latencies <- takeLatency(&stamp, e.At.UnixNano())
 		}
 	})
-	cl.Release(1)
+	cl.ReleaseShard(0, 1)
 
 	stamp.Store(liveNowNS())
-	cl.Request(0)
+	cl.RequestShard(0, 0)
 	if lat := <-latencies; lat < 0 {
 		t.Fatalf("requested entry recorded latency %d, want >= 0", lat)
 	}
-	cl.Release(0)
+	cl.ReleaseShard(0, 0)
 
-	cl.Corrupt(0, tme.Corruption{Phase: tme.Hungry})
+	cl.CorruptShard(0, 0, tme.Corruption{Phase: tme.Hungry})
 	select {
 	case lat := <-latencies:
 		if lat != -1 {

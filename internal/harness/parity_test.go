@@ -9,6 +9,16 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/twin"
 )
 
+// formatDiffs renders a diff list one row per line.
+func formatDiffs(diffs []obs.MetricDiff) string {
+	var b strings.Builder
+	for _, d := range diffs {
+		b.WriteString(d.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // cleanParityInputs builds a sim result, live result, and prediction that
 // agree exactly — the fixture the negative tests perturb.
 func cleanParityInputs() (RunResult, LiveResult, twin.Prediction) {
@@ -27,7 +37,7 @@ func TestParityEvalClean(t *testing.T) {
 	res := parityEval(simRes, liveRes, pred)
 	if !res.OK {
 		t.Fatalf("clean projections should pass:\nsim vs live:\n%ssim vs twin:\n%slive vs twin:\n%s",
-			obs.FormatDiffs(res.SimVsLive), obs.FormatDiffs(res.SimVsTwin), obs.FormatDiffs(res.LiveVsTwin))
+			formatDiffs(res.SimVsLive), formatDiffs(res.SimVsTwin), formatDiffs(res.LiveVsTwin))
 	}
 }
 
@@ -43,12 +53,12 @@ func TestParityEvalNegative(t *testing.T) {
 		}
 		if !diverged(res.SimVsLive, "parity_entries") {
 			t.Errorf("sim-vs-live entries should be the diverged metric:\n%s",
-				obs.FormatDiffs(res.SimVsLive))
+				formatDiffs(res.SimVsLive))
 		}
 		// The untouched pair still agrees.
 		if !obs.AllWithin(res.SimVsTwin) {
 			t.Errorf("sim-vs-twin should stay within tolerance:\n%s",
-				obs.FormatDiffs(res.SimVsTwin))
+				formatDiffs(res.SimVsTwin))
 		}
 	})
 	t.Run("entries within 20% passes", func(t *testing.T) {
@@ -56,7 +66,7 @@ func TestParityEvalNegative(t *testing.T) {
 		liveRes.Entries = 110
 		liveRes.Requests = 112
 		if res := parityEval(simRes, liveRes, pred); !res.OK {
-			t.Fatalf("10%% drift should pass:\n%s", obs.FormatDiffs(res.SimVsLive))
+			t.Fatalf("10%% drift should pass:\n%s", formatDiffs(res.SimVsLive))
 		}
 	})
 	t.Run("safety violation is zero-tolerance", func(t *testing.T) {
@@ -68,7 +78,7 @@ func TestParityEvalNegative(t *testing.T) {
 		}
 		if !diverged(res.SimVsLive, "parity_me1_samples") {
 			t.Errorf("me1 samples should be the diverged metric:\n%s",
-				obs.FormatDiffs(res.SimVsLive))
+				formatDiffs(res.SimVsLive))
 		}
 	})
 	t.Run("convergence drift is zero-tolerance", func(t *testing.T) {
@@ -101,9 +111,9 @@ func TestRunParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: RunParity: %v", row.name, err)
 		}
-		report := "sim vs live:\n" + obs.FormatDiffs(res.SimVsLive) +
-			"sim vs twin:\n" + obs.FormatDiffs(res.SimVsTwin) +
-			"live vs twin:\n" + obs.FormatDiffs(res.LiveVsTwin)
+		report := "sim vs live:\n" + formatDiffs(res.SimVsLive) +
+			"sim vs twin:\n" + formatDiffs(res.SimVsTwin) +
+			"live vs twin:\n" + formatDiffs(res.LiveVsTwin)
 		if !res.OK {
 			t.Fatalf("%s: parity gate diverged:\n%s", row.name, report)
 		}

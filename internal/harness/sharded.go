@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/graybox-stabilization/graybox/internal/fault"
@@ -97,24 +96,6 @@ type ShardedRunResult struct {
 	// percentiles, convergence, message counters).
 	Obs      *obs.Snapshot
 	ShardObs []*obs.Snapshot
-}
-
-// MetricsJSON renders every snapshot of the run — coordinator first, then
-// each shard — as one deterministic JSON document (byte-identical across
-// runs with equal seeds; the cross-substrate determinism tests diff it).
-func (r ShardedRunResult) MetricsJSON() []byte {
-	var buf bytes.Buffer
-	app := func(label string, s *obs.Snapshot) {
-		fmt.Fprintf(&buf, "-- %s --\n", label)
-		if err := s.WriteJSON(&buf); err != nil {
-			fmt.Fprintf(&buf, "error: %v\n", err)
-		}
-	}
-	app("coordinator", r.Obs)
-	for s, snap := range r.ShardObs {
-		app(fmt.Sprintf("shard %d", s), snap)
-	}
-	return buf.Bytes()
 }
 
 // RunSharded executes one sharded run and returns its measurements.

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 )
 
@@ -22,8 +24,8 @@ func shardedTestCfg() ShardedRunConfig {
 // Same seed ⇒ identical metrics JSON, coordinator and every shard — the
 // merge-barrier design's determinism claim, measured end to end.
 func TestRunShardedDeterministicMetricsJSON(t *testing.T) {
-	a := RunSharded(shardedTestCfg()).MetricsJSON()
-	b := RunSharded(shardedTestCfg()).MetricsJSON()
+	a := RunSharded(shardedTestCfg()).metricsJSON()
+	b := RunSharded(shardedTestCfg()).metricsJSON()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("metrics JSON differs across identical runs:\n%s\n--- vs ---\n%s", a, b)
 	}
@@ -37,7 +39,7 @@ func TestRunShardedDeterministicUnderFaults(t *testing.T) {
 	cfg.FaultsPerBurst = 3
 	a := RunSharded(cfg)
 	b := RunSharded(cfg)
-	if !bytes.Equal(a.MetricsJSON(), b.MetricsJSON()) {
+	if !bytes.Equal(a.metricsJSON(), b.metricsJSON()) {
 		t.Fatal("faulted sharded runs diverge across identical seeds")
 	}
 	if a.FaultsApplied == 0 {
@@ -120,4 +122,22 @@ func TestShardScaleQuick(t *testing.T) {
 	if strings.Contains(joined, "0 cross-shard acquisitions") {
 		t.Fatalf("no cross-shard acquisitions exercised:\n%s", joined)
 	}
+}
+
+// metricsJSON renders every snapshot of the run — coordinator first, then
+// each shard — as one deterministic JSON document (byte-identical across
+// runs with equal seeds; the cross-substrate determinism tests diff it).
+func (r ShardedRunResult) metricsJSON() []byte {
+	var buf bytes.Buffer
+	app := func(label string, s *obs.Snapshot) {
+		fmt.Fprintf(&buf, "-- %s --\n", label)
+		if err := s.WriteJSON(&buf); err != nil {
+			fmt.Fprintf(&buf, "error: %v\n", err)
+		}
+	}
+	app("coordinator", r.Obs)
+	for s, snap := range r.ShardObs {
+		app(fmt.Sprintf("shard %d", s), snap)
+	}
+	return buf.Bytes()
 }

@@ -60,15 +60,6 @@ func (o Op) String() string {
 	}
 }
 
-// Canonicalize sorts shards ascending and drops duplicates — the canonical
-// acquisition order that makes cross-shard lock sets deadlock-free. The
-// input slice is not modified.
-func Canonicalize(shards []int) []int {
-	set := slices.Clone(shards)
-	slices.Sort(set)
-	return slices.Compact(set)
-}
-
 // Acq is one in-flight cross-shard acquisition: a client working through
 // its canonical lock set one shard at a time. The substrate drives it —
 // request Pending()'s shard on the level-1 instance, report the CS entry
@@ -80,25 +71,17 @@ type Acq struct {
 	next   int
 }
 
-// NewAcq returns an acquisition of the given shards (canonicalized) by
-// client.
-func NewAcq(client int, shards []int) *Acq {
-	return &Acq{client: client, set: Canonicalize(shards)}
-}
-
-// Reset turns a into the acquisition NewAcq(client, shards) would return,
-// canonicalizing into a's own set, so that a driver reusing one Acq per
-// client allocates only when a set outgrows every earlier one. shards is
-// not modified; slices returned by Set and Held before the call are
-// overwritten.
+// Reset turns a into a fresh acquisition of the given shards by client. It
+// canonicalizes them into a's own set: sorted ascending with duplicates
+// dropped, the canonical acquisition order that makes cross-shard lock sets
+// deadlock-free. A driver reusing one Acq per client so allocates only when
+// a set outgrows every earlier one. shards is not modified; slices returned
+// by Set and Held before the call are overwritten.
 func (a *Acq) Reset(client int, shards []int) {
 	set := append(a.set[:0], shards...)
 	slices.Sort(set)
 	a.client, a.set, a.next = client, slices.Compact(set), 0
 }
-
-// Client returns the acquiring client id.
-func (a *Acq) Client() int { return a.client }
 
 // Set returns the full canonical lock set.
 func (a *Acq) Set() []int { return a.set }

@@ -11,14 +11,23 @@ import (
 )
 
 func TestCanonicalize(t *testing.T) {
-	got := Canonicalize([]int{3, 1, 3, 0, 1})
-	if !slices.Equal(got, []int{0, 1, 3}) {
-		t.Fatalf("Canonicalize = %v, want [0 1 3]", got)
+	var a Acq
+	a.Reset(0, []int{3, 1, 3, 0, 1})
+	if !slices.Equal(a.Set(), []int{0, 1, 3}) {
+		t.Fatalf("canonical set = %v, want [0 1 3]", a.Set())
 	}
 }
 
+// newAcq is the reference acquisition Reset is held to: a new Acq by
+// client of a sorted, deduplicated copy of shards.
+func newAcq(client int, shards []int) *Acq {
+	set := slices.Clone(shards)
+	slices.Sort(set)
+	return &Acq{client: client, set: slices.Compact(set)}
+}
+
 func TestAcqAscendingOrder(t *testing.T) {
-	a := NewAcq(7, []int{2, 0, 2, 1})
+	a := newAcq(7, []int{2, 0, 2, 1})
 	want := []int{0, 1, 2}
 	for i, s := range want {
 		shard, ok := a.Pending()
@@ -41,7 +50,7 @@ func TestAcqAscendingOrder(t *testing.T) {
 }
 
 // TestAcqResetEqualsNewAcq: one Acq reused through Reset is, after every
-// reset, the acquisition NewAcq would build, over random shard lists with
+// reset, the acquisition newAcq builds, over random shard lists with
 // unsorted entries and duplicates, sets shorter than an earlier one, and
 // resets in the middle of an acquisition; and Reset leaves its input alone.
 func TestAcqResetEqualsNewAcq(t *testing.T) {
@@ -54,20 +63,20 @@ func TestAcqResetEqualsNewAcq(t *testing.T) {
 		}
 		input := slices.Clone(shards)
 		reused.Reset(i, shards)
-		fresh := NewAcq(i, shards)
+		fresh := newAcq(i, shards)
 		if !slices.Equal(shards, input) {
 			t.Fatalf("Reset modified its input: %v, was %v", shards, input)
 		}
 		for {
-			if reused.Client() != fresh.Client() || !slices.Equal(reused.Set(), fresh.Set()) ||
+			if reused.client != fresh.client || !slices.Equal(reused.Set(), fresh.Set()) ||
 				!slices.Equal(reused.Held(), fresh.Held()) || reused.Done() != fresh.Done() {
-				t.Fatalf("reset %d of %v: reused (client %d, set %v, held %v, done %v), NewAcq (client %d, set %v, held %v, done %v)",
-					i, input, reused.Client(), reused.Set(), reused.Held(), reused.Done(),
-					fresh.Client(), fresh.Set(), fresh.Held(), fresh.Done())
+				t.Fatalf("reset %d of %v: reused (client %d, set %v, held %v, done %v), newAcq (client %d, set %v, held %v, done %v)",
+					i, input, reused.client, reused.Set(), reused.Held(), reused.Done(),
+					fresh.client, fresh.Set(), fresh.Held(), fresh.Done())
 			}
 			shard, ok := fresh.Pending()
 			if got, gotOK := reused.Pending(); got != shard || gotOK != ok {
-				t.Fatalf("reset %d of %v: pending %d,%v, NewAcq %d,%v", i, input, got, gotOK, shard, ok)
+				t.Fatalf("reset %d of %v: pending %d,%v, newAcq %d,%v", i, input, got, gotOK, shard, ok)
 			}
 			if !ok || rng.Intn(4) == 0 { // sometimes reset mid-acquisition
 				break
@@ -83,7 +92,7 @@ func TestAcqResetEqualsNewAcq(t *testing.T) {
 }
 
 func TestAcqRejectsOutOfOrderGrant(t *testing.T) {
-	a := NewAcq(1, []int{0, 2})
+	a := newAcq(1, []int{0, 2})
 	if err := a.Grant(2); err == nil {
 		t.Fatal("out-of-order grant accepted")
 	}

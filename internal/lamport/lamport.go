@@ -317,11 +317,3 @@ func (nd *Node) Corrupt(c tme.Corruption) {
 		}
 	}
 }
-
-// QueueSnapshot returns a copy of request_queue.j, head first (for tests
-// and the gbcheck CLI).
-func (nd *Node) QueueSnapshot() []ltime.Timestamp {
-	out := make([]ltime.Timestamp, len(nd.queue))
-	copy(out, nd.queue)
-	return out
-}

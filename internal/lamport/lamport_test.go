@@ -42,7 +42,7 @@ func TestInitState(t *testing.T) {
 	if got := nd.REQ(); got.Clock != 0 || got.PID != 2 {
 		t.Errorf("initial REQ = %v, want 0.2", got)
 	}
-	if len(nd.QueueSnapshot()) != 0 {
+	if len(nd.queue) != 0 {
 		t.Error("init queue not empty")
 	}
 	for k := 0; k < 4; k++ {
@@ -58,7 +58,7 @@ func TestRequestEnqueuesOwnEntry(t *testing.T) {
 	if len(msgs) != 2 {
 		t.Fatalf("sent %d, want 2", len(msgs))
 	}
-	q := nd.QueueSnapshot()
+	q := nd.queue
 	if len(q) != 1 || q[0] != nd.REQ() {
 		t.Fatalf("queue = %v, want own request", q)
 	}
@@ -85,7 +85,7 @@ func TestSoloRound(t *testing.T) {
 	pump(t, nodes, rel)
 	// Releases must clear node 1's entry everywhere.
 	for _, nd := range nodes {
-		for _, q := range nd.QueueSnapshot() {
+		for _, q := range nd.queue {
 			if q.PID == 1 {
 				t.Errorf("node %d still queues 1's request", nd.ID())
 			}
@@ -140,7 +140,7 @@ func TestInsertKeepsOneEntryPerProcess(t *testing.T) {
 	// modification 1).
 	nd.Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 9, PID: 1}, From: 1, To: 0})
 	nd.Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 4, PID: 1}, From: 1, To: 0})
-	q := nd.QueueSnapshot()
+	q := nd.queue
 	if len(q) != 1 || q[0].Clock != 4 {
 		t.Fatalf("queue = %v, want single corrected entry 4.1", q)
 	}
@@ -151,7 +151,7 @@ func TestQueueSortedByTimestamp(t *testing.T) {
 	nd.Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 9, PID: 1}, From: 1, To: 0})
 	nd.Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 2, PID: 2}, From: 2, To: 0})
 	nd.Deliver(tme.Message{Kind: tme.Request, TS: ltime.Timestamp{Clock: 5, PID: 3}, From: 3, To: 0})
-	q := nd.QueueSnapshot()
+	q := nd.queue
 	for i := 1; i < len(q); i++ {
 		if q[i].Less(q[i-1]) {
 			t.Fatalf("queue out of order: %v", q)
@@ -246,7 +246,7 @@ func TestCorruptScrambleDeterministic(t *testing.T) {
 	a, b := New(0, 4), New(0, 4)
 	a.Corrupt(tme.Corruption{ScrambleInternal: true, Seed: 7})
 	b.Corrupt(tme.Corruption{ScrambleInternal: true, Seed: 7})
-	qa, qb := a.QueueSnapshot(), b.QueueSnapshot()
+	qa, qb := a.queue, b.queue
 	if len(qa) != len(qb) {
 		t.Fatal("scramble not deterministic (queue length)")
 	}

@@ -5,7 +5,7 @@
 //
 //   - layering: an import-DAG check encoding the graybox rule — wrappers
 //     and specs are designed from local everywhere specifications, never
-//     from protocol internals, so internal/wrapper and internal/(l)spec
+//     from protocol internals, so internal/wrapper and internal/lspec
 //     must not import the protocol implementations, protocols must not
 //     import the wrapper or simulator layers, and internal/obs stays a
 //     leaf. The rules live in a declarative table (Config.Layering).
@@ -108,7 +108,6 @@ func DefaultConfig() *Config {
 		Module: "github.com/graybox-stabilization/graybox",
 		Layering: []LayerRule{
 			{Scope: "internal/wrapper", Deny: protocols, Reason: specSide},
-			{Scope: "internal/spec", Deny: protocols, Reason: specSide},
 			{Scope: "internal/lspec", Deny: protocols, Reason: specSide},
 			{Scope: "internal/hme", Deny: append([]string{
 				"internal/wrapper", "internal/sim", "internal/runtime", "internal/harness",
@@ -123,32 +122,32 @@ func DefaultConfig() *Config {
 				Reason: "seeded is the one stream constructor every layer draws from, so it may depend on nothing in-module"},
 			{Scope: "internal/engine", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
-				"internal/wrapper", "internal/spec", "internal/lspec",
+				"internal/wrapper", "internal/lspec",
 				"internal/sim", "internal/fault", "internal/harness",
 			}, Reason: "the event engine is protocol-agnostic: substrates build on it, never the reverse"},
 			{Scope: "internal/wire", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
-				"internal/wrapper", "internal/spec", "internal/lspec",
+				"internal/wrapper", "internal/lspec",
 				"internal/sim", "internal/runtime", "internal/harness",
 			}, Reason: "the wire layer moves opaque TME frames: it may build on engine/fault/obs but never on protocols, wrappers, specs, or its own consumers"},
 			{Scope: "internal/workload", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
-				"internal/wrapper", "internal/spec", "internal/lspec",
+				"internal/wrapper", "internal/lspec",
 				"internal/sim", "internal/runtime", "internal/harness",
 				"internal/fault", "internal/wire", "internal/scenario", "internal/channel",
 			}, Reason: "workload owns the seeded draw streams and the one client (Driver) that consumes them, both substrate-blind: engine/obs/tme at most, so every substrate replays the same schedule under the same client decisions"},
 			{Scope: "internal/scenario", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
-				"internal/wrapper", "internal/spec", "internal/lspec",
+				"internal/wrapper", "internal/lspec",
 				"internal/sim", "internal/runtime", "internal/harness",
 			}, Reason: "scenarios compile onto workload/fault/wire/engine/obs primitives; they must not reach into substrates or protocols (the harness adapts, never the reverse)"},
 			{Scope: "internal/twin", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
-				"internal/wrapper", "internal/spec", "internal/lspec", "internal/tme",
+				"internal/wrapper", "internal/lspec", "internal/tme",
 				"internal/sim", "internal/runtime", "internal/harness", "internal/hme",
 				"internal/fault", "internal/wire", "internal/scenario", "internal/channel",
 				"internal/engine", "internal/ltime",
-			}, Reason: "the analytical twin is closed-form arithmetic over published parameters: workload specs in, obs snapshots out — the moment it imports a substrate or protocol it stops being an independent prediction and starts being a second simulator"},
+			}, Reason: "the analytical twin is closed-form arithmetic over published parameters: workload specs in, predictions out — the moment it imports a substrate or protocol it stops being an independent prediction and starts being a second simulator"},
 		},
 		DetScope: []string{
 			"internal/sim", "internal/runtime", "internal/harness",

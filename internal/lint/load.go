@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -33,26 +32,6 @@ type Package struct {
 	Info  *types.Info
 	// TypeErrors collects type-checker complaints, informational only.
 	TypeErrors []error
-}
-
-// LoadDir parses and type-checks the non-test .go files of one directory
-// as the package importPath. exports maps import paths to export-data
-// files (see Exports); imports without an entry leave partial type info.
-func LoadDir(fset *token.FileSet, dir, importPath string, exports map[string]string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		names = append(names, filepath.Join(dir, n))
-	}
-	sort.Strings(names)
-	return loadFiles(fset, importPath, names, exports)
 }
 
 func loadFiles(fset *token.FileSet, importPath string, fileNames []string, exports map[string]string) (*Package, error) {

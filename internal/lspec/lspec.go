@@ -25,14 +25,31 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/sim"
-	"github.com/graybox-stabilization/graybox/internal/spec"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
+
+// Violation describes where in the observed computation a clause failed.
+type Violation struct {
+	// Op names the operator that failed ("invariant", "unless",
+	// "timestamp", "request", "ME3").
+	Op string
+	// Index is the observation the failure is reported at: for an
+	// invariant the state judged; for a transition clause the state whose
+	// successor broke it.
+	Index int
+	// Detail is a human-readable elaboration naming the clause.
+	Detail string
+}
+
+// Error implements error.
+func (v *Violation) Error() string {
+	return fmt.Sprintf("%s violated at trace index %d: %s", v.Op, v.Index, v.Detail)
+}
 
 // TimedViolation is a spec violation stamped with virtual time.
 type TimedViolation struct {
 	Time int64
-	V    *spec.Violation
+	V    *Violation
 }
 
 func (t TimedViolation) String() string {
@@ -51,8 +68,8 @@ func (t TimedViolation) String() string {
 // read from counts of invalid and eating processes that the steps keep, and
 // invariant I re-checks only the pairs that read the one process that moved
 // when it held before. The verdicts are exactly those of judging every
-// clause on every state: the clauses written one spec operator each are
-// the test oracle this check is held to.
+// clause on every state: the clauses written one temporal operator each
+// are the test oracle this check is held to.
 type Monitors struct {
 	// procs[j] is what the check keeps of process j.
 	procs []proc
@@ -351,7 +368,7 @@ func (m *Monitors) report(t int64, now int, broke uint8) {
 // violate records one safety violation at trace index i: the state judged
 // for an invariant, the state whose successor broke a transition clause.
 func (m *Monitors) violate(t int64, op string, i int, detail string) {
-	tv := TimedViolation{Time: t, V: &spec.Violation{Op: op, Index: i, Detail: detail}}
+	tv := TimedViolation{Time: t, V: &Violation{Op: op, Index: i, Detail: detail}}
 	m.violations = append(m.violations, tv)
 	m.record(tv)
 }
@@ -373,7 +390,7 @@ func (m *Monitors) checkFCFS(g sim.GlobalState, now int) {
 			if g.Nodes[k].Local[j] == reqJ && reqJ.Less(g.Nodes[k].REQ) {
 				tv := TimedViolation{
 					Time: g.Time,
-					V: &spec.Violation{
+					V: &Violation{
 						Op:    "ME3",
 						Index: now,
 						Detail: fmt.Sprintf("process %d entered knowing %d's earlier request %s < %s",

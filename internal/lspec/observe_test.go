@@ -20,8 +20,8 @@ func TestQuiescentObservationAllocatesNothing(t *testing.T) {
 	m := New(5)
 	observe := m.AsObserver()
 	s.Run(10)
-	if n := s.Core().Pending(); n != 0 {
-		t.Fatalf("a quiescent wrapped simulation has %d pending events, want 0", n)
+	if at, ok := s.Core().NextEventTime(); ok {
+		t.Fatalf("a quiescent wrapped simulation has an event pending at t=%d, want none", at)
 	}
 	observe(s) // the first observation reads every process
 	before := m.obs

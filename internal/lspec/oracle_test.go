@@ -9,19 +9,18 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/sim"
-	"github.com/graybox-stabilization/graybox/internal/spec"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
-// oracle is Lspec and TME_Spec as the paper states them, one spec operator
-// per clause, judged in a plain spec.Suite on every observation. Monitors
-// must report exactly what it reports.
+// oracle is Lspec and TME_Spec as the paper states them, one temporal
+// operator per clause (temporal_test.go), judged in a plain suite on every
+// observation. Monitors must report exactly what it reports.
 type oracle struct {
-	suite *spec.Suite[sim.GlobalState]
+	suite suite[sim.GlobalState]
 	// me2, csTransient and replyPending are the liveness clauses, whose
 	// open obligations are read at the end of a run.
-	me2, csTransient, replyPending []*spec.LeadsToMonitor[sim.GlobalState]
+	me2, csTransient, replyPending []*leadsToMonitor[sim.GlobalState]
 
 	violations, fcfs []TimedViolation
 	prevPhases       []tme.Phase
@@ -31,10 +30,10 @@ type oracle struct {
 // newOracle registers the clauses for an n-process system; their order is
 // the order violations of one observation are reported in.
 func newOracle(n int) *oracle {
-	o := &oracle{suite: spec.NewSuite[sim.GlobalState]()}
+	o := &oracle{}
 
 	// Structural Spec: every phase is exactly one of {t,h,e}.
-	o.suite.Add(spec.NewInvariant("structural", func(g sim.GlobalState) bool {
+	o.suite.add(newInvariant("structural", func(g sim.GlobalState) bool {
 		for _, s := range g.Nodes {
 			if !s.Phase.Valid() {
 				return false
@@ -43,32 +42,32 @@ func newOracle(n int) *oracle {
 		return true
 	}))
 	// ME1 (TME_Spec): at most one process eats.
-	o.suite.Add(spec.NewInvariant("ME1", func(g sim.GlobalState) bool { return g.NumEating() <= 1 }))
+	o.suite.add(newInvariant("ME1", func(g sim.GlobalState) bool { return g.NumEating() <= 1 }))
 	// Invariant I of Theorem A.1: local copies never lead the truth.
-	o.suite.Add(spec.NewInvariant("invariant-I", InvariantI))
+	o.suite.add(newInvariant("invariant-I", InvariantI))
 
 	// Timestamp Spec: ts.j never decreases.
 	for j := 0; j < n; j++ {
-		o.suite.Add(&monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j})
+		o.suite.add(&monotoneTS{name: fmt.Sprintf("timestamp.%d", j), j: j})
 	}
 	// Flow Spec: t unless h, h unless e, e unless t.
 	for j := 0; j < n; j++ {
 		j := j
-		phaseIs := func(p tme.Phase) spec.Predicate[sim.GlobalState] {
+		phaseIs := func(p tme.Phase) predicate[sim.GlobalState] {
 			return func(g sim.GlobalState) bool { return g.Nodes[j].Phase == p }
 		}
-		o.suite.Add(spec.NewUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)))
-		o.suite.Add(spec.NewUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)))
-		o.suite.Add(spec.NewUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)))
+		o.suite.add(newUnless(fmt.Sprintf("flow.t.%d", j), phaseIs(tme.Thinking), phaseIs(tme.Hungry)))
+		o.suite.add(newUnless(fmt.Sprintf("flow.h.%d", j), phaseIs(tme.Hungry), phaseIs(tme.Eating)))
+		o.suite.add(newUnless(fmt.Sprintf("flow.e.%d", j), phaseIs(tme.Eating), phaseIs(tme.Thinking)))
 	}
 	// Request Spec (safety half): while hungry, REQ_j is unchanged.
 	for j := 0; j < n; j++ {
-		o.suite.Add(&stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j})
+		o.suite.add(&stableREQ{name: fmt.Sprintf("request.req-stable.%d", j), j: j})
 	}
 	// CS Release Spec: while thinking, REQ_j equals ts.j.
 	for j := 0; j < n; j++ {
 		j := j
-		o.suite.Add(spec.NewInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j), func(g sim.GlobalState) bool {
+		o.suite.add(newInvariant(fmt.Sprintf("release.req-tracks-ts.%d", j), func(g sim.GlobalState) bool {
 			s := &g.Nodes[j]
 			return s.Phase != tme.Thinking || !s.HasTS || s.REQ == s.TS
 		}))
@@ -76,19 +75,19 @@ func newOracle(n int) *oracle {
 	// CS Spec (liveness): e.j ↦ ¬e.j.
 	for j := 0; j < n; j++ {
 		j := j
-		lt := spec.NewLeadsToNot(fmt.Sprintf("cs-transient.%d", j),
+		lt := newLeadsToNot(fmt.Sprintf("cs-transient.%d", j),
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
 		o.csTransient = append(o.csTransient, lt)
-		o.suite.Add(lt)
+		o.suite.add(lt)
 	}
 	// ME2 (liveness): h.j ↦ e.j.
 	for j := 0; j < n; j++ {
 		j := j
-		lt := spec.NewLeadsTo(fmt.Sprintf("ME2.%d", j),
+		lt := newLeadsTo(fmt.Sprintf("ME2.%d", j),
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Hungry },
 			func(g sim.GlobalState) bool { return g.Nodes[j].Phase == tme.Eating })
 		o.me2 = append(o.me2, lt)
-		o.suite.Add(lt)
+		o.suite.add(lt)
 	}
 	// Reply Spec (liveness): received(j.REQ_k) ∧ j.REQ_k lt REQ_j — a
 	// pending request earlier than ours — is eventually discharged.
@@ -98,12 +97,12 @@ func newOracle(n int) *oracle {
 				continue
 			}
 			j, k := j, k
-			lt := spec.NewLeadsToNot(fmt.Sprintf("reply.%d.%d", j, k), func(g sim.GlobalState) bool {
+			lt := newLeadsToNot(fmt.Sprintf("reply.%d.%d", j, k), func(g sim.GlobalState) bool {
 				s := &g.Nodes[j]
 				return s.Received[k] && s.Local[k].Less(s.REQ)
 			})
 			o.replyPending = append(o.replyPending, lt)
-			o.suite.Add(lt)
+			o.suite.add(lt)
 		}
 	}
 	return o
@@ -111,9 +110,9 @@ func newOracle(n int) *oracle {
 
 // Observe judges every clause, and the FCFS detector, on g.
 func (o *oracle) Observe(g sim.GlobalState) {
-	before := len(o.suite.Violations())
-	o.suite.Observe(g)
-	for _, v := range o.suite.Violations()[before:] {
+	before := len(o.suite.violations)
+	o.suite.observe(g)
+	for _, v := range o.suite.violations[before:] {
 		o.violations = append(o.violations, TimedViolation{Time: g.Time, V: v})
 	}
 	if o.prevPhases != nil {
@@ -124,7 +123,7 @@ func (o *oracle) Observe(g sim.GlobalState) {
 			for j := range g.Nodes {
 				reqJ := g.Nodes[j].REQ
 				if j != k && g.Nodes[j].Phase == tme.Hungry && g.Nodes[k].Local[j] == reqJ && reqJ.Less(g.Nodes[k].REQ) {
-					o.fcfs = append(o.fcfs, TimedViolation{Time: g.Time, V: &spec.Violation{
+					o.fcfs = append(o.fcfs, TimedViolation{Time: g.Time, V: &Violation{
 						Op: "ME3", Index: o.obs,
 						Detail: fmt.Sprintf("process %d entered knowing %d's earlier request %s < %s",
 							k, j, reqJ, g.Nodes[k].REQ),
@@ -154,7 +153,7 @@ func (o *oracle) asObserver() sim.Observer {
 }
 
 // open lists the ids of the liveness monitors with an open obligation.
-func open(lts []*spec.LeadsToMonitor[sim.GlobalState]) []int {
+func open(lts []*leadsToMonitor[sim.GlobalState]) []int {
 	var out []int
 	for j, lt := range lts {
 		if lt.Pending() > 0 {
@@ -180,16 +179,13 @@ type monotoneTS struct {
 	lastHasTS bool
 }
 
-func (mt *monotoneTS) Name() string { return mt.name }
-func (mt *monotoneTS) Pending() int { return 0 }
-
-func (mt *monotoneTS) Observe(g sim.GlobalState) *spec.Violation {
+func (mt *monotoneTS) Observe(g sim.GlobalState) *Violation {
 	cur := &g.Nodes[mt.j]
 	idx, prevTS, prevHas := mt.idx, mt.lastTS, mt.lastHasTS
 	mt.idx++
 	mt.lastTS, mt.lastHasTS = cur.TS, cur.HasTS
 	if idx > 0 && prevHas && cur.HasTS && cur.TS.Less(prevTS) {
-		return &spec.Violation{Op: "timestamp", Index: idx - 1, Detail: fmt.Sprintf(
+		return &Violation{Op: "timestamp", Index: idx - 1, Detail: fmt.Sprintf(
 			"%s: ts regressed from %s to %s", mt.name, prevTS, cur.TS)}
 	}
 	return nil
@@ -204,16 +200,13 @@ type stableREQ struct {
 	lastREQ   ltime.Timestamp
 }
 
-func (sr *stableREQ) Name() string { return sr.name }
-func (sr *stableREQ) Pending() int { return 0 }
-
-func (sr *stableREQ) Observe(g sim.GlobalState) *spec.Violation {
+func (sr *stableREQ) Observe(g sim.GlobalState) *Violation {
 	cur := &g.Nodes[sr.j]
 	idx, prevPhase, prevREQ := sr.idx, sr.lastPhase, sr.lastREQ
 	sr.idx++
 	sr.lastPhase, sr.lastREQ = cur.Phase, cur.REQ
 	if idx > 0 && prevPhase == tme.Hungry && cur.Phase == tme.Hungry && prevREQ != cur.REQ {
-		return &spec.Violation{Op: "request", Index: idx - 1, Detail: fmt.Sprintf(
+		return &Violation{Op: "request", Index: idx - 1, Detail: fmt.Sprintf(
 			"%s: REQ changed from %s to %s while hungry", sr.name, prevREQ, cur.REQ)}
 	}
 	return nil

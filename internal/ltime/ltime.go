@@ -11,7 +11,6 @@
 package ltime
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -65,22 +64,6 @@ func (t Timestamp) String() string {
 	return b.String()
 }
 
-// Max returns the later of t and u under lt.
-func Max(t, u Timestamp) Timestamp {
-	if t.Less(u) {
-		return u
-	}
-	return t
-}
-
-// Min returns the earlier of t and u under lt.
-func Min(t, u Timestamp) Timestamp {
-	if u.Less(t) {
-		return u
-	}
-	return t
-}
-
 // Clock is a Lamport logical clock for one process. It produces timestamps
 // that satisfy the Timestamp Spec: totally ordered and consistent with
 // happened-before. The zero value is not usable; construct with NewClock.
@@ -96,9 +79,6 @@ type Clock struct {
 func NewClock(pid int) *Clock {
 	return &Clock{pid: pid}
 }
-
-// PID returns the owning process id.
-func (c *Clock) PID() int { return c.pid }
 
 // Now returns the timestamp of the most recent event at this process without
 // advancing the clock (the paper's ts.j).
@@ -131,12 +111,3 @@ func (c *Clock) Observe(ts Timestamp) Timestamp {
 func (c *Clock) Corrupt(val uint64) {
 	c.val = val
 }
-
-// Value exposes the raw scalar clock, for snapshots and tests.
-func (c *Clock) Value() uint64 { return c.val }
-
-// SetValue restores a raw scalar clock value (used when recovering a
-// checkpointed process or applying improper-initialization faults).
-func (c *Clock) SetValue(v uint64) { c.val = v }
-
-var _ fmt.Stringer = Timestamp{}

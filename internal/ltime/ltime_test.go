@@ -66,20 +66,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestMaxMin(t *testing.T) {
-	a := Timestamp{Clock: 2, PID: 9}
-	b := Timestamp{Clock: 3, PID: 0}
-	if got := Max(a, b); got != b {
-		t.Errorf("Max = %v, want %v", got, b)
-	}
-	if got := Min(a, b); got != a {
-		t.Errorf("Min = %v, want %v", got, a)
-	}
-	if got := Max(a, a); got != a {
-		t.Errorf("Max(a,a) = %v, want %v", got, a)
-	}
-}
-
 func TestLessEq(t *testing.T) {
 	a := Timestamp{Clock: 1, PID: 1}
 	if !a.LessEq(a) {
@@ -167,8 +153,8 @@ func TestClockCorruptAndRecover(t *testing.T) {
 	c := NewClock(2)
 	c.Tick()
 	c.Corrupt(999)
-	if c.Value() != 999 {
-		t.Fatalf("Corrupt: value = %d, want 999", c.Value())
+	if c.Now().Clock != 999 {
+		t.Fatalf("Corrupt: value = %d, want 999", c.Now().Clock)
 	}
 	// After corruption, ticks still strictly increase from the corrupted
 	// value — the Timestamp Spec is everywhere-implementable.
@@ -176,9 +162,9 @@ func TestClockCorruptAndRecover(t *testing.T) {
 	if ts.Clock != 1000 {
 		t.Errorf("post-corruption tick = %d, want 1000", ts.Clock)
 	}
-	c.SetValue(5)
+	c.Corrupt(5)
 	if c.Now().Clock != 5 {
-		t.Errorf("SetValue: now = %d, want 5", c.Now().Clock)
+		t.Errorf("Corrupt: now = %d, want 5", c.Now().Clock)
 	}
 }
 

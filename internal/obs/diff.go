@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // MetricDiff is one metric's comparison between two snapshots: the two
@@ -70,17 +69,6 @@ func AllWithin(diffs []MetricDiff) bool {
 		}
 	}
 	return true
-}
-
-// FormatDiffs renders a diff list one row per line (empty string for an
-// empty list).
-func FormatDiffs(diffs []MetricDiff) string {
-	var b strings.Builder
-	for _, d := range diffs {
-		b.WriteString(d.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // metricValue reads name from the snapshot, preferring the counter

@@ -41,8 +41,7 @@ func TestDiffSnapshots(t *testing.T) {
 	if AllWithin(diffs[1:]) != true {
 		t.Error("AllWithin should pass on the conforming tail")
 	}
-	out := FormatDiffs(diffs)
-	if !strings.Contains(out, "DIVERGED") || !strings.Contains(out, "entries") {
+	if out := diffs[0].String() + diffs[1].String(); !strings.Contains(out, "DIVERGED") || !strings.Contains(out, "entries") {
 		t.Errorf("formatted diffs missing verdicts:\n%s", out)
 	}
 }

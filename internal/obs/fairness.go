@@ -107,19 +107,6 @@ func (f *Fairness) Publish() {
 	}
 }
 
-// EntryCounts returns a copy of the per-client entry counts (nil on a nil
-// receiver).
-func (f *Fairness) EntryCounts() []int64 {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]int64, len(f.counts))
-	copy(out, f.counts)
-	return out
-}
-
 // quantile reads the q-th quantile from an ascending-sorted slice.
 func quantile(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {

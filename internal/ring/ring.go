@@ -51,7 +51,7 @@ type Token struct {
 }
 
 // View is the graybox window into one ring process: exactly the TCspec
-// variables. Wrappers and monitors receive a View, never a concrete node.
+// variables. Wrappers receive a View, never a concrete node.
 type View interface {
 	// ID returns the process id.
 	ID() int
@@ -190,13 +190,6 @@ func (l *Lazy) Holding() bool { return l.holding }
 
 // Seq returns seq_i.
 func (l *Lazy) Seq() uint64 { return l.seq }
-
-// Request queues one client CS request at this process.
-func (l *Lazy) Request() { l.pending++ }
-
-// Pending returns the queued request count (implementation detail, used by
-// tests and workloads — not part of View).
-func (l *Lazy) Pending() int { return l.pending }
 
 // Accept implements Accept Spec.
 func (l *Lazy) Accept(t Token) bool {

@@ -70,8 +70,7 @@ func TestLazyForwardsImmediatelyWhenIdle(t *testing.T) {
 
 func TestLazyServesPendingThenForwards(t *testing.T) {
 	l := NewLazy(0, 3, 10, 2)
-	l.Request()
-	l.Request()
+	l.pending = 2 // two queued client requests
 	l.Accept(Token{Seq: 1})
 	forwarded := false
 	for i := 0; i < 10 && !forwarded; i++ {
@@ -80,14 +79,14 @@ func TestLazyServesPendingThenForwards(t *testing.T) {
 	if !forwarded {
 		t.Fatal("budget did not force a forward")
 	}
-	if l.Pending() != 0 {
-		t.Errorf("pending = %d after serving window, want 0", l.Pending())
+	if l.pending != 0 {
+		t.Errorf("pending = %d after serving window, want 0", l.pending)
 	}
 }
 
 func TestLazyBudgetBoundsHold(t *testing.T) {
 	l := NewLazy(0, 3, 4, 100) // service longer than budget
-	l.Request()
+	l.pending = 1
 	l.Accept(Token{Seq: 1})
 	forwardedAt := -1
 	for i := 1; i <= 10; i++ {

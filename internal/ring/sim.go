@@ -15,9 +15,12 @@ const (
 	// kindDeliver pops the head of link a→b into node b.
 	kindDeliver uint8 = iota + 1
 	// kindTick advances the per-tick machinery: node forwarding, the
-	// regenerator wrapper, dead-tick accounting, the observer.
+	// regenerator wrapper, dead-tick accounting.
 	kindTick
 )
+
+// Per-hop link delay bounds, in ticks.
+const minDelay, maxDelay = 1, 3
 
 // SimConfig parameterizes a ring simulation.
 type SimConfig struct {
@@ -27,8 +30,6 @@ type SimConfig struct {
 	Seed int64
 	// NewNode constructs each process (required); see NewEager, NewLazy.
 	NewNode func(id, n int) Node
-	// MinDelay/MaxDelay bound per-hop link delay in ticks. Defaults 1/3.
-	MinDelay, MaxDelay int64
 	// WrapperDelta, when > 0, attaches the Regenerator wrapper to
 	// process 0 with that timeout.
 	WrapperDelta int
@@ -54,16 +55,15 @@ type Metrics struct {
 // delays, and the per-tick machinery (forwarding, the wrapper, dead-tick
 // accounting) is a recurring tick event. Construct with NewSim.
 type Sim struct {
-	cfg      SimConfig
-	core     *engine.Core
-	mesh     *engine.Mesh[Token]
-	forge    seeded.Stream // ForgeHolders' picks (forgeStream)
-	nodes    []Node
-	eps      []channel.Endpoint // the n ring links i → (i+1) mod n
-	wrapper  *Regenerator
-	metrics  Metrics
-	ins      ringInstruments
-	observer func(*Sim)
+	cfg     SimConfig
+	core    *engine.Core
+	mesh    *engine.Mesh[Token]
+	forge   seeded.Stream // ForgeHolders' picks (forgeStream)
+	nodes   []Node
+	eps     []channel.Endpoint // the n ring links i → (i+1) mod n
+	wrapper *Regenerator
+	metrics Metrics
+	ins     ringInstruments
 }
 
 // ringInstruments mirrors Metrics into an obs registry; all fields are nil
@@ -100,17 +100,11 @@ func NewSim(cfg SimConfig) *Sim {
 	if cfg.N < 2 || cfg.NewNode == nil {
 		panic("ring: SimConfig.N ≥ 2 and NewNode are required")
 	}
-	if cfg.MinDelay == 0 && cfg.MaxDelay == 0 {
-		cfg.MinDelay, cfg.MaxDelay = 1, 3
-	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = cfg.MinDelay
-	}
 	core := engine.New(cfg.Seed)
 	s := &Sim{
 		cfg:   cfg,
 		core:  core,
-		mesh:  engine.NewMesh[Token](core, cfg.N, cfg.MinDelay, cfg.MaxDelay, kindDeliver),
+		mesh:  engine.NewMesh[Token](core, cfg.N, minDelay, maxDelay, kindDeliver),
 		nodes: make([]Node, cfg.N),
 		eps:   make([]channel.Endpoint, cfg.N),
 		metrics: Metrics{
@@ -148,9 +142,6 @@ func (s *Sim) Node(i int) Node { return s.nodes[i] }
 // Metrics returns the accumulated counters.
 func (s *Sim) Metrics() *Metrics { return &s.metrics }
 
-// Wrapper returns the attached Regenerator (nil when unwrapped).
-func (s *Sim) Wrapper() *Regenerator { return s.wrapper }
-
 // send puts a token on link i with a sampled delay.
 func (s *Sim) send(i int, t Token) {
 	dst := (i + 1) % s.cfg.N
@@ -183,7 +174,7 @@ func (s *Sim) deliver(src, dst int) {
 }
 
 // tick runs the per-tick machinery: node forwarding in index order, the
-// wrapper at process 0, dead-tick accounting, and the observer. It re-arms
+// wrapper at process 0, and dead-tick accounting. It re-arms
 // the next tick last, so deliveries at t+1 outrank it in seq order.
 func (s *Sim) tick() {
 	now := s.Now()
@@ -211,9 +202,6 @@ func (s *Sim) tick() {
 		s.ins.deadTicks.Inc()
 	}
 	s.ins.time.Set(now)
-	if s.observer != nil {
-		s.observer(s)
-	}
 	s.core.Schedule(1, kindTick, 0, 0)
 }
 

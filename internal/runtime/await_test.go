@@ -40,11 +40,11 @@ func TestAwaitPhaseChangeReturnsOnEntry(t *testing.T) {
 	defer c.Stop()
 	stop := watchdog(t)
 	for round := 0; round < 20; round++ {
-		c.Request(0)
+		c.RequestShard(0, 0)
 		if ph, ok := c.AwaitPhaseChangeShard(stop, 0, 0, tme.Hungry); !ok || ph != tme.Eating {
 			t.Fatalf("round %d: wait from Hungry = (%v, %v), want (Eating, true)", round, ph, ok)
 		}
-		c.Release(0)
+		c.ReleaseShard(0, 0)
 		if ph, ok := c.AwaitPhaseChangeShard(stop, 0, 0, tme.Eating); !ok || ph != tme.Thinking {
 			t.Fatalf("round %d: wait from Eating = (%v, %v), want (Thinking, true)", round, ph, ok)
 		}
@@ -115,25 +115,25 @@ func TestAwaitPhaseChangeSeesCorruption(t *testing.T) {
 	defer c.Stop()
 
 	forged := awaitAsync(c, nil, 0, tme.Thinking)
-	c.Corrupt(0, tme.Corruption{Phase: tme.Eating})
+	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Eating})
 	expectResult(t, forged, awaitResult{tme.Eating, true})
-	c.Release(0)
+	c.ReleaseShard(0, 0)
 
 	// Process 1 holds the CS, so process 0's request stays Hungry until a
 	// fault wipes it back to Thinking.
 	stop := watchdog(t)
-	c.Request(1)
+	c.RequestShard(0, 1)
 	if ph, ok := c.AwaitPhaseChangeShard(stop, 0, 1, tme.Hungry); !ok || ph != tme.Eating {
 		t.Fatalf("process 1 never entered: (%v, %v)", ph, ok)
 	}
-	c.Request(0)
+	c.RequestShard(0, 0)
 	wiped := awaitAsync(c, nil, 0, tme.Hungry)
 	select {
 	case r := <-wiped:
 		t.Fatalf("process 0 left Hungry (%+v) while process 1 eats", r)
 	case <-time.After(20 * time.Millisecond):
 	}
-	c.Corrupt(0, tme.Corruption{Phase: tme.Thinking})
+	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Thinking})
 	expectResult(t, wiped, awaitResult{tme.Thinking, true})
 }
 

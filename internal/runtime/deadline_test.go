@@ -95,11 +95,11 @@ func TestWrapperDeadlineMeetsTheorem8(t *testing.T) {
 	defer c.Stop()
 
 	t0 := time.Now()
-	c.Request(0)
+	c.RequestShard(0, 0)
 	if ph, ok := c.AwaitPhaseChangeShard(watchdog(t), 0, 0, tme.Hungry); !ok || ph != tme.Eating {
 		t.Fatalf("process 0 left Hungry as (%v, %v), want (Eating, true)", ph, ok)
 	}
-	c.Release(0)
+	c.ReleaseShard(0, 0)
 	time.Sleep(2 * delta) // every process thinks: an armed W' stays silent
 	c.Stop()              // event loops joined: the audits are final
 

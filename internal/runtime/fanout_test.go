@@ -113,7 +113,7 @@ func TestFanOutSurvivesConcurrentDeliverAndFire(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
-	c.Request(0) // returns once the client has routed the whole fan-out
+	c.RequestShard(0, 0) // returns once the client has routed the whole fan-out
 
 	req := ltime.Timestamp{Clock: 1, PID: 0}
 	var want []tme.Message

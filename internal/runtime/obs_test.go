@@ -33,7 +33,7 @@ func TestClusterPublishesObs(t *testing.T) {
 	log := collectEntries(c)
 	c.Start()
 	for i := 0; i < 3; i++ {
-		c.Request(i)
+		c.RequestShard(0, i)
 	}
 	served := map[int]bool{}
 	deadline := time.Now().Add(20 * time.Second)
@@ -41,7 +41,7 @@ func TestClusterPublishesObs(t *testing.T) {
 		for _, e := range log.all() {
 			if !served[e.ID] {
 				served[e.ID] = true
-				c.Release(e.ID)
+				c.ReleaseShard(0, e.ID)
 			}
 		}
 		time.Sleep(time.Millisecond)
@@ -84,7 +84,7 @@ func TestClusterNilObsSafe(t *testing.T) {
 	}
 	log := collectEntries(c)
 	c.Start()
-	c.Request(0)
+	c.RequestShard(0, 0)
 	entered := waitFor(t, 5*time.Second, func() bool { return len(log.all()) > 0 })
 	c.Stop()
 	if !entered {

@@ -474,10 +474,6 @@ func (c *Cluster) procAt(shard, id int) *proc {
 	return c.procs[shard][id]
 }
 
-// Request asks process id to request the CS on shard 0 (no-op unless
-// thinking, or when id is not hosted locally).
-func (c *Cluster) Request(id int) { c.RequestShard(0, id) }
-
 // RequestShard asks process id to request the CS of the given shard. One
 // caller per (shard, id), as for AwaitPhaseChangeShard: harness.RunLiveClient
 // is that pair's client goroutine, and it issues RequestShard and
@@ -512,10 +508,6 @@ func (c *Cluster) RequestShard(shard, id int) {
 	}
 }
 
-// Release asks process id to release the CS on shard 0 (no-op unless
-// eating, or when id is not hosted locally).
-func (c *Cluster) Release(id int) { c.ReleaseShard(0, id) }
-
 // ReleaseShard asks process id to release the CS of the given shard. One
 // caller per (shard, id); see RequestShard for why its result may be routed
 // outside p.mu.
@@ -531,10 +523,6 @@ func (c *Cluster) ReleaseShard(shard, id int) {
 	p.mu.Unlock()
 	c.route(shard, out)
 }
-
-// Phase returns process id's current phase on shard 0 (the zero Phase when
-// id is not hosted locally).
-func (c *Cluster) Phase(id int) tme.Phase { return c.PhaseShard(0, id) }
 
 // PhaseShard returns process id's current phase on the given shard.
 func (c *Cluster) PhaseShard(shard, id int) tme.Phase {
@@ -577,10 +565,6 @@ func (c *Cluster) AwaitPhaseChangeShard(stop <-chan struct{}, shard, id int, fro
 	}
 }
 
-// Snapshot returns process id's spec-level state on shard 0 (zero value
-// when id is not hosted locally).
-func (c *Cluster) Snapshot(id int) tme.SpecState { return c.SnapshotShard(0, id) }
-
 // SnapshotShard returns process id's spec-level state on the given shard.
 func (c *Cluster) SnapshotShard(shard, id int) tme.SpecState {
 	p := c.procAt(shard, id)
@@ -591,10 +575,6 @@ func (c *Cluster) SnapshotShard(shard, id int) tme.SpecState {
 	defer p.mu.Unlock()
 	return tme.Snapshot(p.node)
 }
-
-// Corrupt applies a transient state corruption to process id on shard 0
-// (fault injection for demos and tests).
-func (c *Cluster) Corrupt(id int, corr tme.Corruption) { c.CorruptShard(0, id, corr) }
 
 // CorruptShard applies a transient state corruption to process id on the
 // given shard, then the level-1 wrapper: a quiescent process has no other
@@ -613,9 +593,6 @@ func (c *Cluster) CorruptShard(shard, id int, corr tme.Corruption) {
 		p.notePhase(before)
 	}
 }
-
-// N returns the number of processes.
-func (c *Cluster) N() int { return c.cfg.N }
 
 // Shards returns the number of protocol instances per process.
 func (c *Cluster) Shards() int { return c.cfg.Shards }

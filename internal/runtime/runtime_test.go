@@ -113,15 +113,15 @@ func TestClusterSoloRound(t *testing.T) {
 	log := collectEntries(c)
 	c.Start()
 	defer c.Stop()
-	c.Request(0)
+	c.RequestShard(0, 0)
 	if !waitFor(t, 5*time.Second, func() bool { return len(log.all()) == 1 }) {
 		t.Fatal("node 0 never entered")
 	}
-	if got := log.all(); got[0].ID != 0 || got[0].Seq != 0 || c.Phase(0) != tme.Eating {
-		t.Fatalf("entries = %v, phase = %v", got, c.Phase(0))
+	if got := log.all(); got[0].ID != 0 || got[0].Seq != 0 || c.PhaseShard(0, 0) != tme.Eating {
+		t.Fatalf("entries = %v, phase = %v", got, c.PhaseShard(0, 0))
 	}
-	c.Release(0)
-	if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Thinking }) {
+	c.ReleaseShard(0, 0)
+	if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Thinking }) {
 		t.Fatal("node 0 never released")
 	}
 }
@@ -145,7 +145,7 @@ func TestClusterMutualExclusionUnderContention(t *testing.T) {
 	seen := 0
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < n; i++ {
-			c.Request(i)
+			c.RequestShard(0, i)
 		}
 		for i := 0; i < n; i++ {
 			select {
@@ -158,14 +158,14 @@ func TestClusterMutualExclusionUnderContention(t *testing.T) {
 				// only eating process right now.
 				eating := 0
 				for j := 0; j < n; j++ {
-					if c.Phase(j) == tme.Eating {
+					if c.PhaseShard(0, j) == tme.Eating {
 						eating++
 					}
 				}
 				if eating > 1 {
 					t.Fatalf("round %d: %d simultaneous eaters", round, eating)
 				}
-				c.Release(e.ID)
+				c.ReleaseShard(0, e.ID)
 			case <-time.After(10 * time.Second):
 				t.Fatalf("round %d: timed out waiting for entry %d", round, i)
 			}
@@ -197,7 +197,7 @@ func TestClusterWrapperRecoversFromLoss(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 	for i := 0; i < 3; i++ {
-		c.Request(i)
+		c.RequestShard(0, i)
 	}
 	// All three must eventually eat despite 40% loss.
 	served := map[int]bool{}
@@ -206,7 +206,7 @@ func TestClusterWrapperRecoversFromLoss(t *testing.T) {
 		for _, e := range log.all() {
 			if !served[e.ID] {
 				served[e.ID] = true
-				c.Release(e.ID)
+				c.ReleaseShard(0, e.ID)
 			}
 		}
 		time.Sleep(time.Millisecond)
@@ -229,12 +229,12 @@ func TestClusterDuplicationTolerated(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 	for round := 0; round < 5; round++ {
-		c.Request(0)
-		if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Eating }) {
+		c.RequestShard(0, 0)
+		if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Eating }) {
 			t.Fatalf("round %d: node 0 never entered", round)
 		}
-		c.Release(0)
-		if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Thinking }) {
+		c.ReleaseShard(0, 0)
+		if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Thinking }) {
 			t.Fatalf("round %d: node 0 never released", round)
 		}
 	}
@@ -251,13 +251,13 @@ func TestClusterCorruptAndSnapshot(t *testing.T) {
 	}
 	c.Start()
 	defer c.Stop()
-	c.Corrupt(0, tme.Corruption{Phase: tme.Hungry})
-	snap := c.Snapshot(0)
+	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Hungry})
+	snap := c.SnapshotShard(0, 0)
 	if snap.Phase != tme.Hungry {
 		t.Errorf("snapshot phase = %v, want hungry", snap.Phase)
 	}
-	if c.N() != 2 {
-		t.Errorf("N = %d", c.N())
+	if c.cfg.N != 2 {
+		t.Errorf("N = %d", c.cfg.N)
 	}
 }
 
@@ -274,7 +274,7 @@ func TestStopIsIdempotentAndJoinsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Request(0)
+	c.RequestShard(0, 0)
 	time.Sleep(10 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {
@@ -306,13 +306,13 @@ func TestClusterLevel1Repair(t *testing.T) {
 	}
 	c.Start()
 	defer c.Stop()
-	c.Corrupt(0, tme.Corruption{Phase: tme.Phase(9)})
-	if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0).Valid() }) {
+	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Phase(9)})
+	if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0).Valid() }) {
 		t.Fatal("PhaseGuard never repaired the phase")
 	}
 	// The repaired process can then be served normally.
-	c.Request(0)
-	if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Eating }) {
+	c.RequestShard(0, 0)
+	if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Eating }) {
 		t.Fatal("repaired process never entered the CS")
 	}
 }
@@ -355,18 +355,18 @@ func TestClusterSoak(t *testing.T) {
 	for served < 12 && time.Now().Before(deadline) {
 		round++
 		for i := 0; i < n; i++ {
-			c.Request(i)
+			c.RequestShard(0, i)
 		}
 		if round%2 == 0 {
 			// Periodic transient corruption.
-			c.Corrupt(round%n, tme.Corruption{Phase: tme.Thinking})
+			c.CorruptShard(0, round%n, tme.Corruption{Phase: tme.Thinking})
 		}
 		start := len(log.all())
 		for time.Now().Before(deadline) {
 			entries := log.all()
 			if len(entries) > start {
 				for _, e := range entries[start:] {
-					c.Release(e.ID)
+					c.ReleaseShard(0, e.ID)
 					served++
 				}
 				break
@@ -442,12 +442,12 @@ func TestOnEntryInstallDuringRun(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 5; round++ {
-		c.Request(0)
-		if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Eating }) {
+		c.RequestShard(0, 0)
+		if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Eating }) {
 			t.Fatal("node 0 never entered")
 		}
-		c.Release(0)
-		if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Thinking }) {
+		c.ReleaseShard(0, 0)
+		if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Thinking }) {
 			t.Fatal("node 0 never released")
 		}
 	}
@@ -493,8 +493,8 @@ func TestClusterShardsAreIndependent(t *testing.T) {
 	if got := c.PhaseShard(0, 0); got != tme.Eating {
 		t.Fatalf("shard 0 holder disturbed: phase = %v", got)
 	}
-	c.Release(0) // legacy call addresses shard 0
-	if !waitFor(t, 5*time.Second, func() bool { return c.Phase(0) == tme.Thinking }) {
+	c.ReleaseShard(0, 0) // legacy call addresses shard 0
+	if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Thinking }) {
 		t.Fatal("node 0 never released shard 0 via the legacy call")
 	}
 	c.ReleaseShard(1, 1)

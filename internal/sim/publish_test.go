@@ -75,7 +75,7 @@ func TestCountersEqualMetricsAtEveryLook(t *testing.T) {
 	if !looked {
 		t.Fatal("the shard's At closure did not run")
 	}
-	for k := 0; k < sh.Shards(); k++ {
+	for k := 0; k < sh.cfg.Shards; k++ {
 		countersEqualMetrics(t, "after Sharded.Run", sh.Shard(k))
 	}
 }

@@ -58,24 +58,14 @@ type ShardedConfig struct {
 	// NewWrapper, when non-nil, attaches a level-2 W' to each process of
 	// each shard — per-shard wrappers, the first level of the hierarchy.
 	NewWrapper func(shard, id int) wrapper.Level2
-	// Level1 is the level-1 wrapper shared by every shard instance.
+	// Level1 is the level-1 wrapper shared by every shard instance. Shard
+	// instances take Config's default link delays.
 	Level1 wrapper.Level1
-	// MinDelay/MaxDelay bound per-message delay, as in Config.
-	MinDelay, MaxDelay int64
 	// NewClient constructs logical client c's draw stream (required).
 	NewClient func(client int) workload.Client
 	// MaxLoops caps completed request/hold/release loops per client
 	// (0 = unlimited, run to the horizon).
 	MaxLoops int
-	// Window is the barrier window length in virtual ticks; default 64.
-	// Cross-shard handoffs and new arrivals are admitted at window
-	// granularity — the cost of giving every shard its own clock.
-	Window int64
-	// RetryAfter is how long an issued request may sit unanswered before
-	// the coordinator re-probes the node (re-request after a fault ate the
-	// request, or synthesize the grant/release a corruption skipped).
-	// Default 512.
-	RetryAfter int64
 	// CrossEvery makes every k-th loop of each client a cross-shard
 	// acquisition of two skew-drawn shards (0 = never). Lock sets follow
 	// hme's canonical ascending order.
@@ -93,14 +83,19 @@ func (c *ShardedConfig) withDefaults() ShardedConfig {
 	if out.Clients <= 0 {
 		out.Clients = out.N
 	}
-	if out.Window <= 0 {
-		out.Window = 64
-	}
-	if out.RetryAfter <= 0 {
-		out.RetryAfter = 512
-	}
 	return out
 }
+
+const (
+	// window is the barrier window length in virtual ticks. Cross-shard
+	// handoffs and new arrivals are admitted at window granularity — the
+	// cost of giving every shard its own clock.
+	window int64 = 64
+	// retryAfter is how long an issued request may sit unanswered before
+	// the coordinator re-probes the node (re-request after a fault ate the
+	// request, or synthesize the grant/release a corruption skipped).
+	retryAfter int64 = 512
+)
 
 // hookRec is one harvested shard event, buffered shard-locally during the
 // window and drained at the barrier.
@@ -203,8 +198,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			NewNode:    c.NewNode,
 			NewWrapper: newWrap,
 			Level1:     c.Level1,
-			MinDelay:   c.MinDelay,
-			MaxDelay:   c.MaxDelay,
 			Obs:        shardObs,
 		})
 		sim.SetEntryHook(func(node int, t int64) {
@@ -250,15 +243,8 @@ func shardSeed(seed int64, s int) int64 {
 // hook for per-shard fault injection).
 func (sh *Sharded) Shard(s int) *Sim { return sh.sims[s] }
 
-// Shards returns the shard count.
-func (sh *Sharded) Shards() int { return sh.cfg.Shards }
-
 // Monitor returns the level-2 hme monitor (nil without coordinator obs).
 func (sh *Sharded) Monitor() *hme.Monitor { return sh.monitor }
-
-// Now returns the coordinator's virtual time (every shard core agrees with
-// it at a barrier).
-func (sh *Sharded) Now() int64 { return sh.now }
 
 // Events returns total events processed across all shards.
 func (sh *Sharded) Events() int64 { return sh.events }
@@ -274,7 +260,7 @@ func (sh *Sharded) Loops(c int) int { return sh.cst[c].loops }
 func (sh *Sharded) Run(horizon int64) int64 {
 	start := sh.events
 	for sh.now < horizon && sh.done < len(sh.clients) {
-		end := sh.now + sh.cfg.Window
+		end := sh.now + window
 		if end > horizon {
 			end = horizon
 		}
@@ -321,7 +307,7 @@ func (sh *Sharded) serialPhase(start, end int64) {
 				}
 				continue
 			}
-			if sl.entered || start-sl.reqAt <= sh.cfg.RetryAfter {
+			if sl.entered || start-sl.reqAt <= retryAfter {
 				continue
 			}
 			ph := sh.sims[s].Node(i).Phase()
@@ -494,15 +480,14 @@ func (sh *Sharded) skipAhead(horizon int64) {
 	if len(sh.heap) > 0 && (next < 0 || sh.heap[0].at < next) {
 		next = sh.heap[0].at
 	}
-	if next < 0 || next <= sh.now+sh.cfg.Window {
+	if next < 0 || next <= sh.now+window {
 		return
 	}
 	if next > horizon {
 		next = horizon
 	}
 	// Land the interesting time inside the next window.
-	w := sh.cfg.Window
-	sh.now += (next - sh.now - 1) / w * w
+	sh.now += (next - sh.now - 1) / window * window
 	for _, s := range sh.sims {
 		// Advance quiescent cores so RequestAt/ReleaseAt clamp correctly.
 		s.core.Run(sh.now)

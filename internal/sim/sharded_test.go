@@ -52,7 +52,7 @@ func TestShardedCompletesAllLoops(t *testing.T) {
 		t.Fatalf("clients done = %d, want 8 (%s)", sh.LoopsDone(), sh)
 	}
 	total := 0
-	for s := 0; s < sh.Shards(); s++ {
+	for s := 0; s < sh.cfg.Shards; s++ {
 		total += len(sh.Shard(s).Metrics().Entries)
 	}
 	if total != 8*5 {
@@ -64,7 +64,7 @@ func TestShardedIsDeterministic(t *testing.T) {
 	run := func() ([][]Entry, []int) {
 		sh := NewSharded(shardedCfg(42))
 		sh.Run(100000)
-		entries := make([][]Entry, sh.Shards())
+		entries := make([][]Entry, sh.cfg.Shards)
 		for s := range entries {
 			entries[s] = sh.Shard(s).Metrics().Entries
 		}

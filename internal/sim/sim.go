@@ -704,8 +704,8 @@ func (s *Sim) afterEvent() {
 // Run processes events until the queue drains, time exceeds horizon, or
 // Stop is called. It returns the number of events processed in this call.
 func (s *Sim) Run(horizon int64) int64 {
-	// State may have been mutated directly between Run calls (tests and
-	// fault.ImproperInit poke channels and nodes through Net and Node):
+	// State may have been mutated directly between Run calls (tests poke
+	// channels and nodes through Net, Node and the fault surface):
 	// invalidate snapshots once, and arm or disarm every W' deadline.
 	s.dirtyAll()
 	for i := range s.nodes {

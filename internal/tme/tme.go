@@ -250,7 +250,3 @@ func SnapshotInto(v SpecView, s *SpecState) {
 		s.TS, s.HasTS = ch.ClockNow(), true
 	}
 }
-
-// Earlier reports the paper's earlier:(j,k) relation on two REQ values:
-// REQ_j lt REQ_k.
-func Earlier(reqJ, reqK ltime.Timestamp) bool { return reqJ.Less(reqK) }

@@ -92,11 +92,3 @@ func TestSnapshot(t *testing.T) {
 		t.Errorf("snapshot self index touched: %+v", s)
 	}
 }
-
-func TestEarlier(t *testing.T) {
-	a := ltime.Timestamp{Clock: 1, PID: 0}
-	b := ltime.Timestamp{Clock: 1, PID: 1}
-	if !Earlier(a, b) || Earlier(b, a) || Earlier(a, a) {
-		t.Error("Earlier inconsistent with lt")
-	}
-}

@@ -17,11 +17,9 @@ const kindDaemonStep uint8 = 1
 
 // SimConfig parameterizes an engine-backed token-ring run.
 type SimConfig struct {
-	// N is the number of machines (≥ 2).
+	// N is the number of machines (≥ 2). The counter modulus K is N+1,
+	// the smallest K with guaranteed stabilization.
 	N int
-	// K is the counter modulus; default N+1 (the smallest K with
-	// guaranteed stabilization).
-	K int
 	// Seed derives every random choice of the run: the daemon's scheduling
 	// stream and the corruption stream are both engine streams of this seed.
 	Seed int64
@@ -71,14 +69,11 @@ func NewSim(cfg SimConfig) *Sim {
 	if cfg.N < 2 {
 		panic("tokenring: SimConfig.N ≥ 2 is required")
 	}
-	if cfg.K == 0 {
-		cfg.K = cfg.N + 1
-	}
 	core := engine.New(cfg.Seed)
 	s := &Sim{
 		cfg:  cfg,
 		core: core,
-		ring: New(cfg.N, cfg.K),
+		ring: New(cfg.N, cfg.N+1),
 	}
 	core.Stream("tokenring.daemon", &s.daemon)
 	core.Stream("tokenring.corrupt", &s.corrupt)
@@ -88,17 +83,11 @@ func NewSim(cfg SimConfig) *Sim {
 	return s
 }
 
-// Ring returns the underlying protocol state.
-func (s *Sim) Ring() *Ring { return s.ring }
-
 // Moves returns the number of daemon moves fired so far.
 func (s *Sim) Moves() int { return s.moves }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() int64 { return s.core.Now() }
-
-// Legitimate reports whether exactly one machine is privileged.
-func (s *Sim) Legitimate() bool { return s.ring.Legitimate() }
 
 // step fires one central-daemon move: a uniformly chosen privileged
 // machine moves (at least one machine is always privileged).
@@ -185,7 +174,7 @@ func (s *Sim) FaultPerturb(id int, rng *rand.Rand) bool {
 	if id < 0 || id >= s.cfg.N {
 		return false
 	}
-	s.ring.SetX(id, rng.Intn(s.cfg.K))
+	s.ring.SetX(id, rng.Intn(s.ring.k))
 	return true
 }
 

@@ -14,11 +14,7 @@ func TestDaemonSimDeterminism(t *testing.T) {
 		s := NewSim(SimConfig{N: 7, Seed: seed})
 		s.CorruptAll()
 		s.Run(200)
-		xs := make([]int, s.Ring().N())
-		for i := range xs {
-			xs[i] = s.Ring().X(i)
-		}
-		return s.Moves(), xs
+		return s.Moves(), s.ring.x
 	}
 	m1, x1 := run(42)
 	m2, x2 := run(42)
@@ -55,7 +51,7 @@ func TestDaemonSimConverges(t *testing.T) {
 		}
 		// Legitimacy is closed under daemon moves.
 		s.Run(50)
-		if !s.Legitimate() {
+		if !s.ring.Legitimate() {
 			t.Fatalf("seed %d: left legitimate states after convergence", seed)
 		}
 	}

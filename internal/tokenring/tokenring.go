@@ -47,15 +47,6 @@ func New(n, k int) *Ring {
 	return &Ring{n: n, k: k, x: make([]int, n)}
 }
 
-// N returns the number of machines.
-func (r *Ring) N() int { return r.n }
-
-// K returns the counter modulus.
-func (r *Ring) K() int { return r.k }
-
-// X returns machine i's counter.
-func (r *Ring) X(i int) int { return r.x[i] }
-
 // SetX overwrites machine i's counter (state-corruption faults and improper
 // initialization). Values are reduced mod K so the state stays type-correct.
 func (r *Ring) SetX(i, v int) {
@@ -75,22 +66,11 @@ func (r *Ring) Privileged(i int) bool {
 	return r.x[i] != r.x[i-1]
 }
 
-// PrivilegedSet returns the machines currently privileged, ascending. In a
-// legitimate state it has exactly one element.
-func (r *Ring) PrivilegedSet() []int {
-	var out []int
-	for i := 0; i < r.n; i++ {
-		if r.Privileged(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // pickPrivileged is the central daemon's choice: a privileged machine
-// chosen uniformly by one rng.Intn(count) draw, the same draw
-// PrivilegedSet()[rng.Intn(len)] makes, without building the set. At least
-// one machine is always privileged (if all x equal, machine 0 is).
+// chosen uniformly by one rng.Intn(count) draw, the same draw as indexing
+// the ascending privileged set with rng.Intn(len), without building the
+// set. At least one machine is always privileged (if all x equal, machine 0
+// is).
 func (r *Ring) pickPrivileged(rng Rand) int {
 	count := 0
 	for i := 0; i < r.n; i++ {
@@ -159,34 +139,4 @@ func (r *Ring) String() string {
 		}
 	}
 	return string(out)
-}
-
-// Converge runs a randomized central daemon (one privileged machine fires
-// per step, chosen uniformly by rng) until the ring is legitimate or limit
-// moves have been made. It returns the number of moves and whether the ring
-// converged. Dijkstra's theorem: for K ≥ n, convergence always occurs.
-func (r *Ring) Converge(rng Rand, limit int) (moves int, converged bool) {
-	for moves = 0; moves < limit; moves++ {
-		if r.Legitimate() {
-			return moves, true
-		}
-		r.Step(r.pickPrivileged(rng))
-	}
-	return moves, r.Legitimate()
-}
-
-// Circulate performs moves legitimate-state moves and reports whether the
-// single privilege visited every machine (token circulation — the liveness
-// property of the legitimate behaviour). The ring must be legitimate.
-func (r *Ring) Circulate(moves int) (visited []bool, stayedLegit bool) {
-	visited = make([]bool, r.n)
-	for m := 0; m < moves; m++ {
-		if !r.Legitimate() {
-			return visited, false
-		}
-		p := r.PrivilegedSet()[0]
-		visited[p] = true
-		r.Step(p)
-	}
-	return visited, r.Legitimate()
 }

@@ -21,19 +21,31 @@ func TestNewPanicsOnBadSizes(t *testing.T) {
 	}
 }
 
+// privilegedSet returns the machines currently privileged, ascending. In a
+// legitimate state it has exactly one element.
+func privilegedSet(r *Ring) []int {
+	var out []int
+	for i := 0; i < r.n; i++ {
+		if r.Privileged(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestInitialStateIsLegitimate(t *testing.T) {
 	r := New(5, 5)
 	if !r.Legitimate() {
 		t.Fatal("all-zero state not legitimate")
 	}
 	// All equal ⇒ only machine 0 privileged.
-	if got := r.PrivilegedSet(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("PrivilegedSet = %v", got)
+	if got := privilegedSet(r); len(got) != 1 || got[0] != 0 {
+		t.Errorf("privileged set = %v", got)
 	}
 }
 
 // TestPickPrivilegedMatchesSetDraw: the daemon's pick equals the draw it
-// replaced, PrivilegedSet()[rng.Intn(len)], from the same rng state, so
+// replaced, privilegedSet(r)[rng.Intn(len)], from the same rng state, so
 // every E10/E14 run moves the same machines.
 func TestPickPrivilegedMatchesSetDraw(t *testing.T) {
 	corrupt := seeded.New(1)
@@ -41,26 +53,26 @@ func TestPickPrivilegedMatchesSetDraw(t *testing.T) {
 		r := New(2+trial%9, 3+trial%7)
 		r.Corrupt(corrupt)
 		seed := int64(trial)
-		priv := r.PrivilegedSet()
+		priv := privilegedSet(r)
 		want := priv[seeded.New(seed).Intn(len(priv))]
 		if got := r.pickPrivileged(seeded.New(seed)); got != want {
-			t.Fatalf("ring %s: pickPrivileged = %d, PrivilegedSet draw = %d", r, got, want)
+			t.Fatalf("ring %s: pickPrivileged = %d, privileged-set draw = %d", r, got, want)
 		}
 	}
 }
 
 func TestAccessors(t *testing.T) {
 	r := New(3, 4)
-	if r.N() != 3 || r.K() != 4 {
-		t.Error("N/K wrong")
+	if r.n != 3 || r.k != 4 {
+		t.Error("n/K wrong")
 	}
 	r.SetX(1, 7) // 7 mod 4 = 3
-	if r.X(1) != 3 {
-		t.Errorf("X(1) = %d, want 3", r.X(1))
+	if r.x[1] != 3 {
+		t.Errorf("x[1] = %d, want 3", r.x[1])
 	}
 	r.SetX(1, -1) // normalized into range
-	if r.X(1) != 3 {
-		t.Errorf("X(1) = %d, want 3 after negative set", r.X(1))
+	if r.x[1] != 3 {
+		t.Errorf("x[1] = %d, want 3 after negative set", r.x[1])
 	}
 }
 
@@ -73,18 +85,18 @@ func TestStepOnlyWhenPrivileged(t *testing.T) {
 	if !r.Step(0) {
 		t.Error("privileged bottom machine refused to move")
 	}
-	if r.X(0) != 1 {
-		t.Errorf("x[0] = %d, want 1", r.X(0))
+	if r.x[0] != 1 {
+		t.Errorf("x[0] = %d, want 1", r.x[0])
 	}
 	// Now machine 1 is privileged and copies.
-	if !r.Step(1) || r.X(1) != 1 {
+	if !r.Step(1) || r.x[1] != 1 {
 		t.Error("copy move failed")
 	}
 }
 
 func TestTokenCirculation(t *testing.T) {
 	r := New(4, 4)
-	visited, legit := r.Circulate(16)
+	visited, legit := circulate(r, 16)
 	if !legit {
 		t.Fatal("legitimacy lost during circulation")
 	}
@@ -113,7 +125,7 @@ func TestConvergenceFromArbitraryStates(t *testing.T) {
 		rng := seeded.New(seed)
 		r := New(n, k)
 		r.Corrupt(rng)
-		moves, ok := r.Converge(rng, 10*n*n*k)
+		moves, ok := converge(r, rng, 10*n*n*k)
 		if !ok {
 			return false
 		}
@@ -123,7 +135,7 @@ func TestConvergenceFromArbitraryStates(t *testing.T) {
 			if !r.Legitimate() {
 				return false
 			}
-			p := r.PrivilegedSet()
+			p := privilegedSet(r)
 			r.Step(p[rng.Intn(len(p))])
 		}
 		return r.Legitimate()
@@ -141,7 +153,7 @@ func TestNoDeadlockProperty(t *testing.T) {
 		rng := seeded.New(seed)
 		r := New(n, n+1)
 		r.Corrupt(rng)
-		return len(r.PrivilegedSet()) >= 1
+		return len(privilegedSet(r)) >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -152,7 +164,7 @@ func TestConvergeStopsAtLimit(t *testing.T) {
 	rng := seeded.New(3)
 	r := New(6, 6)
 	r.Corrupt(rng)
-	moves, _ := r.Converge(rng, 1)
+	moves, _ := converge(r, rng, 1)
 	if moves > 1 {
 		t.Errorf("moves = %d beyond limit", moves)
 	}
@@ -165,7 +177,7 @@ func TestCirculateDetectsIllegitimacy(t *testing.T) {
 	if r.Legitimate() {
 		t.Fatal("setup failed: state should be illegitimate")
 	}
-	if _, legit := r.Circulate(4); legit {
+	if _, legit := circulate(r, 4); legit {
 		t.Error("Circulate reported legitimacy from an illegitimate state")
 	}
 }
@@ -176,7 +188,7 @@ func TestConvergeDeterministic(t *testing.T) {
 		rng := seeded.New(99)
 		r := New(7, 8)
 		r.Corrupt(rng)
-		moves, ok := r.Converge(rng, 100000)
+		moves, ok := converge(r, rng, 100000)
 		if !ok {
 			t.Fatal("did not converge")
 		}
@@ -185,4 +197,34 @@ func TestConvergeDeterministic(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Errorf("same seed diverged: %d vs %d", a, b)
 	}
+}
+
+// converge runs a randomized central daemon (one privileged machine fires
+// per step, chosen uniformly by rng) until r is legitimate or limit moves
+// have been made. It returns the number of moves and whether r converged.
+// Dijkstra's theorem: for K ≥ n, convergence always occurs.
+func converge(r *Ring, rng Rand, limit int) (moves int, converged bool) {
+	for moves = 0; moves < limit; moves++ {
+		if r.Legitimate() {
+			return moves, true
+		}
+		r.Step(r.pickPrivileged(rng))
+	}
+	return moves, r.Legitimate()
+}
+
+// circulate performs moves legitimate-state moves and reports whether the
+// single privilege visited every machine (token circulation — the liveness
+// property of the legitimate behaviour). r must be legitimate.
+func circulate(r *Ring, moves int) (visited []bool, stayedLegit bool) {
+	visited = make([]bool, r.n)
+	for m := 0; m < moves; m++ {
+		if !r.Legitimate() {
+			return visited, false
+		}
+		p := privilegedSet(r)[0]
+		visited[p] = true
+		r.Step(p)
+	}
+	return visited, r.Legitimate()
 }

@@ -42,17 +42,15 @@
 //
 // Everything here is arithmetic on the parameters: no RNG, no clock, no
 // substrate. The gblint layering rule for this package enforces that —
-// twin may read the obs snapshot vocabulary and the workload spec algebra
-// (to derive means), never a protocol, wrapper, or execution substrate.
-// Predictions are exposed through the same obs-snapshot shape the
-// substrates publish (Prediction.Snapshot), so the harness diffs predicted
-// against measured runs with the one snapshot-diff helper.
+// twin may read the workload spec algebra (to derive means), never a
+// protocol, wrapper, or execution substrate. The harness projects a
+// Prediction into the obs-snapshot shape the substrates publish, so it
+// diffs predicted against measured runs with the one snapshot-diff helper.
 package twin
 
 import (
 	"math"
 
-	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 )
 
@@ -506,36 +504,4 @@ func holdMeanOf(h workload.Hold) float64 {
 	default: // zero value: fixed hold of h.Fixed ticks
 		return float64(h.Fixed)
 	}
-}
-
-// Snapshot renders the prediction in the substrates' obs-snapshot shape:
-// the sim's counter names for the quantities the sim counts, twin_* gauges
-// for the model-only quantities. Rates and ratios are scaled (×1000) into
-// integers, matching the snapshot's int64-only vocabulary.
-func (pr Prediction) Snapshot() *obs.Snapshot {
-	s := obs.NewSnapshot()
-	s.Counters["sim_cs_entries_total"] = round(pr.Entries)
-	s.Counters["sim_requests_total"] = round(pr.Requests)
-	s.Counters["sim_msgs_program_total"] = round(pr.ProgramMsgs)
-	s.Counters["sim_msgs_wrapper_total"] = round(pr.WrapperMsgs)
-	s.Gauges["twin_entry_rate_per_ktick"] = round(pr.EntryRate * 1000)
-	s.Gauges["twin_msgs_per_entry_x1000"] = round(pr.MsgsPerEntry * 1000)
-	s.Gauges["twin_wrapper_msgs_per_entry_x1000"] = round(pr.WrapperMsgsPerEntry * 1000)
-	s.Gauges["twin_wait_ticks_x1000"] = round(pr.WaitTicks * 1000)
-	s.Gauges["twin_conv_ticks_x1000"] = round(pr.ConvergenceTicks * 1000)
-	s.Gauges["twin_saturation_per_ktick"] = round(pr.SaturationRate * 1000)
-	s.Gauges["twin_utilization_x1000"] = round(pr.Utilization * 1000)
-	return s
-}
-
-// round converts a prediction to the snapshot's integer vocabulary,
-// clamping the +Inf convergence of unwrapped systems to MaxInt64.
-func round(v float64) int64 {
-	if math.IsInf(v, 1) || v >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	if v <= 0 {
-		return 0
-	}
-	return int64(v + 0.5)
 }

@@ -242,27 +242,3 @@ func TestSpecParams(t *testing.T) {
 		t.Errorf("open spec ThinkMean = %v, want 80", p.ThinkMean)
 	}
 }
-
-// TestSnapshot checks the obs projection: counter/gauge names, integer
-// scaling, and the +Inf clamp.
-func TestSnapshot(t *testing.T) {
-	pr := Predict(Params{N: 5, Delta: 25, Horizon: 20000})
-	s := pr.Snapshot()
-	if got := s.Counter("sim_cs_entries_total"); got != round(pr.Entries) {
-		t.Errorf("entries counter = %v, want %v", got, round(pr.Entries))
-	}
-	if got := s.Gauge("twin_msgs_per_entry_x1000", -1); got != round(pr.MsgsPerEntry*1000) {
-		t.Errorf("mpe gauge = %v, want %v", got, round(pr.MsgsPerEntry*1000))
-	}
-	if got := s.Gauge("twin_utilization_x1000", -1); got <= 0 || got > 1000 {
-		t.Errorf("utilization gauge = %v, want within (0,1000]", got)
-	}
-	// Unwrapped: the +Inf convergence clamps to MaxInt64.
-	bare := Predict(Params{N: 5, Delta: -1})
-	if got := bare.Snapshot().Gauge("twin_conv_ticks_x1000", -1); got != math.MaxInt64 {
-		t.Errorf("unwrapped conv gauge = %v, want MaxInt64", got)
-	}
-	if round(-3) != 0 {
-		t.Errorf("round(-3) = %v, want 0", round(-3))
-	}
-}

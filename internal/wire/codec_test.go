@@ -112,15 +112,15 @@ func TestResourceZeroFrameUnchanged(t *testing.T) {
 }
 
 func TestReaderWriterStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var stream []byte
 	msgs := sampleMessages()
 	for _, m := range msgs {
-		if err := w.WriteMessage(m); err != nil {
-			t.Fatalf("WriteMessage(%+v): %v", m, err)
+		var err error
+		if stream, err = AppendFrame(stream, m); err != nil {
+			t.Fatalf("AppendFrame(%+v): %v", m, err)
 		}
 	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(stream))
 	for i, want := range msgs {
 		got, err := r.ReadMessage()
 		if err != nil {

@@ -218,12 +218,6 @@ func NewGen(spec Spec, seed int64, n int) *Gen {
 	return g
 }
 
-// Spec returns the generating spec.
-func (g *Gen) Spec() Spec { return g.spec }
-
-// N returns the number of clients.
-func (g *Gen) N() int { return len(g.clients) }
-
 // Client returns client id's draw stream. Ids outside [0, n) get a stream
 // of their own (deterministically derived), so ad-hoc callers cannot
 // panic the generator.
