@@ -90,6 +90,7 @@ examples:
 # Short fuzzing pass over every fuzz target.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzFIFOOps -fuzztime=15s ./internal/channel/
+	$(GO) test -run=Fuzz -fuzz=FuzzNetOps -fuzztime=15s ./internal/channel/
 	$(GO) test -run=Fuzz -fuzz=FuzzAcceptForward -fuzztime=15s ./internal/ring/
 	$(GO) test -run=Fuzz -fuzz=FuzzParseSystem -fuzztime=15s ./cmd/gbcheck/
 	$(GO) test -run=Fuzz -fuzz=FuzzEventHeap -fuzztime=15s ./internal/engine/

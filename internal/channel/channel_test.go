@@ -29,7 +29,7 @@ func TestFIFOZeroValueUsable(t *testing.T) {
 		t.Fatal("zero FIFO not empty")
 	}
 	q.Send("a")
-	if q.Len() != 1 || q.At(0) != "a" {
+	if q.Len() != 1 || q.at(0) != "a" {
 		t.Fatal("Send on zero FIFO failed")
 	}
 }
@@ -38,7 +38,7 @@ func TestFIFOZeroValueUsable(t *testing.T) {
 func contents[T any](q *FIFO[T]) []T {
 	out := make([]T, q.Len())
 	for i := range out {
-		out[i] = q.At(i)
+		out[i] = q.at(i)
 	}
 	return out
 }
@@ -92,7 +92,7 @@ func TestMutate(t *testing.T) {
 	if !q.Mutate(0, func(m *int) { *m = 99 }) {
 		t.Fatal("Mutate failed")
 	}
-	if m := q.At(0); m != 99 {
+	if m := q.at(0); m != 99 {
 		t.Errorf("after Mutate: head = %d, want 99", m)
 	}
 	if q.Mutate(3, func(*int) {}) {

@@ -52,7 +52,7 @@ func TestFaultCorruptIsOneModelAcrossSubstrates(t *testing.T) {
 		if !s.FaultCorrupt(ep, 0, seeded.New(int64(seed))) {
 			t.Fatal("sim FaultCorrupt missed an in-flight message")
 		}
-		want[seed] = q.At(0)
+		want[seed], _ = q.Recv()
 	}
 
 	// Every message is held far longer than corrupting all of them takes,

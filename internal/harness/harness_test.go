@@ -84,10 +84,12 @@ func TestRunDeterministic(t *testing.T) {
 // TestStabilizeRunAllocationsPerEntry is a tier-1 tripwire for the
 // benchmark's sim-stabilize allocs_per_entry, which CI does not gate: one
 // RA and one Lamport run of its shape (N=5, δ=5, ten faults at 200 and at
-// 300, 30 requests each, monitors on) may make at most 3 heap allocations
+// 300, 30 requests each, monitors on) may make at most 2 heap allocations
 // per CS entry, set-up included. The fan-outs, W' firings and replies write
-// into buffers their producers own, so what remains is per run, not per
-// step. Not parallel: it reads the process-wide malloc count. About 0.02 s.
+// into buffers their producers own, messages queued behind a channel's head
+// reuse the mesh's overflow slab, and the protocols hold their clocks by
+// value, so what remains is per run, not per step. It reads about 1.75.
+// Not parallel: it reads the process-wide malloc count. About 0.02 s.
 func TestStabilizeRunAllocationsPerEntry(t *testing.T) {
 	var before, after goruntime.MemStats
 	entries := 0
@@ -109,8 +111,8 @@ func TestStabilizeRunAllocationsPerEntry(t *testing.T) {
 	}
 	perEntry := float64(after.Mallocs-before.Mallocs) / float64(entries)
 	t.Logf("%.2f allocations per entry over %d entries", perEntry, entries)
-	if perEntry > 3 {
-		t.Errorf("%.2f heap allocations per CS entry, want at most 3", perEntry)
+	if perEntry > 2 {
+		t.Errorf("%.2f heap allocations per CS entry, want at most 2", perEntry)
 	}
 }
 

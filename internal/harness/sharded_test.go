@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +19,38 @@ func shardedTestCfg() ShardedRunConfig {
 		CrossEvery: 3,
 		MaxLoops:   4,
 		Horizon:    200000,
+	}
+}
+
+// TestShardedRunAllocationsPerEntry is a tier-1 tripwire for the
+// benchmark's sim-sharded allocs_per_entry, which CI does not gate: one
+// reduced sharded run (N=20, 4 shards, 80 clients × 32 loops, every fifth
+// loop a two-shard acquisition, four faults per shard at 500 and at 1500)
+// may make at most 0.6 heap allocations per CS entry, set-up included. It
+// reads about 0.46: what is left is per node and per shard, built once.
+// Overflow storage grown per channel, hme sets grown per client and a heap
+// clock per node together take the same run to about 0.79. Not parallel: it
+// reads the process-wide malloc count. About 0.03 s.
+func TestShardedRunAllocationsPerEntry(t *testing.T) {
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	r := RunSharded(ShardedRunConfig{
+		Algo: RA, N: 20, Shards: 4, Clients: 80,
+		Seed: 1, FaultSeed: 7,
+		Delta:      2000,
+		CrossEvery: 5,
+		MaxLoops:   32,
+		Horizon:    1000000,
+		FaultTimes: []int64{500, 1500}, FaultsPerBurst: 4,
+	})
+	goruntime.ReadMemStats(&after)
+	if r.ClientsDone != 80 {
+		t.Fatalf("%d of 80 clients finished", r.ClientsDone)
+	}
+	perEntry := float64(after.Mallocs-before.Mallocs) / float64(r.Entries)
+	t.Logf("%.2f allocations per entry over %d entries", perEntry, r.Entries)
+	if perEntry > 0.6 {
+		t.Errorf("%.2f heap allocations per CS entry, want at most 0.6", perEntry)
 	}
 }
 

@@ -23,6 +23,7 @@ package hme
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -71,12 +72,26 @@ type Acq struct {
 	next   int
 }
 
+// NewAcqs returns one acquisition per client, each with room for a shard
+// list of setCap entries, all carved from one array: a driver that reuses
+// acqs[c] for client c allocates nothing more unless Reset is handed a
+// longer list.
+func NewAcqs(clients, setCap int) []Acq {
+	acqs := make([]Acq, clients)
+	buf := make([]int, clients*setCap)
+	for c := range acqs {
+		acqs[c].set = buf[c*setCap : c*setCap : (c+1)*setCap]
+	}
+	return acqs
+}
+
 // Reset turns a into a fresh acquisition of the given shards by client. It
 // canonicalizes them into a's own set: sorted ascending with duplicates
 // dropped, the canonical acquisition order that makes cross-shard lock sets
 // deadlock-free. A driver reusing one Acq per client so allocates only when
-// a set outgrows every earlier one. shards is not modified; slices returned
-// by Set and Held before the call are overwritten.
+// a shard list outgrows the set's room (see NewAcqs). shards is not
+// modified; slices returned by Set and Held before the call are
+// overwritten.
 func (a *Acq) Reset(client int, shards []int) {
 	set := append(a.set[:0], shards...)
 	slices.Sort(set)
@@ -122,6 +137,9 @@ func (a *Acq) Grant(shard int) error {
 // receiver, matching the obs discipline. Methods are safe for concurrent
 // use, so clients that run on their own goroutines can share one monitor;
 // the sharded simulator's coordinator happens to call it from one.
+//
+// A client's held set grows when its first grant arrives, unless Reserve
+// gave it room up front; after that the monitor's ops do not allocate.
 type Monitor struct {
 	mu   sync.Mutex
 	held map[int][]int // guarded by mu; client → shards currently held, in grant order
@@ -151,6 +169,25 @@ func NewMonitor(r *obs.Registry) *Monitor {
 		inflight:     r.Gauge("hme_inflight", "cross-shard acquisitions currently holding at least one shard"),
 		maxSet:       r.Gauge("hme_max_set", "largest lock-set size observed"),
 	}
+}
+
+// Reserve gives clients 0..clients-1 held sets with room for setCap shards
+// each, carved from one array, so that Observe allocates for none of them.
+// A driver calls it once, before its clients start; sets already in use
+// keep their contents.
+func (m *Monitor) Reserve(clients, setCap int) {
+	if m == nil {
+		return
+	}
+	buf := make([]int, clients*setCap)
+	held := make(map[int][]int, len(m.held)+clients)
+	for c := 0; c < clients; c++ {
+		held[c] = buf[c*setCap : c*setCap : (c+1)*setCap]
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	maps.Copy(held, m.held)
+	m.held = held
 }
 
 // Observe feeds one op into the monitor. shard is meaningful only for
@@ -210,18 +247,24 @@ func (m *Monitor) InFlight() int {
 // the Eating phase in that shard's spec view — the level-2 analogue of the
 // Lspec safety probe. Violations are counted, not fatal: transient faults
 // can legitimately scramble a phase, and W' is what repairs it.
-func (m *Monitor) Audit(client int, phase func(shard int) tme.Phase) {
+//
+// The held set is copied into scratch, the caller's own buffer, and the
+// copy is returned for the caller to pass to its next Audit: a caller that
+// keeps it audits without allocating, and callers on different goroutines
+// share nothing but the monitor.
+func (m *Monitor) Audit(client int, scratch []int, phase func(shard int) tme.Phase) []int {
 	if m == nil {
-		return
+		return scratch
 	}
 	// Snapshot under the lock, probe outside it: phase reads the shard's
 	// spec view, which must not nest inside the monitor's mutex.
 	m.mu.Lock()
-	held := slices.Clone(m.held[client])
+	held := append(scratch[:0], m.held[client]...)
 	m.mu.Unlock()
 	for _, s := range held {
 		if phase(s) != tme.Eating {
 			m.auditViol.Inc()
 		}
 	}
+	return held
 }

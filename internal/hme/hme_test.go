@@ -141,7 +141,7 @@ func TestMonitorAudit(t *testing.T) {
 	m.Observe(OpAcquire, 0, 0, []int{1, 2})
 	m.Observe(OpGrant, 0, 1, nil)
 	m.Observe(OpGrant, 0, 2, nil)
-	m.Audit(0, func(shard int) tme.Phase {
+	m.Audit(0, nil, func(shard int) tme.Phase {
 		if shard == 2 {
 			return tme.Hungry // scrambled: held but not eating
 		}
@@ -172,6 +172,7 @@ func TestMonitorConcurrentMultiShard(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			set := []int{c % 4, c%4 + 2, c%4 + 4} // overlapping multi-shard sets
+			var scratch []int                     // this goroutine's Audit buffer
 			for round := range rounds {
 				m.Observe(OpAcquire, c, 0, set)
 				if c == 0 && round%10 == 0 {
@@ -187,7 +188,7 @@ func TestMonitorConcurrentMultiShard(t *testing.T) {
 				}
 				// Audit while holding: client 1 always sees one scrambled
 				// phase, everyone else audits clean.
-				m.Audit(c, func(shard int) tme.Phase {
+				scratch = m.Audit(c, scratch, func(shard int) tme.Phase {
 					if c == 1 && shard == set[0] {
 						return tme.Hungry
 					}
@@ -227,8 +228,114 @@ func TestNilMonitorIsNoOp(t *testing.T) {
 	var m *Monitor
 	m.Observe(OpAcquire, 0, 0, nil)
 	m.Observe(OpGrant, 0, 0, nil)
-	m.Audit(0, nil)
+	m.Audit(0, nil, nil)
 	if m.InFlight() != 0 {
 		t.Fatal("nil monitor reports in-flight work")
+	}
+}
+
+// cycle runs one hierarchical acquisition of shards by client through a and
+// m, the sharded coordinator's order: acquire, grant shard by shard, audit
+// the held set, release. It returns the audit scratch for the next cycle.
+func cycle(t *testing.T, m *Monitor, a *Acq, client int, shards, scratch []int) []int {
+	a.Reset(client, shards)
+	m.Observe(OpAcquire, client, 0, a.Set())
+	for {
+		s, ok := a.Pending()
+		if !ok {
+			break
+		}
+		m.Observe(OpGrant, client, s, nil)
+		if err := a.Grant(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch = m.Audit(client, scratch, func(int) tme.Phase { return tme.Eating })
+	m.Observe(OpRelease, client, 0, nil)
+	return scratch
+}
+
+// TestAcquireGrantAuditReleaseAllocatesNothing: a reused Acq and monitor,
+// with the caller's audit scratch kept, allocate in a client's first cycle
+// only; and with the sets NewAcqs and Reserve carve up front, not even
+// there, for any client.
+func TestAcquireGrantAuditReleaseAllocatesNothing(t *testing.T) {
+	shards := []int{3, 1}
+	t.Run("reused after the first cycle", func(t *testing.T) {
+		m := NewMonitor(obs.NewRegistry())
+		var a Acq
+		var scratch []int
+		allocs := testing.AllocsPerRun(100, func() { scratch = cycle(t, m, &a, 0, shards, scratch) })
+		if allocs != 0 {
+			t.Fatalf("a reused cycle allocates %.1f times, want 0", allocs)
+		}
+	})
+	t.Run("reserved from the first cycle", func(t *testing.T) {
+		const runs = 100
+		clients := runs + 1 // AllocsPerRun warms up with one extra call
+		m := NewMonitor(obs.NewRegistry())
+		m.Reserve(clients, len(shards))
+		acqs := NewAcqs(clients, len(shards))
+		scratch := make([]int, 0, len(shards))
+		c := 0
+		allocs := testing.AllocsPerRun(runs, func() { // each run is a new client's first cycle
+			scratch = cycle(t, m, &acqs[c], c, shards, scratch)
+			c++
+		})
+		if allocs != 0 {
+			t.Fatalf("a reserved client's first cycle allocates %.1f times, want 0", allocs)
+		}
+	})
+}
+
+// TestAuditConcurrentClients pins Audit's concurrency contract: two
+// goroutines, each driving its own client with its own scratch, audit
+// through one monitor while the other's grants and releases change the
+// held sets. Under -race (make test-race) a shared audit buffer would be a
+// reported race; the counts must be exact either way.
+func TestAuditConcurrentClients(t *testing.T) {
+	const rounds = 200
+	r := obs.NewRegistry()
+	m := NewMonitor(r)
+	m.Reserve(2, 2)
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var a Acq
+			var scratch []int
+			for range rounds {
+				a.Reset(c, []int{c, c + 2})
+				m.Observe(OpAcquire, c, 0, a.Set())
+				for !a.Done() {
+					s, _ := a.Pending()
+					m.Observe(OpGrant, c, s, nil)
+					if err := a.Grant(s); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				// Client 1 sees its second shard scrambled every round.
+				scratch = m.Audit(c, scratch, func(shard int) tme.Phase {
+					if c == 1 && shard == 3 {
+						return tme.Hungry
+					}
+					return tme.Eating
+				})
+				if !slices.Equal(scratch, []int{c, c + 2}) {
+					t.Errorf("client %d audited %v, holds [%d %d]", c, scratch, c, c+2)
+					return
+				}
+				m.Observe(OpRelease, c, 0, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Snapshot().Counter("hme_audit_violations_total"); got != rounds {
+		t.Errorf("audit violations = %d, want %d", got, rounds)
+	}
+	if got := m.InFlight(); got != 0 {
+		t.Errorf("InFlight at quiescence = %d, want 0", got)
 	}
 }

@@ -32,7 +32,7 @@ import (
 // driven from a single goroutine.
 type Node struct {
 	id, n int
-	clock *ltime.Clock
+	clock ltime.Clock
 	phase tme.Phase
 	req   ltime.Timestamp
 	// queue is request_queue.j: pending requests ordered by timestamp,

@@ -67,6 +67,8 @@ func (t Timestamp) String() string {
 // Clock is a Lamport logical clock for one process. It produces timestamps
 // that satisfy the Timestamp Spec: totally ordered and consistent with
 // happened-before. The zero value is not usable; construct with NewClock.
+// A process holds its clock by value, so a clock costs no allocation of
+// its own.
 //
 // Clock is not safe for concurrent use; each process owns exactly one and
 // drives it from its own event loop (or the simulator does, single-threaded).
@@ -76,8 +78,8 @@ type Clock struct {
 }
 
 // NewClock returns a logical clock for process pid, starting at 0.
-func NewClock(pid int) *Clock {
-	return &Clock{pid: pid}
+func NewClock(pid int) Clock {
+	return Clock{pid: pid}
 }
 
 // Now returns the timestamp of the most recent event at this process without

@@ -178,7 +178,7 @@ func TestHappenedBeforeImpliesLess(t *testing.T) {
 	)
 	for trial := 0; trial < trials; trial++ {
 		rng := seeded.New(int64(trial))
-		clocks := make([]*Clock, nProcs)
+		clocks := make([]Clock, nProcs)
 		for i := range clocks {
 			clocks[i] = NewClock(i)
 		}

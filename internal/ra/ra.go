@@ -19,7 +19,7 @@ import (
 // single goroutine (the simulator or runtime serializes all calls).
 type Node struct {
 	id, n    int
-	clock    *ltime.Clock
+	clock    ltime.Clock
 	phase    tme.Phase
 	req      ltime.Timestamp
 	local    []ltime.Timestamp // j.REQ_k

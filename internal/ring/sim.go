@@ -234,12 +234,12 @@ func (s *Sim) LiveTokens() int {
 		}
 	}
 	for _, ep := range s.eps {
-		q := s.mesh.Net().Chan(ep.Src, ep.Dst)
-		for k := 0; k < q.Len(); k++ {
-			if q.At(k).Seq > s.nodes[ep.Dst].Seq() {
+		seq := s.nodes[ep.Dst].Seq()
+		s.mesh.Net().Chan(ep.Src, ep.Dst).Each(func(t Token) {
+			if t.Seq > seq {
 				live++
 			}
-		}
+		})
 	}
 	return live
 }

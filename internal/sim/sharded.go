@@ -127,14 +127,19 @@ type nodeSlot struct {
 	qlen    int
 }
 
-// clientState tracks one logical client loop.
+// maxLockSet is the most shards a loop draws: one, or two every
+// CrossEvery-th loop. Each client's acquisition and monitor held set get
+// this much room once, at construction.
+const maxLockSet = 2
+
+// clientState tracks one logical client loop; its acquisition is the
+// client's entry of Sharded.acqs.
 type clientState struct {
-	acq      hme.Acq // the current loop's acquisition, Reset at each loop's start
-	active   bool    // a loop is in flight: acq is live
-	arriveAt int64   // arrival time of the current loop (latency baseline)
-	relLeft  int     // shard releases outstanding before the loop completes
-	recorded bool    // fairness entry recorded for this loop
-	loops    int     // completed loops
+	active   bool  // a loop is in flight: the acquisition is live
+	arriveAt int64 // arrival time of the current loop (latency baseline)
+	relLeft  int   // shard releases outstanding before the loop completes
+	recorded bool  // fairness entry recorded for this loop
+	loops    int   // completed loops
 	done     bool
 }
 
@@ -153,6 +158,8 @@ type Sharded struct {
 	fair    *obs.Fairness
 	clients []workload.Client
 	cst     []clientState
+	acqs    []hme.Acq    // client → the current loop's acquisition, Reset at each loop's start
+	audit   []int        // the monitor's Audit scratch
 	slots   [][]nodeSlot // [shard][node]
 	bufs    [][]hookRec  // per-shard harvest buffers
 	heap    []arrival    // min-heap of pending arrivals, ordered by (at, client)
@@ -175,12 +182,14 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		monitor: hme.NewMonitor(registryOf(c.Obs)),
 		clients: make([]workload.Client, c.Clients),
 		cst:     make([]clientState, c.Clients),
+		acqs:    hme.NewAcqs(c.Clients, maxLockSet),
 		slots:   make([][]nodeSlot, c.Shards),
 		bufs:    make([][]hookRec, c.Shards),
 	}
 	if c.Obs != nil {
 		sh.fair = c.Obs.Fairness()
 	}
+	sh.monitor.Reserve(c.Clients, maxLockSet)
 	cores := make([]*engine.Core, c.Shards)
 	for s := 0; s < c.Shards; s++ {
 		s := s
@@ -327,22 +336,23 @@ func (sh *Sharded) serialPhase(start, end int64) {
 func (sh *Sharded) startLoop(c int, at int64) {
 	cl := sh.clients[c]
 	st := &sh.cst[c]
-	var set [2]int
+	acq := &sh.acqs[c]
+	var set [maxLockSet]int
 	n := 1
 	set[0] = cl.NextResource(sh.cfg.Shards)
 	if sh.cfg.CrossEvery > 0 && (st.loops+1)%sh.cfg.CrossEvery == 0 {
 		set[1] = cl.NextResource(sh.cfg.Shards)
 		n = 2
 	}
-	st.acq.Reset(c, set[:n])
+	acq.Reset(c, set[:n])
 	st.active = true
 	st.arriveAt = at
 	st.recorded = false
 	st.relLeft = 0
-	if len(st.acq.Set()) > 1 {
-		sh.monitor.Observe(hme.OpAcquire, c, 0, st.acq.Set())
+	if len(acq.Set()) > 1 {
+		sh.monitor.Observe(hme.OpAcquire, c, 0, acq.Set())
 	}
-	shard, _ := st.acq.Pending()
+	shard, _ := acq.Pending()
 	sh.requestShard(c, shard, at)
 }
 
@@ -397,7 +407,8 @@ func (sh *Sharded) handleEntry(s, i int, t int64) {
 		return
 	}
 	sl.entered = true
-	multi := len(st.acq.Set()) > 1
+	acq := &sh.acqs[c]
+	multi := len(acq.Set()) > 1
 	if !st.recorded {
 		sh.fair.RecordEntry(c, t-st.arriveAt)
 		st.recorded = true
@@ -405,22 +416,22 @@ func (sh *Sharded) handleEntry(s, i int, t int64) {
 	if multi {
 		sh.monitor.Observe(hme.OpGrant, c, s, nil)
 	}
-	if err := st.acq.Grant(s); err != nil {
+	if err := acq.Grant(s); err != nil {
 		// Ordering bug in the coordinator itself; the monitor's order
 		// violation counter has already seen it via OpGrant.
 		return
 	}
-	if next, ok := st.acq.Pending(); ok {
+	if next, ok := acq.Pending(); ok {
 		sh.requestShard(c, next, t)
 		return
 	}
 	// Whole set held: audit the holder's spec views, then release every
 	// held shard together after the client's hold time.
 	if multi {
-		sh.monitor.Audit(c, func(shard int) tme.Phase { return sh.sims[shard].Node(i).Phase() })
+		sh.audit = sh.monitor.Audit(c, sh.audit, func(shard int) tme.Phase { return sh.sims[shard].Node(i).Phase() })
 	}
 	relT := t + sh.clients[c].NextHold()
-	held := st.acq.Held()
+	held := acq.Held()
 	st.relLeft = len(held)
 	for _, shard := range held {
 		sh.sims[shard].ReleaseAt(relT, i)
@@ -454,10 +465,11 @@ func (sh *Sharded) handleRelease(s, i int, t int64) {
 	if st.relLeft > 0 {
 		st.relLeft--
 	}
-	if st.relLeft > 0 || !st.active || !st.acq.Done() {
+	acq := &sh.acqs[c]
+	if st.relLeft > 0 || !st.active || !acq.Done() {
 		return
 	}
-	if len(st.acq.Set()) > 1 {
+	if len(acq.Set()) > 1 {
 		sh.monitor.Observe(hme.OpRelease, c, 0, nil)
 	}
 	st.active = false

@@ -764,10 +764,7 @@ func (s *Sim) SnapshotInto(g *GlobalState) {
 	}
 	g.InFlight = g.InFlight[:0]
 	for _, ep := range s.endpoints() {
-		q := s.net.Chan(ep.Src, ep.Dst)
-		for i := 0; i < q.Len(); i++ {
-			g.InFlight = append(g.InFlight, q.At(i))
-		}
+		s.net.Chan(ep.Src, ep.Dst).Each(func(m tme.Message) { g.InFlight = append(g.InFlight, m) })
 	}
 }
 
