@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race test-race cover bench experiments experiments-quick examples fuzz soak parity goldens clean
+.PHONY: all build lint test race test-race cover bench bench-pairs experiments experiments-quick examples fuzz soak parity goldens clean
 
 all: build test test-race
 
@@ -71,6 +71,34 @@ goldens:
 # end-to-end benchmark of record is `go run ./benchmark` (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
+
+# Alternating pairs of the end-to-end benchmark: ./benchmark built at BASE
+# (checked out into a temporary git worktree) and from the working tree,
+# run in turn PAIRS times on WORKLOAD at SEED. Each appends to its own
+# result set under bench_out/ (BASE's first), and --agree compares the two;
+# the worktree is removed however the run ends. A full pair of a sim
+# workload takes about half a minute.
+BASE ?= HEAD
+WORKLOAD ?= sim-stabilize
+SEED ?= 1
+PAIRS ?= 5
+
+bench-pairs:
+	@set -e; tmp="$$(mktemp -d)"; \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" $(BASE) >/dev/null 2>&1; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-base" ./benchmark); \
+	$(GO) build -o "$$tmp/bench-work" ./benchmark; \
+	mkdir -p bench_out; \
+	a=bench_out/pairs-$(WORKLOAD)-$(SEED)-base.jsonl; b=bench_out/pairs-$(WORKLOAD)-$(SEED)-work.jsonl; \
+	rm -f "$$a" "$$b"; \
+	for i in $$(seq $(PAIRS)); do \
+		echo "pair $$i of $(PAIRS): $(BASE), then the working tree" >&2; \
+		"$$tmp/bench-base" --workload $(WORKLOAD) --seed $(SEED) --out "$$a" >/dev/null; \
+		"$$tmp/bench-work" --workload $(WORKLOAD) --seed $(SEED) --out "$$b" >/dev/null; \
+	done; \
+	echo "a = $(BASE) ($$a), b = the working tree ($$b)"; \
+	"$$tmp/bench-work" --agree "$$a" "$$b"
 
 # Regenerate every experiment table of EXPERIMENTS.md (full scale ≈ 30 min).
 experiments:

@@ -84,11 +84,15 @@ func TestRunDeterministic(t *testing.T) {
 // TestStabilizeRunAllocationsPerEntry is a tier-1 tripwire for the
 // benchmark's sim-stabilize allocs_per_entry, which CI does not gate: one
 // RA and one Lamport run of its shape (N=5, δ=5, ten faults at 200 and at
-// 300, 30 requests each, monitors on) may make at most 2 heap allocations
-// per CS entry, set-up included. The fan-outs, W' firings and replies write
-// into buffers their producers own, messages queued behind a channel's head
-// reuse the mesh's overflow slab, and the protocols hold their clocks by
-// value, so what remains is per run, not per step. It reads about 1.75.
+// 300, 30 requests each, monitors on) may make at most 1.3 heap
+// allocations per CS entry, set-up included. The fan-outs, W' firings and
+// replies write into buffers their producers own, messages queued behind a
+// channel's head reuse the mesh's overflow slab, the protocols hold their
+// clocks by value, the monitors keep violations as records in fixed blocks
+// (rendered only when read), and the registry carves its instruments from
+// chunks, so what remains is per run, not per step. It reads about 0.98; a
+// violation allocated with its detail string and one allocation per
+// registered instrument take it to about 1.75.
 // Not parallel: it reads the process-wide malloc count. About 0.02 s.
 func TestStabilizeRunAllocationsPerEntry(t *testing.T) {
 	var before, after goruntime.MemStats
@@ -111,8 +115,8 @@ func TestStabilizeRunAllocationsPerEntry(t *testing.T) {
 	}
 	perEntry := float64(after.Mallocs-before.Mallocs) / float64(entries)
 	t.Logf("%.2f allocations per entry over %d entries", perEntry, entries)
-	if perEntry > 2 {
-		t.Errorf("%.2f heap allocations per CS entry, want at most 2", perEntry)
+	if perEntry > 1.3 {
+		t.Errorf("%.2f heap allocations per CS entry, want at most 1.3", perEntry)
 	}
 }
 

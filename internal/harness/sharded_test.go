@@ -27,7 +27,7 @@ func shardedTestCfg() ShardedRunConfig {
 // reduced sharded run (N=20, 4 shards, 80 clients × 32 loops, every fifth
 // loop a two-shard acquisition, four faults per shard at 500 and at 1500)
 // may make at most 0.6 heap allocations per CS entry, set-up included. It
-// reads about 0.46: what is left is per node and per shard, built once.
+// reads about 0.39: what is left is per node and per shard, built once.
 // Overflow storage grown per channel, hme sets grown per client and a heap
 // clock per node together take the same run to about 0.79. Not parallel: it
 // reads the process-wide malloc count. About 0.03 s.

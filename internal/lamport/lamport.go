@@ -60,14 +60,18 @@ var (
 // state: thinking, REQ_j = 0 (clock 0 at j), empty queue, no grants.
 func New(id, n int) *Node {
 	clock := ltime.NewClock(id)
+	// The queue holds at most one request per process, so it never grows
+	// past n: it shares one allocation with heard.
+	ts := make([]ltime.Timestamp, 2*n)
 	return &Node{
 		id:    id,
 		n:     n,
 		clock: clock,
 		phase: tme.Thinking,
 		req:   clock.Now(), // CS Release Spec: t.j ⇒ REQ_j = ts.j
+		queue: ts[n:n],
 		grant: make([]bool, n),
-		heard: make([]ltime.Timestamp, n),
+		heard: ts[:n:n],
 	}
 }
 

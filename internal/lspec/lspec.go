@@ -17,6 +17,13 @@
 // after the last fault (plus liveness obligations draining).
 // Theorem 5 (Lspec ⇒ TME_Spec) becomes the testable statement that runs
 // with no Lspec violations have no TME_Spec violations.
+//
+// A violation is kept as a fixed-size, pointer-free record that names its
+// clause: the virtual time, the observation index, the process (and the
+// entrant, for ME3), and the phase or timestamps its report quotes.
+// Records fill fixed blocks that never move, so recording one allocates
+// only when a block fills; Violations and FCFSViolations render them into
+// Violation reports when read.
 package lspec
 
 import (
@@ -56,6 +63,157 @@ func (t TimedViolation) String() string {
 	return fmt.Sprintf("t=%d %v", t.Time, t.V)
 }
 
+// clause names the clause a violation record reports.
+type clause uint8
+
+const (
+	clStructural clause = iota // Structural Spec: every phase is t, h or e
+	clME1                      // ME1: at most one process eats
+	clI                        // invariant I of Theorem A.1
+	clTimestamp                // Timestamp Spec: ts.j never decreases
+	clFlow                     // Flow Spec: t unless h, h unless e, e unless t
+	clRequest                  // Request Spec: REQ_j is stable while hungry
+	clRelease                  // CS Release Spec: thinking ⇒ REQ_j = ts.j
+	clME3                      // ME3: no knowing overtake
+)
+
+// An op is the operator a clause's violation is reported under, and the
+// per-operator counter it is published to.
+type op uint8
+
+const (
+	opInvariant op = iota
+	opUnless
+	opTimestamp
+	opRequest
+	opME3
+	numOps
+)
+
+// ops are the operators' names and counters, by op.
+var ops = [numOps]struct{ name, metric, help string }{
+	opInvariant: {"invariant", "spec_violations_invariant_total", "violations of the invariant operator"},
+	opUnless:    {"unless", "spec_violations_unless_total", "violations of the unless operator"},
+	opTimestamp: {"timestamp", "spec_violations_timestamp_total", "violations of the timestamp operator"},
+	opRequest:   {"request", "spec_violations_request_total", "violations of the request operator"},
+	opME3:       {"ME3", "spec_violations_me3_total", "violations of the ME3 operator"},
+}
+
+// clauseOp is the operator each clause is reported under.
+var clauseOp = [...]op{
+	clStructural: opInvariant, clME1: opInvariant, clI: opInvariant, clRelease: opInvariant,
+	clTimestamp: opTimestamp, clFlow: opUnless, clRequest: opRequest, clME3: opME3,
+}
+
+// maxProcs is the most processes a record can name.
+const maxProcs = 1 << 16
+
+// record is one violation as the check keeps it: a pointer-free 56-byte
+// value that holds what its report quotes, rendered into a Violation only
+// when read.
+type record struct {
+	time  int64
+	index int
+	// from and to are the timestamps the detail quotes: ts.j or REQ_j
+	// before and after (Timestamp and Request Spec), or the overtaken
+	// request and the entrant's own (ME3). Flow Spec keeps the phase left
+	// in from.Clock.
+	from, to ltime.Timestamp
+	// j is the process the clause reads; k the entrant of an ME3 overtake.
+	j, k   uint16
+	clause clause
+}
+
+// violation renders r exactly as the clause reports it.
+func (r *record) violation() *Violation {
+	v := &Violation{Op: ops[clauseOp[r.clause]].name, Index: r.index}
+	switch r.clause {
+	case clStructural:
+		v.Detail = "structural: p does not hold"
+	case clME1:
+		v.Detail = "ME1: p does not hold"
+	case clI:
+		v.Detail = "invariant-I: p does not hold"
+	case clTimestamp:
+		v.Detail = fmt.Sprintf("timestamp.%d: ts regressed from %s to %s", r.j, r.from, r.to)
+	case clFlow:
+		v.Detail = fmt.Sprintf("flow.%s.%d: p ∧ ¬q held but next state satisfies ¬p ∧ ¬q", tme.Phase(r.from.Clock), r.j)
+	case clRequest:
+		v.Detail = fmt.Sprintf("request.req-stable.%d: REQ changed from %s to %s while hungry", r.j, r.from, r.to)
+	case clRelease:
+		v.Detail = fmt.Sprintf("release.req-tracks-ts.%d: p does not hold", r.j)
+	case clME3:
+		v.Detail = fmt.Sprintf("process %d entered knowing %d's earlier request %s < %s", r.k, r.j, r.from, r.to)
+	default:
+		panic(fmt.Sprintf("lspec: record of unknown clause %d", r.clause))
+	}
+	return v
+}
+
+// chunkRecords is how many records a violation log allocates at a time.
+const chunkRecords = 32
+
+// logChunk is one fixed block of a violation log's records. The blocks are
+// linked in order and never move, so recording a violation allocates only
+// when a block fills.
+type logChunk struct {
+	recs [chunkRecords]record
+	next *logChunk
+}
+
+// violationLog is one violation stream, held as records and rendered into
+// TimedViolations only when read. What was rendered is kept, so reading the
+// stream after every observation renders each violation once.
+type violationLog struct {
+	head, tail *logChunk
+	n          int // records held
+	rendered   []TimedViolation
+	// cur is the block holding the last rendered record.
+	cur *logChunk
+}
+
+// add appends r.
+func (l *violationLog) add(r record) {
+	i := l.n % chunkRecords
+	if i == 0 {
+		c := new(logChunk)
+		if l.tail == nil {
+			l.head = c
+		} else {
+			l.tail.next = c
+		}
+		l.tail = c
+	}
+	l.tail.recs[i] = r
+	l.n++
+}
+
+// each calls f on every record, in order.
+func (l *violationLog) each(f func(*record)) {
+	left := l.n
+	for c := l.head; left > 0; c = c.next {
+		for i := range c.recs[:min(left, chunkRecords)] {
+			f(&c.recs[i])
+		}
+		left -= chunkRecords
+	}
+}
+
+// render returns the whole stream as TimedViolations.
+func (l *violationLog) render() []TimedViolation {
+	for i := len(l.rendered); i < l.n; i++ {
+		switch {
+		case i == 0:
+			l.cur = l.head
+		case i%chunkRecords == 0:
+			l.cur = l.cur.next
+		}
+		r := &l.cur.recs[i%chunkRecords]
+		l.rendered = append(l.rendered, TimedViolation{Time: r.time, V: r.violation()})
+	}
+	return l.rendered
+}
+
 // Monitors checks a full simulation run against Lspec and TME_Spec.
 // Construct with New, feed every snapshot to Observe (typically from a
 // sim.Observer), and read the verdicts at the end.
@@ -85,19 +243,21 @@ type Monitors struct {
 	// iHolds records that invariant I held at the last observation.
 	iHolds bool
 
-	violations []TimedViolation
-	obs        int
-	// fcfs counts knowing-overtake events (operational ME3 violations).
-	fcfsViolations []TimedViolation
+	// violations are the safety violations (Lspec and ME1); fcfs the
+	// knowing-overtake events (operational ME3 violations).
+	violations, fcfs violationLog
+	obs              int
 
 	// observability (nil fields when not instrumented): every verdict
 	// becomes a first-class violation event with convergence bookkeeping.
 	otel struct {
-		bundle *obs.Obs
-		total  *obs.Counter
-		byOp   map[string]*obs.Counter
-		trace  *obs.Trace
-		conv   *obs.Convergence
+		reg   *obs.Registry
+		total *obs.Counter
+		// byOp holds each operator's counter, registered on its first
+		// violation.
+		byOp  [numOps]*obs.Counter
+		trace *obs.Trace
+		conv  *obs.Convergence
 	}
 }
 
@@ -206,47 +366,35 @@ func (m *Monitors) Instrument(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	m.otel.bundle = o
-	m.otel.total = o.Registry().Counter("spec_violations_total", "spec-monitor violations (Lspec + TME_Spec + ME3)")
-	m.otel.byOp = make(map[string]*obs.Counter)
+	m.otel.reg = o.Registry()
+	m.otel.total = m.otel.reg.Counter("spec_violations_total", "spec-monitor violations (Lspec + TME_Spec + ME3)")
 	m.otel.trace = o.Tracer()
 	m.otel.conv = o.Convergence()
 }
 
-// record publishes one violation verdict.
-func (m *Monitors) record(v TimedViolation) {
-	if m.otel.bundle == nil {
+// add records one violation in l and publishes it.
+func (m *Monitors) add(l *violationLog, r record) {
+	l.add(r)
+	if m.otel.reg == nil {
 		return
 	}
 	m.otel.total.Inc()
-	c, ok := m.otel.byOp[v.V.Op]
-	if !ok {
-		c = m.otel.bundle.Registry().Counter("spec_violations_"+sanitize(v.V.Op)+"_total",
-			"violations of the "+v.V.Op+" operator")
-		m.otel.byOp[v.V.Op] = c
+	o := clauseOp[r.clause]
+	c := m.otel.byOp[o]
+	if c == nil {
+		c = m.otel.reg.Counter(ops[o].metric, ops[o].help)
+		m.otel.byOp[o] = c
 	}
 	c.Inc()
-	m.otel.conv.RecordViolation(v.Time)
-	m.otel.trace.Emit(obs.Event{Time: v.Time, Kind: obs.EvViolation, A: -1, B: -1, Detail: v.V.Op})
-}
-
-// sanitize maps an operator name onto the metric-name alphabet.
-func sanitize(s string) string {
-	out := []byte(s)
-	for i, b := range out {
-		switch {
-		case b >= 'a' && b <= 'z', b >= '0' && b <= '9', b == '_':
-		case b >= 'A' && b <= 'Z':
-			out[i] = b + ('a' - 'A')
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
+	m.otel.conv.RecordViolation(r.time)
+	m.otel.trace.Emit(obs.Event{Time: r.time, Kind: obs.EvViolation, A: -1, B: -1, Detail: ops[o].name})
 }
 
 // New returns monitors for an n-process system.
 func New(n int) *Monitors {
+	if n > maxProcs {
+		panic(fmt.Sprintf("lspec: %d processes, at most %d", n, maxProcs))
+	}
 	m := &Monitors{procs: make([]proc, n), stepped: make([]int, 0, n), everyone: make([]bool, n), iHolds: true}
 	for j := range m.everyone {
 		m.everyone[j] = true
@@ -334,13 +482,13 @@ func (m *Monitors) observe(g sim.GlobalState, changed []bool) {
 // per-process clause for every process in turn.
 func (m *Monitors) report(t int64, now int, broke uint8) {
 	if m.invalid > 0 {
-		m.violate(t, "invariant", now, "structural: p does not hold")
+		m.add(&m.violations, record{time: t, index: now, clause: clStructural})
 	}
 	if m.eating > 1 {
-		m.violate(t, "invariant", now, "ME1: p does not hold")
+		m.add(&m.violations, record{time: t, index: now, clause: clME1})
 	}
 	if !m.iHolds {
-		m.violate(t, "invariant", now, "invariant-I: p does not hold")
+		m.add(&m.violations, record{time: t, index: now, clause: clI})
 	}
 	for clause := brokeTS; clause <= brokeRelease; clause <<= 1 {
 		if broke&clause == 0 {
@@ -351,26 +499,22 @@ func (m *Monitors) report(t int64, now int, broke uint8) {
 			if p.broke&clause == 0 {
 				continue
 			}
+			// A transition clause is reported at the state whose successor
+			// broke it, an invariant at the state judged.
+			r := record{time: t, index: now - 1, j: uint16(j)}
 			switch clause {
 			case brokeTS:
-				m.violate(t, "timestamp", now-1, fmt.Sprintf("timestamp.%d: ts regressed from %s to %s", j, p.wasTS, p.ts))
+				r.clause, r.from, r.to = clTimestamp, p.wasTS, p.ts
 			case brokeFlow:
-				m.violate(t, "unless", now-1, fmt.Sprintf("flow.%s.%d: p ∧ ¬q held but next state satisfies ¬p ∧ ¬q", p.was, j))
+				r.clause, r.from.Clock = clFlow, uint64(p.was)
 			case brokeREQ:
-				m.violate(t, "request", now-1, fmt.Sprintf("request.req-stable.%d: REQ changed from %s to %s while hungry", j, p.wasREQ, p.req))
+				r.clause, r.from, r.to = clRequest, p.wasREQ, p.req
 			case brokeRelease:
-				m.violate(t, "invariant", now, fmt.Sprintf("release.req-tracks-ts.%d: p does not hold", j))
+				r.clause, r.index = clRelease, now
 			}
+			m.add(&m.violations, r)
 		}
 	}
-}
-
-// violate records one safety violation at trace index i: the state judged
-// for an invariant, the state whose successor broke a transition clause.
-func (m *Monitors) violate(t int64, op string, i int, detail string) {
-	tv := TimedViolation{Time: t, V: &Violation{Op: op, Index: i, Detail: detail}}
-	m.violations = append(m.violations, tv)
-	m.record(tv)
 }
 
 // checkFCFS flags a "knowing overtake": process k transitions into eating
@@ -388,17 +532,8 @@ func (m *Monitors) checkFCFS(g sim.GlobalState, now int) {
 			}
 			reqJ := g.Nodes[j].REQ
 			if g.Nodes[k].Local[j] == reqJ && reqJ.Less(g.Nodes[k].REQ) {
-				tv := TimedViolation{
-					Time: g.Time,
-					V: &Violation{
-						Op:    "ME3",
-						Index: now,
-						Detail: fmt.Sprintf("process %d entered knowing %d's earlier request %s < %s",
-							k, j, reqJ, g.Nodes[k].REQ),
-					},
-				}
-				m.fcfsViolations = append(m.fcfsViolations, tv)
-				m.record(tv)
+				m.add(&m.fcfs, record{time: g.Time, index: now, clause: clME3,
+					from: reqJ, to: g.Nodes[k].REQ, j: uint16(j), k: uint16(k)})
 			}
 		}
 	}
@@ -440,14 +575,22 @@ func (c *cadence) due(s *sim.Sim) bool {
 // identical to AsFullSnapshotObserver's (proven by the monitor parity
 // tests); only the per-event work differs.
 func (m *Monitors) AsObserver() sim.Observer {
-	c := cadence{activity: -1, time: -1}
-	var g sim.GlobalState
-	var ver sim.SnapVersions
-	return func(s *sim.Sim) {
-		if c.due(s) {
-			changed := s.SnapshotDeltaInto(&g, &ver)
-			m.observe(g, changed)
-		}
+	o := &observer{m: m, c: cadence{activity: -1, time: -1}}
+	return o.observe
+}
+
+// observer is AsObserver's state, in one allocation.
+type observer struct {
+	m   *Monitors
+	c   cadence
+	g   sim.GlobalState
+	ver sim.SnapVersions
+}
+
+func (o *observer) observe(s *sim.Sim) {
+	if o.c.due(s) {
+		changed := s.SnapshotDeltaInto(&o.g, &o.ver)
+		o.m.observe(o.g, changed)
 	}
 }
 
@@ -467,11 +610,12 @@ func (m *Monitors) AsFullSnapshotObserver() sim.Observer {
 	}
 }
 
-// Violations returns all safety violations (Lspec + ME1) with times.
-func (m *Monitors) Violations() []TimedViolation { return m.violations }
+// Violations returns all safety violations (Lspec + ME1) with times. They
+// are rendered from the check's records when read.
+func (m *Monitors) Violations() []TimedViolation { return m.violations.render() }
 
 // FCFSViolations returns the operational ME3 violations with times.
-func (m *Monitors) FCFSViolations() []TimedViolation { return m.fcfsViolations }
+func (m *Monitors) FCFSViolations() []TimedViolation { return m.fcfs.render() }
 
 // Stat summarizes one operator's violations.
 type Stat struct {
@@ -483,20 +627,19 @@ type Stat struct {
 // Summary aggregates violations by operator ("invariant", "unless",
 // "request", "timestamp", "ME3"), with counts and last occurrence times.
 func (m *Monitors) Summary() map[string]Stat {
-	out := make(map[string]Stat)
-	add := func(op string, t int64) {
-		e := out[op]
+	var by [numOps]Stat
+	tally := func(r *record) {
+		e := &by[clauseOp[r.clause]]
 		e.Count++
-		if t > e.Last {
-			e.Last = t
+		e.Last = max(e.Last, r.time)
+	}
+	m.violations.each(tally)
+	m.fcfs.each(tally)
+	out := make(map[string]Stat)
+	for o, e := range by {
+		if e.Count > 0 {
+			out[ops[o].name] = e
 		}
-		out[op] = e
-	}
-	for _, v := range m.violations {
-		add(v.V.Op, v.Time)
-	}
-	for _, v := range m.fcfsViolations {
-		add(v.V.Op, v.Time)
 	}
 	return out
 }
@@ -505,16 +648,9 @@ func (m *Monitors) Summary() map[string]Stat {
 // violation, or -1 if the run was clean.
 func (m *Monitors) LastViolationTime() int64 {
 	last := int64(-1)
-	for _, v := range m.violations {
-		if v.Time > last {
-			last = v.Time
-		}
-	}
-	for _, v := range m.fcfsViolations {
-		if v.Time > last {
-			last = v.Time
-		}
-	}
+	latest := func(r *record) { last = max(last, r.time) }
+	m.violations.each(latest)
+	m.fcfs.each(latest)
 	return last
 }
 
@@ -554,8 +690,8 @@ func (m *Monitors) OpenReplyObligations() int {
 // Clean reports whether the run satisfied every monitored property: no
 // safety violations, no FCFS violations, and no open liveness obligations.
 func (m *Monitors) Clean() bool {
-	return len(m.violations) == 0 &&
-		len(m.fcfsViolations) == 0 &&
+	return m.violations.n == 0 &&
+		m.fcfs.n == 0 &&
 		len(m.StarvedProcesses()) == 0 &&
 		len(m.StuckEaters()) == 0 &&
 		m.OpenReplyObligations() == 0

@@ -33,12 +33,12 @@ func NewSnapshot() *Snapshot {
 // Snapshot copies the registry's current values. Returns an empty snapshot
 // on a nil registry.
 func (r *Registry) Snapshot() *Snapshot {
-	s := NewSnapshot()
 	if r == nil {
-		return s
+		return NewSnapshot()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := &Snapshot{Counters: make(map[string]int64, len(r.cs)), Gauges: make(map[string]int64, len(r.gs))}
 	for n, c := range r.cs {
 		s.Counters[n] = c.v.Load()
 	}
@@ -56,7 +56,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			hs.Counts[i] = h.counts[i].Load()
 		}
 		if s.Histograms == nil {
-			s.Histograms = map[string]HistSnapshot{}
+			s.Histograms = make(map[string]HistSnapshot, len(r.hs))
 		}
 		s.Histograms[n] = hs
 	}

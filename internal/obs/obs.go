@@ -138,12 +138,38 @@ func (h *Histogram) Observe(v int64) {
 // name returns the same instrument) and safe for concurrent use; the zero
 // value is ready. A nil *Registry hands out nil instruments, making the
 // entire downstream pipeline a no-op.
+//
+// Counters and gauges are carved from fixed-size chunks that are never
+// moved or freed, so a handed-out pointer stays valid for the registry's
+// life, and registering an instrument costs an allocation only when a chunk
+// runs out.
 type Registry struct {
 	mu     sync.Mutex
 	cs     map[string]*Counter   // guarded by mu
 	gs     map[string]*Gauge     // guarded by mu
 	hs     map[string]*Histogram // guarded by mu
 	sorted []string              // guarded by mu; cached sorted instrument names, nil when stale
+	// freeCs and freeGs are the unused tails of the current chunks.
+	freeCs []Counter // guarded by mu
+	freeGs []Gauge   // guarded by mu
+}
+
+// Chunk sizes, which are also the size hints of the maps that index them:
+// a monitored simulator run registers about 30 counters and 11 gauges.
+const (
+	counterChunk = 32
+	gaugeChunk   = 16
+)
+
+// carve hands out the first element of *free, first refilling it with a
+// fresh chunk of size n when it is empty. The chunk's elements never move.
+func carve[T any](free *[]T, n int) *T {
+	if len(*free) == 0 {
+		*free = make([]T, n)
+	}
+	x := &(*free)[0]
+	*free = (*free)[1:]
+	return x
 }
 
 // NewRegistry returns an empty enabled registry.
@@ -161,9 +187,10 @@ func (r *Registry) Counter(name, help string) *Counter {
 		return c
 	}
 	if r.cs == nil {
-		r.cs = make(map[string]*Counter)
+		r.cs = make(map[string]*Counter, counterChunk)
 	}
-	c := &Counter{name: name, help: help}
+	c := carve(&r.freeCs, counterChunk)
+	c.name, c.help = name, help
 	r.cs[name] = c
 	r.sorted = nil
 	return c
@@ -181,9 +208,10 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		return g
 	}
 	if r.gs == nil {
-		r.gs = make(map[string]*Gauge)
+		r.gs = make(map[string]*Gauge, gaugeChunk)
 	}
-	g := &Gauge{name: name, help: help}
+	g := carve(&r.freeGs, gaugeChunk)
+	g.name, g.help = name, help
 	r.gs[name] = g
 	r.sorted = nil
 	return g

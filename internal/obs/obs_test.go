@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -311,6 +312,53 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("h", "", nil).count.Load(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
+	}
+}
+
+// TestRegistryInstrumentsStayValidAcrossChunks registers several chunks'
+// worth of counters and gauges from concurrent writers, each incrementing
+// through every pointer it was handed while others keep carving new ones.
+// Every value must read back from Snapshot, and every name must still
+// return the pointer it first did: a chunk never moves once carved.
+func TestRegistryInstrumentsStayValidAcrossChunks(t *testing.T) {
+	const writers, per = 4, 3 * counterChunk
+	r := NewRegistry()
+	cs := make([][]*Counter, writers)
+	gs := make([][]*Gauge, writers)
+	name := func(kind string, w, i int) string { return fmt.Sprintf("%s_%d_%d", kind, w, i) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				cs[w] = append(cs[w], r.Counter(name("c", w, i), ""))
+				gs[w] = append(gs[w], r.Gauge(name("g", w, i), ""))
+				for j := range cs[w] {
+					cs[w][j].Inc()
+					gs[w][j].Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	if len(snap.Counters) != writers*per || len(snap.Gauges) != writers*per {
+		t.Fatalf("snapshot holds %d counters and %d gauges, want %d of each", len(snap.Counters), len(snap.Gauges), writers*per)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < per; i++ {
+			want := int64(per - i) // incremented once per later registration
+			if got := snap.Counter(name("c", w, i)); got != want {
+				t.Fatalf("counter %s = %d, want %d", name("c", w, i), got, want)
+			}
+			if got := snap.Gauge(name("g", w, i), -1); got != want {
+				t.Fatalf("gauge %s = %d, want %d", name("g", w, i), got, want)
+			}
+			if r.Counter(name("c", w, i), "") != cs[w][i] || r.Gauge(name("g", w, i), "") != gs[w][i] {
+				t.Fatalf("%s / %s re-registered as a different instrument", name("c", w, i), name("g", w, i))
+			}
+		}
 	}
 }
 

@@ -6,10 +6,14 @@ import "sync"
 // signalling. The transport uses one per directed edge and one per process
 // inbox; unboundedness means producers never block, so the mesh cannot
 // backpressure-deadlock (an event loop blocked on a full channel while its
-// own inbox fills).
+// own inbox fills). Storage is a head-indexed ring, like the wire layer's
+// msgQueue: a pop advances the head and shifts nothing, and capacity grows
+// only when the queue outpaces its consumer and is reused after.
 type mailbox[T any] struct {
 	mu     sync.Mutex
-	items  []T           // guarded by mu
+	buf    []T           // guarded by mu; ring storage, len(buf) is the capacity
+	head   int           // guarded by mu; index of the oldest item
+	n      int           // guarded by mu; items queued
 	signal chan struct{} // capacity 1: "items may be non-empty"
 	closed bool          // guarded by mu
 }
@@ -25,7 +29,11 @@ func (m *mailbox[T]) put(v T) {
 		m.mu.Unlock()
 		return
 	}
-	m.items = append(m.items, v)
+	if m.n == len(m.buf) {
+		m.grow()
+	}
+	m.buf[(m.head+m.n)%len(m.buf)] = v
+	m.n++
 	m.mu.Unlock()
 	select {
 	case m.signal <- struct{}{}:
@@ -33,16 +41,27 @@ func (m *mailbox[T]) put(v T) {
 	}
 }
 
+// grow doubles the ring of a full mailbox. Called with mu held.
+func (m *mailbox[T]) grow() {
+	buf := make([]T, max(2*len(m.buf), 16))
+	for i := 0; i < m.n; i++ {
+		buf[i] = m.buf[(m.head+i)%len(m.buf)]
+	}
+	m.buf, m.head = buf, 0
+}
+
 // tryGet dequeues the head without blocking.
 func (m *mailbox[T]) tryGet() (v T, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.items) == 0 {
+	if m.n == 0 {
 		return v, false
 	}
-	v = m.items[0]
-	copy(m.items, m.items[1:])
-	m.items = m.items[:len(m.items)-1]
+	v = m.buf[m.head]
+	var zero T
+	m.buf[m.head] = zero // hold no reference past the pop
+	m.head = (m.head + 1) % len(m.buf)
+	m.n--
 	return v, true
 }
 
@@ -53,7 +72,7 @@ func (m *mailbox[T]) ready() <-chan struct{} { return m.signal }
 func (m *mailbox[T]) close() {
 	m.mu.Lock()
 	m.closed = true
-	m.items = nil
+	m.buf, m.head, m.n = nil, 0, 0
 	m.mu.Unlock()
 }
 
@@ -61,5 +80,5 @@ func (m *mailbox[T]) close() {
 func (m *mailbox[T]) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.items)
+	return m.n
 }

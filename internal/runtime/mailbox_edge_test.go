@@ -107,3 +107,60 @@ func TestMailboxSignalCoalescing(t *testing.T) {
 		t.Fatal("signal lost after drain")
 	}
 }
+
+// A queue whose head has advanced wraps its tail round the ring's end, and
+// grows from a wrapped state: both must keep FIFO order.
+func TestMailboxRingWraps(t *testing.T) {
+	m := newMailbox[int]()
+	next, want := 0, 0
+	get := func() {
+		t.Helper()
+		v, ok := m.tryGet()
+		if !ok || v != want {
+			t.Fatalf("tryGet = %d, %v; want %d, true", v, ok, want)
+		}
+		want++
+	}
+	for ; next < 12; next++ {
+		m.put(next)
+	}
+	for want < 10 {
+		get()
+	}
+	for ; next < 22; next++ { // wraps: the ring holds 16
+		m.put(next)
+	}
+	if m.head+m.n <= len(m.buf) {
+		t.Fatalf("head %d + %d items within a ring of %d: the tail did not wrap", m.head, m.n, len(m.buf))
+	}
+	for ; next < 40; next++ { // grows while wrapped
+		m.put(next)
+	}
+	for want < next {
+		get()
+	}
+	if _, ok := m.tryGet(); ok {
+		t.Error("queue not empty after drain")
+	}
+}
+
+// Once its ring has grown to the burst size, a mailbox that takes a burst
+// and drains it allocates nothing.
+func TestMailboxSteadyStateDrainAllocatesNothing(t *testing.T) {
+	m := newMailbox[int]()
+	burst := func() {
+		for i := 0; i < 50; i++ {
+			m.put(i)
+		}
+		for i := 0; i < 50; i++ {
+			if v, ok := m.tryGet(); !ok || v != i {
+				t.Fatalf("drain item %d: got %d ok=%v", i, v, ok)
+			}
+		}
+		<-m.ready()
+	}
+	burst() // grow the ring once
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("a put-and-drain burst allocates %.0f times, want 0", allocs)
+	}
+}

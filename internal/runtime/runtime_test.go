@@ -349,6 +349,10 @@ func TestClusterSoak(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
+	// Every logged entry is released exactly once. An entry can land
+	// between a round's release and the next round's requests; counting
+	// only what arrives after the requests would leave that eater holding
+	// the critical section for good.
 	served := 0
 	deadline := time.Now().Add(20 * time.Second)
 	round := 0
@@ -361,11 +365,10 @@ func TestClusterSoak(t *testing.T) {
 			// Periodic transient corruption.
 			c.CorruptShard(0, round%n, tme.Corruption{Phase: tme.Thinking})
 		}
-		start := len(log.all())
 		for time.Now().Before(deadline) {
 			entries := log.all()
-			if len(entries) > start {
-				for _, e := range entries[start:] {
+			if len(entries) > served {
+				for _, e := range entries[served:] {
 					c.ReleaseShard(0, e.ID)
 					served++
 				}

@@ -53,3 +53,17 @@ func TestInstrumentedCycleAllocatesLikeBare(t *testing.T) {
 		t.Fatalf("102 fault-free cycles evaluated W' %d times, want 0", evals)
 	}
 }
+
+// TestRegisteringInstrumentsAllocates bounds what one run's telemetry costs
+// to set up: a fresh observability bundle (with its convergence and
+// fairness instruments) plus the simulator's own counters, gauge and
+// histogram. The registry carves counters and gauges from chunks and sizes
+// its maps once, so this reads 21; one allocation per instrument and maps
+// grown an entry at a time read 49.
+func TestRegisteringInstrumentsAllocates(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() { newInstruments(obs.New(obs.Options{})) })
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 24 {
+		t.Errorf("registering the simulator's instruments allocates %.0f times, want at most 24", allocs)
+	}
+}

@@ -755,16 +755,30 @@ func (s *Sim) Snapshot() GlobalState {
 // which skips the unchanged parts.
 func (s *Sim) SnapshotInto(g *GlobalState) {
 	g.Time = s.core.Now()
-	if cap(g.Nodes) < s.cfg.N {
-		g.Nodes = make([]tme.SpecState, s.cfg.N)
-	}
-	g.Nodes = g.Nodes[:s.cfg.N]
+	g.reserve(s.cfg.N)
 	for i, nd := range s.nodes {
 		tme.SnapshotInto(nd, &g.Nodes[i])
 	}
 	g.InFlight = g.InFlight[:0]
 	for _, ep := range s.endpoints() {
 		s.net.Chan(ep.Src, ep.Dst).Each(func(m tme.Message) { g.InFlight = append(g.InFlight, m) })
+	}
+}
+
+// reserve sizes g.Nodes for n processes. When it must allocate, it carves
+// every node's Local and Received from one block each, sized for the
+// processes' n-entry views, so the snapshots that fill them allocate
+// nothing more.
+func (g *GlobalState) reserve(n int) {
+	if cap(g.Nodes) >= n {
+		g.Nodes = g.Nodes[:n]
+		return
+	}
+	g.Nodes = make([]tme.SpecState, n)
+	local, received := make([]ltime.Timestamp, n*n), make([]bool, n*n)
+	for i := range g.Nodes {
+		g.Nodes[i].Local = local[i*n : i*n : (i+1)*n]
+		g.Nodes[i].Received = received[i*n : i*n : (i+1)*n]
 	}
 }
 
@@ -789,10 +803,7 @@ func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) (changed []bool
 	g.InFlight = g.InFlight[:0]
 	n := s.cfg.N
 	full := v.global != s.verGlobal || len(v.nodes) != n
-	if cap(g.Nodes) < n {
-		g.Nodes = make([]tme.SpecState, n)
-	}
-	g.Nodes = g.Nodes[:n]
+	g.reserve(n)
 	if cap(v.nodes) < n {
 		v.nodes = make([]uint64, n)
 		v.changed = make([]bool, n)
