@@ -126,6 +126,8 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeFrame -fuzztime=15s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadSchedule -fuzztime=15s ./internal/workload/
 	$(GO) test -run=Fuzz -fuzz=FuzzMonitorsMatchOracle -fuzztime=15s ./internal/lspec/
+	$(GO) test -run=Fuzz -fuzz=FuzzLocalREQs -fuzztime=15s ./internal/ra/
+	$(GO) test -run=Fuzz -fuzz=FuzzLocalREQs -fuzztime=15s ./internal/lamport/
 
 clean:
 	$(GO) clean ./...

@@ -54,6 +54,7 @@ var (
 	_ tme.Node        = (*Node)(nil)
 	_ tme.Corruptible = (*Node)(nil)
 	_ tme.ClockHolder = (*Node)(nil)
+	_ tme.LocalReader = (*Node)(nil)
 )
 
 // New returns process id of an n-process Lamport_ME system in the Init
@@ -113,6 +114,42 @@ func (nd *Node) LocalREQ(k int) (ltime.Timestamp, bool) {
 		return nd.heard[k], false
 	}
 	return ltime.Zero, false
+}
+
+// LocalREQs writes every j.REQ_k and received flag at once
+// (tme.LocalReader), agreeing with LocalREQ for every k: the grant-backed
+// heard copies first, then one pass over the request queue instead of one
+// scan per k. The pass runs back to front, so where a (corrupted) queue
+// holds two entries of k, the one nearer the head decides, as in queued.
+func (nd *Node) LocalREQs(local []ltime.Timestamp, received []bool) {
+	local = local[:nd.n]
+	for k, granted := range nd.grant {
+		local[k] = ltime.Zero
+		if granted {
+			local[k] = nd.heard[k]
+		}
+	}
+	if received != nil {
+		clear(received[:nd.n])
+	}
+	for i := len(nd.queue) - 1; i >= 0; i-- {
+		ts := nd.queue[i]
+		k := ts.PID
+		if k < 0 || k >= nd.n || k == nd.id {
+			continue
+		}
+		// An entry that does not show leaves no grant behind it, so k
+		// reads zero.
+		shown := nd.grant[k] || ts.Less(nd.req)
+		local[k] = ltime.Zero
+		if shown {
+			local[k] = ts
+		}
+		if received != nil {
+			received[k] = shown
+		}
+	}
+	local[nd.id] = ltime.Zero
 }
 
 // queued returns k's entry in the request queue, if any.

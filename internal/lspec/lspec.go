@@ -231,12 +231,14 @@ func (l *violationLog) render() []TimedViolation {
 type Monitors struct {
 	// procs[j] is what the check keeps of process j.
 	procs []proc
-	// stepped lists the processes the current observation judged, in
-	// ascending order.
-	stepped []int
-	// everyone marks every process changed: what Observe, which is told
-	// nothing about its snapshot, passes for the change set.
-	everyone []bool
+	// stepped lists the processes the current observation judges, in
+	// ascending order: the moved set itself, or, while some process fails
+	// CS Release, merged, the moved set with the failing processes merged
+	// in.
+	stepped, merged []int
+	// everyone lists every process: what Observe, which is told nothing
+	// about its snapshot, passes for the moved set.
+	everyone []int
 	// invalid, eating and releaseFailing count the processes whose last
 	// judged state has an invalid phase, is eating, or breaks CS Release.
 	invalid, eating, releaseFailing int
@@ -395,9 +397,10 @@ func New(n int) *Monitors {
 	if n > maxProcs {
 		panic(fmt.Sprintf("lspec: %d processes, at most %d", n, maxProcs))
 	}
-	m := &Monitors{procs: make([]proc, n), stepped: make([]int, 0, n), everyone: make([]bool, n), iHolds: true}
+	ids := make([]int, 2*n)
+	m := &Monitors{procs: make([]proc, n), merged: ids[n:n], everyone: ids[:n], iHolds: true}
 	for j := range m.everyone {
-		m.everyone[j] = true
+		m.everyone[j] = j
 	}
 	return m
 }
@@ -421,7 +424,7 @@ func InvariantI(g sim.GlobalState) bool {
 
 // invariantIAround is invariant I on the 2(n−1) pairs that read process j.
 // On a state that differs from one where I held only at j, it is I.
-func invariantIAround(g sim.GlobalState, j int) bool {
+func invariantIAround(g *sim.GlobalState, j int) bool {
 	nj := &g.Nodes[j]
 	for k := range g.Nodes {
 		if k != j && !(nj.Local[k].LessEq(g.Nodes[k].REQ) && g.Nodes[k].Local[j].LessEq(nj.REQ)) {
@@ -432,47 +435,51 @@ func invariantIAround(g sim.GlobalState, j int) bool {
 }
 
 // Observe feeds the next snapshot to all monitors.
-func (m *Monitors) Observe(g sim.GlobalState) { m.observe(g, m.everyone) }
+func (m *Monitors) Observe(g sim.GlobalState) { m.observe(&g, m.everyone) }
 
 // observe feeds the next snapshot, which differs from the previous one at
-// most in the processes j with changed[j] set. The first observation judges
-// every process whatever changed says.
-func (m *Monitors) observe(g sim.GlobalState, changed []bool) {
+// most in the processes moved lists, in ascending order. The first
+// observation judges every process whatever moved says.
+func (m *Monitors) observe(g *sim.GlobalState, moved []int) {
 	now := m.obs
 	m.obs++
 	if now == 0 {
-		changed = m.everyone
+		moved = m.everyone
 	}
-	moved, last := 0, 0
-	for j, c := range changed {
-		if c {
-			moved, last = moved+1, j
-		}
-	}
-	if moved == 0 && m.releaseFailing == 0 && m.invalid == 0 && m.eating <= 1 && m.iHolds {
+	if len(moved) == 0 && m.releaseFailing == 0 && m.invalid == 0 && m.eating <= 1 && m.iHolds {
 		return
 	}
-	m.stepped = m.stepped[:0]
-	var broke uint8
-	for j := range m.procs {
-		p := &m.procs[j]
-		if !changed[j] && p.broke&brokeRelease == 0 {
-			continue
+	// Step the moved processes, and those whose CS Release invariant
+	// fails (it is reported on every state it fails in).
+	m.stepped = moved
+	if m.releaseFailing > 0 {
+		merged, next := m.merged[:0], 0
+		for j := range m.procs {
+			if next < len(moved) && moved[next] == j {
+				next++
+			} else if m.procs[j].broke&brokeRelease == 0 {
+				continue
+			}
+			merged = append(merged, j)
 		}
+		m.stepped, m.merged = merged, merged
+	}
+	var broke uint8
+	for _, j := range m.stepped {
+		p := &m.procs[j]
 		m.count(p, -1)
 		broke |= p.step(j, &g.Nodes[j])
 		m.count(p, 1)
-		m.stepped = append(m.stepped, j)
 	}
 	switch {
-	case moved == 0:
-	case moved == 1 && m.iHolds:
-		m.iHolds = invariantIAround(g, last)
+	case len(moved) == 0:
+	case len(moved) == 1 && m.iHolds:
+		m.iHolds = invariantIAround(g, moved[0])
 	default:
-		m.iHolds = InvariantI(g)
+		m.iHolds = InvariantI(*g)
 	}
 	m.report(g.Time, now, broke)
-	if moved > 0 {
+	if len(moved) > 0 {
 		m.checkFCFS(g, now)
 	}
 }
@@ -521,7 +528,7 @@ func (m *Monitors) report(t int64, now int, broke uint8) {
 // while some hungry j holds an earlier request that k has recorded exactly
 // (k.REQ_j = REQ_j). Recording j's request implies it causally preceded k's
 // entry, so this is an operational ME3 violation.
-func (m *Monitors) checkFCFS(g sim.GlobalState, now int) {
+func (m *Monitors) checkFCFS(g *sim.GlobalState, now int) {
 	for _, k := range m.stepped {
 		if !m.procs[k].entered {
 			continue
@@ -568,30 +575,42 @@ func (c *cadence) due(s *sim.Sim) bool {
 // events it looks at).
 //
 // The snapshot is maintained incrementally, in one buffer (the check keeps
-// no snapshot past its Observe): the simulator's dirty tracking says which
-// processes changed since the last observation, only those are re-read, and
-// only their steps run. An observation in which nothing changed and no
-// clause is failing costs a version compare per process. The verdicts are
+// no snapshot past its Observe): each observation drains the simulator's
+// moved set (sim.Sim.Moved), re-reads exactly the processes it names, one
+// tme.SnapshotInto each, and steps those plus any whose CS Release
+// invariant is failing. An observation in which nothing moved and no
+// clause is failing costs one drain of an empty set. The verdicts are
 // identical to AsFullSnapshotObserver's (proven by the monitor parity
-// tests); only the per-event work differs.
+// tests); only the per-event work differs. The observer is the moved set's
+// one reader: install one AsObserver per simulation.
 func (m *Monitors) AsObserver() sim.Observer {
-	o := &observer{m: m, c: cadence{activity: -1, time: -1}}
+	o := &observer{m: m, c: cadence{activity: -1, time: -1}, moved: make([]int, 0, len(m.procs))}
 	return o.observe
 }
 
 // observer is AsObserver's state, in one allocation.
 type observer struct {
-	m   *Monitors
-	c   cadence
-	g   sim.GlobalState
-	ver sim.SnapVersions
+	m     *Monitors
+	c     cadence
+	g     sim.GlobalState
+	moved []int
 }
 
 func (o *observer) observe(s *sim.Sim) {
-	if o.c.due(s) {
-		changed := s.SnapshotDeltaInto(&o.g, &o.ver)
-		o.m.observe(o.g, changed)
+	if !o.c.due(s) {
+		return
 	}
+	moved, all := s.Moved(o.moved[:0])
+	o.moved = moved
+	if !all && o.m.obs == 0 {
+		moved = o.m.everyone // the first observation reads every process
+	}
+	o.g.Time = s.Now()
+	o.g.Reserve(s.N())
+	for _, j := range moved {
+		tme.SnapshotInto(s.Node(j), &o.g.Nodes[j])
+	}
+	o.m.observe(&o.g, moved)
 }
 
 // AsFullSnapshotObserver is the reference observer: identical observation

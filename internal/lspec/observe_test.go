@@ -82,17 +82,17 @@ func TestOneProcessChangedObservationAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkMonitorObserve prices one observation of a 5-process state by
-// what the observer was told changed: nothing, one process, everything.
+// what the observer was told moved: nothing, one process, everything.
 func BenchmarkMonitorObserve(b *testing.B) {
 	s := sim.New(sim.Config{N: 5, Seed: 1, NewNode: raFactory})
 	g := s.Snapshot()
 	for _, bc := range []struct {
-		name    string
-		changed []bool
+		name  string
+		moved []int
 	}{
-		{"quiescent", make([]bool, 5)},
-		{"one-process-changed", []bool{false, false, true, false, false}},
-		{"all-changed", []bool{true, true, true, true, true}},
+		{"quiescent", nil},
+		{"one-process-changed", []int{2}},
+		{"all-changed", []int{0, 1, 2, 3, 4}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := New(5)
@@ -100,7 +100,7 @@ func BenchmarkMonitorObserve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.observe(g, bc.changed)
+				m.observe(&g, bc.moved)
 			}
 		})
 	}

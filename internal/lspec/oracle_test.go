@@ -308,7 +308,7 @@ func runTwin(t *testing.T, c simCase) *twin {
 // after every step. Each step rewrites some processes (phases, valid or
 // not; HasTS; REQ, TS, local copies and received flags) or none, marks them
 // changed (sometimes marking others too), and feeds the state through
-// Observe or through observe with that change set. Values are drawn from a
+// Observe or through observe with those processes as the moved set. Values are drawn from a
 // few clocks so that equalities, regressions and earlier requests are all
 // common.
 func walk(t testing.TB, d interface{ Intn(int) int }, steps int) *twin {
@@ -321,7 +321,7 @@ func walk(t testing.TB, d interface{ Intn(int) int }, steps int) *twin {
 			Local: make([]ltime.Timestamp, n), Received: make([]bool, n)}
 	}
 	tw := &twin{m: New(n), o: newOracle(n)}
-	changed := make([]bool, n)
+	changed, moved := make([]bool, n), make([]int, 0, n)
 	for step := 0; step < steps; step++ {
 		g.Time = int64(step)
 		clear(changed)
@@ -361,7 +361,13 @@ func walk(t testing.TB, d interface{ Intn(int) int }, steps int) *twin {
 		if d.Intn(4) == 0 {
 			tw.m.Observe(g)
 		} else {
-			tw.m.observe(g, changed)
+			moved = moved[:0]
+			for j, c := range changed {
+				if c {
+					moved = append(moved, j)
+				}
+			}
+			tw.m.observe(&g, moved)
 		}
 		tw.o.Observe(g)
 		tw.agree(t, fmt.Sprintf("n=%d step %d", n, step))

@@ -35,6 +35,7 @@ var (
 	_ tme.Node        = (*Node)(nil)
 	_ tme.Corruptible = (*Node)(nil)
 	_ tme.ClockHolder = (*Node)(nil)
+	_ tme.LocalReader = (*Node)(nil)
 )
 
 // New returns process id of an n-process RA_ME system in the Init state of
@@ -75,6 +76,17 @@ func (nd *Node) LocalREQ(k int) (ltime.Timestamp, bool) {
 		return ltime.Zero, false
 	}
 	return nd.local[k], nd.received[k]
+}
+
+// LocalREQs writes every j.REQ_k and received(j.REQ_k) flag at once
+// (tme.LocalReader): a copy of the node's two arrays.
+func (nd *Node) LocalREQs(local []ltime.Timestamp, received []bool) {
+	copy(local[:nd.n], nd.local)
+	local[nd.id] = ltime.Zero
+	if received != nil {
+		copy(received[:nd.n], nd.received)
+		received[nd.id] = false
+	}
 }
 
 // deferredSet returns the paper's always-section set

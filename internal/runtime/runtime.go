@@ -55,8 +55,9 @@ type Config struct {
 	// every event at it and after every corruption (intra-process repair,
 	// §2.2).
 	Level1 wrapper.Level1
-	// MinDelay/MaxDelay bound per-message transport delay.
-	// Defaults 100µs / 1ms.
+	// MinDelay/MaxDelay bound per-message transport delay. MinDelay
+	// defaults to 100µs, and a MaxDelay below MinDelay (the zero value
+	// included) is raised to it, so the default delay is a fixed 100µs.
 	MinDelay, MaxDelay time.Duration
 	// LossRate and DupRate are per-message fault probabilities in [0,1].
 	LossRate, DupRate float64

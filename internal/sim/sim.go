@@ -19,9 +19,10 @@
 //
 // The hot path is allocation-free in steady state: scheduled occurrences
 // are typed engine event records (no closure per event) interpreted by the
-// dispatch switch, and observers can keep snapshots current with
-// SnapshotDeltaInto, which reobserves only the processes that changed since
-// the observer last looked and says which they were.
+// dispatch switch. Every site that writes a process adds it to the moved
+// set (one bit, set whether or not anyone reads it), and an observer that
+// drains the set with Moved re-reads only the processes named there: an
+// observation costs what moved, not what exists.
 //
 // Counter contract. The event loop counts messages, deliveries, requests,
 // releases and events in plain Metrics fields, and Sim.Metrics() is current
@@ -35,6 +36,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
@@ -148,8 +150,8 @@ type GlobalState struct {
 	Nodes []tme.SpecState
 	// InFlight holds all queued messages, in deterministic endpoint
 	// order, head first per channel. Snapshot and SnapshotInto fill it;
-	// SnapshotDeltaInto, the per-event observer path, leaves it empty (no
-	// monitor reads the channels).
+	// the per-event observer path leaves it empty (no monitor reads the
+	// channels).
 	InFlight []tme.Message
 }
 
@@ -224,15 +226,14 @@ type Sim struct {
 	onEntry   func(node int, t int64)
 	onRelease func(node int, t int64)
 
-	// Dirty tracking for incremental snapshots: a version counter per
-	// node and a global generation bumped whenever an At-closure ran
-	// (closures may mutate anything, so they invalidate everything).
-	// Together these are a compressed delta log: an observer holding
-	// SnapVersions can tell exactly which processes changed since it last
-	// synchronized. Spec monitors are skipped on the strength of it, so a
-	// site that writes a node without marking it loses verdicts.
-	verGlobal uint64
-	verNodes  []uint64
+	// The moved set, drained by Moved: bit i%64 of moved[i/64] is set
+	// when a simulator site may have written process i since the last
+	// drain, and movedAll when an At closure ran or Run was entered
+	// (either may have written anything). Spec monitors re-read and judge
+	// only what it names, so a site that writes a node without marking it
+	// loses verdicts.
+	moved    []uint64
+	movedAll bool
 }
 
 // instruments caches the simulator's obs handles. Every field is nil when
@@ -307,14 +308,14 @@ func New(cfg Config) *Sim {
 	core := engine.New(c.Seed)
 	mesh := engine.NewMesh[tme.Message](core, c.N, c.MinDelay, c.MaxDelay, evDeliver)
 	s := &Sim{
-		cfg:       c,
-		core:      core,
-		mesh:      mesh,
-		nodes:     make([]tme.Node, c.N),
-		net:       mesh.Net(),
-		lastReq:   make([]int64, c.N),
-		verGlobal: 1,
-		verNodes:  make([]uint64, c.N),
+		cfg:      c,
+		core:     core,
+		mesh:     mesh,
+		nodes:    make([]tme.Node, c.N),
+		net:      mesh.Net(),
+		lastReq:  make([]int64, c.N),
+		moved:    make([]uint64, (c.N+63)/64),
+		movedAll: true,
 	}
 	s.ins = newInstruments(c.Obs)
 	core.SetHandler(s.dispatch)
@@ -416,19 +417,46 @@ func (s *Sim) Obs() *obs.Obs { return s.cfg.Obs }
 // Stop ends the run after the current event.
 func (s *Sim) Stop() { s.core.Stop() }
 
-// dirtyNode marks process i's spec-visible state as possibly changed.
-func (s *Sim) dirtyNode(i int) { s.verNodes[i]++ }
+// dirtyNode adds process i to the moved set.
+func (s *Sim) dirtyNode(i int) { s.moved[i>>6] |= 1 << (uint(i) & 63) }
 
-// dirtyAll invalidates every cached snapshot: an At-closure (fault
-// injection, tests) may have mutated any node or channel behind the
-// simulator's back.
-func (s *Sim) dirtyAll() { s.verGlobal++ }
+// dirtyAll makes the moved set read "all": an At closure (fault
+// injection, tests) may have written any node behind the simulator's back.
+func (s *Sim) dirtyAll() { s.movedAll = true }
+
+// Moved drains the moved set: it appends to dst, in ascending order and
+// once each, every process the simulator may have written since the
+// previous drain, and empties the set. all reports that the simulator
+// cannot tell (an At closure ran, or Run was entered, since the previous
+// drain), and then ids lists every process. The set has one reader: an
+// observer that drains it on every observation sees each write exactly
+// once, and a second reader would see only what moved since the first.
+func (s *Sim) Moved(dst []int) (ids []int, all bool) {
+	if all = s.movedAll; all {
+		s.movedAll = false
+		clear(s.moved)
+		for i := range s.nodes {
+			dst = append(dst, i)
+		}
+		return dst, true
+	}
+	for w, word := range s.moved {
+		if word == 0 {
+			continue
+		}
+		s.moved[w] = 0
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return dst, false
+}
 
 // At schedules fn at absolute virtual time t (clamped to now for past
 // times). Fault injectors and tests use it to place faults precisely. This
-// is the rare-path escape hatch: it allocates a closure and conservatively
-// invalidates incremental snapshots when it runs, so recurring occurrences
-// use typed events instead.
+// is the rare-path escape hatch: it allocates a closure and makes the
+// moved set read "all" when it runs, so recurring occurrences use typed
+// events instead.
 func (s *Sim) At(t int64, fn func(s *Sim)) {
 	s.core.At(t, func() { fn(s) })
 }
@@ -681,10 +709,10 @@ func (s *Sim) dispatch(ev *engine.Event) {
 	default:
 		s.publish() // the closure is user code and may read the counters
 		ev.Call()
-		// The closure may have mutated any node or channel (fault
-		// injection does exactly that), so cached snapshots are stale, and
-		// a corrupted node is repaired now: a quiescent one has no other
-		// event to repair it at.
+		// The closure may have written any node (fault injection does
+		// exactly that), so every process has moved, and a corrupted node
+		// is repaired now: a quiescent one has no other event to repair
+		// it at.
 		s.dirtyAll()
 		for i := range s.nodes {
 			s.runLevel1(i)
@@ -704,9 +732,9 @@ func (s *Sim) afterEvent() {
 // Run processes events until the queue drains, time exceeds horizon, or
 // Stop is called. It returns the number of events processed in this call.
 func (s *Sim) Run(horizon int64) int64 {
-	// State may have been mutated directly between Run calls (tests poke
-	// channels and nodes through Net, Node and the fault surface):
-	// invalidate snapshots once, and arm or disarm every W' deadline.
+	// State may have been written directly between Run calls (tests poke
+	// channels and nodes through Net, Node and the fault surface): every
+	// process has moved, and every W' deadline is armed or disarmed.
 	s.dirtyAll()
 	for i := range s.nodes {
 		s.watch(i)
@@ -751,11 +779,11 @@ func (s *Sim) Snapshot() GlobalState {
 }
 
 // SnapshotInto fills g with the current global state, reusing g's slices.
-// Observers that snapshot on every event use SnapshotDeltaInto instead,
-// which skips the unchanged parts.
+// Observers that snapshot on every event keep one GlobalState current
+// instead, re-reading only the processes Moved names.
 func (s *Sim) SnapshotInto(g *GlobalState) {
 	g.Time = s.core.Now()
-	g.reserve(s.cfg.N)
+	g.Reserve(s.cfg.N)
 	for i, nd := range s.nodes {
 		tme.SnapshotInto(nd, &g.Nodes[i])
 	}
@@ -765,11 +793,11 @@ func (s *Sim) SnapshotInto(g *GlobalState) {
 	}
 }
 
-// reserve sizes g.Nodes for n processes. When it must allocate, it carves
+// Reserve sizes g.Nodes for n processes. When it must allocate, it carves
 // every node's Local and Received from one block each, sized for the
 // processes' n-entry views, so the snapshots that fill them allocate
 // nothing more.
-func (g *GlobalState) reserve(n int) {
+func (g *GlobalState) Reserve(n int) {
 	if cap(g.Nodes) >= n {
 		g.Nodes = g.Nodes[:n]
 		return
@@ -780,44 +808,6 @@ func (g *GlobalState) reserve(n int) {
 		g.Nodes[i].Local = local[i*n : i*n : (i+1)*n]
 		g.Nodes[i].Received = received[i*n : i*n : (i+1)*n]
 	}
-}
-
-// SnapVersions records which state generation a GlobalState buffer
-// reflects, for SnapshotDeltaInto. The zero value means "never
-// synchronized" and forces a full rebuild on first use.
-type SnapVersions struct {
-	global  uint64
-	nodes   []uint64
-	changed []bool
-}
-
-// SnapshotDeltaInto brings g — a buffer previously filled through v — up to
-// the current global state, re-snapshotting only the processes whose state
-// changed since v's last synchronization, and returns which those were:
-// changed[i] is set iff g.Nodes[i] was re-read (the slice belongs to v and
-// is overwritten by the next call). After an At-closure ran (fault
-// injection), everything is conservatively treated as changed. Time and
-// Nodes equal what SnapshotInto produces; InFlight is left empty.
-func (s *Sim) SnapshotDeltaInto(g *GlobalState, v *SnapVersions) (changed []bool) {
-	g.Time = s.core.Now()
-	g.InFlight = g.InFlight[:0]
-	n := s.cfg.N
-	full := v.global != s.verGlobal || len(v.nodes) != n
-	g.reserve(n)
-	if cap(v.nodes) < n {
-		v.nodes = make([]uint64, n)
-		v.changed = make([]bool, n)
-	}
-	v.nodes, v.changed = v.nodes[:n], v.changed[:n]
-	for i, nd := range s.nodes {
-		v.changed[i] = full || v.nodes[i] != s.verNodes[i]
-		if v.changed[i] {
-			tme.SnapshotInto(nd, &g.Nodes[i])
-			v.nodes[i] = s.verNodes[i]
-		}
-	}
-	v.global = s.verGlobal
-	return v.changed
 }
 
 // endpoints caches the deterministic endpoint order.

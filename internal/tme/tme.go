@@ -109,6 +109,11 @@ func (m Message) String() string {
 // SpecView exposes exactly the Lspec-level variables of one process:
 // its phase (h.j / e.j / t.j), REQ_j, and its local copies j.REQ_k. This is
 // the wrapper's entire window into a process — graybox knowledge.
+//
+// LocalREQ(k) is the definition of one local copy. A reader that wants all
+// of them (a snapshot, a W' evaluation) calls ReadLocal, which takes them
+// in one LocalREQs call from a view that implements LocalReader, as both
+// reference implementations do.
 type SpecView interface {
 	// ID returns the process id j.
 	ID() int
@@ -124,6 +129,40 @@ type SpecView interface {
 	// REQ_k, and whether a value for k has been received since the last
 	// local request was issued (the received(j.REQ_k) flag of Lspec).
 	LocalREQ(k int) (ts ltime.Timestamp, received bool)
+}
+
+// LocalReader is implemented by views that read every local copy in one
+// call, rather than one LocalREQ call per k (which costs Lamport's
+// realization a scan of its request queue per k).
+type LocalReader interface {
+	// LocalREQs writes j.REQ_k and received(j.REQ_k) into local[k] and
+	// received[k] for every k < N(), exactly as LocalREQ(k) reads them
+	// (zero and false at k = j). Both slices are the caller's and must
+	// hold at least N() entries; received may be nil when the caller
+	// wants only the copies.
+	LocalREQs(local []ltime.Timestamp, received []bool)
+}
+
+// ReadLocal writes v's local copies j.REQ_k and received flags into
+// local[:N()] and received[:N()] (received may be nil), zero and false at
+// k = j: in one LocalREQs call when v is a LocalReader, else one LocalREQ
+// call per k ≠ j.
+func ReadLocal(v SpecView, local []ltime.Timestamp, received []bool) {
+	if r, ok := v.(LocalReader); ok {
+		r.LocalREQs(local, received)
+		return
+	}
+	j := v.ID()
+	for k := range local[:v.N()] {
+		ts, rcvd := ltime.Timestamp{}, false
+		if k != j {
+			ts, rcvd = v.LocalREQ(k)
+		}
+		local[k] = ts
+		if received != nil {
+			received[k] = rcvd
+		}
+	}
 }
 
 // Node is a TME process as driven by an execution substrate (the
@@ -224,7 +263,8 @@ func Snapshot(v SpecView) SpecState {
 }
 
 // SnapshotInto fills s from v, reusing s's slices when they are large
-// enough (for allocation-free periodic snapshots).
+// enough (for allocation-free periodic snapshots). It reads the local
+// copies through ReadLocal: one LocalREQs call from a LocalReader.
 func SnapshotInto(v SpecView, s *SpecState) {
 	n := v.N()
 	s.ID = v.ID()
@@ -238,13 +278,7 @@ func SnapshotInto(v SpecView, s *SpecState) {
 		s.Received = make([]bool, n)
 	}
 	s.Received = s.Received[:n]
-	for k := 0; k < n; k++ {
-		if k == s.ID {
-			s.Local[k], s.Received[k] = ltime.Timestamp{}, false
-			continue
-		}
-		s.Local[k], s.Received[k] = v.LocalREQ(k)
-	}
+	ReadLocal(v, s.Local, s.Received)
 	s.TS, s.HasTS = ltime.Timestamp{}, false
 	if ch, ok := v.(ClockHolder); ok {
 		s.TS, s.HasTS = ch.ClockNow(), true

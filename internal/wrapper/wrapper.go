@@ -15,7 +15,10 @@
 // everywhere implementation of Lspec.
 package wrapper
 
-import "github.com/graybox-stabilization/graybox/internal/tme"
+import (
+	"github.com/graybox-stabilization/graybox/internal/ltime"
+	"github.com/graybox-stabilization/graybox/internal/tme"
+)
 
 // W evaluates the refined wrapper W_j against the spec view: when hungry,
 // (re)send the current request to every process whose local copy j.REQ_k is
@@ -32,30 +35,36 @@ import "github.com/graybox-stabilization/graybox/internal/tme"
 // ¬(REQ_j lt j.REQ_k) guard still opens and the wrapper still recovers the
 // system (regression-tested against a 12-process deadlock this produced).
 //
-// The result is a fresh slice, the caller's to keep.
-func W(v tme.SpecView) []tme.Message { return appendW(nil, v) }
-
-// appendW appends W_j's messages to dst and returns the extended slice.
-// A nil dst that must grow is allocated once, sized for the worst case; the
-// guard being closed for every k leaves dst untouched.
-func appendW(dst []tme.Message, v tme.SpecView) []tme.Message {
+// The result is a fresh slice, the caller's to keep, allocated only when
+// the guard opens: W reads the local copies one LocalREQ call at a time,
+// where W' (Timed) reads them all in one call into a buffer it keeps.
+func W(v tme.SpecView) []tme.Message {
 	if v.Phase() != tme.Hungry {
-		return dst
+		return nil
 	}
-	req := v.REQ()
-	for k := 0; k < v.N(); k++ {
-		if k == v.ID() {
-			continue
-		}
-		local, _ := v.LocalREQ(k)
-		if !req.Less(local) {
-			if dst == nil {
-				dst = make([]tme.Message, 0, v.N()-1)
-			}
-			dst = append(dst, tme.Message{Kind: tme.Request, TS: req, From: v.ID(), To: k})
+	var dst []tme.Message
+	req, j, n := v.REQ(), v.ID(), v.N()
+	for k := 0; k < n; k++ {
+		if k != j {
+			local, _ := v.LocalREQ(k)
+			dst = appendStale(dst, req, local, j, k, n)
 		}
 	}
 	return dst
+}
+
+// appendStale appends process j's request REQ_j = req to k when j.REQ_k,
+// local, is not later than it: one k of W_j's guard in an n-process
+// system. A nil dst that must grow is allocated once, sized for the worst
+// case; a closed guard leaves dst untouched.
+func appendStale(dst []tme.Message, req, local ltime.Timestamp, j, k, n int) []tme.Message {
+	if req.Less(local) {
+		return dst
+	}
+	if dst == nil {
+		dst = make([]tme.Message, 0, n-1)
+	}
+	return append(dst, tme.Message{Kind: tme.Request, TS: req, From: j, To: k})
 }
 
 // Unrefined evaluates the first, unrefined version of W_j from §4: when
@@ -100,6 +109,8 @@ type Timed struct {
 	next int64
 	// out backs Fire's result; see Level2.Fire.
 	out []tme.Message
+	// local is the buffer appendW reads the local copies into.
+	local []ltime.Timestamp
 }
 
 var _ Level2 = (*Timed)(nil)
@@ -121,11 +132,32 @@ func (t *Timed) Fire(now int64, v tme.SpecView) []tme.Message {
 		return nil
 	}
 	t.next = now + t.Delta
-	t.out = appendW(t.out[:0], v)
+	t.out = t.appendW(t.out[:0], v)
 	if len(t.out) == 0 {
 		return nil
 	}
 	return t.out
+}
+
+// appendW appends W_j's messages to dst and returns the extended slice. It
+// reads every j.REQ_k in one tme.ReadLocal call into t.local, which it
+// grows to N() when it is shorter.
+func (t *Timed) appendW(dst []tme.Message, v tme.SpecView) []tme.Message {
+	if v.Phase() != tme.Hungry {
+		return dst
+	}
+	req, j, n := v.REQ(), v.ID(), v.N()
+	if cap(t.local) < n {
+		t.local = make([]ltime.Timestamp, n)
+	}
+	t.local = t.local[:n]
+	tme.ReadLocal(v, t.local, nil)
+	for k, c := range t.local {
+		if k != j {
+			dst = appendStale(dst, req, c, j, k, n)
+		}
+	}
+	return dst
 }
 
 // Func adapts a plain wrapper function (such as W or Unrefined) into a
