@@ -27,17 +27,19 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the concurrent packages (the goroutine runtime, the
-# wire layer's sockets and chaos proxy, the observability instruments they
-# publish to, the hierarchical monitor, whose mutex is for substrates that
-# run clients on their own goroutines (the sharded simulator is one
-# goroutine), the gbnode process with its client loops, the harness's
-# parallel sweep, which must equal a sequential sweep bit-for-bit, and the
-# live driver: RunLive, the workload.Driver adapter it shares with gbnode,
-# which blocks on the runtime's phase-change wait, and the cross-substrate
-# fault-row test of that Driver). This is the net for every mutex-guarded
-# field (DESIGN.md §6 lists the plant that proves each one).
+# wall-clock timer every live wait uses, whose relay goroutine sends on its
+# channel, the wire layer's sockets and chaos proxy, the observability
+# instruments they publish to, the hierarchical monitor, whose mutex is for
+# substrates that run clients on their own goroutines (the sharded
+# simulator is one goroutine), the gbnode process with its client loops,
+# the harness's parallel sweep, which must equal a sequential sweep
+# bit-for-bit, and the live driver: RunLive, the workload.Driver adapter
+# it shares with gbnode, which blocks on the runtime's phase-change wait,
+# and the cross-substrate fault-row test of that Driver). This is the net
+# for every mutex-guarded field (DESIGN.md §6 lists the plant that proves
+# each one).
 test-race:
-	$(GO) test -race ./internal/runtime/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/
+	$(GO) test -race ./internal/runtime/... ./internal/wallclock/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/
 	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded

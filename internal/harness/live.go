@@ -9,8 +9,9 @@
 // schedule is. NewFaultSchedule pre-draws every fault kind, burst size,
 // and partition group from the seed, so two runs with the same seed apply
 // the identical fault sequence; wall-clock outcomes (which message a loss
-// hits) legitimately differ. This file is therefore full of sanctioned
-// wall-clock reads and goroutines, each annotated for gblint.
+// hits) legitimately differ. This file therefore reads and waits on the
+// wall clock through internal/wallclock, and its goroutines are each
+// annotated for gblint.
 package harness
 
 import (
@@ -26,6 +27,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/runtime"
 	"github.com/graybox-stabilization/graybox/internal/scenario"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wallclock"
 	"github.com/graybox-stabilization/graybox/internal/wire"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
@@ -47,11 +49,6 @@ const (
 
 // sampleEvery is the live ME1 sampler's cadence.
 const sampleEvery = 500 * time.Microsecond
-
-// liveNowNS reads the wall clock; live runs measure real time by design.
-//
-//gblint:ignore determinism live cluster runs are wall-clock by design; determinism lives in the fault schedule
-func liveNowNS() int64 { return time.Now().UnixNano() }
 
 // LiveConfig parameterizes a loopback live-cluster run.
 type LiveConfig struct {
@@ -322,7 +319,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	for _, cl := range clusters {
 		cl.Start()
 	}
-	start := liveNowNS()
+	start := wallclock.Now()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -336,7 +333,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		go func() {
 			defer wg.Done()
 			RunLiveClient(stop, clusters[i], i, client, func(shard int) {
-				reqAt[shard][i].Store(liveNowNS())
+				reqAt[shard][i].Store(wallclock.Now())
 				atomic.AddInt64(&requests, 1)
 			})
 		}()
@@ -349,8 +346,9 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	//gblint:ignore determinism the live safety monitor samples wall-clock state by design
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(sampleEvery)
-		defer ticker.Stop()
+		tick := wallclock.NewTimer()
+		defer tick.Close()
+		tick.Reset(sampleEvery)
 		conv := o.Convergence()
 		eating := func(s int) int {
 			c := 0
@@ -375,16 +373,17 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 			select {
 			case <-stop:
 				return
-			case <-ticker.C:
+			case <-tick.C:
 				// Double-read: only count when the second scan agrees,
 				// so an entry/release racing the first scan doesn't.
 				if anyViolation() && anyViolation() {
-					at := liveNowNS()
+					at := wallclock.Now()
 					conv.RecordViolation(at)
 					mu.Lock()
 					violTimes = append(violTimes, at)
 					mu.Unlock()
 				}
+				tick.Reset(sampleEvery)
 			}
 		}
 	}()
@@ -397,9 +396,11 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		//gblint:ignore determinism the schedule applier replays a pre-drawn plan at wall-clock offsets
 		go func() {
 			defer wg.Done()
+			var wait sleeper
+			defer wait.close()
 			for _, e := range cfg.Schedule.Events {
-				due := time.Duration(e.AtMS)*time.Millisecond - time.Duration(liveNowNS()-start)
-				if due > 0 && !liveSleep(stop, due) {
+				due := time.Duration(e.AtMS)*time.Millisecond - time.Duration(wallclock.Now()-start)
+				if !wait.sleep(stop, due) {
 					return
 				}
 				switch e.Verb {
@@ -429,7 +430,9 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		}()
 	}
 
-	liveSleep(nil, cfg.Duration)
+	var wait sleeper
+	wait.sleep(nil, cfg.Duration)
+	wait.close()
 	close(stop)
 	wg.Wait()
 	for _, cl := range clusters {
@@ -440,7 +443,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	// Derive the result.
 	res := LiveResult{
 		N:          n,
-		DurationMS: (liveNowNS() - start) / int64(time.Millisecond),
+		DurationMS: (wallclock.Now() - start) / int64(time.Millisecond),
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -528,17 +531,11 @@ func percentilesUS(lat []int64) (p50, p95, p99 int64) {
 	return pick(0.50), pick(0.95), pick(0.99)
 }
 
-// liveSleep waits d or until stop closes; false means stopped early.
-func liveSleep(stop <-chan struct{}, d time.Duration) bool {
-	var s sleeper
-	defer s.close()
-	return s.sleep(stop, d)
-}
-
-// sleeper is one goroutine's reusable wait: a single timer serves every
-// sleep, where a timer per sleep would cost two allocations per entry on
-// a client's think and hold waits.
-type sleeper struct{ t *time.Timer }
+// sleeper is one goroutine's reusable wait: a single timer, opened by the
+// first sleep that needs one, serves every sleep, where a timer per sleep
+// would open a descriptor and start a goroutine on each of a client's
+// think and hold waits.
+type sleeper struct{ t *wallclock.Timer }
 
 // sleep waits d or until stop closes; false means stopped early.
 func (s *sleeper) sleep(stop <-chan struct{}, d time.Duration) bool {
@@ -546,24 +543,15 @@ func (s *sleeper) sleep(stop <-chan struct{}, d time.Duration) bool {
 		return true
 	}
 	if s.t == nil {
-		s.t = time.NewTimer(d)
-	} else {
-		s.t.Reset(d) // the last sleep received the fire, so the channel is empty
+		s.t = wallclock.NewTimer()
 	}
-	select {
-	case <-s.t.C:
-		return true
-	case <-stop:
-		s.close()
-		return false
-	}
+	return s.t.Sleep(stop, d)
 }
 
-// close releases the timer; a later sleep starts a fresh one, so no fire
-// left in the old channel can end it early.
+// close releases the timer.
 func (s *sleeper) close() {
 	if s.t != nil {
-		s.t.Stop()
+		s.t.Close()
 		s.t = nil
 	}
 }
@@ -578,11 +566,11 @@ func (s *sleeper) close() {
 // (think and hold) and runtime.Cluster.AwaitPhaseChangeShard for leaving
 // Hungry: the cluster's event loop tells it that it eats, nothing polls.
 func RunLiveClient(stop <-chan struct{}, cl *runtime.Cluster, id int, draws workload.Client, onRequest func(shard int)) {
-	d := workload.NewDriver(draws, cl.Shards(), 0, int64(LiveTick), liveNowNS())
+	d := workload.NewDriver(draws, cl.Shards(), 0, int64(LiveTick), wallclock.Now())
 	var wait sleeper
 	defer wait.close()
 	for running := true; running; {
-		now := liveNowNS()
+		now := wallclock.Now()
 		switch d.Step(now, cl.PhaseShard(d.Shard(), id)) {
 		case workload.ActSleep, workload.ActIdle:
 			running = wait.sleep(stop, time.Duration(d.Wake()-now))

@@ -8,6 +8,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/runtime"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wallclock"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
@@ -130,7 +131,7 @@ func TestRunLiveForgedEntryRecordsNoLatency(t *testing.T) {
 	})
 	cl.ReleaseShard(0, 1)
 
-	stamp.Store(liveNowNS())
+	stamp.Store(wallclock.Now())
 	cl.RequestShard(0, 0)
 	if lat := <-latencies; lat < 0 {
 		t.Fatalf("requested entry recorded latency %d, want >= 0", lat)

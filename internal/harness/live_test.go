@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func TestRunLivePartitionHealReconverges(t *testing.T) {
 		dur   = 2500 * time.Millisecond
 		delta = 25 * time.Millisecond
 	)
-	base := goruntime.NumGoroutine()
+	base, fds := goruntime.NumGoroutine(), openFDs()
 	sched := &wire.FaultSchedule{
 		Seed: 5,
 		Events: []wire.FaultEvent{
@@ -106,10 +107,21 @@ func TestRunLivePartitionHealReconverges(t *testing.T) {
 	}
 	// Every goroutine the run started exits: wire accept, senders and
 	// connection readers, the chaos scheduler, the client drivers, the
-	// sampler and the schedule applier.
+	// sampler, the schedule applier and every wall-clock timer's relay.
+	// Every socket and timer descriptor is closed.
 	eventually(t, "the goroutine count is back to its baseline", func() bool {
 		return goruntime.NumGoroutine() <= base
 	})
+	eventually(t, "the descriptor count is back to its baseline", func() bool {
+		return openFDs() <= fds
+	})
+}
+
+// openFDs counts the process's open descriptors; 0 where /proc/self/fd is
+// not to be had, which turns the comparisons using it into no-ops.
+func openFDs() int {
+	ents, _ := os.ReadDir("/proc/self/fd")
+	return len(ents)
 }
 
 // A full seeded chaos schedule (every fault class) leaves the wrapped

@@ -10,7 +10,8 @@ import (
 // configuration and seed, because the parity tests and the benchmark
 // regression gate compare runs byte-for-byte. It flags
 //
-//   - wall-clock reads (time.Now and friends, per Config.DetTimeFuncs);
+//   - wall-clock reads and waits (time.Now, time.Sleep, time.NewTimer and
+//     friends, per Config.DetTimeFuncs);
 //   - the global math/rand source (package-level rand.Intn etc.) and
 //     math/rand/v2's top-level draws (rand.IntN, rand.N, rand.Uint64, ...),
 //     which read a source no seed reaches; seeded streams (seeded.New, or
@@ -26,6 +27,9 @@ import (
 type determinismPass struct{}
 
 func (determinismPass) Name() string { return PassDeterminism }
+
+// clockReads are the DetTimeFuncs that read the clock; the rest wait on it.
+var clockReads = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 // randTypeNames are math/rand and math/rand/v2 type names, never
 // flaggable (they carry no state); needed only when type information is
@@ -84,8 +88,12 @@ func checkDetCall(cfg *Config, pkg *Package, imports map[string]string, call *as
 	name := sel.Sel.Name
 	switch path {
 	case "time":
-		if containsStr(cfg.DetTimeFuncs, name) {
+		switch {
+		case !containsStr(cfg.DetTimeFuncs, name):
+		case clockReads[name]:
 			report(call.Pos(), "time.%s reads the wall clock: simulated time must come from the event loop so runs are a pure function of seed", name)
+		default:
+			report(call.Pos(), "time.%s waits on the wall clock: a simulated wait is an event on the event loop, and a live one is an internal/wallclock Timer", name)
 		}
 	case "math/rand", "math/rand/v2":
 		if containsStr(cfg.DetRandAllowed, name) {

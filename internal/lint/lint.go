@@ -87,7 +87,7 @@ type Config struct {
 	// sanctioned (the harness's ParMap).
 	DetGoAllowed []string
 	// DetTimeFuncs are the time-package functions that read the wall
-	// clock.
+	// clock or wait on it.
 	DetTimeFuncs []string
 	// DetRandAllowed are the math/rand and math/rand/v2 members that do
 	// not touch the global source (seeded constructors).
@@ -120,6 +120,8 @@ func DefaultConfig() *Config {
 				Reason: "obs is a leaf every layer publishes into, so it may depend on nothing in-module"},
 			{Scope: "internal/seeded", Deny: []string{DenyModule},
 				Reason: "seeded is the one stream constructor every layer draws from, so it may depend on nothing in-module"},
+			{Scope: "internal/wallclock", Deny: []string{DenyModule},
+				Reason: "wallclock is the one clock seam the live path reads and waits on, so it may depend on nothing in-module"},
 			{Scope: "internal/engine", Deny: []string{
 				"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
 				"internal/wrapper", "internal/lspec",
@@ -155,13 +157,16 @@ func DefaultConfig() *Config {
 			"internal/ra", "internal/lamport", "internal/tokenring", "internal/ring",
 			"internal/engine", "internal/wire",
 			"internal/workload", "internal/scenario", "internal/hme",
-			"internal/seeded",
+			"internal/seeded", "internal/wallclock",
 		},
 		// ParMap is the harness's deterministic parallel sweep: it joins
 		// before any result is observed, so the spawned goroutines cannot
 		// order-race.
-		DetGoAllowed:   []string{"ParMap"},
-		DetTimeFuncs:   []string{"Now", "Since", "Until"},
+		DetGoAllowed: []string{"ParMap"},
+		DetTimeFuncs: []string{
+			"Now", "Since", "Until",
+			"Sleep", "After", "AfterFunc", "NewTimer", "NewTicker", "Tick",
+		},
 		DetRandAllowed: []string{"New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8"},
 		OrderedSinks: []string{
 			"Emit", "Observe", "AddRow", "Write", "WriteString",

@@ -31,6 +31,27 @@ func ClockMisspelled() int64 {
 	return time.Now().UnixNano() // want:determinism "time.Now reads the wall clock"
 }
 
+// Waits waits on the wall clock every way the time package offers.
+func Waits(f func()) {
+	time.Sleep(time.Millisecond)            // want:determinism "time.Sleep waits on the wall clock"
+	<-time.After(time.Millisecond)          // want:determinism "time.After waits on the wall clock"
+	time.AfterFunc(time.Millisecond, f)     // want:determinism "time.AfterFunc waits on the wall clock"
+	time.NewTimer(time.Millisecond).Stop()  // want:determinism "time.NewTimer waits on the wall clock"
+	time.NewTicker(time.Millisecond).Stop() // want:determinism "time.NewTicker waits on the wall clock"
+	<-time.Tick(time.Millisecond)           // want:determinism "live one is an internal/wallclock Timer"
+}
+
+// Elapsing reads the wall clock through Since and Until.
+func Elapsing(t time.Time) time.Duration {
+	return time.Since(t) + time.Until(t) // want:determinism "time.Since reads the wall clock" // want:determinism "time.Until reads the wall clock"
+}
+
+// WaitSuppressed is the ignore-directive twin of Waits.
+func WaitSuppressed() {
+	//gblint:ignore determinism fixture: sanctioned wall-clock wait
+	time.Sleep(time.Millisecond)
+}
+
 // Elapsed uses time arithmetic that never reads the clock: allowed.
 func Elapsed(d time.Duration) int64 { return d.Nanoseconds() }
 

@@ -9,8 +9,8 @@
 //
 // The level-2 wrapper is armed, not ticked: a process's W' deadline is set
 // δ after it turns Hungry and cleared when it leaves, and its event loop
-// holds one timer for that deadline, so a process that is not hungry costs
-// the wrapper nothing.
+// holds one wallclock.Timer for that deadline, so a process that is not
+// hungry costs the wrapper nothing.
 //
 // The simulator is the measurement substrate (deterministic virtual time);
 // this package demonstrates the same wrapper recovering real concurrent
@@ -24,6 +24,7 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wallclock"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
@@ -210,17 +211,11 @@ func (p *proc) watch(ph tme.Phase) {
 		p.due = -1
 		return
 	}
-	p.due = wallClock().UnixNano() + int64(p.every)
+	p.due = wallclock.Now() + int64(p.every)
 	select {
 	case p.armed <- struct{}{}:
 	default:
 	}
-}
-
-// wallClock is the package's one wall-clock read: W' deadlines, the time
-// Fire is given, entry stamps and trace timestamps all come from it.
-func wallClock() time.Time {
-	return time.Now() //gblint:ignore determinism the goroutine runtime runs on the wall clock by definition; this is its one read
 }
 
 // NewCluster builds a cluster; it does not start any goroutine.
@@ -338,12 +333,11 @@ func (c *Cluster) deliver(dst int, m tme.Message) {
 // eventLoop drives one process: deliver messages, evaluate the wrapper at
 // its armed deadline, detect CS entries.
 func (c *Cluster) eventLoop(p *proc) {
-	var timer *time.Timer
-	var fire <-chan time.Time
+	var timer *wallclock.Timer
+	var fire <-chan struct{}
 	if p.wrap != nil {
-		timer = time.NewTimer(time.Hour)
-		timer.Stop()
-		defer timer.Stop()
+		timer = wallclock.NewTimer()
+		defer timer.Close()
 		fire = timer.C
 	}
 	for {
@@ -374,7 +368,7 @@ func (c *Cluster) eventLoop(p *proc) {
 			due := p.due
 			p.mu.Unlock()
 			if due >= 0 {
-				rearm(timer, time.Duration(due-wallClock().UnixNano()))
+				timer.Reset(time.Duration(due - wallclock.Now()))
 			}
 		case <-fire:
 			c.deadline(p, timer)
@@ -382,30 +376,18 @@ func (c *Cluster) eventLoop(p *proc) {
 	}
 }
 
-// rearm points t, which may be running or may have fired unread, at d from
-// now. go.mod's Go version keeps the pre-1.23 timer channel, so a fired
-// value is drained before Reset.
-func rearm(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
-}
-
 // deadline handles p's timer firing, its value already received. A due
 // deadline runs level-1, one W' evaluation and Step, and is re-armed a
 // period on if the process is still hungry; one disarmed since is a no-op,
-// and one re-armed later since only re-aims the timer. Fire's result may be
-// the wrapper's own buffer (wrapper.Level2's contract); it is routed here,
-// on the event loop, before the loop can fire the wrapper again.
-func (c *Cluster) deadline(p *proc, timer *time.Timer) {
+// and one re-armed later since, or a stale fire, only re-aims the timer.
+// Fire's result may be the wrapper's own buffer (wrapper.Level2's
+// contract); it is routed here, on the event loop, before the loop can fire
+// the wrapper again.
+func (c *Cluster) deadline(p *proc, timer *wallclock.Timer) {
 	var msgs, more []tme.Message
 	entered := false
 	p.mu.Lock()
-	now := wallClock().UnixNano()
+	now := wallclock.Now()
 	if p.due >= 0 && now >= p.due {
 		before := p.node.Phase()
 		c.repair(p)
@@ -452,7 +434,7 @@ func (c *Cluster) route(shard int, msgs []tme.Message) {
 
 func (c *Cluster) recordEntry(shard, id int) {
 	c.mu.Lock()
-	e := Entry{ID: id, Seq: c.seq, Shard: shard, At: wallClock()}
+	e := Entry{ID: id, Seq: c.seq, Shard: shard, At: time.Unix(0, wallclock.Now())}
 	c.seq++
 	cb := c.onEntry
 	c.mu.Unlock()

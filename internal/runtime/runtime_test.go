@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"os"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,6 +264,7 @@ func TestClusterCorruptAndSnapshot(t *testing.T) {
 }
 
 func TestStopIsIdempotentAndJoinsGoroutines(t *testing.T) {
+	goroutines, fds := goruntime.NumGoroutine(), openFDs()
 	c, err := NewCluster(Config{
 		N:       3,
 		Seed:    6,
@@ -287,6 +290,21 @@ func TestStopIsIdempotentAndJoinsGoroutines(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Stop did not join all goroutines")
 	}
+	// Nothing outlives Stop: event loops, forwarders, and the wall-clock
+	// timers of W' deadlines and edge delays with their descriptors.
+	if !waitFor(t, 5*time.Second, func() bool { return goruntime.NumGoroutine() <= goroutines }) {
+		t.Errorf("goroutines: %d before, %d after Stop", goroutines, goruntime.NumGoroutine())
+	}
+	if after := openFDs(); after > fds {
+		t.Errorf("descriptors: %d before, %d after Stop", fds, after)
+	}
+}
+
+// openFDs counts the process's open descriptors; 0 where /proc/self/fd is
+// not to be had, which turns the comparisons using it into no-ops.
+func openFDs() int {
+	ents, _ := os.ReadDir("/proc/self/fd")
+	return len(ents)
 }
 
 // A level-1 wrapper repairs an invalid phase on the live cluster while the

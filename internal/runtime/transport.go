@@ -7,6 +7,7 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wallclock"
 )
 
 // Transport is the seam between the node event loops and the medium that
@@ -108,8 +109,11 @@ func (t *chanTransport) Close() error {
 }
 
 // forward drains one edge serially — delay then deliver — so FIFO order is
-// preserved per channel while delays remain random.
+// preserved per channel while delays remain random. One timer serves every
+// message's delay.
 func (t *chanTransport) forward(e *edge) {
+	wait := wallclock.NewTimer()
+	defer wait.Close()
 	for {
 		select {
 		case <-t.stop:
@@ -122,15 +126,13 @@ func (t *chanTransport) forward(e *edge) {
 				}
 				d, lost, dup := t.draw()
 				t.ins.delayUS.Observe(int64(d / time.Microsecond))
-				select {
-				case <-time.After(d):
-				case <-t.stop:
+				if !wait.Sleep(t.stop, d) {
 					return
 				}
 				if lost {
 					t.ins.lost.Inc()
 					if t.ins.trace != nil {
-						t.ins.trace.Emit(obs.Event{Time: wallClock().UnixNano(), Kind: obs.EvDrop, A: e.src, B: e.dst})
+						t.ins.trace.Emit(obs.Event{Time: wallclock.Now(), Kind: obs.EvDrop, A: e.src, B: e.dst})
 					}
 					continue
 				}

@@ -11,13 +11,8 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/engine"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wallclock"
 )
-
-// nowNS reads the wall clock; the chaos proxy shares the runtime's
-// real-time convergence timeline.
-//
-//gblint:ignore determinism the chaos proxy runs on wall-clock time by design; determinism lives in the schedule, not the clock
-func nowNS() int64 { return time.Now().UnixNano() }
 
 // Link is the transport-shaped seam Chaos interposes on — structurally
 // identical to runtime.Transport (which this package must not import).
@@ -190,7 +185,7 @@ func (c *Chaos) Isolate(ids ...int) { c.isolate(false, ids) }
 func (c *Chaos) IsolateOneWay(ids ...int) { c.isolate(true, ids) }
 
 func (c *Chaos) isolate(oneWay bool, ids []int) {
-	now := nowNS()
+	now := wallclock.Now()
 	c.mu.Lock()
 	for i := range c.isolated {
 		c.isolated[i] = false
@@ -214,7 +209,7 @@ func (c *Chaos) isolate(oneWay bool, ids []int) {
 // Heal removes the partition. The heal restarts the convergence window:
 // recovery time is measured from the network becoming whole again.
 func (c *Chaos) Heal() {
-	now := nowNS()
+	now := wallclock.Now()
 	c.mu.Lock()
 	for i := range c.isolated {
 		c.isolated[i] = false
@@ -292,22 +287,27 @@ func (c *Chaos) hold(idx int, m tme.Message, out Link) bool {
 	if span > 0 {
 		delay += rng.Int63n(span + 1)
 	}
-	c.queues[idx] = append(c.queues[idx], chaosEntry{m: m, due: nowNS() + delay, out: out})
+	c.queues[idx] = append(c.queues[idx], chaosEntry{m: m, due: wallclock.Now() + delay, out: out})
 	return true
 }
 
 // scheduler releases due messages in edge-scan order, preserving FIFO per
 // edge (queues are due-ordered except for duplicates, released in queue
-// order anyway). A pass allocates nothing in steady state: drained queues
-// are compacted in place, so their arrays serve the next holds, and the
-// released entries go through one buffer the scheduler keeps.
+// order anyway). Its one timer is re-aimed only when the earliest due time
+// moves before the one it is armed for, so a pass that a submit kicked
+// costs no timer call; a fire that finds nothing due, a stale one
+// included, is one more pass that re-aims it. A pass allocates nothing in
+// steady state: drained queues are compacted in place, so their arrays
+// serve the next holds, and the released entries go through one buffer the
+// scheduler keeps.
 func (c *Chaos) scheduler() {
 	defer c.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	timer := wallclock.NewTimer()
+	defer timer.Close()
 	var release []chaosEntry
+	aimed := int64(-1) // the due time the timer is armed for; -1 when it is not
 	for {
-		now := nowNS()
+		now := wallclock.Now()
 		var next int64
 		release, next = c.collect(now, release[:0])
 		for i := range release {
@@ -315,25 +315,16 @@ func (c *Chaos) scheduler() {
 			c.ins.released.Inc()
 			release[i] = chaosEntry{} // hold no message or link past its release
 		}
-		wait := time.Hour
-		if next >= 0 {
-			wait = time.Duration(next - now)
-			if wait < 0 {
-				wait = 0
-			}
+		if next >= 0 && (aimed < 0 || next < aimed) {
+			timer.Reset(time.Duration(next - now))
+			aimed = next
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
 		select {
 		case <-c.stop:
 			return
 		case <-c.kick:
 		case <-timer.C:
+			aimed = -1
 		}
 	}
 }
@@ -398,7 +389,7 @@ var _ engine.Surface = (*Chaos)(nil)
 
 // Now returns the wall clock in nanoseconds — the proxy's "virtual time"
 // is real time, shared with the runtime's entry and convergence records.
-func (c *Chaos) Now() int64 { return nowNS() }
+func (c *Chaos) Now() int64 { return wallclock.Now() }
 
 // N returns the cluster size.
 func (c *Chaos) N() int { return c.cfg.N }

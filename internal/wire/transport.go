@@ -11,6 +11,7 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wallclock"
 )
 
 // Config parameterizes a TCP transport.
@@ -483,16 +484,12 @@ func (t *Transport) encodeBatch(dst []byte, batch []tme.Message, enc *V2Encoder)
 	return dst, kept, nil
 }
 
-// sleepUntil waits d or until stop closes; false means stop.
+// sleepUntil waits d or until stop closes; false means stop. It is the
+// dial backoff's wait, off the hot path, so it opens a timer per call.
 func sleepUntil(stop <-chan struct{}, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-stop:
-		return false
-	}
+	timer := wallclock.NewTimer()
+	defer timer.Close()
+	return timer.Sleep(stop, d)
 }
 
 func nextBackoff(cur, max time.Duration) time.Duration {
