@@ -32,14 +32,15 @@ race:
 # instruments they publish to, the hierarchical monitor, whose mutex is for
 # substrates that run clients on their own goroutines (the sharded
 # simulator is one goroutine), the gbnode process with its client loops,
-# the harness's parallel sweep, which must equal a sequential sweep
+# the quickstart example (a cluster, its chaos proxy's scheduler and a
+# transport's listener), the harness's parallel sweep, which must equal a sequential sweep
 # bit-for-bit, and the live driver: RunLive, the workload.Driver adapter
 # it shares with gbnode, which blocks on the runtime's phase-change wait,
 # and the cross-substrate fault-row test of that Driver). This is the net
 # for every mutex-guarded field (DESIGN.md §6 lists the plant that proves
 # each one).
 test-race:
-	$(GO) test -race ./internal/runtime/... ./internal/wallclock/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/
+	$(GO) test -race ./internal/runtime/... ./internal/wallclock/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/ ./examples/quickstart/
 	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded

@@ -93,7 +93,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		newWrapper = func(int) wrapper.Level2 { return wrapper.NewTimed(delta) }
 	}
 	cl, err := runtime.NewCluster(runtime.Config{
-		N: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed, Local: []int{cfg.ID},
+		N: cfg.N, Shards: cfg.Shards, Local: []int{cfg.ID},
 		NewNode:    cfg.Algo.Factory(),
 		NewWrapper: newWrapper,
 		Level1:     wrapper.PhaseGuard{},

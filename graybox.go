@@ -27,6 +27,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/sim"
 	"github.com/graybox-stabilization/graybox/internal/synth"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wire"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
@@ -155,8 +156,29 @@ type (
 // NewSim constructs a simulator (panics on missing N/NewNode).
 func NewSim(cfg SimConfig) *Sim { return sim.New(cfg) }
 
-// NewCluster builds a goroutine cluster; Start it, and always Stop it.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.NewCluster(cfg) }
+// NewCluster builds a goroutine cluster; Start it, and always Stop it. A nil
+// cfg.Transport is filled with one in-process transport hosting every id:
+// messages go straight to their inboxes, with no delay and no faults in
+// flight, and Stop closes it.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	if cfg.Transport != nil || cfg.N < 1 {
+		return runtime.NewCluster(cfg)
+	}
+	all := make([]int, cfg.N)
+	for i := range all {
+		all[i] = i
+	}
+	tr, err := wire.NewTransport(wire.Config{N: cfg.N, Local: all, Obs: cfg.Obs})
+	if err != nil {
+		return nil, err
+	}
+	cfg.Transport = tr
+	c, err := runtime.NewCluster(cfg)
+	if err != nil {
+		_ = tr.Close()
+	}
+	return c, err
+}
 
 // NewInjector returns a seeded fault injector.
 func NewInjector(seed int64, mix FaultMix) *Injector {

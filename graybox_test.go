@@ -1,7 +1,9 @@
 package graybox_test
 
 import (
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	graybox "github.com/graybox-stabilization/graybox"
 )
@@ -104,5 +106,37 @@ func TestFacadeWrapperAndNodes(t *testing.T) {
 	var l2 graybox.Level2 = graybox.WrapperFunc(graybox.W)
 	if got := l2.Fire(0, nd); len(got) != 1 {
 		t.Errorf("WrapperFunc via facade sent %d", len(got))
+	}
+}
+
+// A cluster through the facade: with no Transport given, NewCluster hosts
+// every id on one in-process transport, a request is served, and Stop
+// leaves no goroutine behind.
+func TestFacadeCluster(t *testing.T) {
+	goroutines := goruntime.NumGoroutine()
+	c, err := graybox.NewCluster(graybox.ClusterConfig{
+		N:       3,
+		NewNode: graybox.NewRicartAgrawala,
+		NewWrapper: func(int) graybox.Level2 {
+			return graybox.NewTimedWrapper((5 * time.Millisecond).Nanoseconds())
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.RequestShard(0, 1)
+	for deadline := time.Now().Add(10 * time.Second); c.PhaseShard(0, 1) != graybox.Eating; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			c.Stop()
+			t.Fatal("process 1 never entered through the facade")
+		}
+	}
+	c.ReleaseShard(0, 1)
+	c.Stop()
+	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after Stop", goroutines, goruntime.NumGoroutine())
+		}
 	}
 }

@@ -79,17 +79,13 @@ func TestDriverFaultRowsOnBothSubstrates(t *testing.T) {
 		const rounds, more = 3, 10
 		delta := (5 * time.Millisecond).Nanoseconds()
 		var requests, entries [n]atomic.Int64
-		cl, err := runtime.NewCluster(runtime.Config{
-			N: n, Seed: 7, NewNode: RA.Factory(),
+		cl := inProcessCluster(t, runtime.Config{
+			N: n, NewNode: RA.Factory(),
 			NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed(delta) },
 			Level1:     wrapper.PhaseGuard{},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		cl.OnEntry(func(e runtime.Entry) { entries[e.ID].Add(1) })
 		cl.Start()
-		defer cl.Stop()
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup

@@ -257,7 +257,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	clusters := make([]*runtime.Cluster, n)
 	for i := 0; i < n; i++ {
 		cl, err := runtime.NewCluster(runtime.Config{
-			N: n, Shards: shards, Seed: cfg.Seed + int64(i), Local: []int{i},
+			N: n, Shards: shards, Local: []int{i},
 			NewNode:    cfg.Algo.Factory(),
 			NewWrapper: newWrapper,
 			Level1:     wrapper.PhaseGuard{},
@@ -273,13 +273,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		clusters[i] = cl
 	}
 
-	chaos.SetPerturb(func(id int, rng *rand.Rand) bool {
-		if id < 0 || id >= n {
-			return false
-		}
-		clusters[id].CorruptShard(0, id, tme.RandomCorruption(rng, id, n))
-		return true
-	})
+	chaos.SetPerturb(perturbHook(clusters, shards))
 
 	// Shared measurement state. reqAt is per (shard, process): a process
 	// can have independent requests in flight on different shards.
@@ -498,6 +492,25 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	fair.Publish()
 	res.Snapshot = o.Registry().Snapshot()
 	return res, nil
+}
+
+// perturbHook is the chaos proxy's process-state fault for clusters, where
+// clusters[id] hosts process id: a random corruption of id on a shard drawn
+// from rng, then its level-1 guard. An unsharded run draws no shard, so its
+// draws are the corruption's alone.
+func perturbHook(clusters []*runtime.Cluster, shards int) func(id int, rng *rand.Rand) bool {
+	n := len(clusters)
+	return func(id int, rng *rand.Rand) bool {
+		if id < 0 || id >= n {
+			return false
+		}
+		shard := 0
+		if shards > 1 {
+			shard = rng.Intn(shards)
+		}
+		clusters[id].CorruptShard(shard, id, tme.RandomCorruption(rng, id, n))
+		return true
+	}
 }
 
 // takeLatency consumes a request stamp: the time from the stamped request

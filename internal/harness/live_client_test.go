@@ -9,9 +9,40 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/runtime"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wallclock"
+	"github.com/graybox-stabilization/graybox/internal/wire"
 	"github.com/graybox-stabilization/graybox/internal/workload"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
+
+// inProcessCluster builds cfg's cluster, not started, on the in-process
+// medium: the chaos proxy, holding every message 100 µs, piped into one
+// wire.Transport whose Local lists every id. Cleanup stops the cluster and
+// closes the proxy.
+func inProcessCluster(t *testing.T, cfg runtime.Config) *runtime.Cluster {
+	t.Helper()
+	all := make([]int, cfg.N)
+	for i := range all {
+		all[i] = i
+	}
+	tr, err := wire.NewTransport(wire.Config{N: cfg.N, Local: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := 100 * time.Microsecond
+	chaos := wire.NewChaos(wire.ChaosConfig{N: cfg.N, Shards: cfg.Shards, MinDelay: hold, MaxDelay: hold})
+	cfg.Transport = chaos.Pipe(tr)
+	cl, err := runtime.NewCluster(cfg)
+	if err != nil {
+		_ = chaos.Close()
+		_ = tr.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cl.Stop()
+		_ = chaos.Close()
+	})
+	return cl
+}
 
 // clientCluster is a two-process in-process cluster under the wrappers a
 // live run uses, with process 1 left to the test: while the test keeps it
@@ -19,20 +50,16 @@ import (
 func clientCluster(t *testing.T, onEntry func(runtime.Entry)) *runtime.Cluster {
 	t.Helper()
 	delta := (5 * time.Millisecond).Nanoseconds()
-	cl, err := runtime.NewCluster(runtime.Config{
-		N: 2, Seed: 31,
+	cl := inProcessCluster(t, runtime.Config{
+		N:          2,
 		NewNode:    func(id, n int) tme.Node { return ra.New(id, n) },
 		NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed(delta) },
 		Level1:     wrapper.PhaseGuard{},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if onEntry != nil {
 		cl.OnEntry(onEntry)
 	}
 	cl.Start()
-	t.Cleanup(cl.Stop)
 	cl.RequestShard(0, 1)
 	if ph, ok := cl.AwaitPhaseChangeShard(testDeadline(t), 0, 1, tme.Hungry); !ok || ph != tme.Eating {
 		t.Fatalf("process 1 never entered: (%v, %v)", ph, ok)

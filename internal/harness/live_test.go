@@ -1,12 +1,17 @@
 package harness
 
 import (
+	"math/rand"
 	"os"
+	"reflect"
 	goruntime "runtime"
 	"testing"
 	"time"
 
 	"github.com/graybox-stabilization/graybox/internal/fault"
+	"github.com/graybox-stabilization/graybox/internal/ra"
+	"github.com/graybox-stabilization/graybox/internal/runtime"
+	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wire"
 )
 
@@ -180,5 +185,52 @@ func TestLiveClientSleepReusesItsTimer(t *testing.T) {
 	}
 	if !s.sleep(stop, 0) || !s.sleep(nil, time.Microsecond) {
 		t.Error("the sleeper did not wait again after a stop")
+	}
+}
+
+// RunLive's state fault reaches every shard: on a two-shard cluster some
+// draw of the hook corrupts shard 1, and on an unsharded one the hook draws
+// exactly what the corruption draws, nothing more.
+func TestPerturbHookReachesEveryShard(t *testing.T) {
+	const n = 2
+	build := func(shards int) []*runtime.Cluster {
+		cl := inProcessCluster(t, runtime.Config{
+			N: n, Shards: shards,
+			NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) },
+		})
+		return []*runtime.Cluster{cl, cl} // one cluster hosts both ids
+	}
+
+	sharded := build(2)
+	hook, rng := perturbHook(sharded, 2), rand.New(rand.NewSource(1))
+	hit := [2]int{}
+	for draw := 0; draw < 32; draw++ {
+		id := draw % n
+		before := [2]tme.SpecState{sharded[id].SnapshotShard(0, id), sharded[id].SnapshotShard(1, id)}
+		if !hook(id, rng) {
+			t.Fatalf("draw %d: hook refused process %d", draw, id)
+		}
+		for s := range before {
+			if !reflect.DeepEqual(sharded[id].SnapshotShard(s, id), before[s]) {
+				hit[s]++
+			}
+		}
+	}
+	if hit[0] == 0 || hit[1] == 0 {
+		t.Errorf("corruptions that moved shard 0 / shard 1: %d / %d, want both", hit[0], hit[1])
+	}
+	if hook(n, rng) || hook(-1, rng) {
+		t.Error("hook accepted an id outside the cluster")
+	}
+
+	unsharded := build(1)
+	hook, rng = perturbHook(unsharded, 1), rand.New(rand.NewSource(2))
+	alone := rand.New(rand.NewSource(2))
+	for draw := 0; draw < 8; draw++ {
+		hook(draw%n, rng)
+		tme.RandomCorruption(alone, draw%n, n)
+	}
+	if got, want := rng.Int63(), alone.Int63(); got != want {
+		t.Errorf("unsharded hook left its rng at %d, the corruption alone at %d: it drew a shard", got, want)
 	}
 }

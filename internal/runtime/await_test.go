@@ -7,19 +7,15 @@ import (
 
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/tme"
+	"github.com/graybox-stabilization/graybox/internal/wire"
 )
 
-func raCluster(t *testing.T, n int, seed int64) *Cluster {
+func raCluster(t *testing.T, n int) (*Cluster, *wire.Chaos) {
 	t.Helper()
-	c, err := NewCluster(Config{
+	return inProcess(t, Config{
 		N:       n,
-		Seed:    seed,
 		NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	}, bareHold, bareHold)
 }
 
 // watchdog returns a stop channel that closes after ten seconds, so a wait
@@ -35,9 +31,8 @@ func watchdog(t *testing.T) <-chan struct{} {
 // The wait returns when the protocol grants the entry: replies arrive over
 // the transport and the event loop's inbox arm moves the phase.
 func TestAwaitPhaseChangeReturnsOnEntry(t *testing.T) {
-	c := raCluster(t, 3, 21)
+	c, _ := raCluster(t, 3)
 	c.Start()
-	defer c.Stop()
 	stop := watchdog(t)
 	for round := 0; round < 20; round++ {
 		c.RequestShard(0, 0)
@@ -83,7 +78,7 @@ func expectResult(t *testing.T, done <-chan awaitResult, want awaitResult) {
 // the cluster are gone the goroutine count is back where it began.
 func TestAwaitPhaseChangeStops(t *testing.T) {
 	base := goruntime.NumGoroutine()
-	c := raCluster(t, 2, 22)
+	c, chaos := raCluster(t, 2)
 	c.Start()
 
 	stop := make(chan struct{})
@@ -98,6 +93,7 @@ func TestAwaitPhaseChangeStops(t *testing.T) {
 	expectResult(t, byCaller, awaitResult{tme.Thinking, false})
 	c.Stop()
 	expectResult(t, byCluster, awaitResult{tme.Thinking, false})
+	_ = chaos.Close()
 
 	if ph, ok := c.AwaitPhaseChangeShard(nil, 0, 5, tme.Thinking); ok || ph != 0 {
 		t.Errorf("wait on an id the cluster does not host = (%v, %v), want (0, false)", ph, ok)
@@ -110,9 +106,8 @@ func TestAwaitPhaseChangeStops(t *testing.T) {
 // State corruption moves the phase without the protocol's consent; the
 // waiter must be told of it like any other move.
 func TestAwaitPhaseChangeSeesCorruption(t *testing.T) {
-	c := raCluster(t, 2, 23)
+	c, _ := raCluster(t, 2)
 	c.Start()
-	defer c.Stop()
 
 	forged := awaitAsync(c, nil, 0, tme.Thinking)
 	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Eating})
@@ -140,9 +135,8 @@ func TestAwaitPhaseChangeSeesCorruption(t *testing.T) {
 // Neither a wait that is already satisfied nor one that goes through the
 // select allocates: there is no timer and no per-call channel.
 func TestAwaitPhaseChangeAllocatesNothing(t *testing.T) {
-	c := raCluster(t, 1, 24)
+	c, _ := raCluster(t, 1)
 	c.Start()
-	defer c.Stop()
 	stopped := make(chan struct{})
 	close(stopped)
 	allocs := testing.AllocsPerRun(200, func() {

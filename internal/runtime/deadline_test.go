@@ -79,7 +79,7 @@ func TestWrapperDeadlineMeetsTheorem8(t *testing.T) {
 	tr := &dropFirstREQ{}
 	audits := make([]*auditW, n)
 	c, err := NewCluster(Config{
-		N: n, Seed: 1,
+		N:       n,
 		NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) },
 		NewWrapper: func(id int) wrapper.Level2 {
 			audits[id] = &auditW{Timed: wrapper.NewTimed(delta.Nanoseconds())}
@@ -135,18 +135,14 @@ func TestWrapperDeadlineMeetsTheorem8(t *testing.T) {
 // CorruptShard returns, with no traffic and no timer.
 func TestLevel1RepairsQuiescentNode(t *testing.T) {
 	o := obs.New(obs.Options{})
-	c, err := NewCluster(Config{
-		N: 2, Seed: 1,
+	c, _ := inProcess(t, Config{
+		N:          2,
 		NewNode:    func(id, n int) tme.Node { return ra.New(id, n) },
 		NewWrapper: func(int) wrapper.Level2 { return wrapper.NewTimed((25 * time.Millisecond).Nanoseconds()) },
 		Level1:     wrapper.PhaseGuard{},
 		Obs:        o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	c.Start()
-	defer c.Stop()
 	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Phase(9)})
 	if ph := c.PhaseShard(0, 0); ph != tme.Thinking {
 		t.Fatalf("phase after CorruptShard = %v, want thinking", ph)

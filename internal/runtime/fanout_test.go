@@ -100,7 +100,7 @@ func TestFanOutSurvivesConcurrentDeliverAndFire(t *testing.T) {
 	const n = 4
 	g := &gateTransport{t: t, loop: make(chan tme.Message, 3)}
 	c, err := NewCluster(Config{
-		N: n, Seed: 1,
+		N:       n,
 		NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) },
 		NewWrapper: func(int) wrapper.Level2 {
 			return &gateW{Timed: wrapper.NewTimed(time.Millisecond.Nanoseconds())}

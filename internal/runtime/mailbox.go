@@ -3,12 +3,13 @@ package runtime
 import "sync"
 
 // mailbox is an unbounded FIFO queue with channel-based readiness
-// signalling. The transport uses one per directed edge and one per process
-// inbox; unboundedness means producers never block, so the mesh cannot
-// backpressure-deadlock (an event loop blocked on a full channel while its
-// own inbox fills). Storage is a head-indexed ring, like the wire layer's
-// msgQueue: a pop advances the head and shifts nothing, and capacity grows
-// only when the queue outpaces its consumer and is reused after.
+// signalling. It backs the process inboxes only (the medium in front of
+// them is the Transport's); unboundedness means a transport delivering
+// into an inbox never blocks, so an event loop whose own sends are
+// delivered synchronously into other inboxes cannot backpressure-deadlock.
+// Storage is a head-indexed ring, like the wire layer's msgQueue: a pop
+// advances the head and shifts nothing, and capacity grows only when the
+// queue outpaces its consumer and is reused after.
 type mailbox[T any] struct {
 	mu     sync.Mutex
 	buf    []T           // guarded by mu; ring storage, len(buf) is the capacity

@@ -4,36 +4,37 @@ import (
 	"testing"
 	"time"
 
+	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
-// An instrumented cluster publishes from event-loop and forwarder
-// goroutines concurrently; under -race this doubles as the proof that the
-// obs hot path is goroutine-safe end to end.
+// An instrumented cluster publishes from the event loops, the chaos
+// proxy's scheduler and the test's fault injector concurrently; under
+// -race this doubles as the proof that the obs hot path is goroutine-safe
+// end to end.
 func TestClusterPublishesObs(t *testing.T) {
+	const bursts, perBurst = 2, 3
 	o := obs.New(obs.Options{TraceCapacity: 1024})
-	c, err := NewCluster(Config{
-		N:        3,
-		Seed:     11,
-		NewNode:  func(id, n int) tme.Node { return ra.New(id, n) },
-		LossRate: 0.2,
-		DupRate:  0.2,
+	c, chaos := inProcess(t, Config{
+		N:       3,
+		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
 		Level1: wrapper.PhaseGuard{},
 		Obs:    o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 500*time.Microsecond, 3*time.Millisecond)
 	log := collectEntries(c)
 	c.Start()
+	in := fault.NewInjector(11, fault.DefaultMix)
 	for i := 0; i < 3; i++ {
 		c.RequestShard(0, i)
+	}
+	for b := 0; b < bursts; b++ {
+		in.Burst(chaos, perBurst)
 	}
 	served := map[int]bool{}
 	deadline := time.Now().Add(20 * time.Second)
@@ -64,8 +65,11 @@ func TestClusterPublishesObs(t *testing.T) {
 	if snap.Counter("wrapper_evals_total") == 0 {
 		t.Error("no wrapper evaluations recorded")
 	}
-	if h, ok := snap.Histograms["runtime_transport_delay_us"]; !ok || h.Count == 0 {
-		t.Error("transport delay histogram empty")
+	if snap.Counter("chaos_msgs_held_total") == 0 || snap.Counter("chaos_msgs_released_total") == 0 {
+		t.Error("no messages held or released by the chaos proxy")
+	}
+	if got := snap.Counter("fault_injected_total"); got != bursts*perBurst {
+		t.Errorf("fault_injected_total = %d, want %d", got, bursts*perBurst)
 	}
 	if o.Trace.Total() == 0 {
 		t.Error("no trace events emitted")
@@ -74,14 +78,10 @@ func TestClusterPublishesObs(t *testing.T) {
 
 // A cluster without Obs runs every instrument call against nil receivers.
 func TestClusterNilObsSafe(t *testing.T) {
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       2,
-		Seed:    1,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	log := collectEntries(c)
 	c.Start()
 	c.RequestShard(0, 0)

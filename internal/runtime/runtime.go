@@ -1,11 +1,12 @@
 // Package runtime executes a TME system on real goroutines — the
 // concurrent counterpart of internal/sim. Each process runs its own
-// event-loop goroutine; messages travel through a pluggable Transport. The
-// default in-process transport gives each directed edge a forwarder
-// goroutine that imposes (seeded) random delay while preserving FIFO
-// order, with optional message loss and duplication in flight;
-// internal/wire supplies a TCP transport with the same contract, so one
-// event loop serves both single-process demos and real clusters.
+// event-loop goroutine; messages travel through the Transport the caller
+// supplies. The package has no medium of its own: the paper's in-flight
+// faults (§3.1: finite but arbitrary delay, loss, duplication, corruption)
+// have one live implementation, internal/wire's chaos proxy, and a cluster
+// in one process is that proxy piped into one wire.Transport whose Local
+// lists every id, so one event loop and one medium serve single-process
+// demos and real clusters alike.
 //
 // The level-2 wrapper is armed, not ticked: a process's W' deadline is set
 // δ after it turns Hungry and cleared when it leaves, and its event loop
@@ -38,7 +39,9 @@ type Config struct {
 	// and are routed to the matching instance. Shard 0 with Shards == 1 is
 	// the single-CS system of the paper, byte-identical on the wire.
 	Shards int
-	// Seed drives delays and fault draws.
+	// Deprecated: Seed is ignored; the cluster draws nothing. Delays and
+	// in-flight faults are the Transport's (internal/wire's chaos proxy
+	// takes its own seed).
 	Seed int64
 	// NewNode constructs each process (required).
 	NewNode func(id, n int) tme.Node
@@ -56,21 +59,14 @@ type Config struct {
 	// every event at it and after every corruption (intra-process repair,
 	// §2.2).
 	Level1 wrapper.Level1
-	// MinDelay/MaxDelay bound per-message transport delay. MinDelay
-	// defaults to 100µs, and a MaxDelay below MinDelay (the zero value
-	// included) is raised to it, so the default delay is a fixed 100µs.
-	MinDelay, MaxDelay time.Duration
-	// LossRate and DupRate are per-message fault probabilities in [0,1].
-	LossRate, DupRate float64
 	// Obs, when non-nil, receives runtime metrics and trace events. All
 	// instruments are goroutine-safe; nil disables observability at
 	// nil-method-call cost.
 	Obs *obs.Obs
-	// Transport, when non-nil, carries inter-process messages instead of
-	// the default in-process goroutine/mailbox mesh (which uses the
-	// MinDelay/MaxDelay/LossRate/DupRate knobs above). internal/wire's TCP
-	// transport satisfies this seam. The cluster owns the transport: Stop
-	// closes it.
+	// Transport carries inter-process messages (required). In one process
+	// it is internal/wire's chaos proxy piped into one wire.Transport whose
+	// Local lists every id; see the Transport type. The cluster owns the
+	// transport: Stop closes it.
 	Transport Transport
 	// Local lists the process ids hosted by this cluster (event loop +
 	// node state). Empty means all N — the single-process default. With a
@@ -82,12 +78,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 100 * time.Microsecond
-	}
-	if c.MaxDelay < c.MinDelay {
-		c.MaxDelay = c.MinDelay
 	}
 	return c
 }
@@ -105,10 +95,9 @@ type Entry struct {
 // Cluster is a running TME system on goroutines. Construct with NewCluster,
 // then Start; always Stop to reclaim every goroutine.
 type Cluster struct {
-	cfg       Config
-	procs     [][]*proc // indexed [shard][id]; nil for ids not in cfg.Local
-	transport Transport
-	ins       rtInstruments
+	cfg   Config
+	procs [][]*proc // indexed [shard][id]; nil for ids not in cfg.Local
+	ins   rtInstruments
 
 	mu      sync.Mutex
 	seq     int         // guarded by mu
@@ -122,15 +111,13 @@ type Cluster struct {
 // rtInstruments caches the cluster's obs handles; every field is nil when
 // the cluster runs without observability (all publishes become no-ops).
 // Counters and gauges are atomics and the trace ring is mutex-guarded, so
-// publishing from event-loop and forwarder goroutines is race-free.
+// publishing from the event loops and the transport's goroutines is
+// race-free.
 type rtInstruments struct {
 	sent      *obs.Counter
 	delivered *obs.Counter
-	lost      *obs.Counter
-	dup       *obs.Counter
 	entries   *obs.Counter
 	repairs   *obs.Counter
-	delayUS   *obs.Histogram
 	trace     *obs.Trace
 	conv      *obs.Convergence
 }
@@ -143,11 +130,8 @@ func newRTInstruments(o *obs.Obs) rtInstruments {
 	return rtInstruments{
 		sent:      r.Counter("runtime_msgs_sent_total", "messages routed onto edges"),
 		delivered: r.Counter("runtime_msgs_delivered_total", "messages delivered to inboxes"),
-		lost:      r.Counter("runtime_msgs_lost_total", "messages lost in transport"),
-		dup:       r.Counter("runtime_msgs_dup_total", "messages duplicated in transport"),
 		entries:   r.Counter("runtime_entries_total", "CS entries observed"),
 		repairs:   r.Counter("runtime_level1_repairs_total", "level-1 wrapper repairs"),
-		delayUS:   r.Histogram("runtime_transport_delay_us", "per-message transport delay (µs)", []int64{100, 250, 500, 1000, 2500, 5000, 10000}),
 		trace:     o.Tracer(),
 		conv:      o.Convergence(),
 	}
@@ -223,6 +207,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.N < 1 || cfg.NewNode == nil {
 		return nil, fmt.Errorf("runtime: Config.N (%d) and NewNode are required", cfg.N)
 	}
+	if cfg.Transport == nil {
+		return nil, fmt.Errorf("runtime: Config.Transport is required (in one process: wire.NewChaos(...).Pipe of one wire.Transport whose Local lists every id)")
+	}
 	c := &Cluster{
 		cfg:  cfg.withDefaults(),
 		ins:  newRTInstruments(cfg.Obs),
@@ -267,10 +254,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			c.procs[s][i] = p
 		}
 	}
-	c.transport = cfg.Transport
-	if c.transport == nil {
-		c.transport = newChanTransport(c.cfg, &c.ins)
-	}
 	return c, nil
 }
 
@@ -286,7 +269,7 @@ func (c *Cluster) OnEntry(f func(Entry)) {
 
 // Start launches the transport and the event-loop goroutines.
 func (c *Cluster) Start() {
-	c.transport.Start(c.deliver)
+	c.cfg.Transport.Start(c.deliver)
 	for _, shard := range c.procs {
 		for _, p := range shard {
 			if p == nil {
@@ -309,7 +292,7 @@ func (c *Cluster) Stop() {
 	c.once.Do(func() {
 		close(c.stop)
 		c.wg.Wait()
-		_ = c.transport.Close()
+		_ = c.cfg.Transport.Close()
 	})
 	c.wg.Wait()
 }
@@ -427,7 +410,7 @@ func (c *Cluster) route(shard int, msgs []tme.Message) {
 			continue
 		}
 		m.Resource = shard
-		c.transport.Send(m)
+		c.cfg.Transport.Send(m)
 		c.ins.sent.Inc()
 	}
 }

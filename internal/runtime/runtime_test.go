@@ -3,12 +3,15 @@ package runtime
 import (
 	"os"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/graybox-stabilization/graybox/internal/fault"
 	"github.com/graybox-stabilization/graybox/internal/lamport"
+	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
@@ -65,6 +68,10 @@ func TestNewClusterValidates(t *testing.T) {
 	if _, err := NewCluster(Config{N: 0}); err == nil {
 		t.Error("invalid config accepted")
 	}
+	_, err := NewCluster(Config{N: 2, NewNode: func(id, n int) tme.Node { return ra.New(id, n) }})
+	if err == nil || !strings.Contains(err.Error(), "wire.Transport whose Local lists every id") {
+		t.Errorf("nil Transport: err = %v, want one naming the in-process composition", err)
+	}
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
@@ -104,17 +111,12 @@ func (l *entryLog) all() []Entry {
 }
 
 func TestClusterSoloRound(t *testing.T) {
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       3,
-		Seed:    1,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	log := collectEntries(c)
 	c.Start()
-	defer c.Stop()
 	c.RequestShard(0, 0)
 	if !waitFor(t, 5*time.Second, func() bool { return len(log.all()) == 1 }) {
 		t.Fatal("node 0 never entered")
@@ -130,18 +132,13 @@ func TestClusterSoloRound(t *testing.T) {
 
 func TestClusterMutualExclusionUnderContention(t *testing.T) {
 	const n = 4
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       n,
-		Seed:    2,
 		NewNode: func(id, nn int) tme.Node { return lamport.New(id, nn) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	entryCh := make(chan Entry, 64)
 	c.OnEntry(func(e Entry) { entryCh <- e })
 	c.Start()
-	defer c.Stop()
 
 	const rounds = 3
 	seen := 0
@@ -180,58 +177,74 @@ func TestClusterMutualExclusionUnderContention(t *testing.T) {
 	}
 }
 
-// The wrapper recovers a real concurrent cluster from heavy message loss —
-// Theorem 8 on goroutines instead of virtual time.
+// The paper's §4 deadlock on goroutines: every process requests, and every
+// REQ is lost in flight. Nothing in RA ME resends, so unwrapped no process
+// enters, deterministically; W' (δ = 5 ms) resends the lost requests and
+// all three are served — Theorem 8 on goroutines instead of virtual time.
 func TestClusterWrapperRecoversFromLoss(t *testing.T) {
-	c, err := NewCluster(Config{
-		N:        3,
-		Seed:     3,
-		NewNode:  func(id, n int) tme.Node { return ra.New(id, n) },
-		LossRate: 0.4,
-		NewWrapper: func(int) wrapper.Level2 {
-			return wrapper.Func(wrapper.W) // eager: every millisecond of hunger
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := collectEntries(c)
-	c.Start()
-	defer c.Stop()
-	for i := 0; i < 3; i++ {
-		c.RequestShard(0, i)
-	}
-	// All three must eventually eat despite 40% loss.
-	served := map[int]bool{}
-	deadline := time.Now().Add(20 * time.Second)
-	for len(served) < 3 && time.Now().Before(deadline) {
-		for _, e := range log.all() {
-			if !served[e.ID] {
-				served[e.ID] = true
-				c.ReleaseShard(0, e.ID)
+	const n = 3
+	served := func(t *testing.T, newWrapper func(int) wrapper.Level2, window time.Duration) map[int]bool {
+		hold := 20 * time.Millisecond
+		c, chaos := inProcess(t, Config{
+			N:          n,
+			NewNode:    func(id, nn int) tme.Node { return ra.New(id, nn) },
+			NewWrapper: newWrapper,
+		}, hold, hold)
+		log := collectEntries(c)
+		c.Start()
+		for i := 0; i < n; i++ {
+			c.RequestShard(0, i)
+		}
+		held := 0
+		for _, ep := range chaos.Channels() {
+			held += chaos.QueueLen(ep)
+		}
+		if held != n*(n-1) {
+			t.Fatalf("%d messages held before the drop, want the %d REQs", held, n*(n-1))
+		}
+		fault.DropAllInFlight(chaos)
+		served := map[int]bool{}
+		for deadline := time.Now().Add(window); len(served) < n && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			for _, e := range log.all() {
+				if !served[e.ID] {
+					served[e.ID] = true
+					c.ReleaseShard(0, e.ID)
+				}
 			}
 		}
-		time.Sleep(time.Millisecond)
+		return served
 	}
-	if len(served) != 3 {
-		t.Fatalf("served %v, want all of 0..2 (starvation under loss)", served)
-	}
+	t.Run("unwrapped", func(t *testing.T) {
+		if got := served(t, nil, 300*time.Millisecond); len(got) != 0 {
+			t.Fatalf("served %v in 300 ms with every REQ lost and no wrapper", got)
+		}
+	})
+	t.Run("wrapped", func(t *testing.T) {
+		delta := (5 * time.Millisecond).Nanoseconds()
+		if got := served(t, func(int) wrapper.Level2 { return wrapper.NewTimed(delta) }, 10*time.Second); len(got) != n {
+			t.Fatalf("served %v, want all of 0..%d (the deadlock outlived W')", got, n-1)
+		}
+	})
 }
 
+// Every round's REQ is duplicated while it is held, so process 1 answers
+// twice and a stale REPLY reaches process 0 later; it still enters and
+// releases every round. Once the proxy is empty it has released one
+// message more than it was handed per round: the duplicates were carried.
 func TestClusterDuplicationTolerated(t *testing.T) {
-	c, err := NewCluster(Config{
+	const rounds = 5
+	o := obs.New(obs.Options{})
+	hold := 10 * time.Millisecond
+	c, chaos := inProcess(t, Config{
 		N:       2,
-		Seed:    4,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-		DupRate: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		Obs:     o,
+	}, hold, hold)
 	c.Start()
-	defer c.Stop()
-	for round := 0; round < 5; round++ {
+	in := fault.NewInjector(4, fault.DefaultMix)
+	for round := 0; round < rounds; round++ {
 		c.RequestShard(0, 0)
+		in.Apply(chaos, fault.MessageDup)
 		if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Eating }) {
 			t.Fatalf("round %d: node 0 never entered", round)
 		}
@@ -240,19 +253,29 @@ func TestClusterDuplicationTolerated(t *testing.T) {
 			t.Fatalf("round %d: node 0 never released", round)
 		}
 	}
+	quiet := waitFor(t, 5*time.Second, func() bool {
+		for _, ep := range chaos.Channels() {
+			if chaos.QueueLen(ep) > 0 {
+				return false
+			}
+		}
+		return true
+	})
+	if !quiet {
+		t.Fatal("the proxy never emptied")
+	}
+	snap := o.Registry().Snapshot()
+	if held, released := snap.Counter("chaos_msgs_held_total"), snap.Counter("chaos_msgs_released_total"); released-held != rounds {
+		t.Errorf("released %d of %d messages handed in, want %d duplicates carried", released, held, rounds)
+	}
 }
 
 func TestClusterCorruptAndSnapshot(t *testing.T) {
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       2,
-		Seed:    5,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	c.Start()
-	defer c.Stop()
 	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Hungry})
 	snap := c.SnapshotShard(0, 0)
 	if snap.Phase != tme.Hungry {
@@ -265,17 +288,13 @@ func TestClusterCorruptAndSnapshot(t *testing.T) {
 
 func TestStopIsIdempotentAndJoinsGoroutines(t *testing.T) {
 	goroutines, fds := goruntime.NumGoroutine(), openFDs()
-	c, err := NewCluster(Config{
+	c, chaos := inProcess(t, Config{
 		N:       3,
-		Seed:    6,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.NewTimed(0)
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	c.Start()
 	c.RequestShard(0, 0)
 	time.Sleep(10 * time.Millisecond)
@@ -290,8 +309,10 @@ func TestStopIsIdempotentAndJoinsGoroutines(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Stop did not join all goroutines")
 	}
-	// Nothing outlives Stop: event loops, forwarders, and the wall-clock
-	// timers of W' deadlines and edge delays with their descriptors.
+	_ = chaos.Close()
+	// Nothing outlives Stop and the proxy's Close: event loops, the
+	// transport's accept loop, the proxy's scheduler, and the wall-clock
+	// timers of W' deadlines and of the scheduler with their descriptors.
 	if !waitFor(t, 5*time.Second, func() bool { return goruntime.NumGoroutine() <= goroutines }) {
 		t.Errorf("goroutines: %d before, %d after Stop", goroutines, goruntime.NumGoroutine())
 	}
@@ -310,20 +331,15 @@ func openFDs() int {
 // A level-1 wrapper repairs an invalid phase on the live cluster while the
 // level-2 wrapper keeps inter-process state consistent.
 func TestClusterLevel1Repair(t *testing.T) {
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       2,
-		Seed:    8,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
 		Level1:  wrapper.PhaseGuard{},
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	c.Start()
-	defer c.Stop()
 	c.CorruptShard(0, 0, tme.Corruption{Phase: tme.Phase(9)})
 	if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0).Valid() }) {
 		t.Fatal("PhaseGuard never repaired the phase")
@@ -342,30 +358,26 @@ func TestNewTimedClampsNegativeDelta(t *testing.T) {
 	}
 }
 
-// Soak: a lossy, duplicating cluster with wrapper and level-1 guard under
-// repeated corruption keeps serving requests. Guarded by -short.
+// Soak: a cluster with wrapper and level-1 guard keeps serving requests
+// under a burst of the whole in-flight fault mix (loss, duplication,
+// corruption, flush) on the proxy every round and periodic state
+// corruption. Guarded by -short.
 func TestClusterSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	const n = 4
-	c, err := NewCluster(Config{
-		N:        n,
-		Seed:     99,
-		NewNode:  func(id, nn int) tme.Node { return ra.New(id, nn) },
-		LossRate: 0.2,
-		DupRate:  0.1,
-		Level1:   wrapper.PhaseGuard{},
+	c, chaos := inProcess(t, Config{
+		N:       n,
+		NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) },
+		Level1:  wrapper.PhaseGuard{},
 		NewWrapper: func(int) wrapper.Level2 {
 			return wrapper.Func(wrapper.W)
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 500*time.Microsecond, 3*time.Millisecond)
 	log := collectEntries(c)
 	c.Start()
-	defer c.Stop()
+	in := fault.NewInjector(99, fault.DefaultMix)
 
 	// Every logged entry is released exactly once. An entry can land
 	// between a round's release and the next round's requests; counting
@@ -379,6 +391,7 @@ func TestClusterSoak(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c.RequestShard(0, i)
 		}
+		in.Burst(chaos, 3)
 		if round%2 == 0 {
 			// Periodic transient corruption.
 			c.CorruptShard(0, round%n, tme.Corruption{Phase: tme.Thinking})
@@ -400,61 +413,21 @@ func TestClusterSoak(t *testing.T) {
 	}
 }
 
-func TestEdgeIndexCoversAllPairs(t *testing.T) {
-	c, err := NewCluster(Config{
-		N:       5,
-		Seed:    7,
-		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, ok := c.transport.(*chanTransport)
-	if !ok {
-		t.Fatalf("default transport is %T, want *chanTransport", c.transport)
-	}
-	seen := map[int]bool{}
-	for s := 0; s < 5; s++ {
-		for d := 0; d < 5; d++ {
-			if s == d {
-				continue
-			}
-			idx := tr.edgeIndex(s, d)
-			if idx < 0 || idx >= len(tr.edges) {
-				t.Fatalf("edgeIndex(%d,%d) = %d out of range", s, d, idx)
-			}
-			e := tr.edges[idx]
-			if e.src != s || e.dst != d {
-				t.Fatalf("edgeIndex(%d,%d) → edge (%d,%d)", s, d, e.src, e.dst)
-			}
-			if seen[idx] {
-				t.Fatalf("edgeIndex collision at %d", idx)
-			}
-			seen[idx] = true
-		}
-	}
-}
-
 // TestOnEntryInstallDuringRun is the regression test for the unlocked
 // onEntry write: OnEntry used to assign the field without taking c.mu,
 // racing with recordEntry's read from the event-loop goroutines. The
 // assertion is the race detector's — installing callbacks while entries
 // are being recorded must be clean under -race.
 func TestOnEntryInstallDuringRun(t *testing.T) {
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       2,
-		Seed:    11,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	// Whichever callback is installed at the time counts the entry.
 	var entries atomic.Int64
 	count := func(Entry) { entries.Add(1) }
 	c.OnEntry(count)
 	c.Start()
-	defer c.Stop()
 	installed := make(chan struct{})
 	go func() {
 		defer close(installed)
@@ -482,18 +455,13 @@ func TestOnEntryInstallDuringRun(t *testing.T) {
 // eat on both simultaneously, entries carry the shard id, and legacy
 // (unsharded) calls address shard 0.
 func TestClusterShardsAreIndependent(t *testing.T) {
-	c, err := NewCluster(Config{
+	c, _ := inProcess(t, Config{
 		N:       3,
 		Shards:  2,
-		Seed:    12,
 		NewNode: func(id, n int) tme.Node { return ra.New(id, n) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, bareHold, bareHold)
 	log := collectEntries(c)
 	c.Start()
-	defer c.Stop()
 
 	c.RequestShard(0, 0)
 	c.RequestShard(1, 0)

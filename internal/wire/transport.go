@@ -227,7 +227,7 @@ func (t *Transport) edge(src, dst int) *outEdge {
 	e := &outEdge{dst: dst, q: newMsgQueue()}
 	t.edges[k] = e
 	t.wg.Add(1)
-	//gblint:ignore determinism one sender goroutine per TCP edge mirrors the in-process forwarder model
+	//gblint:ignore determinism one sender goroutine per TCP edge owns its connection, so a slow peer stalls only its own edge
 	go t.sender(e)
 	return e
 }
@@ -236,6 +236,11 @@ func (t *Transport) edge(src, dst int) *outEdge {
 // goroutines. Part of the runtime.Transport contract.
 func (t *Transport) Close() error {
 	t.once.Do(func() {
+		// Local destinations are delivered on the sender's goroutine, which
+		// Close cannot join (an in-process cluster's chaos proxy releases
+		// into this transport until the proxy closes too): withdrawing the
+		// callback is what keeps a Send made after Close from delivering.
+		t.deliver.Store(nil)
 		t.mu.Lock()
 		t.closed = true
 		for c := range t.conns {

@@ -177,8 +177,13 @@ func TestTransportSendAfterCloseIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Start(func(int, tme.Message) {})
+	c := &collector{}
+	tr.Start(c.deliver)
 	_ = tr.Close()
 	tr.Send(tme.Message{From: 0, To: 1}) // must not panic or spawn goroutines
 	tr.Send(tme.Message{From: 0, To: 9}) // out of range: dropped
+	tr.Send(tme.Message{From: 1, To: 0}) // local: no delivery after Close
+	if got := c.snapshot(); len(got) != 0 {
+		t.Errorf("delivered %+v after Close", got)
+	}
 }
