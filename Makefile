@@ -38,9 +38,11 @@ race:
 # it shares with gbnode, which blocks on the runtime's phase-change wait,
 # and the cross-substrate fault-row test of that Driver). This is the net
 # for every mutex-guarded field (DESIGN.md §6 lists the plant that proves
-# each one).
+# each one). The runtime runs ten times over: its wrapper.Process is fed
+# under p.mu from the event loop, the client goroutines and CorruptShard.
 test-race:
-	$(GO) test -race ./internal/runtime/... ./internal/wallclock/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/ ./examples/quickstart/
+	$(GO) test -race -count=10 ./internal/runtime/
+	$(GO) test -race ./internal/wallclock/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/ ./examples/quickstart/
 	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded

@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 	csvOut := fs.Bool("csv", false, "emit CSV (one table after another, titles as comments)")
 	only := fs.String("only", "", "run a single experiment (E1..E18)")
 	jsonPath := fs.String("json", "", `write per-experiment merged obs snapshots as JSON to this file ("-" = stdout)`)
-	check := fs.Bool("check", false, "exit non-zero when a gate experiment (E18 parity) diverges")
+	check := fs.Bool("check", false, "exit non-zero, naming them, when experiments that judge their own claim (E4, E13, E18) find it broken")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("no experiment matches %q", *only)
 		}
 	}
-	gateOK := true
+	var failed []string
 	results := make(map[string]*expResult, len(exps))
 	for _, e := range exps {
 		var agg *expResult
@@ -76,7 +76,9 @@ func run(args []string, out io.Writer) error {
 			})
 		}
 		t, ok := e.Run(scale)
-		gateOK = gateOK && ok
+		if !ok {
+			failed = append(failed, e.ID)
+		}
 		if *jsonPath != "" {
 			harness.SetRunHook(nil)
 			results[e.ID] = agg
@@ -95,8 +97,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if *check && !gateOK {
-		return fmt.Errorf("E18 parity gate diverged (see table above)")
+	if *check && len(failed) > 0 {
+		return fmt.Errorf("%s failed its claim (see the verdict notes above)", strings.Join(failed, ", "))
 	}
 	return nil
 }

@@ -136,18 +136,23 @@ func Stabilization(algo Algo, scale Scale) *Table {
 }
 
 // Deadlock runs E4: the §4 mutual-inconsistency deadlock — all in-flight
-// messages dropped while requests are outstanding.
-func Deadlock(scale Scale) *Table {
+// messages dropped while requests are outstanding. ok is the claim the
+// armed W' deadline carries, for both protocols: no run recovers without a
+// wrapper, every run recovers with W'(δ=0) and with W'(δ=10), and the mean
+// recovery latency at δ=0 is below the one at δ=10.
+func Deadlock(scale Scale) (*Table, bool) {
 	t := &Table{
 		Title: "E4 (§4): deadlock without W, recovery with W'",
 		Header: []string{"algo", "wrapper", "recovered runs",
 			"mean recovery latency", "max recovery latency"},
 	}
+	ok := true
+	seeds := scale.seeds()
 	for _, algo := range []Algo{RA, Lamport} {
+		var eagerMean float64
 		for _, delta := range []int64{NoWrapper, 0, 10} {
 			var recovered int
 			var sumLat, maxLat int64
-			seeds := scale.seeds()
 			for seed := 0; seed < seeds; seed++ {
 				r := Run(RunConfig{
 					Algo: algo, N: 4,
@@ -175,12 +180,22 @@ func Deadlock(scale Scale) *Table {
 			}
 			t.AddRow(algo.String(), wname,
 				fmt.Sprintf("%d/%d", recovered, seeds), mean, fmt.Sprint(maxLat))
+			switch delta {
+			case NoWrapper:
+				ok = ok && recovered == 0
+			case 0:
+				ok = ok && recovered == seeds
+				eagerMean = float64(sumLat) / float64(seeds)
+			default:
+				ok = ok && recovered == seeds && eagerMean < float64(sumLat)/float64(seeds)
+			}
 		}
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: 0 recoveries without the wrapper (deadlock is permanent);",
-		"all runs recover with W', with latency growing in δ")
-	return t
+		"all runs recover with W', with latency growing in δ",
+		fmt.Sprintf("verdict: ok=%v (per protocol: none recovers 0 runs, W'(δ=0) and W'(δ=10) recover all, mean latency δ=0 < δ=10)", ok))
+	return t, ok
 }
 
 // TimeoutSweep runs E5: δ trades recovery latency against steady-state
@@ -593,16 +608,21 @@ func RefinementAblation(scale Scale) *Table {
 
 // Level1Ablation runs E13: faults below the Lspec abstraction (invalid
 // phase values, which no everywhere-implementation of Lspec produces) need
-// the level-1 wrapper of §2.2 — the level-2 W alone cannot repair them.
-func Level1Ablation(scale Scale) *Table {
+// the level-1 wrapper of §2.2 — the level-2 W alone cannot repair them. ok
+// is the claim level-1 carries: without PhaseGuard no run recovers and
+// some phase stays invalid; with it every run recovers, and no phase is
+// invalid at the horizon or even right after the corrupting input, which
+// is where level-1 repairs it.
+func Level1Ablation(scale Scale) (*Table, bool) {
 	t := &Table{
 		Title: "E13 (ablation, §2.2): level-1 wrapper under sub-Lspec corruption",
 		Header: []string{"level-1 wrapper", "recovered runs",
 			"mean entries after fault", "invalid phases at horizon"},
 	}
 	seeds := scale.seeds()
+	ok := true
 	for _, withGuard := range []bool{false, true} {
-		var recovered, entries, invalid int
+		var recovered, entries, invalid, unrepaired int
 		for seed := 0; seed < seeds; seed++ {
 			simCfg := sim.Config{
 				N: 4, Seed: int64(seed),
@@ -622,6 +642,20 @@ func Level1Ablation(scale Scale) *Table {
 				for i := 0; i < s.N(); i++ {
 					if c, ok := s.Node(i).(tme.Corruptible); ok {
 						c.Corrupt(tme.Corruption{Phase: tme.Phase(7)})
+					}
+				}
+			})
+			// The first observation at t=200 follows the corrupting
+			// closure and its input at every process.
+			looked := false
+			s.SetObserver(func(s *sim.Sim) {
+				if looked || s.Now() < 200 {
+					return
+				}
+				looked = true
+				for i := 0; i < s.N(); i++ {
+					if !s.Node(i).Phase().Valid() {
+						unrepaired++
 					}
 				}
 			})
@@ -645,6 +679,10 @@ func Level1Ablation(scale Scale) *Table {
 		name := "none"
 		if withGuard {
 			name = "PhaseGuard"
+			ok = ok && recovered == seeds && invalid == 0 && unrepaired == 0
+			t.Notes = append(t.Notes, fmt.Sprintf("PhaseGuard: %d invalid phases right after the corrupting input", unrepaired))
+		} else {
+			ok = ok && recovered == 0 && invalid > 0
 		}
 		t.AddRow(name, fmt.Sprintf("%d/%d", recovered, seeds),
 			fmt.Sprintf("%.1f", float64(entries)/float64(seeds)),
@@ -654,8 +692,9 @@ func Level1Ablation(scale Scale) *Table {
 		"expected shape: without a level-1 wrapper the invalid phases persist and no",
 		"process is served again (W reads phases but cannot write them); with PhaseGuard",
 		"every run recovers — the two-level method of §2.2 is load-bearing for faults",
-		"below the specification's abstraction")
-	return t
+		"below the specification's abstraction",
+		fmt.Sprintf("verdict: ok=%v (none: 0 runs recovered, some phase invalid; PhaseGuard: every run recovered, 0 invalid at the corrupting input and at the horizon)", ok))
+	return t, ok
 }
 
 // UnifiedFaults runs E14: the engine's substrate-agnostic fault surface.
@@ -795,8 +834,9 @@ func UnifiedFaults(scale Scale) *Table {
 type Experiment struct {
 	// ID is the experiment's index, "E1" to "E18".
 	ID string
-	// Run builds the table at the given scale. ok is false only when a gate
-	// experiment (E18's parity gate) diverges.
+	// Run builds the table at the given scale. ok is false only when an
+	// experiment that judges its own claim (E4, E13, E18's parity gate)
+	// finds it broken.
 	Run func(Scale) (t *Table, ok bool)
 }
 
@@ -805,7 +845,7 @@ var Experiments = []Experiment{
 	{"E1", func(Scale) (*Table, bool) { return Fig1(), true }},
 	{"E2", func(s Scale) (*Table, bool) { return Stabilization(RA, s), true }},
 	{"E3", func(s Scale) (*Table, bool) { return Stabilization(Lamport, s), true }},
-	{"E4", func(s Scale) (*Table, bool) { return Deadlock(s), true }},
+	{"E4", Deadlock},
 	{"E5", func(s Scale) (*Table, bool) { return TimeoutSweep(RA, s), true }},
 	{"E6", func(s Scale) (*Table, bool) { return Interference(s), true }},
 	{"E7", func(s Scale) (*Table, bool) { return LspecImpliesTME(s), true }},
@@ -814,7 +854,7 @@ var Experiments = []Experiment{
 	{"E10", func(s Scale) (*Table, bool) { return WhiteboxBaseline(s), true }},
 	{"E11", func(s Scale) (*Table, bool) { return TokenCirculation(s), true }},
 	{"E12", func(s Scale) (*Table, bool) { return RefinementAblation(s), true }},
-	{"E13", func(s Scale) (*Table, bool) { return Level1Ablation(s), true }},
+	{"E13", Level1Ablation},
 	{"E14", func(s Scale) (*Table, bool) { return UnifiedFaults(s), true }},
 	{"E15", func(s Scale) (*Table, bool) { return LiveCluster(s), true }},
 	{"E16", func(s Scale) (*Table, bool) { return WorkloadMatrix(s), true }},

@@ -186,9 +186,30 @@ type LiveResult struct {
 	LastFaultMS            int64 `json:"last_fault_ms"`
 	LastViolationMS        int64 `json:"last_violation_ms"`
 	FirstEntryAfterFaultMS int64 `json:"first_entry_after_fault_ms"`
+	// CPUMS is this process's CPU time over the run (user plus system,
+	// from getrusage; -1 where unavailable), and StealPct the share of the
+	// whole system's CPU time the hypervisor stole over the run window, in
+	// percent (from /proc/stat on Linux; -1 elsewhere, never 0 for want of
+	// data). A live verdict depends on the box as much as on the code;
+	// these say what the box was doing.
+	CPUMS    int64   `json:"cpu_ms"`
+	StealPct float64 `json:"steal_pct"`
 	// Snapshot is the run's full metrics snapshot (runtime, wire, chaos,
 	// fault, and wrapper instruments).
 	Snapshot *obs.Snapshot `json:"-"`
+}
+
+// Box renders what the machine did over the run: the process's CPU time
+// and the system's steal share, each "unknown" where it was not read.
+func (r LiveResult) Box() string {
+	cpu, steal := "unknown", "unknown"
+	if r.CPUMS >= 0 {
+		cpu = fmt.Sprintf("%d ms", r.CPUMS)
+	}
+	if r.StealPct >= 0 {
+		steal = fmt.Sprintf("%.1f%%", r.StealPct)
+	}
+	return fmt.Sprintf("process CPU %s over %d ms, system steal %s", cpu, r.DurationMS, steal)
 }
 
 // RunLive executes one loopback live-cluster run: N single-process
@@ -313,7 +334,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	for _, cl := range clusters {
 		cl.Start()
 	}
-	start := wallclock.Now()
+	start, box0 := wallclock.Now(), readBox()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -427,6 +448,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	var wait sleeper
 	wait.sleep(nil, cfg.Duration)
 	wait.close()
+	box1 := readBox()
 	close(stop)
 	wg.Wait()
 	for _, cl := range clusters {
@@ -438,6 +460,8 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	res := LiveResult{
 		N:          n,
 		DurationMS: (wallclock.Now() - start) / int64(time.Millisecond),
+		CPUMS:      box0.cpuMS(box1),
+		StealPct:   box0.stealPct(box1),
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -214,11 +214,12 @@ func TestRunLiveSaturatedHandoffRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.SafetyViolations != 0 {
-		t.Errorf("%d safety violations in a fault-free run", res.SafetyViolations)
+		t.Errorf("%d safety violations in a fault-free run (%s)", res.SafetyViolations, res.Box())
 	}
 	floor := 0.55 * float64(cfg.Duration/cfg.EatTime)
 	if float64(res.Entries) < floor {
-		t.Errorf("entries = %d over %v, want >= %.0f (0.55 x Duration/EatTime)", res.Entries, cfg.Duration, floor)
+		t.Errorf("entries = %d over %v, want >= %.0f (0.55 x Duration/EatTime; %s)",
+			res.Entries, cfg.Duration, floor, res.Box())
 	}
 }
 
@@ -236,10 +237,10 @@ func TestRunLiveFaultFreeEvaluatesNoWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Entries == 0 {
-		t.Fatal("no entries")
+		t.Fatalf("no entries (%s)", res.Box())
 	}
 	if got := res.Snapshot.Counter("wrapper_evals_total"); got != 0 {
-		t.Errorf("wrapper_evals_total = %d over %d entries, want 0: W' was evaluated before any wait reached δ",
-			got, res.Entries)
+		t.Errorf("wrapper_evals_total = %d over %d entries, want 0: W' was evaluated before any wait reached δ (%s)",
+			got, res.Entries, res.Box())
 	}
 }

@@ -219,6 +219,7 @@ func ParityGate(scale Scale) (*Table, bool) {
 		Header: []string{"workload", "pair", "metric", "a", "b", "rel %", "tol %", "verdict"},
 	}
 	ok := true
+	var boxes []string
 	for _, row := range rows {
 		name := fmt.Sprintf("%s n=%d", row.name, row.cfg.withDefaults().N)
 		res, err := RunParity(row.cfg)
@@ -227,6 +228,7 @@ func ParityGate(scale Scale) (*Table, bool) {
 			return t, false
 		}
 		ok = ok && res.OK
+		boxes = append(boxes, fmt.Sprintf("%s live run: %s", name, res.Live.Box()))
 		for _, pair := range []struct {
 			name  string
 			diffs []obs.MetricDiff
@@ -250,7 +252,8 @@ func ParityGate(scale Scale) (*Table, bool) {
 	t.Notes = append(t.Notes,
 		"each seeded workload runs on sim (virtual ticks) and live TCP loopback (1 tick = 1ms) under the same client (workload.Driver) and the same 1 to 5 tick link delay, beside the twin's closed-form prediction",
 		"counts gate at ±20%; ME1 samples, violations, and convergence ticks gate exactly — a clean run must be clean on every substrate",
-		fmt.Sprintf("gate verdict: ok=%v", ok),
 	)
+	t.Notes = append(t.Notes, boxes...)
+	t.Notes = append(t.Notes, fmt.Sprintf("gate verdict: ok=%v", ok))
 	return t, ok
 }

@@ -8,10 +8,12 @@
 // lists every id, so one event loop and one medium serve single-process
 // demos and real clusters alike.
 //
-// The level-2 wrapper is armed, not ticked: a process's W' deadline is set
-// δ after it turns Hungry and cleared when it leaves, and its event loop
-// holds one wallclock.Timer for that deadline, so a process that is not
-// hungry costs the wrapper nothing.
+// Each process is one wrapper.Process, the wrapped process C ▯ W' the
+// simulator steps too: the cluster feeds it deliveries, client actions,
+// corruptions and deadlines under the process's lock, and routes what it
+// returns. The level-2 wrapper is armed, not ticked: the process's event
+// loop holds one wallclock.Timer aimed at the armed W' deadline, so a
+// process that is not hungry costs the wrapper nothing.
 //
 // The simulator is the measurement substrate (deterministic virtual time);
 // this package demonstrates the same wrapper recovering real concurrent
@@ -56,8 +58,8 @@ type Config struct {
 	// (see NewWrapper), not evaluated on a tick.
 	WrapperTick time.Duration
 	// Level1, when non-nil, is the level-1 wrapper run on a process after
-	// every event at it and after every corruption (intra-process repair,
-	// §2.2).
+	// every delivery and client action at it and after every corruption
+	// (intra-process repair, §2.2).
 	Level1 wrapper.Level1
 	// Obs, when non-nil, receives runtime metrics and trace events. All
 	// instruments are goroutine-safe; nil disables observability at
@@ -142,62 +144,43 @@ func newRTInstruments(o *obs.Obs) rtInstruments {
 // simulator's one-tick period.
 const eagerEvery = time.Millisecond
 
-// proc is one process: its node, guarded by mu, plus its inbox. wrap,
-// every and armed are set once in NewCluster before any goroutine exists
+// proc is one process: its wrapped process, guarded by mu, plus its inbox
+// and tokens, which are set once in NewCluster before any goroutine exists
 // and never reassigned, so they need no guard.
 type proc struct {
 	id    int
 	shard int
 	mu    sync.Mutex
-	node  tme.Node // guarded by mu
-	wrap  wrapper.Level2
-	every time.Duration // W''s period δ, or eagerEvery for the eager W
-	// due is the armed W' deadline in Unix nanoseconds, -1 when disarmed.
-	// It is armed a period on when node turns Hungry and disarmed when it
-	// leaves, both in notePhase, so an armed deadline always belongs to the
-	// hungry stretch in progress.
-	due int64 // guarded by mu
-	// armed holds one token while due may be earlier than the event loop's
-	// timer knows (capacity 1, sent to only under mu by notePhase).
+	w     wrapper.Process // guarded by mu; times are Unix nanoseconds
+	// armed holds one token while the armed W' deadline may be earlier
+	// than the event loop's timer knows (capacity 1, sent to only under mu
+	// by note). nil without a wrapper.
 	armed chan struct{}
 	inbox *mailbox[tme.Message]
-	// phaseMoved holds one token while a move of node's phase may be unseen
-	// (capacity 1: a token says "look again", not how often). Sent to only
-	// under mu, by notePhase, so the phase a token announces is readable by
-	// the time the token is; received from lock-free by
+	// phaseMoved holds one token while a move of the node's phase may be
+	// unseen (capacity 1: a token says "look again", not how often). Sent
+	// to only under mu, by note, so the phase a token announces is readable
+	// by the time the token is; received from lock-free by
 	// AwaitPhaseChangeShard.
 	phaseMoved chan struct{}
 }
 
-// notePhase posts the phase-change token when the node has left the phase
-// before, which the caller read on taking mu, and arms or disarms the W'
-// deadline to match. Every section that can write node ends with it.
-// Called with mu held.
-func (p *proc) notePhase(before tme.Phase) {
-	ph := p.node.Phase()
-	if ph == before {
+// note posts the tokens an outcome of p.w calls for: the phase-change token
+// when the phase moved, and the armed token when it moved into Hungry, the
+// only move that arms a deadline. Every section that feeds p.w an input
+// ends with it. Called with mu held.
+func (p *proc) note(o wrapper.Outcome) {
+	if !o.PhaseMoved {
 		return
 	}
-	if p.wrap != nil {
-		p.watch(ph)
+	if o.Due >= 0 {
+		select {
+		case p.armed <- struct{}{}:
+		default:
+		}
 	}
 	select {
 	case p.phaseMoved <- struct{}{}:
-	default:
-	}
-}
-
-// watch arms the W' deadline a period from now, and tells the event loop,
-// when ph is Hungry; otherwise it disarms it. The timer of a disarmed
-// deadline is left to fire into a no-op. Called with mu held.
-func (p *proc) watch(ph tme.Phase) {
-	if ph != tme.Hungry {
-		p.due = -1
-		return
-	}
-	p.due = wallclock.Now() + int64(p.every)
-	select {
-	case p.armed <- struct{}{}:
 	default:
 	}
 }
@@ -235,22 +218,27 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if !local[i] {
 				continue
 			}
+			node := cfg.NewNode(i, cfg.N)
 			p := &proc{
-				id: i, shard: s, node: cfg.NewNode(i, cfg.N),
+				id: i, shard: s,
 				inbox: newMailbox[tme.Message](), phaseMoved: make(chan struct{}, 1),
 			}
+			var l2 wrapper.Level2
+			every := int64(0)
 			if cfg.NewWrapper != nil {
 				raw := cfg.NewWrapper(i)
-				p.every = time.Duration(wrapper.Timeout(raw))
-				if p.every <= 0 {
-					p.every = eagerEvery
+				if every = wrapper.Timeout(raw); every <= 0 {
+					every = int64(eagerEvery)
 				}
 				// Instrumentation is per process id; shard instances of one
 				// process share its wrapper gauges, which sum naturally.
-				p.wrap = wrapper.InstrumentLevel2(cfg.Obs, i, raw)
+				l2 = wrapper.InstrumentLevel2(cfg.Obs, i, raw)
 				p.armed = make(chan struct{}, 1)
-				p.watch(p.node.Phase())
 			}
+			p.w = wrapper.NewProcess(node, cfg.Level1, l2, every)
+			// A fresh node is arbitrary state to its step: this repairs it
+			// and arms a node that starts hungry.
+			p.note(p.w.Corrupt(nil, wallclock.Now()))
 			c.procs[s][i] = p
 		}
 	}
@@ -318,7 +306,7 @@ func (c *Cluster) deliver(dst int, m tme.Message) {
 func (c *Cluster) eventLoop(p *proc) {
 	var timer *wallclock.Timer
 	var fire <-chan struct{}
-	if p.wrap != nil {
+	if p.armed != nil {
 		timer = wallclock.NewTimer()
 		defer timer.Close()
 		fire = timer.C
@@ -334,21 +322,15 @@ func (c *Cluster) eventLoop(p *proc) {
 					break
 				}
 				p.mu.Lock()
-				before := p.node.Phase()
-				out := p.node.Deliver(m)
-				c.repair(p)
-				entered, more := p.node.Step()
-				p.notePhase(before)
+				o := p.w.Deliver(m, wallclock.Now())
+				p.note(o)
 				p.mu.Unlock()
 				c.ins.delivered.Inc()
-				c.route(p.shard, append(out, more...))
-				if entered {
-					c.recordEntry(p.shard, p.id)
-				}
+				c.emit(p, o)
 			}
 		case <-p.armed:
 			p.mu.Lock()
-			due := p.due
+			due := p.w.Due()
 			p.mu.Unlock()
 			if due >= 0 {
 				timer.Reset(time.Duration(due - wallclock.Now()))
@@ -359,45 +341,33 @@ func (c *Cluster) eventLoop(p *proc) {
 	}
 }
 
-// deadline handles p's timer firing, its value already received. A due
-// deadline runs level-1, one W' evaluation and Step, and is re-armed a
-// period on if the process is still hungry; one disarmed since is a no-op,
-// and one re-armed later since, or a stale fire, only re-aims the timer.
+// deadline handles p's timer firing, its value already received: p.w
+// fires W' if its deadline fell due, and the timer is re-aimed at the
+// deadline p.w then holds (a disarmed one is left to fire into a no-op).
 // Fire's result may be the wrapper's own buffer (wrapper.Level2's
 // contract); it is routed here, on the event loop, before the loop can fire
 // the wrapper again.
 func (c *Cluster) deadline(p *proc, timer *wallclock.Timer) {
-	var msgs, more []tme.Message
-	entered := false
 	p.mu.Lock()
 	now := wallclock.Now()
-	if p.due >= 0 && now >= p.due {
-		before := p.node.Phase()
-		c.repair(p)
-		msgs = p.wrap.Fire(now, p.node)
-		entered, more = p.node.Step()
-		p.due = now + int64(p.every)
-		p.notePhase(before)
-	}
-	due := p.due
+	o := p.w.Deadline(now)
 	p.mu.Unlock()
-	if due >= 0 {
-		timer.Reset(time.Duration(due - now))
+	if o.Due >= 0 {
+		timer.Reset(time.Duration(o.Due - now))
 	}
-	c.route(p.shard, append(msgs, more...))
-	if entered {
-		c.recordEntry(p.shard, p.id)
-	}
+	c.emit(p, o)
 }
 
-// repair runs the level-1 wrapper on p's node and counts a repair. Called
-// with p.mu held.
-func (c *Cluster) repair(p *proc) {
-	if c.cfg.Level1 == nil {
-		return
-	}
-	if repaired, _ := c.cfg.Level1.CheckRepair(p.node); repaired {
+// emit carries an outcome of p.w out of p.mu: a repair into the counters,
+// the messages onto the transport, an entry to the entry callback.
+func (c *Cluster) emit(p *proc, o wrapper.Outcome) {
+	if o.Repaired {
 		c.ins.repairs.Inc()
+	}
+	c.route(p.shard, o.Program)
+	c.route(p.shard, o.Wrapper)
+	if o.Entered {
+		c.recordEntry(p.shard, p.id)
 	}
 }
 
@@ -463,15 +433,10 @@ func (c *Cluster) RequestShard(shard, id int) {
 		return
 	}
 	p.mu.Lock()
-	before := p.node.Phase()
-	out := p.node.RequestCS()
-	entered, more := p.node.Step()
-	p.notePhase(before)
+	o := p.w.Request(wallclock.Now())
+	p.note(o)
 	p.mu.Unlock()
-	c.route(shard, append(out, more...))
-	if entered {
-		c.recordEntry(shard, id)
-	}
+	c.emit(p, o)
 }
 
 // ReleaseShard asks process id to release the CS of the given shard. One
@@ -483,11 +448,10 @@ func (c *Cluster) ReleaseShard(shard, id int) {
 		return
 	}
 	p.mu.Lock()
-	before := p.node.Phase()
-	out := p.node.ReleaseCS()
-	p.notePhase(before)
+	o := p.w.Release(wallclock.Now())
+	p.note(o)
 	p.mu.Unlock()
-	c.route(shard, out)
+	c.emit(p, o)
 }
 
 // PhaseShard returns process id's current phase on the given shard.
@@ -498,7 +462,7 @@ func (c *Cluster) PhaseShard(shard, id int) tme.Phase {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.node.Phase()
+	return p.w.Node().Phase()
 }
 
 // AwaitPhaseChangeShard blocks until process id's phase on the given shard
@@ -516,7 +480,7 @@ func (c *Cluster) AwaitPhaseChangeShard(stop <-chan struct{}, shard, id int, fro
 	}
 	for {
 		p.mu.Lock()
-		ph := p.node.Phase()
+		ph := p.w.Node().Phase()
 		p.mu.Unlock()
 		if ph != from {
 			return ph, true
@@ -539,7 +503,7 @@ func (c *Cluster) SnapshotShard(shard, id int) tme.SpecState {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return tme.Snapshot(p.node)
+	return tme.Snapshot(p.w.Node())
 }
 
 // CorruptShard applies a transient state corruption to process id on the
@@ -551,13 +515,10 @@ func (c *Cluster) CorruptShard(shard, id int, corr tme.Corruption) {
 		return
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if node, ok := p.node.(tme.Corruptible); ok {
-		before := p.node.Phase()
-		node.Corrupt(corr)
-		c.repair(p)
-		p.notePhase(before)
-	}
+	o := p.w.Corrupt(&corr, wallclock.Now())
+	p.note(o)
+	p.mu.Unlock()
+	c.emit(p, o)
 }
 
 // Shards returns the number of protocol instances per process.

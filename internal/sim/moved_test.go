@@ -27,9 +27,10 @@ func specEqual(a, b *tme.SpecState) bool {
 // observer, between events, as an injector outside a closure would: those
 // must be marked by the fault surface itself. The observer also forges
 // invalid phases, which only the level-1 repair at the process's next
-// event undoes (the forgery is the test's own write, so it is taken into
+// delivery or fault closure undoes (the forgery is the test's own write, so it is taken into
 // the previous snapshot). Removing the dirtyNode call in FaultPerturb, or
-// the one after runLevel1's repair, fails it. About 0.1 s.
+// reporting Wrote false from the wrapped process's Deliver, fails it.
+// About 0.1 s.
 func TestMovedSetMarksEveryWrite(t *testing.T) {
 	const n = 4
 	for _, algo := range []struct {

@@ -6,15 +6,15 @@
 // reproducible and convergence can be measured in virtual time.
 //
 // The simulator drives tme.Node implementations (internal/ra,
-// internal/lamport), optionally composes each with a graybox wrapper
-// (internal/wrapper) — realizing the M ▯ W composition operationally — and
-// exposes hooks for the fault injector (internal/fault) and for spec
-// monitors (internal/lspec) via per-event observers.
+// internal/lamport), each boxed in a wrapper.Process — the wrapped process
+// C ▯ W' the goroutine runtime steps too, realizing the M ▯ W composition
+// operationally — and exposes hooks for the fault injector
+// (internal/fault) and for spec monitors (internal/lspec) via per-event
+// observers. The simulator keeps only what virtual time needs: the mesh,
+// one evWrapperDeadline per process for its armed W' deadline, the moved
+// set, the metrics and the hooks.
 //
-// W' is armed, not ticked. A wrapped process's timeout is a deadline set δ
-// after the simulator first sees it hungry and re-armed every δ while it
-// stays hungry; leaving Hungry disarms it. Theorem 8 asks no more: W'_j is
-// evaluated within δ of any continuously hungry state, and a process that
+// W' is armed, not ticked, with a period of max(δ,1) ticks. A process that
 // is not hungry costs the wrapper no event.
 //
 // The hot path is allocation-free in steady state: scheduled occurrences
@@ -62,7 +62,8 @@ type Config struct {
 	// process, realizing M ▯ W. Called once per process id.
 	NewWrapper func(id int) wrapper.Level2
 	// Level1, when non-nil, is the level-1 wrapper run on each process
-	// after every event at it.
+	// after every delivery and client action at it, and on every process
+	// after a fault closure.
 	Level1 wrapper.Level1
 	// MinDelay and MaxDelay bound per-message transmission delay in
 	// virtual ticks. Defaults: 1 and 5.
@@ -209,10 +210,9 @@ type Sim struct {
 	cfg      Config
 	core     *engine.Core
 	mesh     *engine.Mesh[tme.Message]
-	client   seeded.Stream // the built-in client's think draws (clientStream)
-	nodes    []tme.Node
-	wrappers []wrapper.Level2
-	timeouts []timeout // one armed W' deadline per node; nil without wrappers
+	client   seeded.Stream     // the built-in client's think draws (clientStream)
+	procs    []wrapper.Process // one wrapped process C ▯ W' per node
+	queued   []bool            // an evWrapperDeadline of node i is in the queue; nil without wrappers
 	net      *channel.Net[tme.Message]
 	drivers  []workload.Driver // one client per node; nil without Workload
 	lastReq  []int64           // time of each node's outstanding request (-1 = none)
@@ -311,7 +311,7 @@ func New(cfg Config) *Sim {
 		cfg:      c,
 		core:     core,
 		mesh:     mesh,
-		nodes:    make([]tme.Node, c.N),
+		procs:    make([]wrapper.Process, c.N),
 		net:      mesh.Net(),
 		lastReq:  make([]int64, c.N),
 		moved:    make([]uint64, (c.N+63)/64),
@@ -325,19 +325,18 @@ func New(cfg Config) *Sim {
 		// keeps append from reallocating on the hot path.
 		s.metrics.Entries = make([]Entry, 0, c.N*c.MaxRequests)
 	}
-	for i := range s.nodes {
-		s.nodes[i] = c.NewNode(i, c.N)
+	for i := range s.procs {
+		s.procs[i] = wrapper.NewProcess(c.NewNode(i, c.N), c.Level1, nil, 0)
 		s.lastReq[i] = -1
 	}
 	if c.NewWrapper != nil {
-		s.wrappers = make([]wrapper.Level2, c.N)
-		s.timeouts = make([]timeout, c.N)
-		for i := range s.wrappers {
+		s.queued = make([]bool, c.N)
+		for i := range s.procs {
 			w := c.NewWrapper(i)
 			// The eager W (δ = 0, or no timeout at all) is evaluated every
 			// tick of a hungry stretch.
-			s.timeouts[i] = timeout{period: max(wrapper.Timeout(w), 1), at: -1}
-			s.wrappers[i] = wrapper.InstrumentLevel2(c.Obs, i, w)
+			s.procs[i] = wrapper.NewProcess(s.procs[i].Node(), c.Level1,
+				wrapper.InstrumentLevel2(c.Obs, i, w), max(wrapper.Timeout(w), 1))
 		}
 	}
 	if c.Workload {
@@ -394,7 +393,7 @@ func (s *Sim) ReleaseAt(t int64, i int) {
 func (s *Sim) Now() int64 { return s.core.Now() }
 
 // Node returns process i.
-func (s *Sim) Node(i int) tme.Node { return s.nodes[i] }
+func (s *Sim) Node(i int) tme.Node { return s.procs[i].Node() }
 
 // N returns the number of processes.
 func (s *Sim) N() int { return s.cfg.N }
@@ -435,7 +434,7 @@ func (s *Sim) Moved(dst []int) (ids []int, all bool) {
 	if all = s.movedAll; all {
 		s.movedAll = false
 		clear(s.moved)
-		for i := range s.nodes {
+		for i := range s.procs {
 			dst = append(dst, i)
 		}
 		return dst, true
@@ -490,64 +489,55 @@ func (s *Sim) ScheduleDelivery(ep channel.Endpoint, delay int64) {
 	s.mesh.ScheduleDelivery(ep, delay)
 }
 
-// deliver pops the channel head (if any) into the destination node.
+// deliver pops the channel head (if any) into the destination process.
 func (s *Sim) deliver(ep channel.Endpoint) {
 	m, ok := s.mesh.Recv(ep)
 	if !ok {
 		s.ins.lost.Inc()
 		return // lost to a fault; the delivery opportunity passes
 	}
-	s.dirtyNode(ep.Dst)
 	s.metrics.Delivered++
 	s.ins.trace.Emit(obs.Event{Time: s.core.Now(), Kind: obs.EvDeliver, A: ep.Src, B: ep.Dst})
-	out := s.nodes[ep.Dst].Deliver(m)
-	s.send(out, false)
-	s.afterEventAt(ep.Dst)
+	s.absorb(ep.Dst, s.procs[ep.Dst].Deliver(m, s.core.Now()))
 }
 
-// afterEventAt runs the internal step (CS entry) and level-1 wrapper of
-// node i after an event touched it.
-func (s *Sim) afterEventAt(i int) {
-	s.runLevel1(i)
-	if entered, msgs := s.nodes[i].Step(); entered {
-		s.send(msgs, false)
-		now := s.core.Now()
-		s.metrics.Entries = append(s.metrics.Entries, Entry{
-			Time: now, ID: i, REQ: s.nodes[i].REQ(),
-		})
-		s.ins.entries.Inc()
-		s.ins.conv.RecordProgress(now)
-		s.ins.trace.Emit(obs.Event{Time: now, Kind: obs.EvProgress, A: i, B: -1, Detail: "cs-entry"})
-		if s.ins.entryGap != nil {
-			if s.ins.haveEntry {
-				s.ins.entryGap.Observe(now - s.ins.lastEntry)
-			}
-			s.ins.lastEntry, s.ins.haveEntry = now, true
-		}
-		lat := int64(-1)
-		if s.lastReq[i] >= 0 {
-			lat = now - s.lastReq[i]
-			s.lastReq[i] = -1
-		}
-		s.ins.fair.RecordEntry(i, lat)
-		if s.onEntry != nil {
-			s.onEntry(i, now)
-		}
+// absorb carries one outcome of process i's step into the simulation: a
+// write into the moved set, the messages into the mesh, a level-1 repair
+// and a CS entry into the metrics and hooks.
+func (s *Sim) absorb(i int, o wrapper.Outcome) {
+	if o.Wrote {
+		s.dirtyNode(i)
 	}
-}
-
-// runLevel1 executes the level-1 wrapper on node i, if configured. It is
-// driven from every occasion the process "runs" — deliveries, client
-// actions and timers — and at every node after a fault closure, because a
-// corrupted process that receives no messages still must repair itself
-// (the level-1 wrapper is a local program, not a message handler).
-func (s *Sim) runLevel1(i int) {
-	if s.cfg.Level1 != nil {
-		if repaired, _ := s.cfg.Level1.CheckRepair(s.nodes[i]); repaired {
-			s.dirtyNode(i)
-			s.ins.repairs.Inc()
-			s.ins.trace.Emit(obs.Event{Time: s.core.Now(), Kind: obs.EvRepair, A: i, B: -1})
+	s.send(o.Program, false)
+	s.send(o.Wrapper, true)
+	now := s.core.Now()
+	if o.Repaired {
+		s.ins.repairs.Inc()
+		s.ins.trace.Emit(obs.Event{Time: now, Kind: obs.EvRepair, A: i, B: -1})
+	}
+	if !o.Entered {
+		return
+	}
+	s.metrics.Entries = append(s.metrics.Entries, Entry{
+		Time: now, ID: i, REQ: s.procs[i].Node().REQ(),
+	})
+	s.ins.entries.Inc()
+	s.ins.conv.RecordProgress(now)
+	s.ins.trace.Emit(obs.Event{Time: now, Kind: obs.EvProgress, A: i, B: -1, Detail: "cs-entry"})
+	if s.ins.entryGap != nil {
+		if s.ins.haveEntry {
+			s.ins.entryGap.Observe(now - s.ins.lastEntry)
 		}
+		s.ins.lastEntry, s.ins.haveEntry = now, true
+	}
+	lat := int64(-1)
+	if s.lastReq[i] >= 0 {
+		lat = now - s.lastReq[i]
+		s.lastReq[i] = -1
+	}
+	s.ins.fair.RecordEntry(i, lat)
+	if s.onEntry != nil {
+		s.onEntry(i, now)
 	}
 }
 
@@ -579,9 +569,9 @@ func (s *Sim) look(i int) {
 	d := &s.drivers[i]
 	for {
 		now := s.core.Now()
-		switch d.Step(now, s.nodes[i].Phase()) {
+		switch d.Step(now, s.procs[i].Node().Phase()) {
 		case workload.ActRequest:
-			s.doRequest(i)
+			s.request(i)
 		case workload.ActRelease:
 			s.release(i)
 		case workload.ActSleep:
@@ -597,30 +587,28 @@ func (s *Sim) look(i int) {
 	}
 }
 
-// doRequest performs the client "Request CS" action at node i if thinking.
-func (s *Sim) doRequest(i int) {
-	if s.nodes[i].Phase() != tme.Thinking {
+// request performs the client "Request CS" action at node i if thinking.
+func (s *Sim) request(i int) {
+	o := s.procs[i].Request(s.core.Now())
+	if !o.Wrote {
 		return
 	}
-	s.dirtyNode(i)
 	s.metrics.Requests++
 	s.lastReq[i] = s.core.Now()
-	s.send(s.nodes[i].RequestCS(), false)
-	s.afterEventAt(i)
+	s.absorb(i, o)
 }
 
-// release performs the client "Release CS" action at node i.
+// release performs the client "Release CS" action at node i if eating.
 func (s *Sim) release(i int) {
 	if s.onRelease != nil {
 		s.onRelease(i, s.core.Now())
 	}
-	if s.nodes[i].Phase() != tme.Eating {
+	o := s.procs[i].Release(s.core.Now())
+	if !o.Wrote {
 		return // a fault moved the phase; nothing to release
 	}
-	s.dirtyNode(i)
 	s.metrics.Releases++
-	s.send(s.nodes[i].ReleaseCS(), false)
-	s.afterEventAt(i)
+	s.absorb(i, o)
 }
 
 // Request asks node i to request the CS now (manual workload control for
@@ -630,62 +618,46 @@ func (s *Sim) Request(i int) { s.core.Schedule(0, evRequest, int32(i), 0) }
 // Release asks node i to release the CS now.
 func (s *Sim) Release(i int) { s.core.Schedule(0, evRelease, int32(i), 0) }
 
-// timeout is one process's W' deadline (see the package doc). At most one
-// deadline event per process is queued: a disarmed or re-armed deadline is
-// cancelled lazily, when its event pops, so the engine needs no cancel.
-type timeout struct {
-	period int64 // the wrapper's δ, at least 1
-	at     int64 // armed deadline; -1 when disarmed
-	queued bool  // an evWrapperDeadline for this process is in the queue
-}
-
-// watch arms node i's W' deadline when the node is hungry and disarms it
-// when it is not. It runs after every event that can write the node, so an
-// armed deadline always belongs to the hungry stretch in progress.
-func (s *Sim) watch(i int) {
-	if s.timeouts == nil {
+// arm queues node i's evWrapperDeadline for its process's armed deadline.
+// At most one is queued per process: a deadline disarmed or re-armed later
+// since is settled when its event pops (deadline), so the engine needs no
+// cancel.
+func (s *Sim) arm(i int) {
+	if s.queued == nil || s.queued[i] {
 		return
 	}
-	t := &s.timeouts[i]
-	if s.nodes[i].Phase() != tme.Hungry {
-		t.at = -1
-		return
-	}
-	if t.at >= 0 {
-		return // already armed for this stretch
-	}
-	t.at = s.core.Now() + t.period
-	if !t.queued {
-		t.queued = true
-		s.core.Schedule(t.period, evWrapperDeadline, int32(i), 0)
+	if due := s.procs[i].Due(); due >= 0 {
+		s.queued[i] = true
+		s.core.Schedule(due-s.core.Now(), evWrapperDeadline, int32(i), 0)
 	}
 }
 
-// wrapperDeadline handles node i's popped deadline event: nothing when the
-// node left Hungry since, a re-queue when it left and came back (its armed
-// time moved later), and otherwise one W' evaluation and the next deadline
-// a period on. The evaluation reads the node and writes only channels.
-func (s *Sim) wrapperDeadline(i int) {
-	t := &s.timeouts[i]
+// deadline handles node i's popped deadline event: the process fires W' if
+// its deadline fell due, and the event is re-queued for the deadline the
+// process then holds, or dropped when it holds none.
+func (s *Sim) deadline(i int) {
 	now := s.core.Now()
-	switch {
-	case t.at < 0:
-		t.queued = false
-	case now < t.at:
-		s.core.Schedule(t.at-now, evWrapperDeadline, int32(i), 0)
-	default:
-		s.send(s.wrappers[i].Fire(now, s.nodes[i]), true)
-		t.at = now + t.period
-		s.core.Schedule(t.period, evWrapperDeadline, int32(i), 0)
+	o := s.procs[i].Deadline(now)
+	s.absorb(i, o)
+	if o.Due < 0 {
+		s.queued[i] = false
+		return
 	}
+	s.core.Schedule(o.Due-now, evWrapperDeadline, int32(i), 0)
 }
 
 // settle follows an event that could have written node i: its client looks
-// at it, and then, since the client may have requested, its W' deadline is
-// re-watched.
+// at it, and then, since the client may have requested, the W' deadline is
+// queued.
 func (s *Sim) settle(i int) {
 	s.look(i)
-	s.watch(i)
+	s.arm(i)
+}
+
+// resync feeds process i the input that says a fault wrote it outside its
+// step: level-1 repairs it and its deadline is re-read.
+func (s *Sim) resync(i int) {
+	s.absorb(i, s.procs[i].Corrupt(nil, s.core.Now()))
 }
 
 // dispatch executes one engine event record, then settles every node the
@@ -696,12 +668,11 @@ func (s *Sim) dispatch(ev *engine.Event) {
 		s.deliver(channel.Endpoint{Src: int(ev.A), Dst: int(ev.B)})
 		s.settle(int(ev.B))
 	case evClientTimer:
-		s.runLevel1(int(ev.A))
 		s.settle(int(ev.A))
 	case evWrapperDeadline:
-		s.wrapperDeadline(int(ev.A))
+		s.deadline(int(ev.A))
 	case evRequest:
-		s.doRequest(int(ev.A))
+		s.request(int(ev.A))
 		s.settle(int(ev.A))
 	case evRelease:
 		s.release(int(ev.A))
@@ -714,8 +685,8 @@ func (s *Sim) dispatch(ev *engine.Event) {
 		// is repaired now: a quiescent one has no other event to repair
 		// it at.
 		s.dirtyAll()
-		for i := range s.nodes {
-			s.runLevel1(i)
+		for i := range s.procs {
+			s.resync(i)
 			s.settle(i)
 		}
 	}
@@ -734,10 +705,11 @@ func (s *Sim) afterEvent() {
 func (s *Sim) Run(horizon int64) int64 {
 	// State may have been written directly between Run calls (tests poke
 	// channels and nodes through Net, Node and the fault surface): every
-	// process has moved, and every W' deadline is armed or disarmed.
+	// process has moved, is repaired, and has its W' deadline re-read.
 	s.dirtyAll()
-	for i := range s.nodes {
-		s.watch(i)
+	for i := range s.procs {
+		s.resync(i)
+		s.arm(i)
 	}
 	n := s.core.Run(horizon)
 	s.publish()
@@ -784,8 +756,8 @@ func (s *Sim) Snapshot() GlobalState {
 func (s *Sim) SnapshotInto(g *GlobalState) {
 	g.Time = s.core.Now()
 	g.Reserve(s.cfg.N)
-	for i, nd := range s.nodes {
-		tme.SnapshotInto(nd, &g.Nodes[i])
+	for i := range s.procs {
+		tme.SnapshotInto(s.procs[i].Node(), &g.Nodes[i])
 	}
 	g.InFlight = g.InFlight[:0]
 	for _, ep := range s.endpoints() {

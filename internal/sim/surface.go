@@ -10,10 +10,13 @@ import (
 // This file implements engine.Surface, so that one substrate-agnostic
 // injector drives faults into the TME model. FaultCorrupt and FaultPerturb
 // are the paper's TME fault model (tme.CorruptMessage, tme.RandomCorruption),
-// the same one the live chaos proxy applies. FaultPerturb marks the process
-// it writes dirty, the same way the simulator's own mutations do, so
-// incremental snapshots and the monitor steps run on them stay honest;
-// channel contents are not part of those snapshots.
+// the same one the live chaos proxy applies. FaultPerturb writes the node
+// outside its process's step, as every fault closure does (the closure's
+// end feeds every process Corrupt(nil), which repairs it and re-reads its
+// deadline), and marks the process it writes dirty, the same way the
+// simulator's own mutations do, so incremental snapshots and the monitor
+// steps run on them stay honest; channel contents are not part of those
+// snapshots.
 
 // Channels enumerates the mesh's channels in deterministic order.
 func (s *Sim) Channels() []channel.Endpoint { return s.endpoints() }
@@ -58,7 +61,7 @@ func (s *Sim) FaultPerturb(id int, rng *rand.Rand) bool {
 	if id < 0 || id >= s.cfg.N {
 		return false
 	}
-	node, ok := s.nodes[id].(tme.Corruptible)
+	node, ok := s.procs[id].Node().(tme.Corruptible)
 	if !ok {
 		return false
 	}

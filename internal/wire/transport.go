@@ -506,15 +506,13 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 }
 
 // msgQueue is an unbounded FIFO with blocking drain — the wire-side twin
-// of the runtime's mailbox (which this package cannot import). Storage is
-// a head-indexed ring, so steady-state put/get/drain never shift elements
-// and never allocate: capacity grows only when the queue outpaces its
-// consumer and is reused forever after.
+// of the runtime's mailbox (which this package cannot import). A drain
+// takes every queued message at once, so storage is one slice refilled
+// from its start: steady-state put/drain never allocate, and capacity grows
+// only when the queue outpaces its consumer and is reused forever after.
 type msgQueue struct {
 	mu     sync.Mutex
-	buf    []tme.Message // guarded by mu; ring storage, len(buf) is the capacity
-	head   int           // guarded by mu; index of the oldest item
-	n      int           // guarded by mu; items queued
+	buf    []tme.Message // guarded by mu; the queued messages, oldest first
 	signal chan struct{} // capacity 1: "items may be non-empty"
 }
 
@@ -524,49 +522,11 @@ func newMsgQueue() *msgQueue {
 
 func (q *msgQueue) put(m tme.Message) {
 	q.mu.Lock()
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = m
-	q.n++
+	q.buf = append(q.buf, m)
 	q.mu.Unlock()
 	select {
 	case q.signal <- struct{}{}:
 	default:
-	}
-}
-
-// grow doubles the ring of a full queue. Called with mu held.
-func (q *msgQueue) grow() {
-	c := len(q.buf) * 2
-	if c < 16 {
-		c = 16
-	}
-	buf := make([]tme.Message, c)
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf, q.head = buf, 0
-}
-
-// get pops one message, blocking until an item is available or stop
-// closes. Pops are O(1): the head index advances, nothing shifts.
-func (q *msgQueue) get(stop <-chan struct{}) (tme.Message, bool) {
-	for {
-		q.mu.Lock()
-		if q.n > 0 {
-			m := q.buf[q.head]
-			q.head = (q.head + 1) % len(q.buf)
-			q.n--
-			q.mu.Unlock()
-			return m, true
-		}
-		q.mu.Unlock()
-		select {
-		case <-q.signal:
-		case <-stop:
-			return tme.Message{}, false
-		}
 	}
 }
 
@@ -575,16 +535,9 @@ func (q *msgQueue) get(stop <-chan struct{}) (tme.Message, bool) {
 func (q *msgQueue) drain(stop <-chan struct{}, dst []tme.Message) ([]tme.Message, bool) {
 	for {
 		q.mu.Lock()
-		if q.n > 0 {
-			first := q.head + q.n
-			if first > len(q.buf) {
-				first = len(q.buf)
-			}
-			dst = append(dst, q.buf[q.head:first]...)
-			if wrapped := q.head + q.n - len(q.buf); wrapped > 0 {
-				dst = append(dst, q.buf[:wrapped]...)
-			}
-			q.head, q.n = 0, 0
+		if len(q.buf) > 0 {
+			dst = append(dst, q.buf...)
+			q.buf = q.buf[:0]
 			q.mu.Unlock()
 			return dst, true
 		}
@@ -600,12 +553,12 @@ func (q *msgQueue) drain(stop <-chan struct{}, dst []tme.Message) ([]tme.Message
 func (q *msgQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n
+	return len(q.buf)
 }
 
-// capacity reports the ring's current storage size (for reuse tests).
+// capacity reports the queue's current storage size (for reuse tests).
 func (q *msgQueue) capacity() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.buf)
+	return cap(q.buf)
 }

@@ -12,38 +12,42 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
 
-// Ring-buffer msgQueue: FIFO must survive wrap-around, steady-state
-// put/get must be O(1) pops (head advances, nothing shifts) and
-// allocation-free, and drain must hand over everything under one lock.
+// msgQueue: FIFO must hold across refills, steady-state put/drain must be
+// allocation-free and reuse capacity, and drain must hand over everything
+// under one lock.
 
-func TestMsgQueueFIFOAcrossWrap(t *testing.T) {
+func TestMsgQueueFIFOAcrossRefills(t *testing.T) {
 	q := newMsgQueue()
 	stop := make(chan struct{})
 	next := uint64(0) // next clock to put
-	want := uint64(0) // next clock expected from get
+	want := uint64(0) // next clock expected from drain
 	put := func(k int) {
 		for i := 0; i < k; i++ {
 			q.put(tme.Message{TS: ltime.Timestamp{Clock: next}})
 			next++
 		}
 	}
-	get := func(k int) {
-		for i := 0; i < k; i++ {
-			m, ok := q.get(stop)
-			if !ok || m.TS.Clock != want {
-				t.Fatalf("get = (%+v, %v), want clock %d", m, ok, want)
+	var got []tme.Message
+	drain := func(k int) {
+		var ok bool
+		got, ok = q.drain(stop, got[:0])
+		if !ok || len(got) != k {
+			t.Fatalf("drain = %d msgs, ok=%v; want %d", len(got), ok, k)
+		}
+		for _, m := range got {
+			if m.TS.Clock != want {
+				t.Fatalf("drained clock %d, want %d", m.TS.Clock, want)
 			}
 			want++
 		}
 	}
-	// Offset head, then cycle enough to wrap the ring several times.
+	// Refill past the first capacity several times, draining in between.
 	put(10)
-	get(7)
+	drain(10)
 	for i := 0; i < 20; i++ {
 		put(13)
-		get(13)
+		drain(13)
 	}
-	get(3)
 	if q.len() != 0 {
 		t.Fatalf("queue not drained: len %d", q.len())
 	}
@@ -52,22 +56,21 @@ func TestMsgQueueFIFOAcrossWrap(t *testing.T) {
 func TestMsgQueueSteadyStateReusesCapacity(t *testing.T) {
 	q := newMsgQueue()
 	stop := make(chan struct{})
-	// Warm up: grow the ring once, then drain it.
+	// Warm up: grow the storage once, then drain it.
 	for i := 0; i < 100; i++ {
 		q.put(tme.Message{})
 	}
-	for i := 0; i < 100; i++ {
-		q.get(stop)
-	}
+	dst, _ := q.drain(stop, nil)
 	capBefore := q.capacity()
 	allocs := testing.AllocsPerRun(1000, func() {
 		q.put(tme.Message{})
-		if _, ok := q.get(stop); !ok {
-			t.Fatal("get failed")
+		var ok bool
+		if dst, ok = q.drain(stop, dst[:0]); !ok || len(dst) != 1 {
+			t.Fatal("drain failed")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state put+get allocates %.1f per op, want 0", allocs)
+		t.Errorf("steady-state put+drain allocates %.1f per op, want 0", allocs)
 	}
 	if c := q.capacity(); c != capBefore {
 		t.Errorf("capacity changed %d -> %d in steady state", capBefore, c)
@@ -77,13 +80,11 @@ func TestMsgQueueSteadyStateReusesCapacity(t *testing.T) {
 func TestMsgQueueDrainTakesAllInOrder(t *testing.T) {
 	q := newMsgQueue()
 	stop := make(chan struct{})
-	// Wrap the head first so drain has to stitch two ring segments.
+	// Fill and drain once first, so the second drain refills used storage.
 	for i := 0; i < 20; i++ {
 		q.put(tme.Message{})
 	}
-	for i := 0; i < 20; i++ {
-		q.get(stop)
-	}
+	q.drain(stop, nil)
 	const n = 25
 	for i := 0; i < n; i++ {
 		q.put(tme.Message{TS: ltime.Timestamp{Clock: uint64(i)}})
