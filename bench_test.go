@@ -1,7 +1,7 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E9), plus
-// microbenchmarks of the core data structures. Custom metrics carry the
-// paper-shape quantities: convergence/recovery latencies in virtual ticks,
-// message overheads per CS entry.
+// Benchmarks regenerating the experiments of EXPERIMENTS.md (E1–E13).
+// Custom metrics carry the paper-shape quantities: convergence/recovery
+// latencies in virtual ticks, message overheads per CS entry. The
+// microbenchmarks of the core data structures live beside their code.
 //
 //	go test -bench=. -benchmem
 package graybox
@@ -9,12 +9,8 @@ package graybox
 import (
 	"testing"
 
-	"github.com/graybox-stabilization/graybox/internal/channel"
 	gb "github.com/graybox-stabilization/graybox/internal/graybox"
 	"github.com/graybox-stabilization/graybox/internal/harness"
-	"github.com/graybox-stabilization/graybox/internal/lamport"
-	"github.com/graybox-stabilization/graybox/internal/ltime"
-	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/ring"
 	"github.com/graybox-stabilization/graybox/internal/seeded"
@@ -312,128 +308,6 @@ func BenchmarkLevel1Ablation(b *testing.B) {
 				b.Fatal("invalid phase survived PhaseGuard")
 			}
 		}
-	}
-}
-
-// --- Microbenchmarks of the substrates ---
-
-// BenchmarkWrapperGuard measures one W evaluation over a hungry view.
-func BenchmarkWrapperGuard(b *testing.B) {
-	nd := ra.New(0, 16)
-	nd.RequestCS()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if msgs := wrapper.W(nd); len(msgs) == 0 {
-			b.Fatal("guard unexpectedly closed")
-		}
-	}
-}
-
-// BenchmarkSimThroughput measures raw simulator event throughput on a
-// fault-free 8-process workload.
-func BenchmarkSimThroughput(b *testing.B) {
-	var events int64
-	for i := 0; i < b.N; i++ {
-		s := sim.New(sim.Config{
-			N: 8, Seed: int64(i),
-			NewNode:     func(id, n int) tme.Node { return ra.New(id, n) },
-			Workload:    true,
-			MaxRequests: 20,
-		})
-		events += s.Run(1 << 20)
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/run")
-}
-
-// BenchmarkObsOverhead quantifies the observability tax on the raw
-// simulator: "disabled" runs with a nil obs bundle, where every instrument
-// call is a nil-receiver no-op — this is the path covered by the <2%
-// overhead budget — and "enabled" runs with a live registry, convergence
-// tracker, and trace ring.
-func BenchmarkObsOverhead(b *testing.B) {
-	workload := func(b *testing.B, mk func() *obs.Obs) {
-		var events int64
-		for i := 0; i < b.N; i++ {
-			s := sim.New(sim.Config{
-				N: 8, Seed: int64(i),
-				NewNode:     func(id, n int) tme.Node { return ra.New(id, n) },
-				Workload:    true,
-				MaxRequests: 20,
-				Obs:         mk(),
-			})
-			events += s.Run(1 << 20)
-		}
-		b.ReportMetric(float64(events)/float64(b.N), "events/run")
-	}
-	b.Run("disabled", func(b *testing.B) {
-		workload(b, func() *obs.Obs { return nil })
-	})
-	b.Run("enabled", func(b *testing.B) {
-		workload(b, func() *obs.Obs { return obs.New(obs.Options{}) })
-	})
-	b.Run("enabled-trace", func(b *testing.B) {
-		workload(b, func() *obs.Obs { return obs.New(obs.Options{TraceCapacity: 4096}) })
-	})
-}
-
-// BenchmarkNodeDeliver measures one RA request delivery round-trip.
-func BenchmarkNodeDeliver(b *testing.B) {
-	sender := ra.New(0, 2)
-	msgs := sender.RequestCS()
-	receiver := ra.New(1, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		receiver.Deliver(msgs[0])
-	}
-}
-
-// BenchmarkLamportInsert measures queue insertion under the one-entry-per-
-// process discipline.
-func BenchmarkLamportInsert(b *testing.B) {
-	nd := lamport.New(0, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		from := 1 + i%63
-		nd.Deliver(tme.Message{
-			Kind: tme.Request,
-			TS:   ltime.Timestamp{Clock: uint64(i), PID: from},
-			From: from, To: 0,
-		})
-	}
-}
-
-// BenchmarkTimestampLess measures the total-order comparison.
-func BenchmarkTimestampLess(b *testing.B) {
-	x := ltime.Timestamp{Clock: 3, PID: 1}
-	y := ltime.Timestamp{Clock: 3, PID: 2}
-	for i := 0; i < b.N; i++ {
-		if !x.Less(y) {
-			b.Fatal("order broke")
-		}
-	}
-}
-
-// BenchmarkFIFOSendRecv measures the channel substrate.
-func BenchmarkFIFOSendRecv(b *testing.B) {
-	var q channel.FIFO[tme.Message]
-	m := tme.Message{Kind: tme.Request, From: 0, To: 1}
-	for i := 0; i < b.N; i++ {
-		q.Send(m)
-		if _, ok := q.Recv(); !ok {
-			b.Fatal("recv failed")
-		}
-	}
-}
-
-// BenchmarkStabilizingToLarge measures the model checker on a 4096-state
-// random system.
-func BenchmarkStabilizingToLarge(b *testing.B) {
-	rng := seeded.New(5)
-	a := gb.Random(rng, "a", 4096, 2.0)
-	c := gb.RandomSub(rng, "c", a)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gb.StabilizingTo(c, a)
 	}
 }
 

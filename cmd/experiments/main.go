@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 	csvOut := fs.Bool("csv", false, "emit CSV (one table after another, titles as comments)")
 	only := fs.String("only", "", "run a single experiment (E1..E18)")
 	jsonPath := fs.String("json", "", `write per-experiment merged obs snapshots as JSON to this file ("-" = stdout)`)
-	check := fs.Bool("check", false, "exit non-zero, naming them, when experiments that judge their own claim (E4, E13, E18) find it broken")
+	check := fs.Bool("check", false, "exit non-zero, naming them, when experiments that judge their own claim (E2, E3, E4, E12, E13, E17, E18) find it broken")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -603,7 +603,7 @@ func (s *sleeper) close() {
 // (think and hold) and runtime.Cluster.AwaitPhaseChangeShard for leaving
 // Hungry: the cluster's event loop tells it that it eats, nothing polls.
 func RunLiveClient(stop <-chan struct{}, cl *runtime.Cluster, id int, draws workload.Client, onRequest func(shard int)) {
-	d := workload.NewDriver(draws, cl.Shards(), 0, int64(LiveTick), wallclock.Now())
+	d := workload.NewDriver(draws, cl.Shards(), 0, 0, int64(LiveTick), wallclock.Now())
 	var wait sleeper
 	defer wait.close()
 	for running := true; running; {

@@ -151,13 +151,11 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 	res := ShardedRunResult{
 		EntriesByShard: make([]int, cfg.Shards),
 		ClientsDone:    sh.LoopsDone(),
+		Loops:          sh.Loops(),
 		Events:         sh.Events(),
 		InFlight:       sh.Monitor().InFlight(),
 		Obs:            coord.Registry().Snapshot(),
 		ShardObs:       make([]*obs.Snapshot, cfg.Shards),
-	}
-	for c := 0; c < cfg.Clients; c++ {
-		res.Loops += sh.Loops(c)
 	}
 	for _, in := range injectors {
 		res.FaultsApplied += in.Count()
@@ -185,8 +183,11 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 // W' (progress after its last fault), the hme monitor must show zero order
 // and audit violations with nothing left in flight (the ordered-resource
 // deadlock-freedom argument, observed), and each shard's obs carries its
-// own fairness percentiles.
-func ShardScale(scale Scale) *Table {
+// own fairness percentiles. ok is that claim: every client finished its
+// loop budget, every shard converged, the monitor saw at least one
+// cross-shard acquisition and no order or audit violation, and nothing is
+// in flight.
+func ShardScale(scale Scale) (*Table, bool) {
 	shards, n, clients, loops := 4, 16, 64, 5
 	horizon, delta := int64(200000), int64(200)
 	if scale == Full {
@@ -236,5 +237,8 @@ func ShardScale(scale Scale) *Table {
 			res.ShardsConverged, shards),
 		"expected: all clients done, all shards converged, zero hme violations, zero in flight",
 	)
-	return t
+	ok := res.ClientsDone == clients && res.ShardsConverged == shards && res.CrossAcquisitions > 0 &&
+		res.OrderViolations == 0 && res.AuditViolations == 0 && res.InFlight == 0
+	t.Notes = append(t.Notes, fmt.Sprintf("verdict: ok=%v (every client finished its loop budget, every shard converged, at least one cross-shard acquisition, 0 order violations, 0 audit violations, 0 in flight)", ok))
+	return t, ok
 }

@@ -1,30 +1,28 @@
-// Package hme is the hierarchical mutual-exclusion layer: a level-2
-// "wrapper of wrappers" that grants cross-shard acquisitions on top of S
+// Package hme is the level-2 observer of hierarchical mutual exclusion:
+// the spec monitor of cross-shard lock sets acquired on top of S
 // independent single-shard TME instances, each already stabilized by its
 // own W'.
 //
-// The design mirrors the paper's wrapper discipline one level up. A
-// single-shard instance exports only its Lspec-level view (tme.SpecView);
-// this package sees only shard ids and those views — never protocol
-// internals and never a substrate — so the graybox rule holds at level 2
-// exactly as it does at level 1. Deadlock freedom needs no timestamps at
-// this level: every multi-shard lock set is acquired in canonical
-// ascending shard order, so the waits-for relation is a sub-order of the
-// shard order and cannot cycle (the classic ordered-resource argument).
-// Liveness of each single acquisition is delegated downward: each shard's
-// W' guarantees the hungry client eventually eats on that shard.
+// The acquisition itself is the client's (workload.Driver): it requests
+// the shards of its set one at a time in ascending order, holds them
+// together and releases them together. Deadlock freedom then needs no
+// timestamps at this level: waits-for between clients is a sub-order of
+// the shard order and cannot cycle (the classic ordered-resource
+// argument). Liveness of each single acquisition is delegated downward:
+// each shard's W' guarantees the hungry client eventually eats there.
 //
-// The Monitor is the level-2 analogue of the Lspec monitors: a spec-only
-// observer that checks the ordering invariant on every grant, audits that
-// held shards actually show the Eating phase, and publishes hme_* obs
-// instruments (acquisitions, grants, releases, violations, in-flight
-// depth) for the harness's shard-scale experiment.
+// The Monitor is the level-2 analogue of the Lspec monitors, and keeps the
+// graybox rule one level up: it sees only client ids, shard ids and each
+// shard's Lspec-level phase (tme.SpecView), never protocol internals and
+// never a substrate. It checks the ordering invariant on every grant,
+// audits that held shards actually show the Eating phase, and publishes
+// hme_* obs instruments (acquisitions, grants, releases, violations,
+// in-flight depth) for the harness's shard-scale experiment.
 package hme
 
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
@@ -59,76 +57,6 @@ func (o Op) String() string {
 	default:
 		return fmt.Sprintf("invalid(%d)", int(o))
 	}
-}
-
-// Acq is one in-flight cross-shard acquisition: a client working through
-// its canonical lock set one shard at a time. The substrate drives it —
-// request Pending()'s shard on the level-1 instance, report the CS entry
-// with Grant, repeat until Done, then hold all shards and release them
-// together.
-type Acq struct {
-	client int
-	set    []int
-	next   int
-}
-
-// NewAcqs returns one acquisition per client, each with room for a shard
-// list of setCap entries, all carved from one array: a driver that reuses
-// acqs[c] for client c allocates nothing more unless Reset is handed a
-// longer list.
-func NewAcqs(clients, setCap int) []Acq {
-	acqs := make([]Acq, clients)
-	buf := make([]int, clients*setCap)
-	for c := range acqs {
-		acqs[c].set = buf[c*setCap : c*setCap : (c+1)*setCap]
-	}
-	return acqs
-}
-
-// Reset turns a into a fresh acquisition of the given shards by client. It
-// canonicalizes them into a's own set: sorted ascending with duplicates
-// dropped, the canonical acquisition order that makes cross-shard lock sets
-// deadlock-free. A driver reusing one Acq per client so allocates only when
-// a shard list outgrows the set's room (see NewAcqs). shards is not
-// modified; slices returned by Set and Held before the call are
-// overwritten.
-func (a *Acq) Reset(client int, shards []int) {
-	set := append(a.set[:0], shards...)
-	slices.Sort(set)
-	a.client, a.set, a.next = client, slices.Compact(set), 0
-}
-
-// Set returns the full canonical lock set.
-func (a *Acq) Set() []int { return a.set }
-
-// Pending returns the next shard to request, or ok=false when every shard
-// in the set has been granted.
-func (a *Acq) Pending() (shard int, ok bool) {
-	if a.next >= len(a.set) {
-		return 0, false
-	}
-	return a.set[a.next], true
-}
-
-// Held returns the prefix of the lock set already granted.
-func (a *Acq) Held() []int { return a.set[:a.next] }
-
-// Done reports whether the whole set is held.
-func (a *Acq) Done() bool { return a.next >= len(a.set) }
-
-// Grant records that the level-1 instance for shard admitted the client.
-// Granting any shard other than the pending one is an ordering bug in the
-// driver and returns an error.
-func (a *Acq) Grant(shard int) error {
-	want, ok := a.Pending()
-	if !ok {
-		return fmt.Errorf("hme: grant of shard %d after set %v complete", shard, a.set)
-	}
-	if shard != want {
-		return fmt.Errorf("hme: grant of shard %d out of order, want %d of set %v", shard, want, a.set)
-	}
-	a.next++
-	return nil
 }
 
 // Monitor is the level-2 spec monitor. It watches the op stream of every

@@ -6,97 +6,8 @@ import (
 	"testing"
 
 	"github.com/graybox-stabilization/graybox/internal/obs"
-	"github.com/graybox-stabilization/graybox/internal/seeded"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 )
-
-func TestCanonicalize(t *testing.T) {
-	var a Acq
-	a.Reset(0, []int{3, 1, 3, 0, 1})
-	if !slices.Equal(a.Set(), []int{0, 1, 3}) {
-		t.Fatalf("canonical set = %v, want [0 1 3]", a.Set())
-	}
-}
-
-// newAcq is the reference acquisition Reset is held to: a new Acq by
-// client of a sorted, deduplicated copy of shards.
-func newAcq(client int, shards []int) *Acq {
-	set := slices.Clone(shards)
-	slices.Sort(set)
-	return &Acq{client: client, set: slices.Compact(set)}
-}
-
-func TestAcqAscendingOrder(t *testing.T) {
-	a := newAcq(7, []int{2, 0, 2, 1})
-	want := []int{0, 1, 2}
-	for i, s := range want {
-		shard, ok := a.Pending()
-		if !ok || shard != s {
-			t.Fatalf("step %d: pending = %d,%v, want %d,true", i, shard, ok, s)
-		}
-		if err := a.Grant(shard); err != nil {
-			t.Fatalf("Grant(%d): %v", shard, err)
-		}
-		if !slices.Equal(a.Held(), want[:i+1]) {
-			t.Fatalf("step %d: held = %v", i, a.Held())
-		}
-	}
-	if !a.Done() {
-		t.Fatal("acquisition not done after all grants")
-	}
-	if err := a.Grant(0); err == nil {
-		t.Fatal("grant after completion did not error")
-	}
-}
-
-// TestAcqResetEqualsNewAcq: one Acq reused through Reset is, after every
-// reset, the acquisition newAcq builds, over random shard lists with
-// unsorted entries and duplicates, sets shorter than an earlier one, and
-// resets in the middle of an acquisition; and Reset leaves its input alone.
-func TestAcqResetEqualsNewAcq(t *testing.T) {
-	rng := seeded.New(1)
-	var reused Acq
-	for i := 0; i < 500; i++ {
-		shards := make([]int, rng.Intn(7)) // 0..6 entries, so sets shrink and grow
-		for k := range shards {
-			shards[k] = rng.Intn(5) // duplicates are common
-		}
-		input := slices.Clone(shards)
-		reused.Reset(i, shards)
-		fresh := newAcq(i, shards)
-		if !slices.Equal(shards, input) {
-			t.Fatalf("Reset modified its input: %v, was %v", shards, input)
-		}
-		for {
-			if reused.client != fresh.client || !slices.Equal(reused.Set(), fresh.Set()) ||
-				!slices.Equal(reused.Held(), fresh.Held()) || reused.Done() != fresh.Done() {
-				t.Fatalf("reset %d of %v: reused (client %d, set %v, held %v, done %v), newAcq (client %d, set %v, held %v, done %v)",
-					i, input, reused.client, reused.Set(), reused.Held(), reused.Done(),
-					fresh.client, fresh.Set(), fresh.Held(), fresh.Done())
-			}
-			shard, ok := fresh.Pending()
-			if got, gotOK := reused.Pending(); got != shard || gotOK != ok {
-				t.Fatalf("reset %d of %v: pending %d,%v, newAcq %d,%v", i, input, got, gotOK, shard, ok)
-			}
-			if !ok || rng.Intn(4) == 0 { // sometimes reset mid-acquisition
-				break
-			}
-			if err := reused.Grant(shard); err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.Grant(shard); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-func TestAcqRejectsOutOfOrderGrant(t *testing.T) {
-	a := newAcq(1, []int{0, 2})
-	if err := a.Grant(2); err == nil {
-		t.Fatal("out-of-order grant accepted")
-	}
-}
 
 func TestMonitorCountsAndOrder(t *testing.T) {
 	r := obs.NewRegistry()
@@ -234,38 +145,30 @@ func TestNilMonitorIsNoOp(t *testing.T) {
 	}
 }
 
-// cycle runs one hierarchical acquisition of shards by client through a and
-// m, the sharded coordinator's order: acquire, grant shard by shard, audit
-// the held set, release. It returns the audit scratch for the next cycle.
-func cycle(t *testing.T, m *Monitor, a *Acq, client int, shards, scratch []int) []int {
-	a.Reset(client, shards)
-	m.Observe(OpAcquire, client, 0, a.Set())
-	for {
-		s, ok := a.Pending()
-		if !ok {
-			break
-		}
+// cycle runs one hierarchical acquisition of set, ascending, by client
+// through m in the sharded coordinator's order: acquire, grant shard by
+// shard, audit the held set, release. It returns the audit scratch for the
+// next cycle.
+func cycle(m *Monitor, client int, set, scratch []int) []int {
+	m.Observe(OpAcquire, client, 0, set)
+	for _, s := range set {
 		m.Observe(OpGrant, client, s, nil)
-		if err := a.Grant(s); err != nil {
-			t.Fatal(err)
-		}
 	}
 	scratch = m.Audit(client, scratch, func(int) tme.Phase { return tme.Eating })
 	m.Observe(OpRelease, client, 0, nil)
 	return scratch
 }
 
-// TestAcquireGrantAuditReleaseAllocatesNothing: a reused Acq and monitor,
-// with the caller's audit scratch kept, allocate in a client's first cycle
-// only; and with the sets NewAcqs and Reserve carve up front, not even
-// there, for any client.
+// TestAcquireGrantAuditReleaseAllocatesNothing: a reused monitor, with the
+// caller's audit scratch kept, allocates in a client's first cycle only;
+// and with the held sets Reserve carves up front, not even there, for any
+// client.
 func TestAcquireGrantAuditReleaseAllocatesNothing(t *testing.T) {
-	shards := []int{3, 1}
+	set := []int{1, 3}
 	t.Run("reused after the first cycle", func(t *testing.T) {
 		m := NewMonitor(obs.NewRegistry())
-		var a Acq
 		var scratch []int
-		allocs := testing.AllocsPerRun(100, func() { scratch = cycle(t, m, &a, 0, shards, scratch) })
+		allocs := testing.AllocsPerRun(100, func() { scratch = cycle(m, 0, set, scratch) })
 		if allocs != 0 {
 			t.Fatalf("a reused cycle allocates %.1f times, want 0", allocs)
 		}
@@ -274,12 +177,11 @@ func TestAcquireGrantAuditReleaseAllocatesNothing(t *testing.T) {
 		const runs = 100
 		clients := runs + 1 // AllocsPerRun warms up with one extra call
 		m := NewMonitor(obs.NewRegistry())
-		m.Reserve(clients, len(shards))
-		acqs := NewAcqs(clients, len(shards))
-		scratch := make([]int, 0, len(shards))
+		m.Reserve(clients, len(set))
+		scratch := make([]int, 0, len(set))
 		c := 0
 		allocs := testing.AllocsPerRun(runs, func() { // each run is a new client's first cycle
-			scratch = cycle(t, m, &acqs[c], c, shards, scratch)
+			scratch = cycle(m, c, set, scratch)
 			c++
 		})
 		if allocs != 0 {
@@ -303,18 +205,12 @@ func TestAuditConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var a Acq
+			set := []int{c, c + 2}
 			var scratch []int
 			for range rounds {
-				a.Reset(c, []int{c, c + 2})
-				m.Observe(OpAcquire, c, 0, a.Set())
-				for !a.Done() {
-					s, _ := a.Pending()
+				m.Observe(OpAcquire, c, 0, set)
+				for _, s := range set {
 					m.Observe(OpGrant, c, s, nil)
-					if err := a.Grant(s); err != nil {
-						t.Error(err)
-						return
-					}
 				}
 				// Client 1 sees its second shard scrambled every round.
 				scratch = m.Audit(c, scratch, func(shard int) tme.Phase {

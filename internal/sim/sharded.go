@@ -1,31 +1,34 @@
 // Sharded simulation: S independent single-shard TME instances — each its
 // own Sim with its own engine core, seed streams, W' wrappers, and obs —
 // advanced in lockstep windows between deterministic merge barriers by an
-// engine.Group, under a coordinator that owns every workload decision.
-// Everything runs on the caller's goroutine: a window is the shard cores
-// run one after another in shard order (engine/group.go says why they are
-// not run concurrently).
+// engine.Group, under a coordinator that steps one workload.Driver per
+// logical client: the same client the single-shard simulator and the live
+// cluster step. Everything runs on the caller's goroutine: a window is the
+// shard cores run one after another in shard order (engine/group.go says
+// why they are not run concurrently).
 //
 // The split is what keeps the shards independent. Inside a barrier window
 // the shard cores share nothing: protocol events, deliveries, and W'
 // deadlines are all shard-local, and the entry/release hooks write only to a
-// per-shard harvest buffer. Everything cross-shard — admitting client
-// arrivals, drawing think/hold/shard-skew values, moving hierarchical
-// acquisitions to their next shard, serving parked arrivals — happens
-// between windows, in canonical shard order. A run is therefore a pure
-// function of the seed, and of nothing the scheduler or GOMAXPROCS decides.
+// per-shard harvest buffer. Everything cross-shard — stepping the clients,
+// routing their requests to a shard and their releases to every shard of
+// their lock set, serving parked requests — happens between windows, in
+// canonical shard order. A run is therefore a pure function of the seed,
+// and of nothing the scheduler or GOMAXPROCS decides.
 //
 // The shard instances are advanced through their cores, never through
 // Sim.Run, so Sharded.Run publishes each shard's sim_* counters before it
 // returns (see the counter contract in sim.go).
 //
-// Clients are logical loops multiplexed onto home nodes (client c lives on
-// node c mod N of every shard), so a 100-node system can carry 10k+ client
-// loops. Parked arrivals — a client whose home node is already serving
-// another client on that shard — are linked-list records recycled through
-// an engine.Pool, keeping the coordinator allocation-free in steady state.
-// Cross-shard lock sets follow internal/hme: canonical ascending order,
-// observed by the hme.Monitor on the coordinator's obs.
+// Clients are multiplexed onto home nodes (client c lives on node c mod N
+// of every shard), so a 100-node system can carry 10k+ clients. A client's
+// Driver sees the coordinator's view of its phase: Hungry while its
+// request is parked (its home node is serving another client on that
+// shard) or has not run yet, the node's phase once it has, Eating from its
+// harvested entry on. Parked requests are linked-list records recycled
+// through an engine.Pool, keeping the coordinator allocation-free in
+// steady state. Cross-shard lock sets are the Driver's, acquired in
+// ascending order and observed by the hme.Monitor on the coordinator's obs.
 package sim
 
 import (
@@ -48,8 +51,8 @@ type ShardedConfig struct {
 	// N is the number of processes; every shard runs an instance over all
 	// N of them.
 	N int
-	// Clients is the number of logical client loops, multiplexed onto home
-	// nodes (client c → node c mod N). Default N.
+	// Clients is the number of logical clients, multiplexed onto home nodes
+	// (client c → node c mod N). Default N.
 	Clients int
 	// Seed drives every draw; shard s derives its own seed from it.
 	Seed int64
@@ -63,12 +66,12 @@ type ShardedConfig struct {
 	Level1 wrapper.Level1
 	// NewClient constructs logical client c's draw stream (required).
 	NewClient func(client int) workload.Client
-	// MaxLoops caps completed request/hold/release loops per client
-	// (0 = unlimited, run to the horizon).
+	// MaxLoops caps the lock sets each client starts, its Driver's budget
+	// (0 = unlimited, run to the horizon). Where no fault wipes a request,
+	// that is its completed request/hold/release loops.
 	MaxLoops int
-	// CrossEvery makes every k-th loop of each client a cross-shard
-	// acquisition of two skew-drawn shards (0 = never). Lock sets follow
-	// hme's canonical ascending order.
+	// CrossEvery makes every k-th lock set of each client two skew-drawn
+	// shards, acquired in ascending order (0 = never).
 	CrossEvery int
 	// Obs is the coordinator-level bundle: hme monitor instruments and
 	// per-client fairness. Per-shard metrics live on the shard obs.
@@ -86,16 +89,10 @@ func (c *ShardedConfig) withDefaults() ShardedConfig {
 	return out
 }
 
-const (
-	// window is the barrier window length in virtual ticks. Cross-shard
-	// handoffs and new arrivals are admitted at window granularity — the
-	// cost of giving every shard its own clock.
-	window int64 = 64
-	// retryAfter is how long an issued request may sit unanswered before
-	// the coordinator re-probes the node (re-request after a fault ate the
-	// request, or synthesize the grant/release a corruption skipped).
-	retryAfter int64 = 512
-)
+// window is the barrier window length in virtual ticks. Clients are
+// admitted and cross-shard handoffs made at window granularity — the cost
+// of giving every shard its own clock.
+const window int64 = 64
 
 // hookRec is one harvested shard event, buffered shard-locally during the
 // window and drained at the barrier.
@@ -110,41 +107,26 @@ const (
 	opRelease
 )
 
-// parked is one client arrival waiting for its home node to free up on a
+// parked is one client request waiting for its home node to free up on a
 // shard; recycled through the coordinator's pool.
 type parked struct {
 	client int
-	at     int64
+	at     int64 // when the client asked
 	next   *parked
 }
 
-// nodeSlot is the coordinator's bookkeeping for one (shard, node) pair.
+// nodeSlot is the coordinator's bookkeeping for one (shard, node) pair: the
+// client the node serves on that shard and the requests parked behind it.
 type nodeSlot struct {
 	occ     int   // client being served, -1 when free
-	entered bool  // the occupant's CS entry has been harvested
-	reqAt   int64 // when the occupant's request was issued (for retries)
+	entered bool  // the occupant's CS entry has been seen
+	at      int64 // when the occupant asked: its fairness latency runs from here
+	sent    int64 // coordinator time its request went to the shard core
 	qh, qt  *parked
-	qlen    int
 }
 
-// maxLockSet is the most shards a loop draws: one, or two every
-// CrossEvery-th loop. Each client's acquisition and monitor held set get
-// this much room once, at construction.
-const maxLockSet = 2
-
-// clientState tracks one logical client loop; its acquisition is the
-// client's entry of Sharded.acqs.
-type clientState struct {
-	active   bool  // a loop is in flight: the acquisition is live
-	arriveAt int64 // arrival time of the current loop (latency baseline)
-	relLeft  int   // shard releases outstanding before the loop completes
-	recorded bool  // fairness entry recorded for this loop
-	loops    int   // completed loops
-	done     bool
-}
-
-// arrival is one heap element: client's next arrival time.
-type arrival struct {
+// wake is one heap element: a thinking client's Driver deadline.
+type wake struct {
 	at     int64
 	client int32
 }
@@ -156,15 +138,14 @@ type Sharded struct {
 	group   *engine.Group
 	monitor *hme.Monitor
 	fair    *obs.Fairness
-	clients []workload.Client
-	cst     []clientState
-	acqs    []hme.Acq    // client → the current loop's acquisition, Reset at each loop's start
-	audit   []int        // the monitor's Audit scratch
-	slots   [][]nodeSlot // [shard][node]
-	bufs    [][]hookRec  // per-shard harvest buffers
-	heap    []arrival    // min-heap of pending arrivals, ordered by (at, client)
+	drivers []workload.Driver // one per logical client
+	audit   []int             // the monitor's Audit scratch
+	slots   [][]nodeSlot      // [shard][node]
+	bufs    [][]hookRec       // per-shard harvest buffers
+	heap    []wake            // min-heap of thinking clients' wakes, ordered by (at, client)
 	pool    engine.Pool[parked]
-	done    int
+	loops   int // completed loops, all clients
+	done    int // clients whose Driver parked
 	now     int64
 	events  int64
 }
@@ -180,16 +161,14 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		cfg:     c,
 		sims:    make([]*Sim, c.Shards),
 		monitor: hme.NewMonitor(registryOf(c.Obs)),
-		clients: make([]workload.Client, c.Clients),
-		cst:     make([]clientState, c.Clients),
-		acqs:    hme.NewAcqs(c.Clients, maxLockSet),
+		drivers: make([]workload.Driver, c.Clients),
 		slots:   make([][]nodeSlot, c.Shards),
 		bufs:    make([][]hookRec, c.Shards),
 	}
 	if c.Obs != nil {
 		sh.fair = c.Obs.Fairness()
 	}
-	sh.monitor.Reserve(c.Clients, maxLockSet)
+	sh.monitor.Reserve(c.Clients, workload.MaxLockSet)
 	cores := make([]*engine.Core, c.Shards)
 	for s := 0; s < c.Shards; s++ {
 		s := s
@@ -223,9 +202,9 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		}
 	}
 	sh.group = engine.NewGroup(cores)
-	for cid := 0; cid < c.Clients; cid++ {
-		sh.clients[cid] = c.NewClient(cid)
-		sh.pushArrival(arrival{at: sh.clients[cid].NextThink(), client: int32(cid)})
+	for cid := range sh.drivers {
+		sh.drivers[cid] = workload.NewDriver(c.NewClient(cid), c.Shards, c.CrossEvery, c.MaxLoops, 1, 0)
+		sh.step(cid, 0, tme.Thinking) // arms the first think
 	}
 	return sh
 }
@@ -261,14 +240,15 @@ func (sh *Sharded) Events() int64 { return sh.events }
 // LoopsDone returns how many clients have finished their loop budget.
 func (sh *Sharded) LoopsDone() int { return sh.done }
 
-// Loops returns client c's completed loop count.
-func (sh *Sharded) Loops(c int) int { return sh.cst[c].loops }
+// Loops returns the loops completed across all clients: lock sets
+// acquired, held and released.
+func (sh *Sharded) Loops() int { return sh.loops }
 
 // Run advances the system to the horizon (or until every client finishes
 // its loop budget) in barrier windows and returns the events processed.
 func (sh *Sharded) Run(horizon int64) int64 {
 	start := sh.events
-	for sh.now < horizon && sh.done < len(sh.clients) {
+	for sh.now < horizon && sh.done < len(sh.drivers) {
 		end := sh.now + window
 		if end > horizon {
 			end = horizon
@@ -286,86 +266,96 @@ func (sh *Sharded) Run(horizon int64) int64 {
 	return sh.events - start
 }
 
-// serialPhase admits arrivals due in (start, end] and re-probes stuck
-// requests. Runs with every shard core quiescent at time start.
+// serialPhase steps the clients whose think ends in (start, end], then
+// looks at every slot for what a fault wrote behind the coordinator's back.
+// Runs with every shard core quiescent at time start.
 func (sh *Sharded) serialPhase(start, end int64) {
 	for len(sh.heap) > 0 && sh.heap[0].at <= end {
-		a := sh.popArrival()
-		at := a.at
-		if at < start {
-			at = start
-		}
-		sh.startLoop(int(a.client), at)
+		w := sh.popWake()
+		sh.step(int(w.client), max(w.at, start), tme.Thinking)
 	}
-	// Retry scan: a request can be eaten by a corruption fault (the phase
-	// was not Thinking when the event fired, or the in-flight REQs were
-	// scrambled past repair). The coordinator re-probes old occupants:
-	// re-request a Thinking node, and synthesize the entry a corruption
-	// skipped when the node is visibly Eating without one.
 	for s := range sh.slots {
 		for i := range sh.slots[s] {
 			sl := &sh.slots[s][i]
-			if sl.occ < 0 {
-				// A corruption can forge Eating on a node nobody occupies.
-				// Releases are coordinator-owned here, so no client loop will
-				// ever clear it — and one forged eater starves its whole
-				// shard. Force the release (the single-shard sim's
-				// audit-release, hoisted to the coordinator).
-				if sh.sims[s].Node(i).Phase() == tme.Eating {
-					sh.sims[s].ReleaseAt(start, i)
-				}
-				continue
-			}
-			if sl.entered || start-sl.reqAt <= retryAfter {
-				continue
+			if sl.occ >= 0 && (sl.entered || sl.sent == start) {
+				continue // eating, or its request has not run yet
 			}
 			ph := sh.sims[s].Node(i).Phase()
-			if ph == tme.Eating {
-				sh.handleEntry(s, i, start)
-			} else if ph == tme.Thinking {
-				sh.sims[s].RequestAt(start, i)
-				sl.reqAt = start
+			switch {
+			case sl.occ < 0:
+				// A corruption can forge Eating on a node nobody occupies.
+				// No client watches this slot, so none would release it, and
+				// one forged eater starves its whole shard: release it here.
+				if ph == tme.Eating {
+					sh.sims[s].ReleaseAt(start, i)
+				}
+			case ph == tme.Eating:
+				// Eating with no entry seen: a corruption forged it, and the
+				// occupant takes it for its grant.
+				sh.entered(s, i, start)
+			case ph != tme.Hungry:
+				// The occupant's request is gone: its slot frees, and its
+				// Driver decides how to ask again.
+				c := sl.occ
+				sh.vacate(s, i, start)
+				sh.step(c, start, ph)
 			}
-			// Hungry (or invalid, which level-1/W' repairs): keep waiting.
 		}
 	}
 }
 
-// startLoop begins client c's next loop at time at: draw the lock set from
-// its skew stream and request the first shard.
-func (sh *Sharded) startLoop(c int, at int64) {
-	cl := sh.clients[c]
-	st := &sh.cst[c]
-	acq := &sh.acqs[c]
-	var set [maxLockSet]int
-	n := 1
-	set[0] = cl.NextResource(sh.cfg.Shards)
-	if sh.cfg.CrossEvery > 0 && (st.loops+1)%sh.cfg.CrossEvery == 0 {
-		set[1] = cl.NextResource(sh.cfg.Shards)
-		n = 2
+// step hands client c's Driver the time and the phase it sees and carries
+// out what it asks, as events on the shard cores at the client's home node.
+// The coordinator learns what a request or a release did only at a
+// barrier, so after either the Driver waits for a harvested entry or
+// release, or for the slot scan, to step it again.
+func (sh *Sharded) step(c int, now int64, ph tme.Phase) {
+	d := &sh.drivers[c]
+	i := c % sh.cfg.N
+	for {
+		switch d.Step(now, ph) {
+		case workload.ActRequest:
+			if len(d.Set()) > 1 && len(d.Held()) == 0 {
+				sh.monitor.Observe(hme.OpAcquire, c, 0, d.Set())
+			}
+			sh.request(c, d.Shard(), now)
+			return
+		case workload.ActSleep:
+			if len(d.Held()) == 0 {
+				sh.pushWake(wake{at: d.Wake(), client: int32(c)})
+				return
+			}
+			// The whole set is held: audit it, then step the Driver at its
+			// hold's end right away. The shard cores carry out the release
+			// at that time, and its harvest steps the Driver next.
+			if len(d.Set()) > 1 {
+				sh.audit = sh.monitor.Audit(c, sh.audit, func(shard int) tme.Phase { return sh.sims[shard].Node(i).Phase() })
+			}
+			now, ph = d.Wake(), tme.Eating
+		case workload.ActRelease:
+			for _, s := range d.Set() {
+				if sl := &sh.slots[s][i]; sl.occ == c && sl.entered {
+					sh.sims[s].ReleaseAt(now, i)
+				}
+			}
+			return
+		case workload.ActPark:
+			sh.done++
+			return
+		case workload.ActIdle, workload.ActAwait:
+			return
+		}
 	}
-	acq.Reset(c, set[:n])
-	st.active = true
-	st.arriveAt = at
-	st.recorded = false
-	st.relLeft = 0
-	if len(acq.Set()) > 1 {
-		sh.monitor.Observe(hme.OpAcquire, c, 0, acq.Set())
-	}
-	shard, _ := acq.Pending()
-	sh.requestShard(c, shard, at)
 }
 
-// requestShard routes client c's request for one shard to its home node:
-// issue it when the node is free on that shard, park it otherwise.
-func (sh *Sharded) requestShard(c, shard int, at int64) {
+// request routes client c's request for one shard, made at time at, to its
+// home node: issue it when the node is free on that shard, park it
+// otherwise.
+func (sh *Sharded) request(c, shard int, at int64) {
 	i := c % sh.cfg.N
 	sl := &sh.slots[shard][i]
 	if sl.occ < 0 {
-		sl.occ = c
-		sl.entered = false
-		sl.reqAt = at
-		sh.sims[shard].RequestAt(at, i)
+		sh.occupy(shard, i, c, at, at)
 		return
 	}
 	rec := sh.pool.Get()
@@ -376,114 +366,94 @@ func (sh *Sharded) requestShard(c, shard int, at int64) {
 		sl.qh = rec
 	}
 	sl.qt = rec
-	sl.qlen++
+}
+
+// occupy gives slot (s, i) to client c, who asked at time asked, and
+// issues its request at time t.
+func (sh *Sharded) occupy(s, i, c int, asked, t int64) {
+	sl := &sh.slots[s][i]
+	sl.occ, sl.entered, sl.at, sl.sent = c, false, asked, sh.now
+	sh.sims[s].RequestAt(t, i)
+}
+
+// vacate frees slot (s, i) at time t and serves the request parked longest
+// behind it.
+func (sh *Sharded) vacate(s, i int, t int64) {
+	sl := &sh.slots[s][i]
+	sl.occ, sl.entered = -1, false
+	if rec := sl.qh; rec != nil {
+		sl.qh = rec.next
+		if sl.qh == nil {
+			sl.qt = nil
+		}
+		sh.occupy(s, i, rec.client, rec.at, t)
+		sh.pool.Put(rec)
+	}
 }
 
 // harvest drains every shard's hook buffer, serially in shard order, and
-// advances the cross-shard state machines. Runs at the barrier (time end).
+// steps the clients the events belong to. Runs at the barrier (time end).
 func (sh *Sharded) harvest(end int64) {
 	for s := range sh.bufs {
 		for k := range sh.bufs[s] {
 			r := sh.bufs[s][k]
 			if r.op == opEntry {
-				sh.handleEntry(s, int(r.node), r.t)
+				sh.entered(s, int(r.node), r.t)
 			} else {
-				sh.handleRelease(s, int(r.node), r.t)
+				sh.released(s, int(r.node), r.t)
 			}
 		}
 		sh.bufs[s] = sh.bufs[s][:0]
 	}
 }
 
-// handleEntry processes one CS entry of node i on shard s at time t.
-func (sh *Sharded) handleEntry(s, i int, t int64) {
+// entered handles a CS entry of node i on shard s at time t: the occupant
+// holds that shard, and its Driver sees Eating.
+func (sh *Sharded) entered(s, i int, t int64) {
 	sl := &sh.slots[s][i]
 	c := sl.occ
 	if c < 0 || sl.entered {
 		return // spurious: a corruption forged the phase with nobody served
 	}
-	st := &sh.cst[c]
-	if !st.active {
-		return
-	}
 	sl.entered = true
-	acq := &sh.acqs[c]
-	multi := len(acq.Set()) > 1
-	if !st.recorded {
-		sh.fair.RecordEntry(c, t-st.arriveAt)
-		st.recorded = true
+	d := &sh.drivers[c]
+	if len(d.Held()) == 0 {
+		sh.fair.RecordEntry(c, t-sl.at)
 	}
-	if multi {
+	if len(d.Set()) > 1 {
 		sh.monitor.Observe(hme.OpGrant, c, s, nil)
 	}
-	if err := acq.Grant(s); err != nil {
-		// Ordering bug in the coordinator itself; the monitor's order
-		// violation counter has already seen it via OpGrant.
-		return
-	}
-	if next, ok := acq.Pending(); ok {
-		sh.requestShard(c, next, t)
-		return
-	}
-	// Whole set held: audit the holder's spec views, then release every
-	// held shard together after the client's hold time.
-	if multi {
-		sh.audit = sh.monitor.Audit(c, sh.audit, func(shard int) tme.Phase { return sh.sims[shard].Node(i).Phase() })
-	}
-	relT := t + sh.clients[c].NextHold()
-	held := acq.Held()
-	st.relLeft = len(held)
-	for _, shard := range held {
-		sh.sims[shard].ReleaseAt(relT, i)
-	}
+	sh.step(c, t, tme.Eating)
 }
 
-// handleRelease processes one release event of node i on shard s at time
-// t: free the slot, serve the next parked arrival, and complete the
-// client's loop when its last shard is released.
-func (sh *Sharded) handleRelease(s, i int, t int64) {
+// released handles a release event of node i on shard s at time t: the
+// slot frees and serves its next parked request, and the release that
+// frees the last shard of a held set ends that client's loop.
+func (sh *Sharded) released(s, i int, t int64) {
 	sl := &sh.slots[s][i]
-	c := sl.occ
+	c, ate := sl.occ, sl.entered
 	if c < 0 {
 		return
 	}
-	sl.occ = -1
-	sl.entered = false
-	if rec := sl.qh; rec != nil {
-		sl.qh = rec.next
-		if sl.qh == nil {
-			sl.qt = nil
+	sh.vacate(s, i, t)
+	d := &sh.drivers[c]
+	if !ate || len(d.Held()) > 0 {
+		return // not the release of a held set
+	}
+	for _, o := range d.Set() {
+		if sh.slots[o][i].occ == c {
+			return // more of the set to release
 		}
-		sl.qlen--
-		sl.occ = rec.client
-		sl.entered = false
-		sl.reqAt = t
-		sh.sims[s].RequestAt(t, i)
-		sh.pool.Put(rec)
 	}
-	st := &sh.cst[c]
-	if st.relLeft > 0 {
-		st.relLeft--
-	}
-	acq := &sh.acqs[c]
-	if st.relLeft > 0 || !st.active || !acq.Done() {
-		return
-	}
-	if len(acq.Set()) > 1 {
+	if len(d.Set()) > 1 {
 		sh.monitor.Observe(hme.OpRelease, c, 0, nil)
 	}
-	st.active = false
-	st.loops++
-	if sh.cfg.MaxLoops == 0 || st.loops < sh.cfg.MaxLoops {
-		sh.pushArrival(arrival{at: t + sh.clients[c].NextThink(), client: int32(c)})
-	} else if !st.done {
-		st.done = true
-		sh.done++
-	}
+	sh.loops++
+	sh.step(c, t, tme.Thinking)
 }
 
 // skipAhead fast-forwards over windows in which no shard has events and no
-// arrival is due, using the group's virtual-clock low-water-mark.
+// client wakes, using the group's virtual-clock low-water-mark.
 func (sh *Sharded) skipAhead(horizon int64) {
 	next := int64(-1)
 	if low, ok := sh.group.LowWater(); ok {
@@ -508,24 +478,20 @@ func (sh *Sharded) skipAhead(horizon int64) {
 
 // String summarizes the run for logs.
 func (sh *Sharded) String() string {
-	total := 0
-	for i := range sh.cst {
-		total += sh.cst[i].loops
-	}
 	return fmt.Sprintf("sharded{s=%d n=%d c=%d t=%d loops=%d done=%d}",
-		sh.cfg.Shards, sh.cfg.N, len(sh.clients), sh.now, total, sh.done)
+		sh.cfg.Shards, sh.cfg.N, len(sh.drivers), sh.now, sh.loops, sh.done)
 }
 
-// Arrival heap: a plain binary min-heap ordered by (at, client) — the
+// Wake heap: a plain binary min-heap ordered by (at, client) — the
 // coordinator's only scheduling structure, kept dependency-free like the
 // engine's overflow heap.
 
-func (sh *Sharded) pushArrival(a arrival) {
-	sh.heap = append(sh.heap, a)
+func (sh *Sharded) pushWake(w wake) {
+	sh.heap = append(sh.heap, w)
 	i := len(sh.heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !arrivalLess(sh.heap[i], sh.heap[p]) {
+		if !wakeLess(sh.heap[i], sh.heap[p]) {
 			break
 		}
 		sh.heap[i], sh.heap[p] = sh.heap[p], sh.heap[i]
@@ -533,7 +499,7 @@ func (sh *Sharded) pushArrival(a arrival) {
 	}
 }
 
-func (sh *Sharded) popArrival() arrival {
+func (sh *Sharded) popWake() wake {
 	h := sh.heap
 	top := h[0]
 	last := len(h) - 1
@@ -543,10 +509,10 @@ func (sh *Sharded) popArrival() arrival {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && arrivalLess(h[l], h[small]) {
+		if l < last && wakeLess(h[l], h[small]) {
 			small = l
 		}
-		if r < last && arrivalLess(h[r], h[small]) {
+		if r < last && wakeLess(h[r], h[small]) {
 			small = r
 		}
 		if small == i {
@@ -558,7 +524,7 @@ func (sh *Sharded) popArrival() arrival {
 	return top
 }
 
-func arrivalLess(a, b arrival) bool {
+func wakeLess(a, b wake) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}

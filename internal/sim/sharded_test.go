@@ -14,11 +14,12 @@ type testShardClient struct {
 	think, hold int64
 	seq         []int
 	i           int
+	open        bool
 }
 
 func (c *testShardClient) NextThink() int64 { return c.think }
 func (c *testShardClient) NextHold() int64  { return c.hold }
-func (c *testShardClient) Open() bool       { return false }
+func (c *testShardClient) Open() bool       { return c.open }
 func (c *testShardClient) Cohort() string   { return "test" }
 func (c *testShardClient) NextResource(n int) int {
 	r := c.seq[c.i%len(c.seq)] % n
@@ -61,18 +62,14 @@ func TestShardedCompletesAllLoops(t *testing.T) {
 }
 
 func TestShardedIsDeterministic(t *testing.T) {
-	run := func() ([][]Entry, []int) {
+	run := func() ([][]Entry, int) {
 		sh := NewSharded(shardedCfg(42))
 		sh.Run(100000)
 		entries := make([][]Entry, sh.cfg.Shards)
 		for s := range entries {
 			entries[s] = sh.Shard(s).Metrics().Entries
 		}
-		loops := make([]int, 8)
-		for c := range loops {
-			loops[c] = sh.Loops(c)
-		}
-		return entries, loops
+		return entries, sh.Loops()
 	}
 	e1, l1 := run()
 	e2, l2 := run()
@@ -86,10 +83,8 @@ func TestShardedIsDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for c := range l1 {
-		if l1[c] != l2[c] {
-			t.Fatalf("client %d loops differ: %d vs %d", c, l1[c], l2[c])
-		}
+	if l1 != l2 {
+		t.Fatalf("loops differ: %d vs %d", l1, l2)
 	}
 }
 
@@ -148,5 +143,47 @@ func TestShardedSingleShardDegenerates(t *testing.T) {
 	}
 	if n := len(sh.Shard(0).Metrics().Entries); n != 8*5 {
 		t.Fatalf("entries = %d, want 40", n)
+	}
+}
+
+// An open-loop client keeps its arrival clock on the sharded simulator as
+// on every other substrate: arrivals come every gap ticks whatever the
+// service does. With a gap longer than the hold, each request goes in at
+// its arrival (the window it falls in admits it at its own time); with a
+// gap shorter than the hold, arrivals back up, and each is served as soon
+// as the client frees up: within one window of its release, not a gap
+// after it as a closed loop would.
+func TestShardedOpenLoopKeepsItsArrivalClock(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		gap, hold int64
+	}{
+		{"gap longer than the hold", 200, 30},
+		{"gap shorter than the hold", 100, 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const loops = 8
+			cfg := shardedCfg(1)
+			cfg.Shards, cfg.N, cfg.Clients, cfg.MaxLoops = 1, 1, 1, loops
+			cfg.NewClient = func(int) workload.Client {
+				return &testShardClient{think: tc.gap, hold: tc.hold, seq: []int{0}, open: true}
+			}
+			sh := NewSharded(cfg)
+			sh.Run(100000)
+			entries := sh.Shard(0).Metrics().Entries
+			if len(entries) != loops || sh.LoopsDone() != 1 {
+				t.Fatalf("%d entries, %d clients done; want %d and 1", len(entries), sh.LoopsDone(), loops)
+			}
+			for k, e := range entries {
+				arrival := int64(k+1) * tc.gap
+				switch {
+				case tc.gap > tc.hold && e.Time != arrival:
+					t.Errorf("entry %d at %d, want its arrival %d", k, e.Time, arrival)
+				case tc.gap < tc.hold && k > 0 && (e.Time < arrival || e.Time-(entries[k-1].Time+tc.hold) > window):
+					t.Errorf("entry %d at %d: arrival %d, previous release %d; want it served within %d ticks of that release",
+						k, e.Time, arrival, entries[k-1].Time+tc.hold, window)
+				}
+			}
+		})
 	}
 }

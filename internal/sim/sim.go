@@ -347,7 +347,7 @@ func New(cfg Config) *Sim {
 			if c.NewClient != nil {
 				draws = c.NewClient(i)
 			}
-			s.drivers[i] = workload.NewDriver(draws, 1, c.MaxRequests, 1, 0)
+			s.drivers[i] = workload.NewDriver(draws, 1, 0, c.MaxRequests, 1, 0)
 			s.look(i) // arms the first think
 		}
 	}

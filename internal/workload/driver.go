@@ -19,11 +19,12 @@ const (
 	ActAwait
 	// ActRequest: perform "Request CS" on Shard(), then step again.
 	ActRequest
-	// ActRelease: perform "Release CS" on Shard(), then step again. The
-	// substrate's release is a no-op when a fault already moved the phase.
+	// ActRelease: perform "Release CS" on every shard of Set() (Shard()
+	// itself, for a one-shard set), then step again. The substrate's
+	// release is a no-op when a fault already moved the phase.
 	ActRelease
-	// ActPark: the request budget is spent. Step again only if the phase
-	// moves.
+	// ActPark: the budget of lock sets is spent. Step again only if the
+	// phase moves.
 	ActPark
 )
 
@@ -38,20 +39,28 @@ const (
 	drvAwaiting
 	// drvHolding: eating until holdAt.
 	drvHolding
-	// drvParked: the request budget is spent.
+	// drvParked: the budget of lock sets is spent.
 	drvParked
 )
 
 // Driver is the Client Spec as a pure state machine, written once for
-// every substrate: think, request the drawn shard, wait to leave Hungry,
-// on Eating hold and release, on anything else think and ask again. The
-// simulator steps it from its event loop and the live cluster from a
-// blocking goroutine; both hand it the time and the phase they observe and
-// carry out the Action it returns. It owns no goroutine, clock or rng
-// beyond its draw stream, and a step allocates nothing.
+// every substrate: think, request the drawn lock set, wait to leave
+// Hungry, on Eating hold and release, on anything else think and ask
+// again. The simulator steps it from its event loop, the sharded simulator
+// from its barrier coordinator and the live cluster from a blocking
+// goroutine; each hands it the time and the phase it observes and carries
+// out the Action it returns. It owns no goroutine, clock or rng beyond its
+// draw stream, and a step allocates nothing.
+//
+// A loop's lock set is one shard, or two on every crossEvery-th set,
+// drawn at the think step and held sorted ascending without duplicates:
+// the client requests them one at a time in that order, so waits-for
+// between clients follows the shard order and cannot cycle (the
+// ordered-resource argument internal/hme observes), holds them together
+// and releases them together.
 //
 // Times are in the caller's unit (a draw of t ticks lasts t*unit): the
-// simulator passes virtual ticks with unit 1, the live loop nanoseconds
+// simulators pass virtual ticks with unit 1, the live loop nanoseconds
 // with unit harness.LiveTick.
 //
 // The machine has no state it cannot leave. A phase it did not cause is
@@ -62,7 +71,8 @@ const (
 type Driver struct {
 	draws  Client
 	shards int
-	budget int // requests this client may issue; 0 = unlimited
+	cross  int // every cross-th lock set takes two shards; 0 = never
+	budget int // lock sets this client may start; 0 = unlimited
 	unit   int64
 	open   bool
 
@@ -70,23 +80,39 @@ type Driver struct {
 	thinkAt int64 // think deadline; in the past once spent
 	holdAt  int64 // hold deadline while drvHolding
 	arrival int64 // open loop: the arrival clock, independent of service
-	shard   int   // target of the current attempt
-	issued  int
+	set     [MaxLockSet]int
+	n       int // shards in set, ≥ 1
+	held    int // shards of set granted so far; n while drvHolding
+	started int // lock sets started
 }
+
+// MaxLockSet is the most shards one lock set holds.
+const MaxLockSet = 2
 
 // NewDriver returns the client for one draw stream over shards critical
 // sections, starting (and, for an open-loop stream, starting its arrival
-// clock) at now. budget caps the requests it issues; 0 means no cap.
-func NewDriver(draws Client, shards, budget int, unit, now int64) Driver {
+// clock) at now. Every crossEvery-th lock set it starts takes two shards;
+// 0 means every set is one shard. budget caps the lock sets it starts; 0
+// means no cap.
+func NewDriver(draws Client, shards, crossEvery, budget int, unit, now int64) Driver {
 	return Driver{
-		draws: draws, shards: shards, budget: budget, unit: unit,
-		open: draws.Open(), arrival: now,
+		draws: draws, shards: shards, cross: crossEvery, budget: budget, unit: unit,
+		open: draws.Open(), arrival: now, n: 1,
 	}
 }
 
 // Shard is the critical section the client is working on: the phase handed
-// to Step is the phase there, and requests and releases go there.
-func (d *Driver) Shard() int { return d.shard }
+// to Step is the phase there, and requests go there. While the set is being
+// acquired it is the next shard to ask for; otherwise it is the set's last.
+func (d *Driver) Shard() int { return d.set[min(d.held, d.n-1)] }
+
+// Set is the current lock set, ascending: the one being thought about,
+// acquired or held. ActRelease releases it.
+func (d *Driver) Set() []int { return d.set[:d.n] }
+
+// Held is the prefix of Set already granted: empty between meals, the
+// whole set while holding it.
+func (d *Driver) Held() []int { return d.set[:d.held] }
 
 // Wake is the deadline behind the last ActSleep or ActIdle.
 func (d *Driver) Wake() int64 {
@@ -106,19 +132,26 @@ func (d *Driver) Step(now int64, ph tme.Phase) Action {
 		if now < d.holdAt {
 			return ActIdle
 		}
-		d.state = drvIdle
+		d.state, d.held = drvIdle, 0
 		return ActRelease
 	case drvAwaiting:
 		if ph == tme.Hungry {
 			return ActAwait
 		}
 		if ph == tme.Eating {
+			if d.held++; d.held < d.n {
+				return ActRequest // the next shard of the set, in ascending order
+			}
 			d.state = drvHolding
 			d.holdAt = now + d.draws.NextHold()*d.unit
 			return ActSleep
 		}
 		// Left Hungry without eating: a fault wiped the request, and this
-		// client is the only one who would ask again.
+		// client is the only one who would ask again. Holding part of its
+		// set it is eating, and may not think: it asks again at once.
+		if d.held > 0 {
+			return ActRequest
+		}
 		d.state = drvIdle
 	}
 
@@ -139,7 +172,7 @@ func (d *Driver) Step(now int64, ph tme.Phase) Action {
 			return ActIdle
 		}
 		if ph == tme.Thinking {
-			d.issued++
+			d.started++
 			d.state = drvAwaiting
 			return ActRequest
 		}
@@ -151,7 +184,7 @@ func (d *Driver) Step(now int64, ph tme.Phase) Action {
 		d.state = drvThinking
 		return ActIdle
 	}
-	if d.budget > 0 && d.issued >= d.budget {
+	if d.budget > 0 && d.started >= d.budget {
 		d.state = drvParked
 		return ActPark
 	}
@@ -164,7 +197,21 @@ func (d *Driver) Step(now int64, ph tme.Phase) Action {
 	} else {
 		d.thinkAt = now + gap
 	}
-	d.shard = d.draws.NextResource(d.shards)
+	d.drawSet()
 	d.state = drvThinking
 	return ActSleep
+}
+
+// drawSet draws the next lock set from the shard stream: one shard, two on
+// every cross-th set, sorted ascending with a duplicate dropped.
+func (d *Driver) drawSet() {
+	d.set[0], d.n = d.draws.NextResource(d.shards), 1
+	if d.cross > 0 && (d.started+1)%d.cross == 0 {
+		if s := d.draws.NextResource(d.shards); s != d.set[0] {
+			d.set[1], d.n = s, 2
+			if s < d.set[0] {
+				d.set[0], d.set[1] = s, d.set[0]
+			}
+		}
+	}
 }
