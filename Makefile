@@ -79,7 +79,9 @@ bench:
 
 # Alternating pairs of the end-to-end benchmark: ./benchmark built at BASE
 # (checked out into a temporary git worktree) and from the working tree,
-# run in turn PAIRS times on WORKLOAD at SEED. Each appends to its own
+# run in turn PAIRS times on WORKLOAD at SEED. Odd pairs run BASE first and
+# even pairs the working tree first, so an order effect (a warm cache, the
+# box settling) falls on both sides alike. Each side appends to its own
 # result set under bench_out/ (BASE's first), and --agree compares the two;
 # the worktree is removed however the run ends. A full pair of a sim
 # workload takes about half a minute.
@@ -98,9 +100,15 @@ bench-pairs:
 	a=bench_out/pairs-$(WORKLOAD)-$(SEED)-base.jsonl; b=bench_out/pairs-$(WORKLOAD)-$(SEED)-work.jsonl; \
 	rm -f "$$a" "$$b"; \
 	for i in $$(seq $(PAIRS)); do \
-		echo "pair $$i of $(PAIRS): $(BASE), then the working tree" >&2; \
-		"$$tmp/bench-base" --workload $(WORKLOAD) --seed $(SEED) --out "$$a" >/dev/null; \
-		"$$tmp/bench-work" --workload $(WORKLOAD) --seed $(SEED) --out "$$b" >/dev/null; \
+		if [ $$((i % 2)) -eq 1 ]; then \
+			echo "pair $$i of $(PAIRS): $(BASE), then the working tree" >&2; \
+			"$$tmp/bench-base" --workload $(WORKLOAD) --seed $(SEED) --out "$$a" >/dev/null; \
+			"$$tmp/bench-work" --workload $(WORKLOAD) --seed $(SEED) --out "$$b" >/dev/null; \
+		else \
+			echo "pair $$i of $(PAIRS): the working tree, then $(BASE)" >&2; \
+			"$$tmp/bench-work" --workload $(WORKLOAD) --seed $(SEED) --out "$$b" >/dev/null; \
+			"$$tmp/bench-base" --workload $(WORKLOAD) --seed $(SEED) --out "$$a" >/dev/null; \
+		fi; \
 	done; \
 	echo "a = $(BASE) ($$a), b = the working tree ($$b)"; \
 	"$$tmp/bench-work" --agree "$$a" "$$b"

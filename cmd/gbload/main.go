@@ -164,10 +164,11 @@ func run(args []string, out, errOut io.Writer) error {
 
 	recordResult(o.Registry(), res)
 	pred := predictRun(o.Registry(), cfg, a)
-	fmt.Fprintf(status, "gbload: %d entries (%.0f/s), p50/p95/p99 %d/%d/%d µs, %d faults, %d violations (%d after convergence), converged=%v in %dms\n",
+	fmt.Fprintf(status, "gbload: %d entries (%.0f/s), p50/p95/p99 %d/%d/%d µs, %d faults, %d violations (%d after convergence), %d resend storms, converged=%v in %dms\n",
 		res.Entries, res.ThroughputPerSec,
 		res.LatP50US, res.LatP95US, res.LatP99US,
 		res.FaultsApplied, res.SafetyViolations, res.SafetyViolationsAfterConvergence,
+		res.Snapshot.Counter("wrapper_resend_storm_total"),
 		res.Converged, res.ConvergenceMS)
 	if err := writeSnapshot(*outPath, out, o.Registry(), status); err != nil {
 		return err

@@ -228,7 +228,10 @@ func TestViolationSummaryInRunResult(t *testing.T) {
 }
 
 func TestFig1Table(t *testing.T) {
-	tab := Fig1()
+	tab, ok := Fig1()
+	if !ok {
+		t.Errorf("E1 verdict not ok:\n%s", tab)
+	}
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -254,6 +257,15 @@ func TestQuickExperimentsRun(t *testing.T) {
 		tab, ok := e.Run(Quick)
 		if !ok {
 			t.Errorf("%s: gate diverged", e.ID)
+		}
+		// Every experiment on virtual time judges its own claim, and its
+		// verdict is the table's last note; E15 and E16 run on the wall
+		// clock and stay unjudged.
+		if e.ID != "E15" && e.ID != "E16" {
+			verdict := fmt.Sprintf("verdict: ok=%v", ok)
+			if n := len(tab.Notes); n == 0 || !strings.Contains(tab.Notes[n-1], verdict) {
+				t.Errorf("%s: last note is not %q", e.ID, verdict)
+			}
 		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("table %q has no rows", tab.Title)

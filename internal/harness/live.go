@@ -172,7 +172,11 @@ type LiveResult struct {
 	// SafetyViolations counts sampled ME1 violations (>1 process eating).
 	SafetyViolations int `json:"safety_violations"`
 	// SafetyViolationsAfterConvergence counts violations after the
-	// convergence point — zero iff the run converged and stayed safe.
+	// convergence point. It is 0 by construction: the convergence point
+	// is the later of the last fault and the last violation, so a run whose
+	// violations never stop shows instead as not Converged (no entry after
+	// that point). It stays in the result because the benchmark and gbload
+	// report it.
 	SafetyViolationsAfterConvergence int `json:"safety_violations_after_convergence"`
 	// Converged reports whether progress resumed after the convergence
 	// point (always true for fault-free runs that made progress at all).
@@ -629,9 +633,9 @@ func RunLiveClient(stop <-chan struct{}, cl *runtime.Cluster, id int, draws work
 
 // LiveCluster is experiment E15: the wrapped and unwrapped cluster on real
 // TCP loopback sockets under a seeded fault schedule (including a
-// partition/heal pair). The wrapped rows must converge — zero safety
-// violations after convergence, finite convergence time — which is the
-// paper's claim surviving contact with a real network.
+// partition/heal pair). The wrapped rows must converge — an entry after
+// the last fault and the last safety violation, at a finite convergence
+// time — which is the paper's claim surviving contact with a real network.
 func LiveCluster(scale Scale) *Table {
 	// Not seed 7: its plan ends with three state perturbations just after
 	// the heal, and a client that asks again after a wiped request turns
@@ -678,7 +682,7 @@ func LiveCluster(scale Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"live wall-clock run: the fault schedule (kinds, bursts, partition group) is seed-deterministic; timings are not",
-		"expected: the wrapped row converges (after-conv = 0, finite conv ms) despite losses, duplication, corruption, and a partition/heal",
+		"expected: the wrapped row converges (converged = true, finite conv ms: an entry after the last fault and the last violation) despite losses, duplication, corruption, and a partition/heal",
 	)
 	return t
 }

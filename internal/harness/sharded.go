@@ -114,7 +114,6 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 	src := workload.NewGen(*spec, cfg.Seed+100, cfg.Clients)
 
 	coord := obs.New(obs.Options{})
-	shardObs := make([]*obs.Obs, cfg.Shards)
 	scfg := sim.ShardedConfig{
 		Shards:     cfg.Shards,
 		N:          cfg.N,
@@ -126,10 +125,6 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 		CrossEvery: cfg.CrossEvery,
 		NewClient:  src.Client,
 		Obs:        coord,
-		NewShardObs: func(s int) *obs.Obs {
-			shardObs[s] = obs.New(obs.Options{})
-			return shardObs[s]
-		},
 	}
 	if cfg.Delta >= 0 {
 		delta := cfg.Delta
@@ -161,11 +156,12 @@ func RunSharded(cfg ShardedRunConfig) ShardedRunResult {
 		res.FaultsApplied += in.Count()
 	}
 	for s := 0; s < cfg.Shards; s++ {
-		snap := shardObs[s].Registry().Snapshot()
+		shardObs := sh.Shard(s).Obs()
+		snap := shardObs.Registry().Snapshot()
 		res.ShardObs[s] = snap
 		res.EntriesByShard[s] = int(snap.Counter("sim_cs_entries_total"))
 		res.Entries += res.EntriesByShard[s]
-		conv := shardObs[s].Convergence()
+		conv := shardObs.Convergence()
 		if conv.LastFault() < 0 || conv.ProgressAfterFault() > 0 {
 			res.ShardsConverged++
 		}

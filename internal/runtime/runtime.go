@@ -28,6 +28,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wallclock"
+	"github.com/graybox-stabilization/graybox/internal/wire"
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
@@ -67,9 +68,9 @@ type Config struct {
 	Obs *obs.Obs
 	// Transport carries inter-process messages (required). In one process
 	// it is internal/wire's chaos proxy piped into one wire.Transport whose
-	// Local lists every id; see the Transport type. The cluster owns the
-	// transport: Stop closes it.
-	Transport Transport
+	// Local lists every id; wire.Link states the contract. The cluster
+	// owns the transport: Stop closes it.
+	Transport wire.Link
 	// Local lists the process ids hosted by this cluster (event loop +
 	// node state). Empty means all N — the single-process default. With a
 	// subset, messages to remote ids go through Transport and calls

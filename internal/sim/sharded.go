@@ -74,11 +74,10 @@ type ShardedConfig struct {
 	// shards, acquired in ascending order (0 = never).
 	CrossEvery int
 	// Obs is the coordinator-level bundle: hme monitor instruments and
-	// per-client fairness. Per-shard metrics live on the shard obs.
+	// per-client fairness. When it is non-nil, each shard instance gets a
+	// bundle of its own as well (per-shard fairness percentiles,
+	// convergence, message counters), read through Shard(s).Obs().
 	Obs *obs.Obs
-	// NewShardObs, when non-nil, supplies each shard instance's obs bundle
-	// (per-shard fairness percentiles, convergence, message counters).
-	NewShardObs func(shard int) *obs.Obs
 }
 
 func (c *ShardedConfig) withDefaults() ShardedConfig {
@@ -173,8 +172,8 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	for s := 0; s < c.Shards; s++ {
 		s := s
 		var shardObs *obs.Obs
-		if c.NewShardObs != nil {
-			shardObs = c.NewShardObs(s)
+		if c.Obs != nil {
+			shardObs = obs.New(obs.Options{})
 		}
 		var newWrap func(id int) wrapper.Level2
 		if c.NewWrapper != nil {

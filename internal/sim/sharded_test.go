@@ -41,8 +41,7 @@ func shardedCfg(seed int64) ShardedConfig {
 		NewClient: func(c int) workload.Client {
 			return &testShardClient{think: 10, hold: 3, seq: []int{c, c + 1, c + 2}}
 		},
-		Obs:         obs.New(obs.Options{}),
-		NewShardObs: func(int) *obs.Obs { return obs.New(obs.Options{}) },
+		Obs: obs.New(obs.Options{}),
 	}
 }
 

@@ -241,7 +241,7 @@ func TestLevel1WrapperRuns(t *testing.T) {
 
 // Regression: a corrupted node that receives no messages must still be
 // repaired — level-1 runs at every node after a fault closure, not only on
-// deliveries. (Found by BenchmarkLevel1Ablation at a seed whose run was
+// deliveries. (Found by an E13 benchmark run at a seed whose run was
 // quiescent at the moment of corruption.)
 func TestLevel1RepairsQuiescentNode(t *testing.T) {
 	s := New(Config{

@@ -14,12 +14,25 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/wallclock"
 )
 
-// Link is the transport-shaped seam Chaos interposes on — structurally
-// identical to runtime.Transport (which this package must not import).
-// *Transport implements it, and Chaos.Pipe returns one.
+// Link is the seam between internal/runtime's node event loops and the
+// medium that carries their messages: *Transport, which delivers to its
+// Local ids in-process, with or without the chaos proxy in front (Chaos
+// interposes on a Link, and Chaos.Pipe returns one).
+//
+// The contract: Send never blocks indefinitely and preserves FIFO order
+// per directed (From,To) edge; deliver is invoked from link-owned
+// goroutines, or inside Send for a local destination, and must be
+// goroutine-safe and never block (the cluster's inboxes are unbounded);
+// after Close returns no further deliver calls are made. Send after Close
+// is a silent no-op.
 type Link interface {
+	// Start installs the delivery callback and launches the link's
+	// goroutines. Called exactly once, before any Send.
 	Start(deliver func(dst int, m tme.Message))
+	// Send hands one message to the link. The caller has already
+	// validated From/To against the cluster size.
 	Send(m tme.Message)
+	// Close terminates the link's goroutines and waits for them.
 	Close() error
 }
 

@@ -90,7 +90,7 @@ func newWireInstruments(o *obs.Obs) wireInstruments {
 // Transport carries TME messages over TCP: one framed connection per
 // directed edge, established lazily and redialed with exponential backoff,
 // so each edge is a FIFO stream exactly like the simulator's channels. It
-// satisfies the runtime.Transport seam.
+// is a Link.
 //
 // Lifecycle: NewTransport listens immediately (Addr returns the bound
 // address, useful with ":0"), SetPeers installs the dial addresses, Start
@@ -179,7 +179,7 @@ func (t *Transport) SetPeers(addrs []string) {
 }
 
 // Start installs the delivery callback and begins accepting inbound
-// connections. Part of the runtime.Transport contract.
+// connections. Part of the Link contract.
 func (t *Transport) Start(deliver func(dst int, m tme.Message)) {
 	if deliver != nil {
 		t.deliver.Store(&deliver)
@@ -233,7 +233,7 @@ func (t *Transport) edge(src, dst int) *outEdge {
 }
 
 // Close stops accepting, closes every connection, and joins all transport
-// goroutines. Part of the runtime.Transport contract.
+// goroutines. Part of the Link contract.
 func (t *Transport) Close() error {
 	t.once.Do(func() {
 		// Local destinations are delivered on the sender's goroutine, which

@@ -1,9 +1,6 @@
 package wrapper
 
 import (
-	"fmt"
-	"os"
-
 	"github.com/graybox-stabilization/graybox/internal/ltime"
 	"github.com/graybox-stabilization/graybox/internal/obs"
 	"github.com/graybox-stabilization/graybox/internal/tme"
@@ -36,26 +33,19 @@ type Instrumented struct {
 	// streak is keyed on the request, REQ_j, an Lspec variable: a firing
 	// for a new REQ starts it again, so resends followed by an entry were
 	// contention, not a storm. Delta is the wrapper's timeout (taken from a
-	// TimeoutDelta-capable inner wrapper; 0 disables the guard), Storms
-	// counts threshold crossings, and Warn fires once per wrapper on the
-	// first crossing.
+	// TimeoutDelta-capable inner wrapper; 0 disables the guard), and Storms
+	// counts the firings at or past the stormAfter-th of one streak.
 	Delta int64
-	// StormAfter is how many consecutive firings for one request count as
-	// a storm (default stormAfter when 0).
-	StormAfter int
 	// Storms is the wrapper_resend_storm_total counter.
 	Storms *obs.Counter
-	// Warn receives the one-time storm warning (nil = stderr).
-	Warn func(id, streak int, delta int64)
 
 	streak  int
 	lastREQ ltime.Timestamp
-	warned  bool
 }
 
-// stormAfter is the default storm threshold: firing 8 δ-windows for one
-// request cannot be transient recovery — at the δ values the experiments
-// use, real convergence completes within one or two windows.
+// stormAfter is the storm threshold: firing 8 δ-windows for one request
+// cannot be transient recovery — at the δ values the experiments use, real
+// convergence completes within one or two windows.
 const stormAfter = 8
 
 // TimeoutDelta exposes the W' timeout to the instrumentation layer.
@@ -90,8 +80,6 @@ func (w *Instrumented) Fire(now int64, v tme.SpecView) []tme.Message {
 }
 
 // noteFire tracks consecutive firings for one request for the storm guard.
-// Kept out of the Fire body: it only runs on actual firings, and the
-// one-time warning path may format.
 func (w *Instrumented) noteFire(req ltime.Timestamp) {
 	if w.streak > 0 && req == w.lastREQ {
 		w.streak++
@@ -99,25 +87,9 @@ func (w *Instrumented) noteFire(req ltime.Timestamp) {
 		w.streak = 1
 	}
 	w.lastREQ = req
-	threshold := w.StormAfter
-	if threshold <= 0 {
-		threshold = stormAfter
+	if w.streak >= stormAfter {
+		w.Storms.Inc()
 	}
-	if w.streak < threshold {
-		return
-	}
-	w.Storms.Inc()
-	if w.warned {
-		return
-	}
-	w.warned = true
-	if w.Warn != nil {
-		w.Warn(w.ID, w.streak, w.Delta)
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"wrapper: resend storm on process %d: W' fired %d δ-windows for one request (δ=%d) — δ is far below the queueing wait, or a peer is cut off; every window resends for nothing\n",
-		w.ID, w.streak, w.Delta)
 }
 
 // InstrumentLevel2 wraps l2 for process id against o's registry and trace.
