@@ -28,8 +28,8 @@ race:
 
 # Focused race pass over the concurrent packages (the goroutine runtime, the
 # wall-clock timer every live wait uses, whose relay goroutine sends on its
-# channel, the wire layer's sockets and chaos proxy, the observability
-# instruments they publish to, the hierarchical monitor, whose mutex is for
+# channel or calls its function, the wire layer's sockets and chaos proxy,
+# the observability instruments they publish to, the hierarchical monitor, whose mutex is for
 # substrates that run clients on their own goroutines (the sharded
 # simulator is one goroutine), the gbnode process with its client loops,
 # the quickstart example (a cluster, its chaos proxy's scheduler and a
@@ -39,15 +39,18 @@ race:
 # and the cross-substrate fault-row test of that Driver). This is the net
 # for every mutex-guarded field (DESIGN.md §6 lists the plant that proves
 # each one). The runtime runs ten times over: its wrapper.Process is fed
-# under p.mu from the event loop, the client goroutines and CorruptShard.
+# under p.mu from every goroutine that delivers to it, its W' timer, the
+# client goroutines and CorruptShard. So does the public cluster with no
+# Transport, whose local deliveries step the next process inside Send.
 test-race:
 	$(GO) test -race -count=10 ./internal/runtime/
 	$(GO) test -race ./internal/wallclock/... ./internal/wire/... ./internal/obs/... ./internal/hme/... ./cmd/gbnode/ ./examples/quickstart/
 	$(GO) test -race -run 'ParMap|RunLive|LiveClient|Driver' ./internal/harness/
+	$(GO) test -race -count=10 -run FacadeCluster .
 
 # Race-enabled soak: a 5-node live TCP loopback cluster under the seeded
-# chaos schedule; fails unless it converges with zero post-convergence
-# safety violations. Node 0 sends with the compact v2 wire codec so every
+# chaos schedule; fails unless it converges (a CS entry after the last
+# fault and the last sampled ME1 violation). Node 0 sends with the compact v2 wire codec so every
 # soak exercises v1/v2 interop on the batched send path. The second run
 # replays the gray-burst scenario under a bursty workload — the E16
 # gray-failure soak.

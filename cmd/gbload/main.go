@@ -14,8 +14,9 @@
 //
 //	gbload -n 5 -duration 10s -seed 1 -check
 //
-// -check makes the run a gate: exit non-zero unless the cluster converged
-// with zero safety violations after convergence. -schedule-out writes the
+// -check makes the run a gate: exit non-zero unless the cluster converged,
+// that is, made a CS entry after the last fault and after the last sampled
+// ME1 violation. -schedule-out writes the
 // pre-drawn fault plan as JSON (two runs with the same seed write
 // byte-identical plans).
 //
@@ -65,7 +66,7 @@ func run(args []string, out, errOut io.Writer) error {
 	traceOut := fs.String("trace-out", "", "record the workload draws to this JSON schedule file")
 	traceIn := fs.String("trace-in", "", "replay a recorded workload schedule file instead of generating draws")
 	outPath := fs.String("out", "-", `snapshot output file ("-" = stdout)`)
-	check := fs.Bool("check", false, "exit non-zero unless converged with zero post-convergence violations")
+	check := fs.Bool("check", false, "exit non-zero unless converged (a CS entry after the last fault and the last sampled ME1 violation)")
 	v2Nodes := fs.String("v2", "", "comma-separated process ids that send with the compact v2 wire codec (others stay v1; receivers auto-detect)")
 	schedOut := fs.String("schedule-out", "", "also write the pre-drawn fault schedule JSON to this file")
 	connect := fs.String("connect", "", "comma-separated gbnode /metrics.json addresses: observe a remote cluster instead of booting loopback")
@@ -164,10 +165,10 @@ func run(args []string, out, errOut io.Writer) error {
 
 	recordResult(o.Registry(), res)
 	pred := predictRun(o.Registry(), cfg, a)
-	fmt.Fprintf(status, "gbload: %d entries (%.0f/s), p50/p95/p99 %d/%d/%d µs, %d faults, %d violations (%d after convergence), %d resend storms, converged=%v in %dms\n",
+	fmt.Fprintf(status, "gbload: %d entries (%.0f/s), p50/p95/p99 %d/%d/%d µs, %d faults, %d violations, %d resend storms, converged=%v in %dms\n",
 		res.Entries, res.ThroughputPerSec,
 		res.LatP50US, res.LatP95US, res.LatP99US,
-		res.FaultsApplied, res.SafetyViolations, res.SafetyViolationsAfterConvergence,
+		res.FaultsApplied, res.SafetyViolations,
 		res.Snapshot.Counter("wrapper_resend_storm_total"),
 		res.Converged, res.ConvergenceMS)
 	if err := writeSnapshot(*outPath, out, o.Registry(), status); err != nil {
@@ -186,10 +187,7 @@ func run(args []string, out, errOut io.Writer) error {
 		if !res.Converged {
 			return fmt.Errorf("check failed: cluster did not converge (last fault at %dms)", res.LastFaultMS)
 		}
-		if res.SafetyViolationsAfterConvergence > 0 {
-			return fmt.Errorf("check failed: %d safety violations after convergence", res.SafetyViolationsAfterConvergence)
-		}
-		fmt.Fprintln(status, "gbload: check passed (converged, zero post-convergence violations)")
+		fmt.Fprintln(status, "gbload: check passed (converged)")
 	}
 	return nil
 }
@@ -248,7 +246,6 @@ func recordResult(r *obs.Registry, res harness.LiveResult) {
 	set("gbload_lat_p99_us", "CS-entry latency p99", res.LatP99US)
 	set("gbload_faults_applied", "injector faults plus partition/heal events", int64(res.FaultsApplied))
 	set("gbload_safety_violations", "sampled ME1 violations", int64(res.SafetyViolations))
-	set("gbload_safety_violations_after_convergence", "ME1 violations after the convergence point", int64(res.SafetyViolationsAfterConvergence))
 	set("gbload_convergence_ms", "last fault to convergence point (-1 = never)", res.ConvergenceMS)
 	converged := int64(0)
 	if res.Converged {

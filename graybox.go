@@ -158,7 +158,7 @@ func NewSim(cfg SimConfig) *Sim { return sim.New(cfg) }
 
 // NewCluster builds a goroutine cluster; Start it, and always Stop it. A nil
 // cfg.Transport is filled with one in-process transport hosting every id:
-// messages go straight to their inboxes, with no delay and no faults in
+// messages are delivered inside Send, with no delay and no faults in
 // flight, and Stop closes it.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Transport != nil || cfg.N < 1 {

@@ -110,12 +110,16 @@ func TestFacadeWrapperAndNodes(t *testing.T) {
 }
 
 // A cluster through the facade: with no Transport given, NewCluster hosts
-// every id on one in-process transport, a request is served, and Stop
-// leaves no goroutine behind.
+// every id on one in-process transport, which delivers inside Send, so a
+// step routes into the next on the same goroutine and can route back to the
+// process it came from. A contended round, every process requesting at
+// once, is served without deadlock, and Stop leaves no goroutine behind.
+// make test-race runs it ten times under -race.
 func TestFacadeCluster(t *testing.T) {
+	const n = 3
 	goroutines := goruntime.NumGoroutine()
 	c, err := graybox.NewCluster(graybox.ClusterConfig{
-		N:       3,
+		N:       n,
 		NewNode: graybox.NewRicartAgrawala,
 		NewWrapper: func(int) graybox.Level2 {
 			return graybox.NewTimedWrapper((5 * time.Millisecond).Nanoseconds())
@@ -125,14 +129,36 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.RequestShard(0, 1)
-	for deadline := time.Now().Add(10 * time.Second); c.PhaseShard(0, 1) != graybox.Eating; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			c.Stop()
-			t.Fatal("process 1 never entered through the facade")
+	// The round runs apart, so that a deadlock fails the test instead of
+	// hanging it.
+	served := make(chan []bool, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			c.RequestShard(0, i)
 		}
+		done := make([]bool, n)
+		for left, deadline := n, time.Now().Add(10*time.Second); left > 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			for i := range done {
+				if !done[i] && c.PhaseShard(0, i) == graybox.Eating {
+					done[i] = true
+					left--
+					c.ReleaseShard(0, i)
+				}
+			}
+		}
+		served <- done
+	}()
+	select {
+	case done := <-served:
+		for i, ok := range done {
+			if !ok {
+				c.Stop()
+				t.Fatalf("process %d was not served in a contended round through the facade (served: %v)", i, done)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a contended round through the facade deadlocked")
 	}
-	c.ReleaseShard(0, 1)
 	c.Stop()
 	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -351,10 +351,8 @@ func LspecImpliesTME(scale Scale) (*Table, bool) {
 				Monitor: true,
 			})
 			runs++
-			// Violations conflates Lspec and ME monitors; for this table
-			// both must be zero, so the split is informational only.
-			lv += r.Violations
-			mv += r.Violations
+			lv += r.Violations - r.TMEViolations
+			mv += r.TMEViolations
 			open += len(r.Starved)
 		}
 		ok = ok && lv == 0 && mv == 0 && open == 0
@@ -484,7 +482,8 @@ func Synthesis(scale Scale) (*Table, bool) {
 // under comparable transient state corruption. Both stabilize; the contrast
 // the paper draws is in the design input (implementation vs specification)
 // and hence reusability, not in whether convergence happens. ok is that
-// both converge on every seed at every n.
+// both converge on every seed at every n; the ring's convergence counts
+// only if its privilege then circulates (tokenring.Sim.Circulates).
 func WhiteboxBaseline(scale Scale) (*Table, bool) {
 	t := &Table{
 		Title: "E10 (baseline, §1/§6): whitebox token ring vs graybox-wrapped RA",
@@ -504,7 +503,7 @@ func WhiteboxBaseline(scale Scale) (*Table, bool) {
 			ts := tokenring.NewSim(tokenring.SimConfig{N: n, Seed: int64(seed)})
 			ts.CorruptAll()
 			moves, ok := ts.Converge(100 * n * n * (n + 1))
-			if ok {
+			if ok && ts.Circulates() {
 				wbOK++
 				wbSum += moves
 				if moves > wbMax {
@@ -764,7 +763,8 @@ func Level1Ablation(scale Scale) (*Table, bool) {
 // shared-memory token-ring daemon. Each substrate interprets the classes it
 // structurally supports (the shared-memory ring has no channels, so only
 // state perturbation lands there) and every substrate recovers. ok is that
-// claim: every run recovers on all three substrates.
+// claim: every run recovers on all three substrates (the daemon's ring
+// recovers when it is legitimate again and its privilege circulates).
 func UnifiedFaults(scale Scale) (*Table, bool) {
 	t := &Table{
 		Title: "E14 (unified fault surface): one Mix drives all three substrates",
@@ -853,7 +853,7 @@ func UnifiedFaults(scale Scale) (*Table, bool) {
 			in.Schedule(s, []int64{10}, 2*n)
 			s.Run(10) // run to just past the burst, then count recovery moves
 			start := s.Moves()
-			if moves, conv := s.Converge(start + 100*n*n*(n+1)); conv {
+			if moves, conv := s.Converge(start + 100*n*n*(n+1)); conv && s.Circulates() {
 				recovered++
 				moveSum += moves - start
 			}

@@ -149,6 +149,9 @@ type RunResult struct {
 	Starved []int
 	// Violations counts recorded safety/FCFS violations.
 	Violations int
+	// TMEViolations counts those of Violations that are TME_Spec's (ME1
+	// and ME3); the rest are Lspec's (monitored runs only).
+	TMEViolations int
 	// ViolationSummary breaks violations down by operator (monitored
 	// runs only).
 	ViolationSummary map[string]lspec.Stat
@@ -269,6 +272,7 @@ func RunObserved(cfg RunConfig, o *obs.Obs) RunResult {
 	}
 	if mon != nil {
 		res.Violations = int(conv.Violations())
+		res.TMEViolations = mon.TMEViolations()
 		res.ViolationSummary = mon.Summary()
 		res.Starved = mon.StarvedProcesses()
 		res.Converged = len(res.Starved) == 0 &&

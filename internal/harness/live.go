@@ -171,12 +171,11 @@ type LiveResult struct {
 	FaultsApplied int `json:"faults_applied"`
 	// SafetyViolations counts sampled ME1 violations (>1 process eating).
 	SafetyViolations int `json:"safety_violations"`
-	// SafetyViolationsAfterConvergence counts violations after the
-	// convergence point. It is 0 by construction: the convergence point
-	// is the later of the last fault and the last violation, so a run whose
-	// violations never stop shows instead as not Converged (no entry after
-	// that point). It stays in the result because the benchmark and gbload
-	// report it.
+	// SafetyViolationsAfterConvergence is always 0, and RunLive never sets
+	// it: the convergence point is the later of the last fault and the last
+	// violation, so no violation follows it, and a run whose violations
+	// never stop shows instead as not Converged (no entry after that
+	// point). It stays in the result because the benchmark reads it.
 	SafetyViolationsAfterConvergence int `json:"safety_violations_after_convergence"`
 	// Converged reports whether progress resumed after the convergence
 	// point (always true for fault-free runs that made progress at all).
@@ -500,11 +499,6 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 			firstAfterFault = t
 		}
 	}
-	for _, t := range violTimes {
-		if t > convPoint { // convPoint ≥ every violation, so this stays 0
-			res.SafetyViolationsAfterConvergence++
-		}
-	}
 	res.Converged = entriesAfter > 0
 	switch {
 	case !res.Converged:
@@ -605,7 +599,7 @@ func (s *sleeper) close() {
 // each). onRequest, when non-nil, is called just before each request is
 // issued. Its two waits are one reused timer for the Driver's deadlines
 // (think and hold) and runtime.Cluster.AwaitPhaseChangeShard for leaving
-// Hungry: the cluster's event loop tells it that it eats, nothing polls.
+// Hungry: the delivery that lets it eat tells it so, nothing polls.
 func RunLiveClient(stop <-chan struct{}, cl *runtime.Cluster, id int, draws workload.Client, onRequest func(shard int)) {
 	d := workload.NewDriver(draws, cl.Shards(), 0, 0, int64(LiveTick), wallclock.Now())
 	var wait sleeper
@@ -649,7 +643,7 @@ func LiveCluster(scale Scale) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("E15: live TCP loopback cluster, n=%d, %s, seeded chaos schedule", n, dur),
 		Header: []string{"wrapper", "entries", "thruput/s", "p95 µs", "faults",
-			"violations", "after-conv", "converged", "conv ms"},
+			"violations", "converged", "conv ms"},
 	}
 	for _, row := range []struct {
 		name  string
@@ -666,7 +660,7 @@ func LiveCluster(scale Scale) *Table {
 			N: n, Seed: liveClusterSeed, Duration: dur, Delta: row.delta, Schedule: sched,
 		})
 		if err != nil {
-			t.AddRow(row.name, "error: "+err.Error(), "-", "-", "-", "-", "-", "-", "-")
+			t.AddRow(row.name, "error: "+err.Error(), "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		t.AddRow(row.name,
@@ -675,7 +669,6 @@ func LiveCluster(scale Scale) *Table {
 			fmt.Sprint(res.LatP95US),
 			fmt.Sprint(res.FaultsApplied),
 			fmt.Sprint(res.SafetyViolations),
-			fmt.Sprint(res.SafetyViolationsAfterConvergence),
 			fmt.Sprint(res.Converged),
 			fmt.Sprint(res.ConvergenceMS),
 		)

@@ -67,7 +67,7 @@ func TestRunLiveCleanRun(t *testing.T) {
 
 // The partition/heal integration test of the issue: isolate one node, heal,
 // and assert the wrapped cluster re-converges to Lspec-conformant behaviour
-// (progress, no post-convergence violations) within the W' timeout bound.
+// (progress after the last violation) within the W' timeout bound.
 func TestRunLivePartitionHealReconverges(t *testing.T) {
 	const (
 		dur   = 2500 * time.Millisecond
@@ -92,9 +92,6 @@ func TestRunLivePartitionHealReconverges(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatalf("cluster did not re-converge after heal: %+v", res)
-	}
-	if res.SafetyViolationsAfterConvergence != 0 {
-		t.Errorf("%d safety violations after convergence", res.SafetyViolationsAfterConvergence)
 	}
 	if res.ConvergenceMS < 0 {
 		t.Errorf("ConvergenceMS = %d, want finite", res.ConvergenceMS)
@@ -147,9 +144,6 @@ func TestRunLiveSeededScheduleConverges(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("wrapped cluster did not converge under schedule: %+v", res)
 	}
-	if res.SafetyViolationsAfterConvergence != 0 {
-		t.Errorf("%d violations after convergence", res.SafetyViolationsAfterConvergence)
-	}
 }
 
 func TestLiveClusterTableQuick(t *testing.T) {
@@ -160,11 +154,11 @@ func TestLiveClusterTableQuick(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("E15 rows = %d, want 2", len(tab.Rows))
 	}
-	// The wrapped row (last) must have converged with no post-convergence
-	// violations.
+	// The wrapped row (last) must have converged: an entry after the last
+	// fault and the last violation.
 	wrapped := tab.Rows[len(tab.Rows)-1]
-	if wrapped[6] != "0" || wrapped[7] != "true" {
-		t.Errorf("wrapped row = %v, want after-conv 0 / converged true", wrapped)
+	if wrapped[6] != "true" {
+		t.Errorf("wrapped row = %v, want converged true", wrapped)
 	}
 }
 

@@ -663,6 +663,22 @@ func (m *Monitors) Summary() map[string]Stat {
 	return out
 }
 
+// TMEViolations counts the recorded violations of TME_Spec's safety
+// clauses, ME1 and ME3, read by clause; every other record is an Lspec
+// clause's. Summary cannot split them: its operator view files ME1 under
+// "invariant", beside Lspec's invariants.
+func (m *Monitors) TMEViolations() int {
+	n := 0
+	tme := func(r *record) {
+		if r.clause == clME1 || r.clause == clME3 {
+			n++
+		}
+	}
+	m.violations.each(tme)
+	m.fcfs.each(tme)
+	return n
+}
+
 // LastViolationTime returns the virtual time of the last safety or FCFS
 // violation, or -1 if the run was clean.
 func (m *Monitors) LastViolationTime() int64 {

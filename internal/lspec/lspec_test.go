@@ -93,6 +93,9 @@ func TestInvariantIViolationDetected(t *testing.T) {
 	if !found {
 		t.Errorf("invariant-I violation not detected: %v", m.Violations())
 	}
+	if n := m.TMEViolations(); n != 0 {
+		t.Errorf("TMEViolations = %d for a forged copy, want 0: I is Lspec's", n)
+	}
 }
 
 func TestME1ViolationDetected(t *testing.T) {
@@ -113,6 +116,9 @@ func TestME1ViolationDetected(t *testing.T) {
 	}
 	if !found {
 		t.Error("two simultaneous eaters not flagged")
+	}
+	if n := m.TMEViolations(); n == 0 {
+		t.Error("TMEViolations = 0 with two eaters, want ME1's records")
 	}
 	if got := m.StuckEaters(); len(got) != 2 {
 		t.Errorf("StuckEaters = %v, want both", got)

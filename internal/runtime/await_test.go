@@ -29,7 +29,7 @@ func watchdog(t *testing.T) <-chan struct{} {
 }
 
 // The wait returns when the protocol grants the entry: replies arrive over
-// the transport and the event loop's inbox arm moves the phase.
+// the transport, and the delivery that completes them moves the phase.
 func TestAwaitPhaseChangeReturnsOnEntry(t *testing.T) {
 	c, _ := raCluster(t, 3)
 	c.Start()

@@ -101,7 +101,7 @@ func TestWrapperDeadlineMeetsTheorem8(t *testing.T) {
 	}
 	c.ReleaseShard(0, 0)
 	time.Sleep(2 * delta) // every process thinks: an armed W' stays silent
-	c.Stop()              // event loops joined: the audits are final
+	c.Stop()              // timer callbacks ended: the audits are final
 
 	sends := tr.requests()
 	if len(sends) != 2 {

@@ -8,6 +8,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/ra"
 	"github.com/graybox-stabilization/graybox/internal/tme"
 	"github.com/graybox-stabilization/graybox/internal/wire"
+	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
 // bareHold is the hold of a test that wants messages carried, not
@@ -48,31 +49,42 @@ func inProcess(t *testing.T, cfg Config, minHold, maxHold time.Duration) (*Clust
 	return c, chaos
 }
 
-// The medium's cost: an unwrapped cluster of eight adds its event loops,
-// the proxy's scheduler with its timer's relay and the transport's accept
-// loop (n + 3: one scheduler serves every directed edge), and Stop with
-// the proxy's Close gives every goroutine and descriptor back.
+// The medium's cost: an unwrapped cluster of eight adds no goroutine of
+// its own, only the proxy's scheduler with its timer's relay and the
+// transport's accept loop (3: one scheduler serves every directed edge,
+// and every step runs on a goroutine that brings it an input); a wrapped
+// one adds one W' timer relay per process (n + 3). Stop with the proxy's
+// Close gives every goroutine and descriptor back.
 func TestInProcessMediumCost(t *testing.T) {
 	const n = 8
-	goroutines, fds := goruntime.NumGoroutine(), openFDs()
-	c, chaos := inProcess(t, Config{N: n, NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) }}, bareHold, bareHold)
-	c.Start()
-	c.RequestShard(0, 0)
-	if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Eating }) {
-		t.Fatal("process 0 never entered")
-	}
-	c.ReleaseShard(0, 0)
-	added := goruntime.NumGoroutine() - goroutines
-	t.Logf("the running cluster added %d goroutines", added)
-	if added > n+4 {
-		t.Errorf("the running cluster added %d goroutines, want at most n+4 = %d", added, n+4)
-	}
-	c.Stop()
-	_ = chaos.Close()
-	if !waitFor(t, 5*time.Second, func() bool { return goruntime.NumGoroutine() <= goroutines }) {
-		t.Errorf("goroutines: %d before, %d after Stop and Close", goroutines, goruntime.NumGoroutine())
-	}
-	if after := openFDs(); after > fds {
-		t.Errorf("descriptors: %d before, %d after Stop and Close", fds, after)
+	for _, k := range []struct {
+		name    string
+		wrapper func(int) wrapper.Level2
+		most    int
+	}{
+		{"unwrapped", nil, 4},
+		{"wrapped", func(int) wrapper.Level2 { return wrapper.NewTimed(time.Second.Nanoseconds()) }, n + 4},
+	} {
+		goroutines, fds := goruntime.NumGoroutine(), openFDs()
+		c, chaos := inProcess(t, Config{N: n, NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) }, NewWrapper: k.wrapper}, bareHold, bareHold)
+		c.Start()
+		c.RequestShard(0, 0)
+		if !waitFor(t, 5*time.Second, func() bool { return c.PhaseShard(0, 0) == tme.Eating }) {
+			t.Fatalf("%s: process 0 never entered", k.name)
+		}
+		c.ReleaseShard(0, 0)
+		added := goruntime.NumGoroutine() - goroutines
+		t.Logf("the running %s cluster added %d goroutines", k.name, added)
+		if added > k.most {
+			t.Errorf("the running %s cluster added %d goroutines, want at most %d", k.name, added, k.most)
+		}
+		c.Stop()
+		_ = chaos.Close()
+		if !waitFor(t, 5*time.Second, func() bool { return goruntime.NumGoroutine() <= goroutines }) {
+			t.Errorf("%s: goroutines: %d before, %d after Stop and Close", k.name, goroutines, goruntime.NumGoroutine())
+		}
+		if after := openFDs(); after > fds {
+			t.Errorf("%s: descriptors: %d before, %d after Stop and Close", k.name, fds, after)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
-// An instrumented cluster publishes from the event loops, the chaos
+// An instrumented cluster publishes from the timer callbacks, the chaos
 // proxy's scheduler and the test's fault injector concurrently; under
 // -race this doubles as the proof that the obs hot path is goroutine-safe
 // end to end.

@@ -1,19 +1,22 @@
 // Package runtime executes a TME system on real goroutines — the
-// concurrent counterpart of internal/sim. Each process runs its own
-// event-loop goroutine; messages travel through the Transport the caller
-// supplies. The package has no medium of its own: the paper's in-flight
-// faults (§3.1: finite but arbitrary delay, loss, duplication, corruption)
-// have one live implementation, internal/wire's chaos proxy, and a cluster
-// in one process is that proxy piped into one wire.Transport whose Local
-// lists every id, so one event loop and one medium serve single-process
-// demos and real clusters alike.
+// concurrent counterpart of internal/sim. Messages travel through the
+// Transport the caller supplies. The package has no medium of its own: the
+// paper's in-flight faults (§3.1: finite but arbitrary delay, loss,
+// duplication, corruption) have one live implementation, internal/wire's
+// chaos proxy, and a cluster in one process is that proxy piped into one
+// wire.Transport whose Local lists every id, so one medium serves
+// single-process demos and real clusters alike.
 //
 // Each process is one wrapper.Process, the wrapped process C ▯ W' the
-// simulator steps too: the cluster feeds it deliveries, client actions,
-// corruptions and deadlines under the process's lock, and routes what it
-// returns. The level-2 wrapper is armed, not ticked: the process's event
-// loop holds one wallclock.Timer aimed at the armed W' deadline, so a
-// process that is not hungry costs the wrapper nothing.
+// simulator steps too, and the step runs where its input arrives: a
+// delivery on the goroutine that delivers it (a TCP reader, the chaos
+// proxy's scheduler, or the sender of a synchronous local delivery), a
+// client action or corruption on its caller's, and a W' deadline on its
+// wallclock.Timer's. Every input runs under the process's lock, and what it
+// returns is routed after the lock is released. The level-2 wrapper is
+// armed, not ticked: one timer per process is aimed at the armed W'
+// deadline, so a process that is not hungry costs the wrapper nothing. The
+// package starts no goroutine of its own.
 //
 // The simulator is the measurement substrate (deterministic virtual time);
 // this package demonstrates the same wrapper recovering real concurrent
@@ -71,10 +74,10 @@ type Config struct {
 	// Local lists every id; wire.Link states the contract. The cluster
 	// owns the transport: Stop closes it.
 	Transport wire.Link
-	// Local lists the process ids hosted by this cluster (event loop +
-	// node state). Empty means all N — the single-process default. With a
-	// subset, messages to remote ids go through Transport and calls
-	// addressing remote ids are no-ops.
+	// Local lists the process ids hosted by this cluster (node state, and
+	// the W' timer of a wrapped one). Empty means all N — the
+	// single-process default. With a subset, messages to remote ids go
+	// through Transport and calls addressing remote ids are no-ops.
 	Local []int
 }
 
@@ -96,7 +99,7 @@ type Entry struct {
 }
 
 // Cluster is a running TME system on goroutines. Construct with NewCluster,
-// then Start; always Stop to reclaim every goroutine.
+// then Start; always Stop to reclaim every goroutine and descriptor.
 type Cluster struct {
 	cfg   Config
 	procs [][]*proc // indexed [shard][id]; nil for ids not in cfg.Local
@@ -107,15 +110,13 @@ type Cluster struct {
 	onEntry func(Entry) // guarded by mu
 
 	stop chan struct{}
-	wg   sync.WaitGroup
 	once sync.Once
 }
 
 // rtInstruments caches the cluster's obs handles; every field is nil when
 // the cluster runs without observability (all publishes become no-ops).
 // Counters and gauges are atomics and the trace ring is mutex-guarded, so
-// publishing from the event loops and the transport's goroutines is
-// race-free.
+// publishing from every goroutine that steps a process is race-free.
 type rtInstruments struct {
 	sent      *obs.Counter
 	delivered *obs.Counter
@@ -132,7 +133,7 @@ func newRTInstruments(o *obs.Obs) rtInstruments {
 	r := o.Registry()
 	return rtInstruments{
 		sent:      r.Counter("runtime_msgs_sent_total", "messages routed onto edges"),
-		delivered: r.Counter("runtime_msgs_delivered_total", "messages delivered to inboxes"),
+		delivered: r.Counter("runtime_msgs_delivered_total", "messages delivered to processes"),
 		entries:   r.Counter("runtime_entries_total", "CS entries observed"),
 		repairs:   r.Counter("runtime_level1_repairs_total", "level-1 wrapper repairs"),
 		trace:     o.Tracer(),
@@ -145,19 +146,19 @@ func newRTInstruments(o *obs.Obs) rtInstruments {
 // simulator's one-tick period.
 const eagerEvery = time.Millisecond
 
-// proc is one process: its wrapped process, guarded by mu, plus its inbox
-// and tokens, which are set once in NewCluster before any goroutine exists
-// and never reassigned, so they need no guard.
+// proc is one process: its wrapped process and W' timer, guarded by mu,
+// plus its token channel, which is set once in NewCluster before any
+// goroutine exists and never reassigned, so it needs no guard.
 type proc struct {
 	id    int
 	shard int
 	mu    sync.Mutex
 	w     wrapper.Process // guarded by mu; times are Unix nanoseconds
-	// armed holds one token while the armed W' deadline may be earlier
-	// than the event loop's timer knows (capacity 1, sent to only under mu
-	// by note). nil without a wrapper.
-	armed chan struct{}
-	inbox *mailbox[tme.Message]
+	// timer calls Cluster.deadline at the armed W' deadline. Guarded by
+	// mu, as every Reset of it is: the timer's owner is whoever holds mu.
+	// Set by Start in a wrapped cluster and cleared by Stop before it
+	// closes the timer; nil otherwise.
+	timer *wallclock.Timer
 	// phaseMoved holds one token while a move of the node's phase may be
 	// unseen (capacity 1: a token says "look again", not how often). Sent
 	// to only under mu, by note, so the phase a token announces is readable
@@ -166,23 +167,27 @@ type proc struct {
 	phaseMoved chan struct{}
 }
 
-// note posts the tokens an outcome of p.w calls for: the phase-change token
-// when the phase moved, and the armed token when it moved into Hungry, the
-// only move that arms a deadline. Every section that feeds p.w an input
-// ends with it. Called with mu held.
-func (p *proc) note(o wrapper.Outcome) {
+// note acts on what an outcome of p.w, fed at now, calls for when the
+// phase moved: the phase-change token, and the timer aimed at the deadline
+// a move into Hungry arms, the only move that arms one. Every section that
+// feeds p.w an input ends with it. Called with mu held.
+func (p *proc) note(o wrapper.Outcome, now int64) {
 	if !o.PhaseMoved {
 		return
 	}
-	if o.Due >= 0 {
-		select {
-		case p.armed <- struct{}{}:
-		default:
-		}
-	}
+	p.aim(o.Due, now)
 	select {
 	case p.phaseMoved <- struct{}{}:
 	default:
+	}
+}
+
+// aim resets p's timer, if it has one, to fire at due, unless due is -1
+// (disarmed: a pending fire is left to fall into a no-op). Called with mu
+// held.
+func (p *proc) aim(due, now int64) {
+	if due >= 0 && p.timer != nil {
+		p.timer.Reset(time.Duration(due - now))
 	}
 }
 
@@ -220,10 +225,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				continue
 			}
 			node := cfg.NewNode(i, cfg.N)
-			p := &proc{
-				id: i, shard: s,
-				inbox: newMailbox[tme.Message](), phaseMoved: make(chan struct{}, 1),
-			}
+			p := &proc{id: i, shard: s, phaseMoved: make(chan struct{}, 1)}
 			var l2 wrapper.Level2
 			every := int64(0)
 			if cfg.NewWrapper != nil {
@@ -234,63 +236,77 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				// Instrumentation is per process id; shard instances of one
 				// process share its wrapper gauges, which sum naturally.
 				l2 = wrapper.InstrumentLevel2(cfg.Obs, i, raw)
-				p.armed = make(chan struct{}, 1)
 			}
 			p.w = wrapper.NewProcess(node, cfg.Level1, l2, every)
 			// A fresh node is arbitrary state to its step: this repairs it
-			// and arms a node that starts hungry.
-			p.note(p.w.Corrupt(nil, wallclock.Now()))
+			// and arms a node that starts hungry (Start aims the timer).
+			now := wallclock.Now()
+			p.note(p.w.Corrupt(nil, now), now)
 			c.procs[s][i] = p
 		}
 	}
 	return c, nil
 }
 
-// OnEntry installs a callback invoked (from the entering process's event
-// loop) at every CS entry. Install before Start; installing later is safe
-// but earlier entries are not replayed (the cluster keeps no entry log, so
-// a long-lived process has flat memory).
+// OnEntry installs a callback invoked at every CS entry, on the goroutine
+// whose input made the process enter, with no lock of the cluster's held.
+// Install before Start; installing later is safe but earlier entries are
+// not replayed (the cluster keeps no entry log, so a long-lived process
+// has flat memory).
 func (c *Cluster) OnEntry(f func(Entry)) {
 	c.mu.Lock()
 	c.onEntry = f
 	c.mu.Unlock()
 }
 
-// Start launches the transport and the event-loop goroutines.
+// Start opens the W' timers of a wrapped cluster, each aimed at its
+// process's armed deadline, then starts the transport.
 func (c *Cluster) Start() {
-	c.cfg.Transport.Start(c.deliver)
-	for _, shard := range c.procs {
-		for _, p := range shard {
-			if p == nil {
-				continue
-			}
-			p := p
-			c.wg.Add(1)
-			//gblint:ignore determinism this package IS the real-concurrency substrate; determinism is the simulator's job
-			go func() {
-				defer c.wg.Done()
-				c.eventLoop(p)
-			}()
-		}
+	if c.cfg.NewWrapper != nil {
+		c.each(func(p *proc) {
+			t := wallclock.NewFuncTimer(func() { c.deadline(p) })
+			p.mu.Lock()
+			p.timer = t
+			p.aim(p.w.Due(), wallclock.Now())
+			p.mu.Unlock()
+		})
 	}
+	c.cfg.Transport.Start(c.deliver)
 }
 
-// Stop terminates every goroutine (event loops, then the transport's) and
-// waits for them to exit.
+// Stop closes the W' timers and then the transport. It returns once no
+// timer callback runs or can run and the transport's goroutines have
+// exited; a second Stop waits for the first.
 func (c *Cluster) Stop() {
 	c.once.Do(func() {
 		close(c.stop)
-		c.wg.Wait()
+		c.each(func(p *proc) {
+			// The callback takes p.mu, and Close waits for it: let go of the
+			// timer under p.mu, so that nothing re-arms it, and close it
+			// outside.
+			p.mu.Lock()
+			t := p.timer
+			p.timer = nil
+			p.mu.Unlock()
+			if t != nil {
+				t.Close()
+			}
+		})
 		_ = c.cfg.Transport.Close()
 	})
-	c.wg.Wait()
 }
 
-// deliver is the transport's callback: enqueue m for local process dst on
-// the shard instance its Resource names. Messages to remote/out-of-range
-// ids are dropped (the transport on the hosting machine delivers those);
-// so are messages whose resource id no local shard runs — a forged or
-// corrupted shard id is semantic garbage, dropped like any other.
+// deliver is the transport's callback: step local process dst, on the
+// shard instance m's Resource names, with m, on the delivering goroutine.
+// Messages to remote/out-of-range ids are dropped (the transport on the
+// hosting machine delivers those); so are messages whose resource id no
+// local shard runs — a forged or corrupted shard id is semantic garbage,
+// dropped like any other.
+//
+// Any number of goroutines deliver to one process, and the next Deliver
+// rewrites the node's reply buffer, so the reply is copied out under p.mu
+// before it is routed. ra and lamport reply with at most one message, so
+// the copy fits the fixed array and a delivery allocates nothing.
 func (c *Cluster) deliver(dst int, m tme.Message) {
 	if dst < 0 || dst >= c.cfg.N || m.Resource < 0 || m.Resource >= c.cfg.Shards {
 		return
@@ -299,68 +315,36 @@ func (c *Cluster) deliver(dst int, m tme.Message) {
 	if p == nil {
 		return
 	}
-	p.inbox.put(m)
+	var reply [1]tme.Message
+	p.mu.Lock()
+	now := wallclock.Now()
+	o := p.w.Deliver(m, now)
+	p.note(o, now)
+	o.Program = append(reply[:0], o.Program...)
+	p.mu.Unlock()
+	c.ins.delivered.Inc()
+	c.emit(p, o)
 }
 
-// eventLoop drives one process: deliver messages, evaluate the wrapper at
-// its armed deadline, detect CS entries.
-func (c *Cluster) eventLoop(p *proc) {
-	var timer *wallclock.Timer
-	var fire <-chan struct{}
-	if p.armed != nil {
-		timer = wallclock.NewTimer()
-		defer timer.Close()
-		fire = timer.C
-	}
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-p.inbox.ready():
-			for {
-				m, ok := p.inbox.tryGet()
-				if !ok {
-					break
-				}
-				p.mu.Lock()
-				o := p.w.Deliver(m, wallclock.Now())
-				p.note(o)
-				p.mu.Unlock()
-				c.ins.delivered.Inc()
-				c.emit(p, o)
-			}
-		case <-p.armed:
-			p.mu.Lock()
-			due := p.w.Due()
-			p.mu.Unlock()
-			if due >= 0 {
-				timer.Reset(time.Duration(due - wallclock.Now()))
-			}
-		case <-fire:
-			c.deadline(p, timer)
-		}
-	}
-}
-
-// deadline handles p's timer firing, its value already received: p.w
-// fires W' if its deadline fell due, and the timer is re-aimed at the
-// deadline p.w then holds (a disarmed one is left to fire into a no-op).
-// Fire's result may be the wrapper's own buffer (wrapper.Level2's
-// contract); it is routed here, on the event loop, before the loop can fire
-// the wrapper again.
-func (c *Cluster) deadline(p *proc, timer *wallclock.Timer) {
+// deadline is p's timer callback, run on the timer's goroutine: p.w fires
+// W' if its deadline fell due, and the timer is re-aimed at the deadline
+// p.w then holds (a disarmed one is left to fire into a no-op). Fire's
+// result may be the wrapper's own buffer (wrapper.Level2's contract); it is
+// routed outside p.mu, which is safe because only this callback fires the
+// wrapper, and the timer never runs two calls of it at once.
+func (c *Cluster) deadline(p *proc) {
 	p.mu.Lock()
 	now := wallclock.Now()
 	o := p.w.Deadline(now)
+	p.aim(o.Due, now)
 	p.mu.Unlock()
-	if o.Due >= 0 {
-		timer.Reset(time.Duration(o.Due - now))
-	}
 	c.emit(p, o)
 }
 
 // emit carries an outcome of p.w out of p.mu: a repair into the counters,
-// the messages onto the transport, an entry to the entry callback.
+// the messages onto the transport, an entry to the entry callback. No
+// process lock may be held here: a local destination is stepped inside
+// Send, on this goroutine, and may route back to p.
 func (c *Cluster) emit(p *proc, o wrapper.Outcome) {
 	if o.Repaired {
 		c.ins.repairs.Inc()
@@ -402,6 +386,17 @@ func (c *Cluster) recordEntry(shard, id int) {
 	}
 }
 
+// each calls f on every local process.
+func (c *Cluster) each(f func(p *proc)) {
+	for _, shard := range c.procs {
+		for _, p := range shard {
+			if p != nil {
+				f(p)
+			}
+		}
+	}
+}
+
 // procAt resolves a (shard, id) pair to its local proc, nil when either
 // index is out of range or the id is not hosted locally.
 func (c *Cluster) procAt(shard, id int) *proc {
@@ -417,25 +412,28 @@ func (c *Cluster) procAt(shard, id int) *proc {
 // ReleaseShard one after the other.
 //
 // The fan-out is routed after p.mu is released, as a view of the node's own
-// RequestCS buffer (tme.Node's contract), while the event loop may Deliver
-// to the node and fire its W'. That is safe because
+// RequestCS buffer (tme.Node's contract), while any goroutine may Deliver
+// to the node and its timer may fire W'. That is safe because
 //   - the buffer is disjoint from Deliver's reply and from the wrapper's
-//     buffer, so the event loop's writes never touch it;
+//     buffer, so those inputs never write it;
 //   - only the next RequestCS on the node rewrites it, and with one caller
-//     per pair that call comes after this route returns;
-//   - the event loop routes Deliver's reply before it delivers again, and
-//     W's buffer (deadline) before it handles its next deadline.
+//     per pair that call comes after this route returns. The route itself
+//     may step local destinations inside Send, on this goroutine, and they
+//     may route back to p, but a delivery never requests.
 //
-// ReleaseShard routes its ReleaseCS buffer under the same argument.
-// TestFanOutSurvivesConcurrentDeliverAndFire checks it under -race.
+// Unlike the client's buffers, Deliver's reply has a writer per delivering
+// goroutine, so deliver copies it out under p.mu. ReleaseShard routes its
+// ReleaseCS buffer under the same argument as RequestShard.
+// TestFanOutSurvivesConcurrentDeliverAndFire checks both under -race.
 func (c *Cluster) RequestShard(shard, id int) {
 	p := c.procAt(shard, id)
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	o := p.w.Request(wallclock.Now())
-	p.note(o)
+	now := wallclock.Now()
+	o := p.w.Request(now)
+	p.note(o, now)
 	p.mu.Unlock()
 	c.emit(p, o)
 }
@@ -449,8 +447,9 @@ func (c *Cluster) ReleaseShard(shard, id int) {
 		return
 	}
 	p.mu.Lock()
-	o := p.w.Release(wallclock.Now())
-	p.note(o)
+	now := wallclock.Now()
+	o := p.w.Release(now)
+	p.note(o, now)
 	p.mu.Unlock()
 	c.emit(p, o)
 }
@@ -516,8 +515,9 @@ func (c *Cluster) CorruptShard(shard, id int, corr tme.Corruption) {
 		return
 	}
 	p.mu.Lock()
-	o := p.w.Corrupt(&corr, wallclock.Now())
-	p.note(o)
+	now := wallclock.Now()
+	o := p.w.Corrupt(&corr, now)
+	p.note(o, now)
 	p.mu.Unlock()
 	c.emit(p, o)
 }

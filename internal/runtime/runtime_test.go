@@ -17,53 +17,6 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/wrapper"
 )
 
-func TestMailboxFIFO(t *testing.T) {
-	m := newMailbox[int]()
-	for i := 0; i < 100; i++ {
-		m.put(i)
-	}
-	if m.len() != 100 {
-		t.Fatalf("len = %d", m.len())
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := m.tryGet()
-		if !ok || v != i {
-			t.Fatalf("tryGet #%d = (%d,%v)", i, v, ok)
-		}
-	}
-	if _, ok := m.tryGet(); ok {
-		t.Error("tryGet on empty mailbox succeeded")
-	}
-}
-
-func TestMailboxSignal(t *testing.T) {
-	m := newMailbox[int]()
-	select {
-	case <-m.ready():
-		t.Fatal("ready before put")
-	default:
-	}
-	m.put(1)
-	select {
-	case <-m.ready():
-	case <-time.After(time.Second):
-		t.Fatal("no readiness signal after put")
-	}
-}
-
-func TestMailboxClose(t *testing.T) {
-	m := newMailbox[int]()
-	m.put(1)
-	m.close()
-	if _, ok := m.tryGet(); ok {
-		t.Error("items survive close")
-	}
-	m.put(2)
-	if m.len() != 0 {
-		t.Error("put after close enqueued")
-	}
-}
-
 func TestNewClusterValidates(t *testing.T) {
 	if _, err := NewCluster(Config{N: 0}); err == nil {
 		t.Error("invalid config accepted")
@@ -310,14 +263,64 @@ func TestStopIsIdempotentAndJoinsGoroutines(t *testing.T) {
 		t.Fatal("Stop did not join all goroutines")
 	}
 	_ = chaos.Close()
-	// Nothing outlives Stop and the proxy's Close: event loops, the
-	// transport's accept loop, the proxy's scheduler, and the wall-clock
-	// timers of W' deadlines and of the scheduler with their descriptors.
+	// Nothing outlives Stop and the proxy's Close: the transport's accept
+	// loop, the proxy's scheduler, and the wall-clock timers of W'
+	// deadlines and of the scheduler with their relays and descriptors.
 	if !waitFor(t, 5*time.Second, func() bool { return goruntime.NumGoroutine() <= goroutines }) {
 		t.Errorf("goroutines: %d before, %d after Stop", goroutines, goruntime.NumGoroutine())
 	}
 	if after := openFDs(); after > fds {
 		t.Errorf("descriptors: %d before, %d after Stop", fds, after)
+	}
+}
+
+// countW is W' that counts its evaluations.
+type countW struct {
+	*wrapper.Timed
+	fires *atomic.Int64
+}
+
+func (w countW) Fire(now int64, v tme.SpecView) []tme.Message {
+	w.fires.Add(1)
+	return w.Timed.Fire(now, v)
+}
+
+// TestStopEndsEveryStep: Stop, with messages in flight and the W'
+// deadlines of hungry processes armed, returns, and no timer callback
+// evaluates W' after it. No delivery arrives either, though the proxy is
+// still open; one the proxy's scheduler began before the transport closed
+// may still finish (wire.Link's Close ends only new calls), so deliveries
+// are counted from a few milliseconds after Stop.
+func TestStopEndsEveryStep(t *testing.T) {
+	const n = 4
+	o := obs.New(obs.Options{})
+	var fires atomic.Int64
+	c, _ := inProcess(t, Config{
+		N:       n,
+		NewNode: func(id, nn int) tme.Node { return ra.New(id, nn) },
+		NewWrapper: func(int) wrapper.Level2 {
+			return countW{Timed: wrapper.NewTimed((200 * time.Microsecond).Nanoseconds()), fires: &fires}
+		},
+		Obs: o,
+	}, 200*time.Microsecond, time.Millisecond)
+	c.Start()
+	for i := 0; i < n; i++ {
+		c.RequestShard(0, i) // nobody releases: all but one eater stay hungry
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return fires.Load() >= 10 }) {
+		t.Fatalf("W' evaluated %d times in 5s, want 10", fires.Load())
+	}
+	delivered := func() int64 { return o.Registry().Snapshot().Counter("runtime_msgs_delivered_total") }
+	c.Stop()
+	f := fires.Load()
+	time.Sleep(5 * time.Millisecond)
+	d := delivered()
+	time.Sleep(20 * time.Millisecond)
+	if got := fires.Load(); got != f {
+		t.Errorf("W' evaluated %d times after Stop returned", got-f)
+	}
+	if got := delivered(); got != d {
+		t.Errorf("%d deliveries after Stop returned", got-d)
 	}
 }
 
@@ -415,7 +418,7 @@ func TestClusterSoak(t *testing.T) {
 
 // TestOnEntryInstallDuringRun is the regression test for the unlocked
 // onEntry write: OnEntry used to assign the field without taking c.mu,
-// racing with recordEntry's read from the event-loop goroutines. The
+// racing with recordEntry's read from the goroutines that step processes. The
 // assertion is the race detector's — installing callbacks while entries
 // are being recorded must be clean under -race.
 func TestOnEntryInstallDuringRun(t *testing.T) {

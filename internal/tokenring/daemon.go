@@ -2,6 +2,7 @@ package tokenring
 
 import (
 	"math/rand"
+	"slices"
 
 	"github.com/graybox-stabilization/graybox/internal/channel"
 	"github.com/graybox-stabilization/graybox/internal/engine"
@@ -126,6 +127,25 @@ func (s *Sim) Converge(limit int) (moves int, converged bool) {
 		s.core.Run(s.Now() + 1)
 	}
 	return s.moves, s.ring.Legitimate()
+}
+
+// Circulates runs the daemon n more moves and reports whether the ring
+// stayed legitimate and its privilege visited every machine on the way:
+// the other half of Dijkstra's claim, which Legitimate alone does not see
+// (a ring whose one privileged machine never passes the privilege on is
+// legitimate forever). Call it once Converge has returned true.
+func (s *Sim) Circulates() bool {
+	visited := make([]bool, s.cfg.N)
+	for range s.cfg.N {
+		if !s.ring.Legitimate() {
+			return false
+		}
+		for i := range visited {
+			visited[i] = visited[i] || s.ring.Privileged(i)
+		}
+		s.core.Run(s.Now() + 1)
+	}
+	return s.ring.Legitimate() && !slices.Contains(visited, false)
 }
 
 // CorruptAll assigns arbitrary counters to every machine (transient

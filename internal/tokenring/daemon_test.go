@@ -49,11 +49,24 @@ func TestDaemonSimConverges(t *testing.T) {
 		if moves > limit {
 			t.Fatalf("seed %d: reported %d moves over limit %d", seed, moves, limit)
 		}
+		if !s.Circulates() {
+			t.Fatalf("seed %d: the privilege did not visit every machine in n moves after convergence", seed)
+		}
 		// Legitimacy is closed under daemon moves.
 		s.Run(50)
 		if !s.ring.Legitimate() {
 			t.Fatalf("seed %d: left legitimate states after convergence", seed)
 		}
+	}
+}
+
+// TestCirculatesNeedsALegitimateRing: a ring with two privileges does not
+// circulate, however its moves go.
+func TestCirculatesNeedsALegitimateRing(t *testing.T) {
+	s := NewSim(SimConfig{N: 4, Seed: 1})
+	s.ring.SetX(2, 1)
+	if s.ring.Legitimate() || s.Circulates() {
+		t.Fatalf("ring %v: Legitimate %v, Circulates true, want both false", s.ring, s.ring.Legitimate())
 	}
 }
 

@@ -15,16 +15,17 @@ type itimerspec struct {
 }
 
 // timerFD is a CLOCK_MONOTONIC timerfd read through the netpoller by one
-// relay goroutine, which turns each expiry into a send on the Timer's C.
+// relay goroutine, which turns each expiry into a call of the Timer's fire
+// function.
 type timerFD struct {
 	fd   uintptr       // the descriptor, for timerfd_settime; f owns it
 	f    *os.File      // the pollable file the relay reads
 	done chan struct{} // closed when the relay has exited
 }
 
-// openTimerFD creates a disarmed timerfd relaying its expiries onto c; nil
-// when the kernel refuses one (the descriptor limit, say).
-func openTimerFD(c chan<- struct{}) *timerFD {
+// openTimerFD creates a disarmed timerfd whose relay calls fire once per
+// expiry; nil when the kernel refuses one (the descriptor limit, say).
+func openTimerFD(fire func()) *timerFD {
 	fd, _, errno := syscall.Syscall(syscall.SYS_TIMERFD_CREATE, clockMonotonic, syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
 	if errno != 0 {
 		return nil
@@ -33,20 +34,20 @@ func openTimerFD(c chan<- struct{}) *timerFD {
 	// netpoller until the timer expires.
 	t := &timerFD{fd: fd, f: os.NewFile(fd, "timerfd"), done: make(chan struct{})}
 	//gblint:ignore determinism the relay that turns a timerfd's expiry into a fire
-	go t.relay(c)
+	go t.relay(fire)
 	return t
 }
 
-// relay sends on c, without blocking, once per read of an expiry, until
-// the file is closed.
-func (t *timerFD) relay(c chan<- struct{}) {
+// relay calls fire once per read of an expiry, until the file is closed.
+// One goroutine makes every call, so they never overlap.
+func (t *timerFD) relay(fire func()) {
 	defer close(t.done)
 	var expiries [8]byte // the kernel's expiry count, which a one-shot timer does not need
 	for {
 		if _, err := t.f.Read(expiries[:]); err != nil {
 			return // closed: a timerfd read fails no other way
 		}
-		post(c)
+		fire()
 	}
 }
 
@@ -71,8 +72,9 @@ func (t *timerFD) settime(spec *itimerspec) {
 	}
 }
 
-// close wakes the relay's Read with os.ErrClosed and waits for it to exit;
-// the descriptor is closed when the Read releases it.
+// close wakes the relay's Read with os.ErrClosed and waits for it to exit,
+// and so for a fire in progress to return; the descriptor is closed when
+// the Read releases it.
 func (t *timerFD) close() {
 	_ = t.f.Close() // a timer has no buffered data to lose
 	<-t.done

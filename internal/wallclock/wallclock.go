@@ -8,9 +8,10 @@
 // (CLOCK_MONOTONIC) registered with the netpoller, whose expiry makes the
 // descriptor readable and wakes epoll_wait at once: the same waits fire
 // after about 0.11 and 1.53 ms. One relay goroutine per Timer reads the
-// descriptor and does a non-blocking send on C. On other platforms, and on
-// Linux if the kernel refuses a timerfd, time.AfterFunc does the same send
-// with no goroutine.
+// descriptor and fires the timer: a non-blocking send on C for NewTimer's,
+// a call of its function for NewFuncTimer's. On other platforms, and on
+// Linux if the kernel refuses a timerfd, time.AfterFunc fires it with no
+// goroutine of the Timer's own.
 //
 // C may carry one stale fire after Stop or Reset: an expiry that raced the
 // call. Every caller re-checks the clock when C fires (Sleep re-aims until
@@ -21,7 +22,10 @@
 // gblint's determinism pass holds them to that.
 package wallclock
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Now returns the wall clock in Unix nanoseconds.
 func Now() int64 {
@@ -29,32 +33,58 @@ func Now() int64 {
 }
 
 // Timer is a reusable one-shot wall-clock timer. It has one owner:
-// Reset, Stop, Sleep and Close are not safe to call concurrently, and a
+// Reset, Stop, Sleep and Close are not safe to call concurrently (a
+// NewFuncTimer's fire function shares it under the owner's lock), and a
 // Timer is not used after Close.
 type Timer struct {
-	// C receives a value when the timer fires. It holds at most one.
+	// C receives a value when the timer fires. It holds at most one; it is
+	// nil on a NewFuncTimer timer.
 	C <-chan struct{}
 	c chan struct{}
 	// fd is the timerfd serving the timer; af serves it when fd is nil.
 	fd *timerFD
 	af *time.Timer
+	// run serializes af's fires, and closed, set under it by Close, ends
+	// them: time.AfterFunc starts a goroutine per fire, so without it two
+	// fires could overlap, and one could outlive Close.
+	run    sync.Mutex
+	closed bool // guarded by run
 }
 
-// NewTimer returns a disarmed timer.
+// NewTimer returns a disarmed timer that fires onto C.
 func NewTimer() *Timer {
 	c := make(chan struct{}, 1)
-	if fd := openTimerFD(c); fd != nil {
-		return &Timer{C: c, c: c, fd: fd}
-	}
-	return newPortable(c)
+	t := NewFuncTimer(func() { post(c) })
+	t.C, t.c = c, c
+	return t
 }
 
-// newPortable returns a disarmed timer served by time.AfterFunc, firing
-// onto c.
-func newPortable(c chan struct{}) *Timer {
-	t := &Timer{C: c, c: c}
+// NewFuncTimer returns a disarmed timer that calls fire, on a goroutine of
+// the timer's own, each time it fires; C stays nil. Calls of fire never
+// overlap, and none runs once Close has returned. fire may Reset or Stop
+// its timer, and the owner shares the timer with it, so both must hold
+// one lock of the owner's around every Reset and Stop. Close waits for a
+// call in progress, so the owner calls it outside that lock, once fire can
+// no longer reach the timer.
+func NewFuncTimer(fire func()) *Timer {
+	if fd := openTimerFD(fire); fd != nil {
+		return &Timer{fd: fd}
+	}
+	return newPortable(fire)
+}
+
+// newPortable returns a disarmed timer served by time.AfterFunc, calling
+// fire at each fire.
+func newPortable(fire func()) *Timer {
+	t := &Timer{}
 	//gblint:ignore determinism the portable timer, where there is no timerfd
-	t.af = time.AfterFunc(time.Hour, func() { post(c) })
+	t.af = time.AfterFunc(time.Hour, func() {
+		t.run.Lock()
+		defer t.run.Unlock()
+		if !t.closed {
+			fire()
+		}
+	})
 	t.af.Stop()
 	return t
 }
@@ -116,9 +146,9 @@ func (t *Timer) Sleep(stop <-chan struct{}, d time.Duration) bool {
 	return true
 }
 
-// Close disarms the timer and releases it. On return a timerfd's relay
-// goroutine has exited and its descriptor is closed. A second Close is a
-// no-op.
+// Close disarms the timer and releases it. On return no fire is in
+// progress and none follows, and a timerfd's relay goroutine has exited
+// and its descriptor is closed. A second Close is a no-op.
 func (t *Timer) Close() {
 	if t.fd != nil {
 		t.fd.close()
@@ -126,6 +156,8 @@ func (t *Timer) Close() {
 	}
 	if t.af != nil {
 		t.af.Stop()
-		t.af = nil
+		t.run.Lock()
+		t.closed = true
+		t.run.Unlock()
 	}
 }

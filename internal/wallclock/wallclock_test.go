@@ -1,6 +1,8 @@
 package wallclock
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,7 +16,12 @@ func timers(t *testing.T, f func(t *testing.T, tm *Timer)) {
 		make func() *Timer
 	}{
 		{"NewTimer", NewTimer},
-		{"portable", func() *Timer { return newPortable(make(chan struct{}, 1)) }},
+		{"portable", func() *Timer {
+			c := make(chan struct{}, 1)
+			tm := newPortable(func() { post(c) })
+			tm.C, tm.c = c, c
+			return tm
+		}},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			tm := k.make()
@@ -110,4 +117,63 @@ func TestStopSilencesAndSleepToleratesAStaleFire(t *testing.T) {
 			t.Error("a zero Sleep did not return at once")
 		}
 	})
+}
+
+// TestFuncTimerFiresOneAtATimeUntilClose: a NewFuncTimer timer
+// whose fire function re-arms it at once is fired again and again, on
+// either path, never two calls at a time (time.AfterFunc starts a
+// goroutine per fire); Close waits for a call in progress, and no call
+// follows it.
+func TestFuncTimerFiresOneAtATimeUntilClose(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		make func(func()) *Timer
+	}{{"NewFuncTimer", NewFuncTimer}, {"portable", newPortable}} {
+		t.Run(k.name, func(t *testing.T) {
+			var (
+				mu                    sync.Mutex // the owner's lock around Reset
+				tm                    *Timer     // guarded by mu; nil once the owner lets go
+				active, calls, stacks atomic.Int32
+			)
+			fire := func() {
+				if active.Add(1) > 1 {
+					stacks.Add(1)
+				}
+				calls.Add(1)
+				mu.Lock()
+				if tm != nil {
+					tm.Reset(0) // due while this call still runs
+				}
+				mu.Unlock()
+				time.Sleep(time.Millisecond) // a call in progress for Close to meet
+				active.Add(-1)
+			}
+			mu.Lock()
+			tm = k.make(fire)
+			own := tm
+			tm.Reset(0)
+			mu.Unlock()
+			for deadline := time.Now().Add(5 * time.Second); calls.Load() < 20; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("fired %d times in 5s, want 20", calls.Load())
+				}
+			}
+			mu.Lock()
+			tm = nil
+			mu.Unlock()
+			own.Close()
+			if active.Load() != 0 {
+				t.Error("Close returned with a call of fire in progress")
+			}
+			after := calls.Load()
+			time.Sleep(20 * time.Millisecond)
+			if n := calls.Load(); n != after {
+				t.Errorf("fire called %d times after Close", n-after)
+			}
+			if n := stacks.Load(); n != 0 {
+				t.Errorf("%d calls of fire overlapped another", n)
+			}
+			own.Close()
+		})
+	}
 }

@@ -14,15 +14,17 @@ import (
 	"github.com/graybox-stabilization/graybox/internal/wallclock"
 )
 
-// Link is the seam between internal/runtime's node event loops and the
-// medium that carries their messages: *Transport, which delivers to its
+// Link is the seam between internal/runtime's processes and the medium
+// that carries their messages: *Transport, which delivers to its
 // Local ids in-process, with or without the chaos proxy in front (Chaos
 // interposes on a Link, and Chaos.Pipe returns one).
 //
 // The contract: Send never blocks indefinitely and preserves FIFO order
 // per directed (From,To) edge; deliver is invoked from link-owned
 // goroutines, or inside Send for a local destination, and must be
-// goroutine-safe and never block (the cluster's inboxes are unbounded);
+// goroutine-safe and never wait on the link (internal/runtime steps the
+// destination inside it and routes what the step sends through Send,
+// holding no lock);
 // after Close returns no further deliver calls are made. Send after Close
 // is a silent no-op.
 type Link interface {

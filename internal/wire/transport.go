@@ -505,11 +505,10 @@ func nextBackoff(cur, max time.Duration) time.Duration {
 	return cur
 }
 
-// msgQueue is an unbounded FIFO with blocking drain — the wire-side twin
-// of the runtime's mailbox (which this package cannot import). A drain
-// takes every queued message at once, so storage is one slice refilled
-// from its start: steady-state put/drain never allocate, and capacity grows
-// only when the queue outpaces its consumer and is reused forever after.
+// msgQueue is an unbounded FIFO with blocking drain. A drain takes every
+// queued message at once, so storage is one slice refilled from its start:
+// steady-state put/drain never allocate, and capacity grows only when the
+// queue outpaces its consumer and is reused forever after.
 type msgQueue struct {
 	mu     sync.Mutex
 	buf    []tme.Message // guarded by mu; the queued messages, oldest first
